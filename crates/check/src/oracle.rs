@@ -234,25 +234,6 @@ pub fn check_configs(
     Ok(checked)
 }
 
-/// Masked/add runs free their inputs but keep the long-lived output
-/// allocation attributed until reset (same contract as the baseline
-/// methods), so the leftover must be bounded by the peak, not zero.
-fn bounded(variant: &str, tracker: &MemTracker) -> Result<(), OracleFailure> {
-    if tracker.current_bytes() > tracker.peak_bytes() {
-        return Err(fail(
-            variant,
-            Mismatch::Run {
-                detail: format!(
-                    "tracker leftover {} bytes exceeds peak {}",
-                    tracker.current_bytes(),
-                    tracker.peak_bytes()
-                ),
-            },
-        ));
-    }
-    Ok(())
-}
-
 /// A unit-valued structural mask keeping the entries of `pattern` whose
 /// coordinates satisfy `keep`. Values are 1.0 so the same matrix doubles
 /// as the Hadamard multiplicand when building the masked gold.
@@ -295,7 +276,7 @@ pub fn check_masked(
         let tm = TileMatrix::from_csr(mask);
         let out = multiply_masked(&ta, &tb, &tm, &Config::default(), &tracker)
             .map_err(|e| run_detail(variant, e))?;
-        bounded(variant, &tracker)?;
+        balanced(variant, &tracker)?;
         let expected = ops::hadamard(&gold, mask);
         compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(*variant, m))?;
         checked += 1;
@@ -384,7 +365,7 @@ pub fn check_chain(
         let cur = multiply(&ta, &tb, &config, &tracker).map_err(|e| run_detail(variant, e))?;
         let out = multiply_masked(&cur.c, &td, &tm, &config, &tracker)
             .map_err(|e| run_detail(variant, e))?;
-        bounded(variant, &tracker)?;
+        balanced(variant, &tracker)?;
         let expected = ops::hadamard(&gold, &mask);
         compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(variant, m))?;
         checked += 1;
@@ -450,7 +431,7 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
             let cfg = Config::builder().simd(policy).build();
             let out = multiply_masked(&ta, &tb, &tm, &cfg, &tracker)
                 .map_err(|e| run_detail(variant, e))?;
-            bounded(variant, &tracker)?;
+            balanced(variant, &tracker)?;
             Ok::<_, OracleFailure>(out)
         };
         let pivot = run("simd[scalar,masked]", SimdPolicy::ForceScalar)?;

@@ -55,8 +55,8 @@ use crate::{Config, SpGemmError};
 
 /// An execution context owning the configuration, device-memory accounting,
 /// recorder, and reusable scratch arenas that every multiplication it runs
-/// shares. The arenas warm up on the first product and make later steady-
-/// state step-2/3 execution allocation-free.
+/// shares. The arenas warm up on the first product and make the later
+/// per-tile step-2/3 work allocation-free.
 ///
 /// Construct with [`SpGemm::new`] (paper defaults, unlimited budget, no
 /// recording) or [`SpGemm::builder`]. Each [`SpGemm::multiply`] /

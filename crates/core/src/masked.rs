@@ -70,7 +70,14 @@ pub fn multiply_masked<T: Scalar>(
             vec![0u8; num_tiles * TILE_DIM],
         )
     });
-    tracker.on_alloc(num_tiles * (4 + TILE_DIM * 3 + 8) + b_cols.rowidx.len() * 16)?;
+    // Every charge below is credited back on every exit path, as in the
+    // unmasked pipeline: the tracker returns to its pre-call level whether
+    // the product succeeds or the budget refuses it.
+    let temp_bytes = num_tiles * (4 + TILE_DIM * 3 + 8) + b_cols.rowidx.len() * 16;
+    if let Err(e) = tracker.on_alloc(temp_bytes) {
+        tracker.on_free(input_bytes);
+        return Err(e.into());
+    }
 
     // Step 2 with the mask ANDed in. The kernel level and dense-tile
     // threshold are run constants, like the unmasked pipeline's.
@@ -104,14 +111,22 @@ pub fn multiply_masked<T: Scalar>(
 
     let mut c_offsets = vec![0usize; num_tiles + 1];
     let nnz_c = tsg_runtime::exclusive_scan_to(&c_counts, &mut c_offsets);
-    let (mut c_row_idx, mut c_col_idx, mut c_vals) = breakdown.timed(Step::Alloc, || {
-        tracker.on_alloc(nnz_c * (2 + std::mem::size_of::<T>()))?;
+    let output_bytes = nnz_c * (2 + std::mem::size_of::<T>());
+    let alloc_res = breakdown.timed(Step::Alloc, || {
+        tracker.on_alloc(output_bytes)?;
         Ok::<_, SpGemmError>((
             tracker.timed_alloc(|| vec![0u8; nnz_c]),
             tracker.timed_alloc(|| vec![0u8; nnz_c]),
             tracker.timed_alloc(|| vec![T::ZERO; nnz_c]),
         ))
-    })?;
+    });
+    let (mut c_row_idx, mut c_col_idx, mut c_vals) = match alloc_res {
+        Ok(v) => v,
+        Err(e) => {
+            tracker.on_free(input_bytes + temp_bytes);
+            return Err(e);
+        }
+    };
 
     // Step 3: numeric, but products whose column is masked out are dropped
     // by the sparse accumulator's rank addressing — we give it the masked
@@ -179,7 +194,9 @@ pub fn multiply_masked<T: Scalar>(
         masks: c_masks,
     };
     let peak_bytes = tracker.peak_bytes();
-    tracker.on_free(input_bytes);
+    // Inputs, step-2 temporaries and the output arrays (handed back to the
+    // host) are all released.
+    tracker.on_free(input_bytes + temp_bytes + output_bytes);
     Ok(crate::Output {
         c,
         breakdown,
@@ -289,6 +306,31 @@ mod tests {
         let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &MemTracker::new()).unwrap();
         assert_eq!(out.c.nnz(), 0);
         assert_eq!(out.c.tile_count(), 0);
+    }
+
+    #[test]
+    fn tracker_returns_to_baseline_after_success_and_refusal() {
+        let a = random(80, 5, 31);
+        let mask = random(80, 8, 32);
+        let (ta, tm) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&mask));
+        // A resident charge the multiply must leave exactly as it found it.
+        let baseline = 4096;
+        let tracker = MemTracker::new();
+        tracker.on_alloc(baseline).unwrap();
+        let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &tracker).unwrap();
+        assert!(out.c.nnz() > 0);
+        assert_eq!(tracker.current_bytes(), baseline, "success credits all");
+
+        // Refuse each charge in turn: the inputs, the step-2 temporaries
+        // (the inputs fit), and the output arrays (everything else fits).
+        let inputs = crate::pipeline::tile_matrix_bytes(&ta) * 2;
+        for budget in [baseline + 1, baseline + inputs + 1, out.peak_bytes - 1] {
+            let tracker = MemTracker::with_budget(budget);
+            tracker.on_alloc(baseline).unwrap();
+            let err = multiply_masked(&ta, &ta, &tm, &Config::default(), &tracker).unwrap_err();
+            assert!(matches!(err, SpGemmError::OutOfMemory(_)), "{err:?}");
+            assert_eq!(tracker.current_bytes(), baseline, "budget {budget}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::convert::{timed_csr_to_tile, ConversionTiming};
 use crate::intersect::{resolve_kind, IntersectionKind};
 use crate::simd::{self, Kernel};
 use crate::step1::tile_structure_spgemm;
-use crate::step2::{encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
+use crate::step2::{self, encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
 use crate::{Config, Scheduling, SpGemmError};
 
 use rayon::prelude::*;
@@ -156,6 +156,21 @@ fn permuted<W>(windows: Vec<W>, order: &[u32]) -> Vec<W> {
         .collect()
 }
 
+/// Stores to one element of every 4 KiB page of `v`, so a buffer the
+/// allocator mapped fresh (zero pages the kernel has not backed yet) is
+/// resident before the phase that fills it. Each store rewrites the value
+/// already there, through a volatile write: a plain store of a value the
+/// compiler knows to be zero could be elided.
+fn faulted<T: Copy>(mut v: Vec<T>) -> Vec<T> {
+    let step = (4096 / std::mem::size_of::<T>().max(1)).max(1);
+    for x in v.iter_mut().step_by(step) {
+        let value = *x;
+        // SAFETY: `x` is a valid, aligned, exclusive reference.
+        unsafe { std::ptr::write_volatile(x, value) };
+    }
+    v
+}
+
 /// Set-intersection lookups a step-2/step-3 intersection pass issues, plus
 /// the chosen-kernel histogram `[binary-search, merge, bitmap]`, derived
 /// from list lengths alone: binary search probes once per element of the
@@ -246,10 +261,13 @@ pub fn multiply_with<T: Scalar>(
 ///
 /// Steps 2 and 3 check a [`Scratch`] arena out of `arena` once per task
 /// chunk; after the first multiply warms the pool, the per-tile hot path
-/// performs zero heap allocations (DESIGN.md §11). The pool's total
-/// footprint is charged to `tracker` for the duration of the call (so
-/// `peak_bytes` covers scratch memory) and credited back at the end —
-/// growth observed during the run is reconciled before the peak is read.
+/// performs zero heap allocations (DESIGN.md §11). What the multiply as a
+/// whole allocates is per-multiply arrays plus one pair-staging buffer per
+/// step-2 task — fewer than 0.05 allocations per output tile, pinned by
+/// `tests/pipeline_alloc_audit.rs`. The pool's total footprint is charged
+/// to `tracker` for the duration of the call (so `peak_bytes` covers
+/// scratch memory) and credited back at the end — growth observed during
+/// the run is reconciled before the peak is read.
 #[allow(clippy::too_many_arguments)]
 pub fn multiply_with_pool<T: Scalar>(
     a: &TileMatrix<T>,
@@ -348,8 +366,18 @@ pub fn multiply_with_pool<T: Scalar>(
     // `for_each_init` dispatch below uses) and charge the pool's footprint
     // for the duration of this multiply. A warmed pool re-charges its grown
     // size, so scratch memory shows up in `peak_bytes` every run.
-    let arena_slots = rayon::current_num_threads().max(1) * 4;
-    let arena_charged = match arena.reserve(arena_slots, tracker) {
+    //
+    // Each arena's pair lists are sized up front to the job's per-tile pair
+    // bound: a tile's intersection matches at most min(la, lb) pairs, so
+    // the shorter of A's longest tile row and B's longest tile column
+    // bounds every tile. Nothing then grows mid-phase, and the charge
+    // depends on the operands alone rather than on which worker drew the
+    // heaviest tile.
+    let longest = |ptr: &[usize]| ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let pair_bound = longest(&a.tile_ptr).min(longest(&b_cols.colptr));
+    let threads = rayon::current_num_threads().max(1);
+    let arena_slots = threads * 4;
+    let arena_charged = match arena.reserve(arena_slots, pair_bound, tracker) {
         Ok(bytes) => bytes,
         Err(e) => {
             tracker.on_free(input_bytes + step2_temp_bytes);
@@ -378,49 +406,43 @@ pub fn multiply_with_pool<T: Scalar>(
         Vec::new()
     };
 
-    // Sampled-estimator pre-sizing: when the admission layer measured the
-    // product (see `crate::sample`), warm the scratch arenas and the pair
-    // staging slots to the predicted per-tile pair count so the hot phases
-    // start with capacity instead of growing mid-flight. Allocation only —
-    // the output is bit-identical with or without hints.
-    // Step 1 already ran, so the exact output-tile count beats the hinted
-    // one as the divisor.
-    let avg_hint_words = config.est_hints.map_or(0, |h| h.pairs / num_tiles.max(1));
-    if avg_hint_words >= 8 {
-        let guards: Vec<_> = (0..arena_slots)
-            .map(|_| {
-                let mut g = arena.checkout();
-                g.pos_pairs.reserve(avg_hint_words);
-                g.id_pairs.reserve(avg_hint_words);
-                g
-            })
-            .collect();
-        drop(guards);
-    }
-
     // ---- Step 2: per-tile symbolic (Algorithm 2). ----
     let mut c_counts = vec![0usize; num_tiles];
     // Matched-pair count per tile: always recorded (one word per tile) — it
     // feeds the Binned step-3 work estimate and the counters.
     let mut pair_counts = vec![0usize; num_tiles];
-    // With pair reuse on, step 2 parks each tile's packed pair words here;
-    // they are flattened into the compact PairBuffer right after the phase.
-    // A sampled estimate pre-sizes the slots to the predicted per-tile pair
-    // count, skipping the doubling reallocations of the first few pushes.
-    let mut pair_slots: Vec<Vec<u16>> = if config.pair_reuse && avg_hint_words >= 8 {
-        (0..num_tiles)
-            .map(|_| Vec::with_capacity(avg_hint_words))
-            .collect()
-    } else {
-        vec![Vec::new(); num_tiles]
+    // With pair reuse on, each step-2 task appends the packed pair words of
+    // a contiguous run of tiles to one chunk-local staging buffer and
+    // records each tile's word count in `pair_offsets[t + 1]`; right after
+    // the phase a scan turns the counts into the PairBuffer's offsets and
+    // the chunks are gathered into its words. The buffers are untracked
+    // host scratch, like the arenas' lists.
+    let chunk_len = step2::staging_chunk_len(num_tiles, threads);
+    let mut pair_offsets = vec![0u32; num_tiles + 1];
+    // Every step-1 tile has at least one matched pair, so a chunk needs at
+    // least a word per tile; a sampled estimate (see `crate::sample`)
+    // pre-sizes it to the predicted pairs instead. Step 1 already ran, so
+    // the exact output-tile count beats the hinted one as the divisor.
+    // Allocation only — the output is bit-identical with or without hints.
+    let words_per_tile = config
+        .est_hints
+        .map_or(1, |h| (h.pairs / num_tiles.max(1)).max(1));
+    let staged_chunk = |tiles: usize| {
+        if config.pair_reuse {
+            Vec::with_capacity(tiles * words_per_tile)
+        } else {
+            Vec::new()
+        }
     };
+    // Runs one tile and returns how many packed words it staged.
     let step2_tile = |s: &mut Scratch,
                       t: usize,
                       mask_w: &mut [u16],
                       row_ptr_w: &mut [u8],
                       count: &mut usize,
                       pair_count: &mut usize,
-                      slot: &mut Vec<u16>| {
+                      staged: &mut Vec<u16>|
+     -> u32 {
         let ti = c_rowidx[t] as usize;
         let tj = c_pattern.idx[t] as usize;
         matched_pairs_with(
@@ -438,11 +460,14 @@ pub fn multiply_with_pool<T: Scalar>(
         mask_w.copy_from_slice(&sym.masks);
         row_ptr_w.copy_from_slice(&sym.row_ptr);
         *count = sym.nnz;
-        if config.pair_reuse {
-            // Pack the list positions straight into the tile's slot; step 3
-            // decodes them back to flat ids with the same base/id context.
-            encode_pairs(&s.pos_pairs, slot);
+        if !config.pair_reuse {
+            return 0;
         }
+        // Pack the list positions onto the chunk's staging buffer; step 3
+        // decodes them back to flat ids with the same base/id context.
+        let start = staged.len();
+        encode_pairs(&s.pos_pairs, staged);
+        (staged.len() - start) as u32
     };
     // Per-tile work estimate for the binned dispatch, calibrated against
     // measured per-pair cost: the intersection visits ~min(la, lb)
@@ -460,57 +485,79 @@ pub fn multiply_with_pool<T: Scalar>(
         m + m * (tile_row_nnz(a, ti) / la.max(1) + b_col_nnz[tj] / lb.max(1))
     };
     let span = recorder.span_enter(job, "step2");
-    breakdown.timed(Step::Step2, || match scheduling {
+    // One staging buffer per task: a `chunk_len` run of tiles (PerTile and
+    // Binned — the latter over its dispatch order) or one tile row
+    // (PerTileRow). `Some(order)` marks the chunks as permuted.
+    let mut staged: Vec<Vec<u16>> = Vec::new();
+    let binned_dispatch: Option<Vec<u32>> = breakdown.timed(Step::Step2, || match scheduling {
         Scheduling::PerTile => {
+            staged.resize_with(num_tiles.div_ceil(chunk_len), Vec::new);
             c_masks
-                .par_chunks_mut(TILE_DIM)
-                .zip(c_row_ptr.par_chunks_mut(TILE_DIM))
-                .zip(c_counts.par_iter_mut())
-                .zip(pair_counts.par_iter_mut())
-                .zip(pair_slots.par_iter_mut())
+                .par_chunks_mut(TILE_DIM * chunk_len)
+                .zip(c_row_ptr.par_chunks_mut(TILE_DIM * chunk_len))
+                .zip(c_counts.par_chunks_mut(chunk_len))
+                .zip(pair_counts.par_chunks_mut(chunk_len))
+                .zip(pair_offsets[1..].par_chunks_mut(chunk_len))
+                .zip(staged.par_iter_mut())
                 .enumerate()
                 .for_each_init(
                     || arena.checkout(),
-                    |s, (t, ((((mask_w, row_ptr_w), count), pair_count), slot))| {
-                        step2_tile(s, t, mask_w, row_ptr_w, count, pair_count, slot);
+                    |s, (c, (((((masks, row_ptrs), counts), pairs), words), buf))| {
+                        *buf = staged_chunk(counts.len());
+                        for k in 0..counts.len() {
+                            words[k] = step2_tile(
+                                s,
+                                c * chunk_len + k,
+                                &mut masks[k * TILE_DIM..(k + 1) * TILE_DIM],
+                                &mut row_ptrs[k * TILE_DIM..(k + 1) * TILE_DIM],
+                                &mut counts[k],
+                                &mut pairs[k],
+                                buf,
+                            );
+                        }
                     },
                 );
+            None
         }
         Scheduling::PerTileRow => {
+            staged.resize_with(c_pattern.rows, Vec::new);
             let elem_bounds: Vec<usize> = c_pattern.ptr.iter().map(|&t| t * TILE_DIM).collect();
             let masks_rows = split_mut_by_offsets(&mut c_masks, &elem_bounds);
             let rowptr_rows = split_mut_by_offsets(&mut c_row_ptr, &elem_bounds);
             let counts_rows = split_mut_by_offsets(&mut c_counts, &c_pattern.ptr);
             let paircnt_rows = split_mut_by_offsets(&mut pair_counts, &c_pattern.ptr);
-            let slots_rows = split_mut_by_offsets(&mut pair_slots, &c_pattern.ptr);
+            let words_rows = split_mut_by_offsets(&mut pair_offsets[1..], &c_pattern.ptr);
             masks_rows
                 .into_par_iter()
                 .zip(rowptr_rows)
                 .zip(counts_rows)
                 .zip(paircnt_rows)
-                .zip(slots_rows)
+                .zip(words_rows)
+                .zip(staged.par_iter_mut())
                 .enumerate()
                 .for_each_init(
                     || arena.checkout(),
-                    |s, (ti, ((((masks_r, rowptr_r), counts_r), paircnt_r), slots_r))| {
+                    |s, (ti, (((((masks_r, rowptr_r), counts_r), paircnt_r), words_r), buf))| {
+                        *buf = staged_chunk(counts_r.len());
                         let base = c_pattern.ptr[ti];
                         for (k, count) in counts_r.iter_mut().enumerate() {
-                            step2_tile(
+                            words_r[k] = step2_tile(
                                 s,
                                 base + k,
                                 &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM],
                                 &mut rowptr_r[k * TILE_DIM..(k + 1) * TILE_DIM],
                                 count,
                                 &mut paircnt_r[k],
-                                &mut slots_r[k],
+                                buf,
                             );
                         }
                     },
                 );
+            None
         }
         Scheduling::Binned => {
             if num_tiles == 0 {
-                return;
+                return None;
             }
             let bins = bin_rows_by(num_tiles, BINNED_BUCKETS, step2_estimate);
             if enabled {
@@ -518,24 +565,38 @@ pub fn multiply_with_pool<T: Scalar>(
                 recorder.add(Counter::BinsOccupied, bins.occupied_buckets() as u64);
             }
             let order = binned_order(&bins);
-            let masks_w = permuted(split_mut_uniform(&mut c_masks, num_tiles), &order);
-            let rowptr_w = permuted(split_mut_uniform(&mut c_row_ptr, num_tiles), &order);
-            let counts_w = permuted(c_counts.iter_mut().collect(), &order);
-            let paircnt_w = permuted(pair_counts.iter_mut().collect(), &order);
-            let slots_w = permuted(pair_slots.iter_mut().collect(), &order);
+            staged.resize_with(num_tiles.div_ceil(chunk_len), Vec::new);
+            let mut masks_w = permuted(split_mut_uniform(&mut c_masks, num_tiles), &order);
+            let mut rowptr_w = permuted(split_mut_uniform(&mut c_row_ptr, num_tiles), &order);
+            let mut counts_w = permuted(c_counts.iter_mut().collect(), &order);
+            let mut paircnt_w = permuted(pair_counts.iter_mut().collect(), &order);
+            let mut words_w = permuted(pair_offsets[1..].iter_mut().collect(), &order);
             order
-                .par_iter()
-                .zip(masks_w)
-                .zip(rowptr_w)
-                .zip(counts_w)
-                .zip(paircnt_w)
-                .zip(slots_w)
+                .par_chunks(chunk_len)
+                .zip(masks_w.par_chunks_mut(chunk_len))
+                .zip(rowptr_w.par_chunks_mut(chunk_len))
+                .zip(counts_w.par_chunks_mut(chunk_len))
+                .zip(paircnt_w.par_chunks_mut(chunk_len))
+                .zip(words_w.par_chunks_mut(chunk_len))
+                .zip(staged.par_iter_mut())
                 .for_each_init(
                     || arena.checkout(),
-                    |s, (((((&t, mask_w), row_ptr_w), count), pair_count), slot)| {
-                        step2_tile(s, t as usize, mask_w, row_ptr_w, count, pair_count, slot);
+                    |s, ((((((tiles, masks), row_ptrs), counts), pairs), words), buf)| {
+                        *buf = staged_chunk(tiles.len());
+                        for (k, &t) in tiles.iter().enumerate() {
+                            *words[k] = step2_tile(
+                                s,
+                                t as usize,
+                                masks[k],
+                                row_ptrs[k],
+                                counts[k],
+                                pairs[k],
+                                buf,
+                            );
+                        }
                     },
                 );
+            Some(order)
         }
         Scheduling::Auto => unreachable!("Auto resolved before dispatch"),
     });
@@ -578,26 +639,19 @@ pub fn multiply_with_pool<T: Scalar>(
         0
     };
 
-    // Flatten the per-tile packed words into the compact CSR-shaped buffer
-    // step 3 will read. The per-tile staging vectors are host-side scratch;
-    // only the compact buffer is tracked as device memory.
+    // Gather the chunk-staged words into the compact CSR-shaped buffer
+    // step 3 will read. The staging chunks are host-side scratch; only the
+    // compact buffer is tracked as device memory.
     let pair_buffer: Option<PairBuffer> = if config.pair_reuse {
         let span = recorder.span_enter(job, "alloc");
         let res = breakdown.timed(Step::Alloc, || {
-            let word_counts: Vec<usize> = pair_slots.iter().map(Vec::len).collect();
-            let mut word_offsets = vec![0usize; num_tiles + 1];
-            let total_words = tsg_runtime::par_exclusive_scan_to(&word_counts, &mut word_offsets);
+            let total_words = step2::scan_word_counts(&mut pair_offsets);
             tracker.on_alloc(
                 total_words * std::mem::size_of::<u16>()
                     + (num_tiles + 1) * std::mem::size_of::<u32>(),
             )?;
-            let mut words = vec![0u16; total_words];
-            split_mut_by_offsets(&mut words, &word_offsets)
-                .into_par_iter()
-                .zip(pair_slots.par_iter())
-                .for_each(|(w, slot)| w.copy_from_slice(slot));
-            let offsets: Vec<u32> = word_offsets.iter().map(|&o| o as u32).collect();
-            Ok::<_, SpGemmError>(PairBuffer { offsets, words })
+            let binned = binned_dispatch.as_deref().map(|order| (order, chunk_len));
+            Ok::<_, SpGemmError>(PairBuffer::from_staged(pair_offsets, staged, binned))
         });
         recorder.span_exit(span);
         match res {
@@ -610,17 +664,19 @@ pub fn multiply_with_pool<T: Scalar>(
     } else {
         None
     };
-    drop(pair_slots);
     let pair_bytes = pair_buffer.as_ref().map_or(0, PairBuffer::bytes);
 
+    // The output arrays come back zeroed straight from the OS for large
+    // products, so their pages would fault in during step 3; touching each
+    // page here keeps that cost in the allocation slice it belongs to.
     let output_bytes = nnz_c * (2 + std::mem::size_of::<T>()) + (num_tiles + 1) * 8;
     let span = recorder.span_enter(job, "alloc");
     let alloc_res = breakdown.timed(Step::Alloc, || {
         tracker.on_alloc(output_bytes)?;
         Ok::<_, SpGemmError>((
-            tracker.timed_alloc(|| vec![0u8; nnz_c]),
-            tracker.timed_alloc(|| vec![0u8; nnz_c]),
-            tracker.timed_alloc(|| vec![T::ZERO; nnz_c]),
+            tracker.timed_alloc(|| faulted(vec![0u8; nnz_c])),
+            tracker.timed_alloc(|| faulted(vec![0u8; nnz_c])),
+            tracker.timed_alloc(|| faulted(vec![T::ZERO; nnz_c])),
         ))
     });
     recorder.span_exit(span);
@@ -1073,33 +1129,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pair_buffer_matches_recomputed_pairs() {
-        let a = random_csr(120, 5, 29);
-        let ta = TileMatrix::from_csr(&a);
-        let out = multiply(&ta, &ta, &Config::default(), &MemTracker::new()).unwrap();
-        let buf = out.pair_buffer.expect("pair_reuse is on by default");
-        assert_eq!(buf.tile_count(), out.c.tile_count());
-        let b_cols = ta.col_index();
-        let mut scratch = Vec::new();
-        let mut pairs = Vec::new();
-        let mut decoded = Vec::new();
-        for ti in 0..out.c.tile_m {
-            for t in out.c.tile_ptr[ti]..out.c.tile_ptr[ti + 1] {
-                let tj = out.c.tile_colidx[t] as usize;
+    /// A product shaped to stress step 2's chunk staging: every tile row of
+    /// A holds all 300 inner tiles, and B's tile column `j` picks two inner
+    /// tiles by `j % 3` — 299 positions apart (an escape-coded pair),
+    /// adjacent (two plain words), or 299 apart on a B row A never touches
+    /// (a phantom tile: matched pairs, zero nonzeros).
+    fn staging_stress(rows: usize, cols: usize) -> (TileMatrix<f64>, TileMatrix<f64>) {
+        const INNER: u32 = 300;
+        let mut a = Coo::new(rows * TILE_DIM, INNER as usize * TILE_DIM);
+        for i in 0..rows as u32 {
+            for k in 0..INNER {
+                a.push(i * 16, k * 16, 1.0 + (i + k) as f64 * 0.5);
+            }
+        }
+        let mut b = Coo::new(INNER as usize * TILE_DIM, cols * TILE_DIM);
+        for j in 0..cols as u32 {
+            let (far, local_row) = match j % 3 {
+                0 => (INNER - 1, 0),
+                1 => (1, 0),
+                _ => (INNER - 1, 1),
+            };
+            b.push(local_row, j * 16, 2.0);
+            b.push(far * 16 + local_row, j * 16 + 3, -1.0);
+        }
+        (
+            TileMatrix::from_csr(&a.to_csr()),
+            TileMatrix::from_csr(&b.to_csr()),
+        )
+    }
+
+    /// Asserts `buf` is exactly the per-tile `encode_pairs` concatenation
+    /// over `c`'s tiles, in tile order.
+    fn assert_per_tile_encoding(
+        ta: &TileMatrix<f64>,
+        tb: &TileMatrix<f64>,
+        c: &TileMatrix<f64>,
+        buf: &PairBuffer,
+        what: &str,
+    ) {
+        let b_cols = tb.col_index();
+        let (mut positions, mut pairs) = (Vec::new(), Vec::new());
+        let (mut offsets, mut words) = (vec![0u32], Vec::new());
+        for ti in 0..c.tile_m {
+            for &tj in c.tile_row_cols(ti) {
                 matched_pairs(
-                    &ta,
+                    ta,
                     &b_cols,
                     ti,
-                    tj,
+                    tj as usize,
                     crate::IntersectionKind::BinarySearch,
-                    &mut scratch,
+                    &mut positions,
                     &mut pairs,
                 );
-                let (_, b_ids) = b_cols.col(tj);
-                buf.decode_tile(t, ta.tile_ptr[ti] as u32, b_ids, &mut decoded);
-                assert_eq!(decoded, pairs, "tile {t}");
+                encode_pairs(&positions, &mut words);
+                offsets.push(words.len() as u32);
             }
+        }
+        assert_eq!(buf.offsets, offsets, "{what}: offsets");
+        assert_eq!(buf.words, words, "{what}: words");
+    }
+
+    #[test]
+    fn pair_buffer_matches_recomputed_pairs() {
+        let random = TileMatrix::from_csr(&random_csr(120, 5, 29));
+        let (sa, sb) = staging_stress(40, 301);
+        // Pools of 2 and 3 workers give different chunk lengths, so the
+        // chunk boundaries fall on different tiles.
+        for threads in [2usize, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for (name, ta, tb) in [("random", &random, &random), ("stress", &sa, &sb)] {
+                for scheduling in [
+                    crate::Scheduling::PerTile,
+                    crate::Scheduling::PerTileRow,
+                    crate::Scheduling::Binned,
+                ] {
+                    let what = format!("{name}/{scheduling:?}/{threads} workers");
+                    let run = |pair_reuse| {
+                        let cfg = Config::builder()
+                            .scheduling(scheduling)
+                            .pair_reuse(pair_reuse)
+                            .build();
+                        pool.install(|| multiply(ta, tb, &cfg, &MemTracker::new()).unwrap())
+                    };
+                    let (out, recomputed) = (run(true), run(false));
+                    assert_eq!(
+                        out.c, recomputed.c,
+                        "{what}: reuse must be bitwise invisible"
+                    );
+                    let buf = out.pair_buffer.expect("pair reuse on");
+                    assert_per_tile_encoding(ta, tb, &out.c, &buf, &what);
+                }
+            }
+            // The stress product really straddles what it is meant to:
+            // many chunks with a ragged last one, escape-coded pairs on
+            // both sides of a boundary, and phantom tiles.
+            let out = pool
+                .install(|| multiply(&sa, &sb, &Config::default(), &MemTracker::new()))
+                .unwrap();
+            let buf = out.pair_buffer.as_ref().unwrap();
+            let tiles = out.c.tile_count();
+            let chunk = step2::staging_chunk_len(tiles, threads);
+            assert!(
+                tiles / chunk >= 8 && tiles % chunk != 0,
+                "{tiles} tiles, chunk {chunk}"
+            );
+            let escaped = |t: usize| buf.tile_words(t).contains(&step2::PAIR_ESCAPE);
+            assert!((chunk..tiles)
+                .step_by(chunk)
+                .any(|e| escaped(e - 1) && escaped(e)));
+            assert!(
+                (0..tiles).any(|t| out.c.tile_nnz_of(t) == 0),
+                "phantom tiles"
+            );
         }
     }
 

@@ -24,6 +24,40 @@ use tsg_matrix::{ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
 /// delta word because deltas are capped below 255 (high byte ≤ 254).
 pub const PAIR_ESCAPE: u16 = u16::MAX;
 
+/// Most output tiles one step-2 staging chunk covers.
+const STAGING_CHUNK_TILES: usize = 512;
+
+/// Staging chunks each worker gets at least, so the self-scheduling
+/// executor can still balance a small product.
+const STAGING_CHUNKS_PER_WORKER: usize = 8;
+
+/// Tiles per step-2 staging chunk for a product of `num_tiles` output
+/// tiles on `threads` workers.
+///
+/// With pair reuse on, each parallel step-2 task appends the packed words
+/// of a contiguous run of tiles to one buffer — the CPU analogue of the
+/// paper's warps writing into on-chip memory — so staging costs a few
+/// allocations per chunk, none per tile. Large products get
+/// `STAGING_CHUNK_TILES`-tile chunks; small ones are cut finer, to at
+/// least 8 chunks per worker.
+pub(crate) fn staging_chunk_len(num_tiles: usize, threads: usize) -> usize {
+    num_tiles
+        .div_ceil(threads.max(1) * STAGING_CHUNKS_PER_WORKER)
+        .clamp(1, STAGING_CHUNK_TILES)
+}
+
+/// Turns per-tile word counts into [`PairBuffer::offsets`] in place:
+/// `offsets[0]` is 0 and `offsets[t + 1]` holds tile `t`'s word count on
+/// entry, its end offset on exit. Returns the total word count.
+pub(crate) fn scan_word_counts(offsets: &mut [u32]) -> usize {
+    let mut total = 0usize;
+    for o in offsets.iter_mut() {
+        total += *o as usize;
+        *o = total as u32;
+    }
+    total
+}
+
 /// The matched pairs of every output tile, delta-coded into packed `u16`
 /// words: tile `t` owns `words[offsets[t]..offsets[t + 1]]`.
 ///
@@ -48,6 +82,49 @@ pub struct PairBuffer {
 }
 
 impl PairBuffer {
+    /// Assembles the buffer from step 2's chunk-local staging.
+    ///
+    /// `offsets` are the final per-tile offsets ([`scan_word_counts`]).
+    /// Chunk `c` of `chunks` holds the words of the tiles one task staged,
+    /// back to back in dispatch order. With `binned = None` the chunks
+    /// cover ascending runs of tiles, so they are simply concatenated; with
+    /// `Some((order, chunk_len))` chunk `c` staged the tiles
+    /// `order[c * chunk_len..]`, and each tile's words are gathered back to
+    /// its own offset. Each chunk is freed as soon as it is copied.
+    pub(crate) fn from_staged(
+        offsets: Vec<u32>,
+        chunks: Vec<Vec<u16>>,
+        binned: Option<(&[u32], usize)>,
+    ) -> PairBuffer {
+        let total = offsets.last().map_or(0, |&o| o as usize);
+        let words = match binned {
+            None => {
+                let mut words = Vec::with_capacity(total);
+                for chunk in chunks {
+                    words.extend_from_slice(&chunk);
+                }
+                words
+            }
+            Some((order, chunk_len)) => {
+                let mut words = vec![0u16; total];
+                for (tiles, chunk) in order.chunks(chunk_len).zip(chunks) {
+                    let mut at = 0usize;
+                    for &t in tiles {
+                        let (lo, hi) = (
+                            offsets[t as usize] as usize,
+                            offsets[t as usize + 1] as usize,
+                        );
+                        words[lo..hi].copy_from_slice(&chunk[at..at + hi - lo]);
+                        at += hi - lo;
+                    }
+                }
+                words
+            }
+        };
+        debug_assert_eq!(words.len(), total);
+        PairBuffer { offsets, words }
+    }
+
     /// The packed words of output tile `t`.
     pub fn tile_words(&self, t: usize) -> &[u16] {
         &self.words[self.offsets[t] as usize..self.offsets[t + 1] as usize]

@@ -1,0 +1,90 @@
+//! Whole-pipeline allocation audit.
+//!
+//! `arena_steady_state.rs` pins the per-tile hot loop; this file pins what
+//! `multiply_with_pool` as a whole asks of the allocator on a warmed pool.
+//! Per-multiply buffers (operand indexes, output arrays, the pair buffer)
+//! and per-task staging chunks are expected; anything per *tile* is not —
+//! staging each tile's packed pairs in its own `Vec` would cost more than
+//! one allocation per output tile.
+//!
+//! The counting allocator is process-global, so this binary holds exactly
+//! one test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use tilespgemm_core::{multiply_with_pool, Config, Scheduling};
+use tsg_gen::suite::GenSpec;
+use tsg_matrix::TileMatrix;
+use tsg_runtime::observe::NullRecorder;
+use tsg_runtime::{MemTracker, ScratchPool};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations per output tile a multiply may make on a warmed pool.
+const MAX_ALLOCS_PER_TILE: f64 = 0.05;
+
+#[test]
+fn warmed_multiply_allocates_far_less_than_once_per_output_tile() {
+    // A power-law product with well over 100k output tiles.
+    let a = TileMatrix::from_csr(
+        &GenSpec::Rmat {
+            scale: 13,
+            edges: 24_000,
+            mild: false,
+            seed: 5,
+        }
+        .build(),
+    );
+    for scheduling in [
+        Scheduling::PerTile,
+        Scheduling::PerTileRow,
+        Scheduling::Binned,
+    ] {
+        let config = Config::builder().scheduling(scheduling).build();
+        let pool = ScratchPool::new();
+        let tracker = MemTracker::new();
+        let run = || multiply_with_pool(&a, &a, &config, &tracker, &NullRecorder, 0, &pool);
+        let warm = run().expect("warm-up multiply");
+
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let out = run().expect("audited multiply");
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+        let tiles = out.c.tile_count();
+        assert!(tiles >= 100_000, "the audit needs a large product: {tiles}");
+        assert_eq!(out.c, warm.c, "{scheduling:?}: same product");
+        let per_tile = allocs as f64 / tiles as f64;
+        assert!(
+            per_tile < MAX_ALLOCS_PER_TILE,
+            "{scheduling:?}: {allocs} allocations for {tiles} output tiles \
+             ({per_tile:.3} per tile)"
+        );
+    }
+}

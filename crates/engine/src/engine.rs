@@ -1025,8 +1025,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     };
     let mut config = job.spec.config.unwrap_or(shared.cfg.base_config);
     // Thread the sampled admission estimate down as allocation hints, so
-    // the pipeline pre-sizes its pair staging and scratch arenas to the
-    // measured product. Explicit job configs keep their own hints if set.
+    // the pipeline pre-sizes its pair-staging chunks to the measured
+    // product. Explicit job configs keep their own hints if set.
     if config.est_hints.is_none() {
         if let Some(s) = job.estimate.sample {
             config.est_hints = Some(tilespgemm_core::EstHints {

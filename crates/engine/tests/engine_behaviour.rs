@@ -255,6 +255,30 @@ fn masked_multiplies_tick_est_err_and_sample_counters() {
     assert_eq!(m.get(tsg_runtime::Counter::EstSampleFallback), 0);
 }
 
+/// Masked multiplies credit everything they charge: once a batch of them
+/// has drained, the shared device tracker is back at zero.
+#[test]
+fn masked_jobs_leave_the_device_tracker_at_zero() {
+    use tsg_engine::OpSpec;
+    let engine = Engine::new(EngineConfig::default());
+    let (id, _) = engine.register(scatter(512, 8, 41));
+    let (mask, _) = engine.register(scatter(512, 2, 42));
+    let tickets: Vec<_> = (0..6)
+        .map(|_| {
+            engine
+                .submit(JobSpec::of(OpSpec::MaskedMultiply { a: id, b: id, mask }))
+                .unwrap()
+        })
+        .collect();
+    for t in tickets {
+        assert!(t.wait().unwrap().nnz_c > 0);
+    }
+    let s = engine.stats();
+    assert_eq!(s.completed, 6);
+    assert_eq!(s.device_bytes_in_use, 0, "masked jobs must not leak");
+    engine.shutdown();
+}
+
 #[test]
 fn full_queue_sheds_with_backpressure() {
     let engine = Engine::new(EngineConfig {

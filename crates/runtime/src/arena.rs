@@ -10,8 +10,9 @@
 //! first few tiles, and from then on steady-state execution performs zero
 //! heap allocations.
 //!
-//! Accounting: [`ScratchPool::reserve`] pre-grows the pool and charges the
-//! expected footprint to a [`MemTracker`] (with an `arena.grow` failpoint so
+//! Accounting: [`ScratchPool::reserve`] pre-grows the pool — arena count and
+//! pair-list capacity, sized to the caller's per-tile bound — and charges
+//! the footprint to a [`MemTracker`] (with an `arena.grow` failpoint so
 //! tests can force the charge to fail); [`ScratchPool::bytes`] and
 //! [`ScratchPool::high_water_bytes`] let the caller reconcile any growth
 //! beyond the reservation. The pool never frees scratch between multiplies —
@@ -80,6 +81,23 @@ impl Scratch {
             + self.idx.capacity() * std::mem::size_of::<u32>()
     }
 
+    /// Heap bytes [`Self::reserve_pairs`] would add for `pairs`: both pair
+    /// lists grow to exactly `pairs` entries when they hold fewer.
+    fn pair_growth(&self, pairs: usize) -> usize {
+        let short = |v: &Vec<(u32, u32)>| pairs.saturating_sub(v.capacity());
+        (short(&self.pos_pairs) + short(&self.id_pairs)) * std::mem::size_of::<(u32, u32)>()
+    }
+
+    /// Grows both pair lists to hold `pairs` entries without reallocating.
+    /// An idle arena still holds its last tile's pairs, and `reserve_exact`
+    /// counts from the length, so the lists are cleared first.
+    fn reserve_pairs(&mut self, pairs: usize) {
+        self.pos_pairs.clear();
+        self.id_pairs.clear();
+        self.pos_pairs.reserve_exact(pairs);
+        self.id_pairs.reserve_exact(pairs);
+    }
+
     /// Bytes one `Scratch` occupies regardless of list growth: the struct
     /// itself (inline masks + dense accumulator) boxed on the heap.
     pub const BASE_BYTES: usize = std::mem::size_of::<Scratch>();
@@ -134,37 +152,61 @@ impl ScratchPool {
         self.high_water.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Ensures at least `count` arenas exist, charging the pool's *total*
-    /// current footprint to `tracker` and returning the charged byte count
-    /// (the caller credits it back when the tracked operation completes).
+    /// Ensures at least `count` arenas exist and that every idle arena's
+    /// pair lists hold `pair_cap` entries, charging the pool's *total*
+    /// footprint to `tracker` and returning the charged byte count (the
+    /// caller credits it back when the tracked operation completes).
+    ///
+    /// Sizing the lists up front to a per-tile bound the caller derives
+    /// from its operands means no arena grows mid-phase, so the charge —
+    /// and every peak that includes it — depends on the operands alone, not
+    /// on which worker happened to draw the heaviest tile.
     ///
     /// Growth is fallible: the `arena.grow` failpoint (and the tracker's own
     /// budget) can refuse it, in which case nothing is charged and the pool
     /// keeps whatever arenas it already had — warmed scratch is never torn
     /// down by a failed reservation.
-    pub fn reserve(&self, count: usize, tracker: &MemTracker) -> Result<usize, BudgetExceeded> {
+    pub fn reserve(
+        &self,
+        count: usize,
+        pair_cap: usize,
+        tracker: &MemTracker,
+    ) -> Result<usize, BudgetExceeded> {
+        let mut free = self.free.lock();
         let missing = count.saturating_sub(self.created());
-        if missing > 0 {
+        let fresh = Scratch::default().pair_growth(pair_cap);
+        let growth = missing * (Scratch::BASE_BYTES + fresh)
+            + free.iter().map(|s| s.pair_growth(pair_cap)).sum::<usize>();
+        if growth > 0 {
             // Failpoint `arena.grow`: refuse pool growth before any arena is
             // built or charged, mirroring `tracker.alloc` semantics.
             #[cfg(feature = "failpoints")]
             if crate::failpoint::should_fail("arena.grow") {
                 return Err(BudgetExceeded {
-                    requested: missing * Scratch::BASE_BYTES,
+                    requested: growth,
                     in_use: tracker.current_bytes(),
                     budget: tracker.budget(),
                 });
             }
         }
-        let charge = self.bytes() + missing * Scratch::BASE_BYTES;
+        let charge = self.bytes() + growth;
         tracker.on_alloc(charge)?;
-        if missing > 0 {
-            let mut free = self.free.lock();
+        if growth > 0 {
+            let heap = |free: &[Box<Scratch>]| free.iter().map(|s| s.heap_bytes()).sum::<usize>();
+            let before = heap(&free);
+            for s in free.iter_mut() {
+                s.reserve_pairs(pair_cap);
+            }
             for _ in 0..missing {
-                free.push(Box::default());
+                let mut s = Box::<Scratch>::default();
+                s.reserve_pairs(pair_cap);
+                free.push(s);
             }
             self.created.fetch_add(missing, Ordering::Relaxed);
-            self.add_bytes(missing * Scratch::BASE_BYTES);
+            // Record what the allocator actually handed out; any excess
+            // over the predicted charge surfaces in the caller's
+            // end-of-run reconciliation against `bytes()`.
+            self.add_bytes(missing * Scratch::BASE_BYTES + heap(&free) - before);
         }
         Ok(charge)
     }
@@ -262,7 +304,7 @@ mod tests {
     fn reserve_creates_and_charges() {
         let tracker = MemTracker::new();
         let pool = ScratchPool::new();
-        let charged = pool.reserve(3, &tracker).unwrap();
+        let charged = pool.reserve(3, 0, &tracker).unwrap();
         assert_eq!(pool.created(), 3);
         assert_eq!(charged, 3 * Scratch::BASE_BYTES);
         assert_eq!(tracker.current_bytes(), charged);
@@ -272,7 +314,7 @@ mod tests {
             let mut s = pool.checkout();
             s.words.reserve_exact(100);
         }
-        let charged2 = pool.reserve(3, &tracker).unwrap();
+        let charged2 = pool.reserve(3, 0, &tracker).unwrap();
         assert_eq!(pool.created(), 3);
         assert_eq!(charged2, pool.bytes());
         assert!(charged2 > charged);
@@ -281,10 +323,38 @@ mod tests {
     }
 
     #[test]
+    fn reserve_presizes_pair_lists_so_checkouts_never_grow() {
+        let tracker = MemTracker::new();
+        let pool = ScratchPool::new();
+        let pair_bytes = 2 * 40 * std::mem::size_of::<(u32, u32)>();
+        let charged = pool.reserve(2, 40, &tracker).unwrap();
+        assert_eq!(charged, 2 * (Scratch::BASE_BYTES + pair_bytes));
+        assert_eq!(pool.bytes(), charged, "the charge is the footprint");
+        for _ in 0..2 {
+            let mut s = pool.checkout();
+            assert!(s.pos_pairs.capacity() >= 40 && s.id_pairs.capacity() >= 40);
+            s.pos_pairs.extend((0..40).map(|i| (i, i)));
+            s.id_pairs.extend((0..40).map(|i| (i, i)));
+        }
+        assert_eq!(pool.bytes(), charged, "filling to the bound grows nothing");
+        // The same reservation again charges the same total: the charge is
+        // a function of (count, bound), not of what earlier runs drew.
+        tracker.on_free(charged);
+        assert_eq!(pool.reserve(2, 40, &tracker).unwrap(), charged);
+        assert_eq!(
+            pool.reserve(2, 10, &tracker).unwrap(),
+            charged,
+            "never shrinks"
+        );
+        tracker.on_free(2 * charged);
+        assert_eq!(tracker.current_bytes(), 0);
+    }
+
+    #[test]
     fn reserve_over_budget_fails_cleanly() {
         let tracker = MemTracker::with_budget(1);
         let pool = ScratchPool::new();
-        let err = pool.reserve(2, &tracker).unwrap_err();
+        let err = pool.reserve(2, 16, &tracker).unwrap_err();
         assert_eq!(err.budget, 1);
         assert_eq!(tracker.current_bytes(), 0);
         assert_eq!(pool.created(), 0);

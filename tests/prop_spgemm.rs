@@ -27,6 +27,90 @@ fn arb_square(n_max: usize, nnz_max: usize) -> impl Strategy<Value = Csr<f64>> {
     })
 }
 
+/// A product stressing step 2's chunk staging: every tile row of A holds
+/// all 300 inner tiles, and B's tile column `j` picks two inner tiles by
+/// `kinds[j]` — 299 list positions apart (an escape-coded pair), adjacent
+/// (plain words), or 299 apart on a B row A never touches (a phantom tile:
+/// matched pairs, zero nonzeros).
+fn staging_stress(rows: usize, kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64>) {
+    const INNER: u32 = 300;
+    let mut a = Coo::new(rows * 16, INNER as usize * 16);
+    for i in 0..rows as u32 {
+        for k in 0..INNER {
+            a.push(i * 16, k * 16, 1.0 + (i + k) as f64 * 0.5);
+        }
+    }
+    let mut b = Coo::new(INNER as usize * 16, kinds.len() * 16);
+    for (j, &kind) in kinds.iter().enumerate() {
+        let j = j as u32;
+        let (far, local_row) = match kind {
+            0 => (INNER - 1, 0),
+            1 => (1, 0),
+            _ => (INNER - 1, 1),
+        };
+        b.push(local_row, j * 16, 2.0);
+        b.push(far * 16 + local_row, j * 16 + 3, -1.0);
+    }
+    (
+        TileMatrix::from_csr(&a.to_csr()),
+        TileMatrix::from_csr(&b.to_csr()),
+    )
+}
+
+/// Runs `a·b` under every scheduling on a `threads`-worker pool and checks
+/// that the persisted `PairBuffer` is exactly the per-tile `encode_pairs`
+/// concatenation in tile order, and that C is bitwise the product
+/// recomputed without pair reuse.
+fn check_staged_pair_buffer(
+    a: &TileMatrix<f64>,
+    b: &TileMatrix<f64>,
+    threads: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    use tilespgemm::core::step2::{encode_pairs, matched_pairs};
+    use tilespgemm::core::{IntersectionKind, Scheduling};
+    let b_cols = b.col_index();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap();
+    for scheduling in [
+        Scheduling::PerTile,
+        Scheduling::PerTileRow,
+        Scheduling::Binned,
+    ] {
+        let run = |pair_reuse| {
+            let cfg = Config::builder()
+                .scheduling(scheduling)
+                .pair_reuse(pair_reuse)
+                .build();
+            pool.install(|| tilespgemm::core::multiply(a, b, &cfg, &MemTracker::new()).unwrap())
+        };
+        let (out, recomputed) = (run(true), run(false));
+        prop_assert_eq!(&out.c, &recomputed.c, "{:?}: C differs", scheduling);
+        let buf = out.pair_buffer.expect("pair reuse on");
+        let (mut positions, mut pairs) = (Vec::new(), Vec::new());
+        let (mut offsets, mut words) = (vec![0u32], Vec::new());
+        for ti in 0..out.c.tile_m {
+            for &tj in out.c.tile_row_cols(ti) {
+                matched_pairs(
+                    a,
+                    &b_cols,
+                    ti,
+                    tj as usize,
+                    IntersectionKind::BinarySearch,
+                    &mut positions,
+                    &mut pairs,
+                );
+                encode_pairs(&positions, &mut words);
+                offsets.push(words.len() as u32);
+            }
+        }
+        prop_assert_eq!(&buf.offsets, &offsets, "{:?}: offsets", scheduling);
+        prop_assert_eq!(&buf.words, &words, "{:?}: words", scheduling);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -101,7 +185,10 @@ proptest! {
     }
 
     #[test]
-    fn pair_buffer_equals_recomputed_matched_pairs(a in arb_square(48, 250)) {
+    fn pair_buffer_equals_recomputed_matched_pairs(
+        a in arb_square(48, 250),
+        threads in 1usize..4,
+    ) {
         // The compact pair buffer step 2 persists must hold, tile for tile,
         // exactly the lists a fresh intersection produces.
         let ta = TileMatrix::from_csr(&a);
@@ -130,6 +217,21 @@ proptest! {
                 prop_assert_eq!(&decoded, &pairs, "tile {}", t);
             }
         }
+        // Every scheduling stages the same buffer, at any worker count.
+        check_staged_pair_buffer(&ta, &ta, threads)?;
+    }
+
+    #[test]
+    fn chunk_staging_survives_escapes_phantoms_and_ragged_chunks(
+        rows in 1usize..24,
+        kinds in proptest::collection::vec(0u8..3, 1..80),
+        threads in 1usize..4,
+    ) {
+        // Escape-coded, plain and phantom tiles in a random mix, across
+        // enough tiles that the staging chunks hold many tiles each and
+        // their boundaries land on every kind.
+        let (ta, tb) = staging_stress(rows, &kinds);
+        check_staged_pair_buffer(&ta, &tb, threads)?;
     }
 
     #[test]
