@@ -25,7 +25,7 @@
 //! not interruptible (matching the kernels it models); cancellation is
 //! therefore only honoured while a job is still queued.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -172,8 +172,9 @@ impl OpSpec {
                 v.extend(mask.iter().copied());
                 v
             }
-            OpSpec::Power { a, k, mask } => {
-                let mut v = vec![*a; (*k).max(1) as usize];
+            // A power names its base once, however large `k` is.
+            OpSpec::Power { a, mask, .. } => {
+                let mut v = vec![*a];
                 v.extend(mask.iter().copied());
                 v
             }
@@ -201,11 +202,14 @@ pub struct JobSpec {
     pub config: Option<Config>,
     /// Queue-wait deadline override; `None` uses the engine default.
     pub timeout: Option<Duration>,
-    /// Skip the synchronous estimate-vs-budget rejection. Set by schedulers
-    /// that run their own admission (deferred admission dispatches a parked
+    /// Already admitted under this estimate. Set by schedulers that run
+    /// their own admission: [`Engine::submit`] still checks the operands
+    /// and shapes, but does not sample again and skips the
+    /// estimate-vs-budget rejection (deferred admission dispatches a parked
     /// job solo once resident memory frees, accepting that the mid-flight
     /// tracker is the backstop if the estimate was still too optimistic).
-    pub admit_over_budget: bool,
+    /// The job reports this estimate as [`JobReport::estimate`].
+    pub admitted: Option<JobEstimate>,
 }
 
 impl JobSpec {
@@ -224,7 +228,7 @@ impl JobSpec {
             op,
             config: None,
             timeout: None,
-            admit_over_budget: false,
+            admitted: None,
         }
     }
 
@@ -522,9 +526,12 @@ impl Engine {
         })
     }
 
-    /// Registers a matrix, returning `(id, deduped)`.
+    /// Registers a matrix, returning `(id, deduped)`. The content hash runs
+    /// before the registry lock is taken, so registering a large matrix
+    /// never stalls concurrent lookups.
     pub fn register(&self, csr: tsg_matrix::Csr<f64>) -> (MatrixId, bool) {
-        self.lock_registry().insert(csr)
+        let id = MatrixId(csr.content_hash());
+        self.lock_registry().insert_hashed(id, csr)
     }
 
     /// Forces (or looks up) the tiled conversion of `id`; returns the tile
@@ -555,10 +562,13 @@ impl Engine {
     /// only feed the product back into later multiplies should use
     /// [`Engine::register_tiled`] instead, which derives nothing.
     pub fn register_product(&self, tiled: Arc<TileMatrix<f64>>) -> (MatrixId, bool) {
-        // Derive the CSR outside the registry lock — same discipline as
-        // resolve_tiled, the derivation can cost a product runtime.
+        // Derive and hash the CSR outside the registry lock — same
+        // discipline as resolve_tiled, the derivation can cost a product
+        // runtime.
         let csr = tiled.to_csr();
-        self.lock_registry().insert_with_tiled(csr, tiled)
+        let id = MatrixId(csr.content_hash());
+        self.lock_registry()
+            .insert_with_tiled_hashed(id, csr, tiled)
     }
 
     /// Registers a pipeline product straight from its tiled form, with no
@@ -577,7 +587,8 @@ impl Engine {
         } else {
             tiled
         };
-        self.lock_registry().insert_tiled(compact)
+        let id = MatrixId(compact.content_hash());
+        self.lock_registry().insert_tiled_hashed(id, compact)
     }
 
     /// The registered CSR form of `id`. For resident tiled products this
@@ -614,13 +625,19 @@ impl Engine {
     /// output) surface here exactly as they would at submit. Estimation
     /// never materializes a CSR: operands whose CSR form is absent are
     /// estimated structurally from their registered shape.
+    ///
+    /// The registry lock is held only to gather the operands' shapes and
+    /// `Arc`s; the sampled symbolic pass runs after it is released.
     pub fn estimate_op(&self, op: &OpSpec) -> Result<JobEstimate, EngineError> {
-        estimate_spec(&self.lock_registry(), op, self.shared.cfg.sample_rate)
+        let inputs = EstimateInputs::gather(&self.lock_registry(), op);
+        estimate_spec(&inputs, op, self.shared.cfg.sample_rate)
     }
 
     /// Submits a job. Admission control runs synchronously: unknown
-    /// operands, over-budget estimates, a full queue, and a shut-down
-    /// engine all fail here with a typed error.
+    /// operands, mismatched shapes, over-budget estimates, a full queue,
+    /// and a shut-down engine all fail here with a typed error. A spec
+    /// carrying [`JobSpec::admitted`] skips the estimate and the budget
+    /// check, but not the operand and shape checks.
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, EngineError> {
         // Every arrival counts, including the ones admission turns away;
         // `admitted` below is the accepted subset.
@@ -631,18 +648,32 @@ impl Engine {
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return Err(EngineError::ShuttingDown);
         }
-        let estimate = estimate_spec(&self.lock_registry(), &spec.op, self.shared.cfg.sample_rate)?;
-        let budget = self.shared.cfg.device.mem_budget;
-        if !spec.admit_over_budget && estimate.est_bytes > budget {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(EngineError::EstimateExceedsBudget {
-                est_bytes: estimate.est_bytes,
-                budget,
-            });
-        }
+        let estimate = match spec.admitted {
+            Some(estimate) => {
+                let reg = self.lock_registry();
+                let shape_of = |id| {
+                    let (nrows, ncols, nnz) = reg.shape(id)?;
+                    Ok(OperandShape { nrows, ncols, nnz })
+                };
+                check_op(&shape_of, &spec.op)?;
+                estimate
+            }
+            None => {
+                let estimate = self.estimate_op(&spec.op)?;
+                let budget = self.shared.cfg.device.mem_budget;
+                if estimate.est_bytes > budget {
+                    self.shared
+                        .counters
+                        .rejected
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Err(EngineError::EstimateExceedsBudget {
+                        est_bytes: estimate.est_bytes,
+                        budget,
+                    });
+                }
+                estimate
+            }
+        };
         let id = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
         let ticket_inner = Arc::new(TicketInner {
             result: Mutex::new(None),
@@ -847,22 +878,125 @@ fn shape_err(a: OperandShape, b: OperandShape) -> EngineError {
     })
 }
 
-/// Cost prediction for an op expression, from registry shape summaries.
+/// Checks an op expression against its operands' shapes: every handle is
+/// registered, every link's inner dimensions agree, and a mask matches the
+/// output. These are exactly the errors estimation can raise, in the same
+/// order, so a job admitted under an earlier estimate fails at submit with
+/// the code the estimate would have produced.
+fn check_op(
+    shape_of: &dyn Fn(MatrixId) -> Result<OperandShape, EngineError>,
+    op: &OpSpec,
+) -> Result<(), EngineError> {
+    let masked = |out: OperandShape, mask: Option<MatrixId>| -> Result<(), EngineError> {
+        let Some(m) = mask else { return Ok(()) };
+        let sm = shape_of(m)?;
+        if (sm.nrows, sm.ncols) == (out.nrows, out.ncols) {
+            Ok(())
+        } else {
+            Err(shape_err(sm, OperandShape { nnz: 0, ..out }))
+        }
+    };
+    let link = |cur: OperandShape, b: MatrixId| -> Result<OperandShape, EngineError> {
+        let sb = shape_of(b)?;
+        if cur.ncols != sb.nrows {
+            return Err(shape_err(cur, sb));
+        }
+        Ok(OperandShape {
+            ncols: sb.ncols,
+            ..cur
+        })
+    };
+    match op {
+        OpSpec::Multiply { a, b } => link(shape_of(*a)?, *b).map(drop),
+        OpSpec::MaskedMultiply { a, b, mask } => masked(link(shape_of(*a)?, *b)?, Some(*mask)),
+        OpSpec::Add { a, b, .. } => {
+            let sa = shape_of(*a)?;
+            let sb = shape_of(*b)?;
+            if (sa.nrows, sa.ncols) != (sb.nrows, sb.ncols) {
+                return Err(shape_err(sa, sb));
+            }
+            Ok(())
+        }
+        OpSpec::Chain { operands, mask } => {
+            if operands.len() < 2 {
+                return Err(EngineError::InvalidOp(
+                    "a chain needs at least two operands",
+                ));
+            }
+            let mut cur = shape_of(operands[0])?;
+            for &b in &operands[1..] {
+                cur = link(cur, b)?;
+            }
+            masked(cur, *mask)
+        }
+        OpSpec::Power { a, k, mask } => {
+            if *k < 2 {
+                return Err(EngineError::InvalidOp("a power needs k >= 2"));
+            }
+            // Every link multiplies by `a` again, so the first link's check
+            // (a square `a`) covers them all.
+            masked(link(shape_of(*a)?, *a)?, *mask)
+        }
+    }
+}
+
+/// What estimating an op needs from the registry, copied out under the
+/// registry lock so the sampler can run without it: each handle's shape
+/// plus whichever matrix forms are materialized (`Arc` clones), or the
+/// lookup error of an unregistered handle.
+struct EstimateInputs(HashMap<MatrixId, Result<OperandForms, EngineError>>);
+
+struct OperandForms {
+    shape: OperandShape,
+    csr: Option<Arc<tsg_matrix::Csr<f64>>>,
+    tiled: Option<Arc<TileMatrix<f64>>>,
+}
+
+impl EstimateInputs {
+    fn gather(reg: &Registry, op: &OpSpec) -> Self {
+        let forms = |id| -> Result<OperandForms, EngineError> {
+            let (nrows, ncols, nnz) = reg.shape(id)?;
+            Ok(OperandForms {
+                shape: OperandShape { nrows, ncols, nnz },
+                csr: reg.csr_if_present(id)?,
+                tiled: reg.tiled_if_present(id)?,
+            })
+        };
+        EstimateInputs(
+            op.operands()
+                .into_iter()
+                .map(|id| (id, forms(id)))
+                .collect(),
+        )
+    }
+
+    fn forms(&self, id: MatrixId) -> Result<&OperandForms, EngineError> {
+        match self.0.get(&id) {
+            Some(Ok(f)) => Ok(f),
+            Some(Err(e)) => Err(e.clone()),
+            None => Err(EngineError::UnknownMatrix(id)),
+        }
+    }
+
+    fn shape(&self, id: MatrixId) -> Result<OperandShape, EngineError> {
+        self.forms(id).map(|f| f.shape)
+    }
+}
+
+/// Cost prediction for an op expression, from the operands gathered under
+/// the registry lock.
 ///
-/// Uses the exact row-by-row flop count when both operands' CSR forms are
-/// already materialized, and the structural heuristic otherwise — the
+/// Uses the sampled symbolic pass when both operand structures are on
+/// hand, the exact row-by-row flop count when only their CSR forms are
+/// (sampling disabled), and the structural heuristic otherwise — the
 /// estimate never forces the CSR materialization the expression API exists
-/// to avoid. Shape validation happens here too, so incompatible operands
-/// are rejected at submit, before a worker ever runs.
+/// to avoid. Shape validation ([`check_op`]) happens first, so incompatible
+/// operands are rejected at submit, before a worker ever runs.
 fn estimate_spec(
-    reg: &Registry,
+    inputs: &EstimateInputs,
     op: &OpSpec,
     sample_rate: f64,
 ) -> Result<JobEstimate, EngineError> {
-    let shape_of = |id: MatrixId| -> Result<OperandShape, EngineError> {
-        let (nrows, ncols, nnz) = reg.shape(id)?;
-        Ok(OperandShape { nrows, ncols, nnz })
-    };
     // Failpoint `engine.estimate_sample`: the sampled symbolic pass "fails"
     // and estimation falls back to the constant-compression upper bound —
     // the degraded mode a job must survive (admitted or deferred, never
@@ -873,117 +1007,116 @@ fn estimate_spec(
     } else {
         sample_rate
     };
+    check_op(&|id| inputs.shape(id), op)?;
     let product = |a: MatrixId, b: MatrixId| -> Result<JobEstimate, EngineError> {
-        let sa = shape_of(a)?;
-        let sb = shape_of(b)?;
-        if sa.ncols != sb.nrows {
-            return Err(shape_err(sa, sb));
-        }
+        let (fa, fb) = (inputs.forms(a)?, inputs.forms(b)?);
         // Seeded per operand pair so repeated estimates of the same product
         // are bit-identical while distinct products decorrelate.
         let seed = a.0.rotate_left(32) ^ b.0 ^ 0x7153_7047_454d_4d01;
         if sample_rate > 0.0 {
-            if let (Some(ca), Some(cb)) = (reg.csr_if_present(a)?, reg.csr_if_present(b)?) {
-                return Ok(estimate_job_sampled(&ca, &cb, sample_rate, seed));
+            if let (Some(ca), Some(cb)) = (&fa.csr, &fb.csr) {
+                return Ok(estimate_job_sampled(ca, cb, sample_rate, seed));
             }
-            if let (Some(ta), Some(tb)) = (reg.tiled_if_present(a)?, reg.tiled_if_present(b)?) {
-                return Ok(estimate_tiled_sampled(&ta, &tb, sample_rate, seed));
+            if let (Some(ta), Some(tb)) = (&fa.tiled, &fb.tiled) {
+                return Ok(estimate_tiled_sampled(ta, tb, sample_rate, seed));
             }
         }
-        match (reg.csr_if_present(a)?, reg.csr_if_present(b)?) {
-            (Some(ca), Some(cb)) => Ok(estimate_job(&ca, None, &cb, None)),
-            _ => Ok(estimate_product(sa, sb)),
-        }
-    };
-    let chain = |operands: &[MatrixId], mask: Option<MatrixId>| {
-        if operands.len() < 2 {
-            return Err(EngineError::InvalidOp(
-                "a chain needs at least two operands",
-            ));
-        }
-        // Fold left: each link's output shape (with the estimated nnz)
-        // becomes the next link's left operand. Flops sum over links; the
-        // byte prediction is the widest single link, since intermediates
-        // are held one at a time.
-        let mut links: Vec<JobEstimate> = Vec::with_capacity(operands.len() - 1);
-        let mut cur = shape_of(operands[0])?;
-        for (i, &bid) in operands[1..].iter().enumerate() {
-            let sb = shape_of(bid)?;
-            if cur.ncols != sb.nrows {
-                return Err(shape_err(cur, sb));
-            }
-            let e = if i == 0 {
-                product(operands[0], bid)?
-            } else {
-                estimate_product(cur, sb)
-            };
-            cur = OperandShape {
-                nrows: cur.nrows,
-                ncols: sb.ncols,
-                nnz: e.est_nnz_c,
-            };
-            links.push(e);
-        }
-        if let Some(m) = mask {
-            let sm = shape_of(m)?;
-            if (sm.nrows, sm.ncols) != (cur.nrows, cur.ncols) {
-                return Err(shape_err(
-                    sm,
-                    OperandShape {
-                        nrows: cur.nrows,
-                        ncols: cur.ncols,
-                        nnz: 0,
-                    },
-                ));
-            }
-            let last = links.pop().expect("at least one link");
-            links.push(mask_pruned(last, sm));
-        }
-        let last = links.last().expect("at least one link");
-        Ok(JobEstimate {
-            flops: links.iter().map(|e| e.flops).sum(),
-            est_nnz_c: last.est_nnz_c,
-            est_bytes: links.iter().map(|e| e.est_bytes).max().unwrap_or(0),
-            // A chain's first link may carry a sample, but the chain total
-            // mixes it with heuristic links — a band over the mix would
-            // overstate what was measured.
-            sample: None,
+        Ok(match (&fa.csr, &fb.csr) {
+            (Some(ca), Some(cb)) => estimate_job(ca, None, cb, None),
+            _ => estimate_product(fa.shape, fb.shape),
         })
     };
+    let mask_shape = |mask: Option<MatrixId>| mask.map(|m| inputs.shape(m)).transpose();
     match op {
         OpSpec::Multiply { a, b } => product(*a, *b),
         OpSpec::MaskedMultiply { a, b, mask } => {
-            let base = product(*a, *b)?;
-            let sa = shape_of(*a)?;
-            let sb = shape_of(*b)?;
-            let sm = shape_of(*mask)?;
-            if (sm.nrows, sm.ncols) != (sa.nrows, sb.ncols) {
-                return Err(shape_err(
-                    sm,
-                    OperandShape {
-                        nrows: sa.nrows,
-                        ncols: sb.ncols,
-                        nnz: 0,
-                    },
-                ));
-            }
-            Ok(mask_pruned(base, sm))
+            Ok(mask_pruned(product(*a, *b)?, inputs.shape(*mask)?))
         }
-        OpSpec::Add { a, b, .. } => {
-            let sa = shape_of(*a)?;
-            let sb = shape_of(*b)?;
-            if (sa.nrows, sa.ncols) != (sb.nrows, sb.ncols) {
-                return Err(shape_err(sa, sb));
-            }
-            Ok(estimate_add(sa, sb))
+        OpSpec::Add { a, b, .. } => Ok(estimate_add(inputs.shape(*a)?, inputs.shape(*b)?)),
+        OpSpec::Chain { operands, mask } => {
+            let rights = operands[2..]
+                .iter()
+                .map(|&id| inputs.shape(id))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(fold_chain(
+                product(operands[0], operands[1])?,
+                (
+                    inputs.shape(operands[0])?.nrows,
+                    inputs.shape(operands[1])?.ncols,
+                ),
+                rights.into_iter(),
+                false,
+                mask_shape(*mask)?,
+            ))
         }
-        OpSpec::Chain { operands, mask } => chain(operands, *mask),
         OpSpec::Power { a, k, mask } => {
-            if *k < 2 {
-                return Err(EngineError::InvalidOp("a power needs k >= 2"));
-            }
-            chain(&vec![*a; *k as usize], *mask)
+            let sa = inputs.shape(*a)?;
+            Ok(fold_chain(
+                product(*a, *a)?,
+                (sa.nrows, sa.ncols),
+                std::iter::repeat_n(sa, *k as usize - 2),
+                true,
+                mask_shape(*mask)?,
+            ))
         }
+    }
+}
+
+/// Folds a left-associated chain's link estimates. `first` is the first
+/// link's estimate, from the operands themselves, and `first_out` that
+/// link's output shape; every later link is estimated from the running
+/// output shape (with the estimated nnz) times its right operand's shape.
+/// Flops sum over links; the byte prediction is the widest single link,
+/// since intermediates are held one at a time; a mask prunes the final
+/// link.
+///
+/// A later link's estimate is a pure function of its inputs. When every
+/// right operand is the same matrix (`repeats`, a power) and a link leaves
+/// the running nnz unchanged, each remaining link would see exactly the
+/// inputs this one saw, so they are counted instead of folded — which
+/// keeps `k` up to `u32::MAX` cheap.
+fn fold_chain(
+    first: JobEstimate,
+    first_out: (usize, usize),
+    mut rights: impl ExactSizeIterator<Item = OperandShape>,
+    repeats: bool,
+    mask: Option<OperandShape>,
+) -> JobEstimate {
+    let (out_rows, mut cols) = first_out;
+    let (mut flops, mut est_bytes) = (0u64, 0usize);
+    let mut last = first;
+    while let Some(sb) = rights.next() {
+        let cur = OperandShape {
+            nrows: out_rows,
+            ncols: cols,
+            nnz: last.est_nnz_c,
+        };
+        let next = estimate_product(cur, sb);
+        flops = flops.saturating_add(last.flops);
+        est_bytes = est_bytes.max(last.est_bytes);
+        cols = sb.ncols;
+        let converged = repeats && next.est_nnz_c == last.est_nnz_c;
+        last = next;
+        if converged {
+            let more = rights.len() as u64;
+            if more > 0 {
+                flops = flops.saturating_add(last.flops.saturating_mul(more));
+                est_bytes = est_bytes.max(last.est_bytes);
+            }
+            break;
+        }
+    }
+    if let Some(sm) = mask {
+        last = mask_pruned(last, sm);
+    }
+    JobEstimate {
+        flops: flops.saturating_add(last.flops),
+        est_nnz_c: last.est_nnz_c,
+        est_bytes: est_bytes.max(last.est_bytes),
+        // A chain's first link may carry a sample, but the chain total
+        // mixes it with heuristic links — a band over the mix would
+        // overstate what was measured.
+        sample: None,
     }
 }
 
@@ -1147,14 +1280,28 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             })
         }),
         OpSpec::Chain { operands, mask } => run_chain(
-            shared, &job, &resolve, operands, *mask, &config, exec_start, queue_wait,
+            shared,
+            &job,
+            &resolve,
+            operands[0],
+            operands[1..].iter().copied(),
+            *mask,
+            &config,
+            exec_start,
+            queue_wait,
         ),
-        OpSpec::Power { a, k, mask } => {
-            let ops = vec![*a; (*k).max(1) as usize];
-            run_chain(
-                shared, &job, &resolve, &ops, *mask, &config, exec_start, queue_wait,
-            )
-        }
+        // Submit checked `k >= 2`, so the power has at least one link.
+        OpSpec::Power { a, k, mask } => run_chain(
+            shared,
+            &job,
+            &resolve,
+            *a,
+            std::iter::repeat_n(*a, *k as usize - 1),
+            *mask,
+            &config,
+            exec_start,
+            queue_wait,
+        ),
     };
     shared
         .counters
@@ -1238,14 +1385,16 @@ fn run_chain(
     shared: &Shared,
     job: &QueuedJob,
     resolve: &dyn Fn(MatrixId) -> Result<TiledHit, EngineError>,
-    ops: &[MatrixId],
+    first: MatrixId,
+    rights: impl ExactSizeIterator<Item = MatrixId>,
     mask: Option<MatrixId>,
     config: &Config,
     exec_start: Instant,
     queue_wait: Duration,
 ) -> JobResult {
     let recorder = &*shared.recorder;
-    let pinned: Vec<MatrixId> = ops.iter().copied().chain(mask).collect();
+    let links = rights.len();
+    let pinned = job.spec.op.operands();
     {
         let mut reg = shared
             .registry
@@ -1256,8 +1405,7 @@ fn run_chain(
         }
     }
     let result = (|| {
-        let (first, hit0) = resolve(ops[0])?;
-        let mut cur = first;
+        let (mut cur, hit0) = resolve(first)?;
         let mut cache_hits = u32::from(hit0);
         let mut conversions = u32::from(!hit0);
         let tm = match mask {
@@ -1272,8 +1420,8 @@ fn run_chain(
         let mut breakdown = Breakdown::default();
         let mut peak = 0usize;
         let mut intermediates = Vec::new();
-        let last = ops.len() - 2;
-        for (i, &bid) in ops[1..].iter().enumerate() {
+        let last = links - 1;
+        for (i, bid) in rights.enumerate() {
             let (tb, hit) = resolve(bid)?;
             cache_hits += u32::from(hit);
             conversions += u32::from(!hit);
@@ -1321,11 +1469,12 @@ fn run_chain(
                 #[cfg(not(feature = "failpoints"))]
                 let skip = false;
                 if !skip {
+                    let id = MatrixId(c.content_hash());
                     let (mid, _) = shared
                         .registry
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .insert_tiled(Arc::clone(&c));
+                        .insert_tiled_hashed(id, Arc::clone(&c));
                     intermediates.push(mid);
                 }
             }
@@ -1344,7 +1493,7 @@ fn run_chain(
             conversions,
             estimate: job.estimate,
             breakdown,
-            links: (ops.len() - 1) as u32,
+            links: links as u32,
             intermediates,
         })
     })();

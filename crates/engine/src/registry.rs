@@ -141,7 +141,12 @@ impl Registry {
     /// content is a no-op returning the existing id (`true` in the second
     /// tuple slot marks a dedupe).
     pub fn insert(&mut self, csr: Csr<f64>) -> (MatrixId, bool) {
-        let id = MatrixId(csr.content_hash());
+        self.insert_hashed(MatrixId(csr.content_hash()), csr)
+    }
+
+    /// [`Registry::insert`] under an id the caller hashed already, so the
+    /// engine can hash before it takes the registry lock.
+    pub(crate) fn insert_hashed(&mut self, id: MatrixId, csr: Csr<f64>) -> (MatrixId, bool) {
         let now = self.tick();
         let dedup = self.entries.contains_key(&id.0);
         if !dedup {
@@ -170,7 +175,15 @@ impl Registry {
     /// [`Registry::resident_bytes`] rather than the cache budget. It stays
     /// until an explicit [`Registry::remove`] (the protocol's `unload`).
     pub fn insert_tiled(&mut self, tiled: Arc<TileMatrix<f64>>) -> (MatrixId, bool) {
-        let id = MatrixId(tiled.content_hash());
+        self.insert_tiled_hashed(MatrixId(tiled.content_hash()), tiled)
+    }
+
+    /// [`Registry::insert_tiled`] under an id the caller hashed already.
+    pub(crate) fn insert_tiled_hashed(
+        &mut self,
+        id: MatrixId,
+        tiled: Arc<TileMatrix<f64>>,
+    ) -> (MatrixId, bool) {
         let now = self.tick();
         let dedup = self.entries.contains_key(&id.0);
         if !dedup {
@@ -370,13 +383,15 @@ impl Registry {
 
     /// Registers a matrix together with its already-built tiled form (a
     /// pipeline product being kept as an operand), pre-seeding the cache so
-    /// the next multiply touching it skips the conversion entirely.
-    pub fn insert_with_tiled(
+    /// the next multiply touching it skips the conversion entirely. `id` is
+    /// the CSR's content hash, computed by the caller outside the lock.
+    pub(crate) fn insert_with_tiled_hashed(
         &mut self,
+        id: MatrixId,
         csr: Csr<f64>,
         tiled: Arc<TileMatrix<f64>>,
     ) -> (MatrixId, bool) {
-        let (id, dedup) = self.insert(csr);
+        let (_, dedup) = self.insert_hashed(id, csr);
         if !self.is_cached(id) {
             self.install_tiled(id, tiled, false);
         }

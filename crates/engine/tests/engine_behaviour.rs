@@ -55,7 +55,7 @@ fn over_budget_estimate_is_rejected_up_front() {
     // An over-budget spec can still be force-admitted by a scheduler doing
     // its own deferred admission; the mid-flight tracker stays the backstop.
     let mut solo = JobSpec::new(id, id);
-    solo.admit_over_budget = true;
+    solo.admitted = Some(est);
     let err = engine.multiply_now(solo).unwrap_err();
     assert_eq!(err.code(), "out_of_memory");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
@@ -335,6 +335,79 @@ fn queued_jobs_can_be_canceled_but_not_running_ones() {
     let s = engine.stats();
     assert_eq!(s.canceled, 1);
     assert_eq!(s.completed, 1);
+}
+
+#[test]
+fn admitted_estimates_are_reported_verbatim_and_operands_still_checked() {
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let (big, _) = engine.register(scatter(4096, 12, 7));
+    let (a, _) = engine.register(scatter(256, 5, 8));
+
+    // A scheduler that already estimated the job hands the estimate over:
+    // the engine neither samples again nor second-guesses it, and the
+    // report carries it unchanged.
+    let mut handed = engine.estimate(a, a).unwrap();
+    handed.est_bytes += 12_345;
+    handed.sample = None;
+    let mut spec = JobSpec::new(a, a);
+    spec.admitted = Some(handed);
+    let report = engine.multiply_now(spec).unwrap();
+    assert_eq!(report.estimate, handed);
+
+    // Operands and shapes are still checked at submit.
+    let (wide, _) = engine.register(Csr::<f64>::zero(8, 9));
+    let mut mismatched = JobSpec::new(wide, wide);
+    mismatched.admitted = Some(handed);
+    assert_eq!(
+        engine.submit(mismatched).unwrap_err().code(),
+        engine.submit(JobSpec::new(wide, wide)).unwrap_err().code()
+    );
+
+    // An operand unloaded between submit and execution fails the job with
+    // `unknown_matrix`, exactly as without a handed estimate.
+    let running = engine.submit(JobSpec::new(big, big)).unwrap();
+    let mut queued = JobSpec::new(a, a);
+    queued.admitted = Some(handed);
+    let queued = engine.submit(queued).unwrap();
+    engine.unregister(a).unwrap();
+    assert_eq!(queued.wait().unwrap_err().code(), "unknown_matrix");
+    assert!(running.wait().is_ok());
+    let mut gone = JobSpec::new(a, a);
+    gone.admitted = Some(handed);
+    assert_eq!(engine.submit(gone).unwrap_err().code(), "unknown_matrix");
+}
+
+#[test]
+fn power_estimates_fold_their_links_without_materializing_them() {
+    let engine = Engine::new(EngineConfig::default());
+    let (a, _) = engine.register(scatter(512, 6, 9));
+    let (mask, _) = engine.register(scatter(512, 3, 10));
+    // A power is the chain of `k` copies of its base, bit for bit, with or
+    // without a final-link mask.
+    for k in [2u32, 3, 7, 40] {
+        let chain = JobSpec::chain(vec![a; k as usize]);
+        let power = JobSpec::power(a, k);
+        assert_eq!(
+            engine.estimate_op(&power.op).unwrap(),
+            engine.estimate_op(&chain.op).unwrap(),
+            "k = {k}"
+        );
+        assert_eq!(
+            engine.estimate_op(&power.mask(mask).op).unwrap(),
+            engine.estimate_op(&chain.mask(mask).op).unwrap(),
+            "masked, k = {k}"
+        );
+    }
+    // `k` reaches u32::MAX on the wire: once the links repeat they are
+    // counted, not folded one by one, and no operand list is built.
+    let huge = engine.estimate_op(&JobSpec::power(a, u32::MAX).op).unwrap();
+    let long = engine.estimate_op(&JobSpec::power(a, 1000).op).unwrap();
+    assert!(huge.flops > long.flops);
+    assert_eq!(huge.est_bytes, long.est_bytes);
+    assert_eq!(huge.est_nnz_c, long.est_nnz_c);
 }
 
 #[test]

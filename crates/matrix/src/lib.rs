@@ -42,7 +42,6 @@ pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use footprint::Footprint;
-pub use hash::Fnv1a;
 pub use tile::{ListBitmaps, TileColIndex, TileMatrix, TileView, TILE_AREA, TILE_DIM};
 
 use std::fmt;

@@ -20,9 +20,15 @@
 //!   (`budget − in-flight bytes`) parks at the head of the dispatch order;
 //!   completions drain memory and re-evaluate it, and once the device is
 //!   idle it dispatches solo (bypassing the engine's static check with
-//!   [`JobSpec::admit_over_budget`]) with the mid-flight tracker as the
-//!   backstop. Dispatch is memory-ordered: while the fair-queue head is
-//!   parked nothing overtakes it, so deferral cannot become starvation.
+//!   [`JobSpec::admitted`]) with the mid-flight tracker as the backstop.
+//!   Dispatch is memory-ordered: while the fair-queue head is parked
+//!   nothing overtakes it, so deferral cannot become starvation.
+//! * Each job is estimated exactly once, and never under a lock: jobs whose
+//!   operands are all handles on the submitting thread before it takes the
+//!   scheduler lock, `$k` jobs by the dispatcher once their operand exists,
+//!   with the scheduler lock dropped around the sampler. The engine admits
+//!   the job under that estimate ([`JobSpec::admitted`]) without sampling
+//!   again.
 //! * Batches ([`Scheduler::submit`] with several [`SubmitSpec`]s) may
 //!   reference earlier entries' products as operands ([`Operand::Ref`],
 //!   `$k` on the wire). Referenced products are registered on completion
@@ -47,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use tilespgemm_core::Config;
 use tsg_engine::engine::JobTicket;
-use tsg_engine::{Engine, EngineError, JobReport, JobSpec, MatrixId, OpSpec};
+use tsg_engine::{Engine, EngineError, JobEstimate, JobReport, JobSpec, MatrixId, OpSpec};
 use tsg_runtime::observe::{Counter, QueueGauge, WaitGauge};
 
 /// Serve-level job ids count up from here (engine ticket ids count up from
@@ -143,6 +149,20 @@ fn op_spec(a: MatrixId, b: MatrixId, mask: Option<MatrixId>) -> OpSpec {
         Some(mask) => OpSpec::MaskedMultiply { a, b, mask },
         None => OpSpec::Multiply { a, b },
     }
+}
+
+/// The engine op of a spec that names registry handles only; `None` while
+/// it waits on a `$k` product.
+fn handle_op(spec: &SubmitSpec) -> Option<OpSpec> {
+    let id = |op| match op {
+        Operand::Id(id) => Some(id),
+        Operand::Ref(_) => None,
+    };
+    let mask = match spec.mask {
+        Some(m) => Some(id(m)?),
+        None => None,
+    };
+    Some(op_spec(id(spec.a)?, id(spec.b)?, mask))
 }
 
 /// Structured flow-control answer to a submission that could not be queued:
@@ -274,6 +294,10 @@ struct QueuedSJob {
     /// Set once the job has been counted as deferred, so re-evaluations do
     /// not double-count.
     deferred_marked: bool,
+    /// The job's one admission estimate, taken outside every lock: at
+    /// submit for handle-only jobs, by the dispatcher otherwise. An error
+    /// (an operand unloaded, a shape mismatch) fails the job at the head.
+    estimate: Option<Result<JobEstimate, EngineError>>,
     ticket: Arc<STicket>,
 }
 
@@ -538,6 +562,16 @@ impl Scheduler {
                 }
             }
         }
+        // Sample before taking any lock. A failed estimate is left for the
+        // dispatcher to retry, so an operand loaded in the meantime still
+        // counts.
+        let estimates: Vec<Option<JobEstimate>> = specs
+            .iter()
+            .map(|spec| {
+                let op = handle_op(spec)?;
+                self.shared.engine.estimate_op(&op).ok()
+            })
+            .collect();
         let mut inner = self.lock();
         if inner.draining {
             return Err(SubmitError::Draining);
@@ -598,7 +632,7 @@ impl Scheduler {
         let mut batch_id = None;
         let mut tickets = Vec::with_capacity(specs.len());
         let now = Instant::now();
-        for (i, spec) in specs.into_iter().enumerate() {
+        for (i, (spec, estimate)) in specs.into_iter().zip(estimates).enumerate() {
             let id = self
                 .shared
                 .next_job
@@ -624,6 +658,7 @@ impl Scheduler {
                 register,
                 enqueued: now,
                 deferred_marked: false,
+                estimate: estimate.map(Ok),
                 ticket,
             });
             sess.enqueued += 1;
@@ -640,6 +675,16 @@ impl Scheduler {
         drop(inner);
         self.shared.cv.notify_all();
         Ok(Submission::Queued(tickets))
+    }
+
+    /// The queue depth of an open session — the longest batch it can ever
+    /// admit.
+    pub fn session_depth(&self, session: u64) -> Result<usize, SubmitError> {
+        self.lock()
+            .sessions
+            .get(&session)
+            .map(|s| s.depth)
+            .ok_or(SubmitError::UnknownSession(session))
     }
 
     /// Convenience: submit one job and wait for it, resubmitting through
@@ -858,43 +903,62 @@ fn resolve_operand(inner: &Inner, job: &QueuedSJob, op: Operand) -> Resolved {
 
 /// What the dispatcher decided while scanning the queues.
 enum Scan {
-    /// Dispatch this session's head, reserving `est_bytes` of the budget
-    /// until it completes; `exclusive` marks a job whose estimate exceeds
-    /// the whole budget (the deferred-admission backstop), which must then
-    /// run alone.
+    /// Dispatch this session's head under `estimate`, reserving its bytes
+    /// of the budget until it completes; `exclusive` marks a job whose
+    /// estimate exceeds the whole budget (the deferred-admission backstop),
+    /// which must then run alone.
     Dispatch {
         sid: u64,
-        est_bytes: usize,
+        estimate: JobEstimate,
         exclusive: bool,
     },
+    /// The fair head's operands exist but it has no estimate yet (a `$k`
+    /// job whose product just registered): estimate `op` for job `job`
+    /// with the scheduler lock released.
+    Estimate { sid: u64, job: u64, op: OpSpec },
     /// Nothing runnable (or the fair head is parked on memory): wait.
     Wait,
 }
 
 fn dispatcher_loop(shared: &Arc<Shared>) {
+    let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let (sid, est_bytes, exclusive) = loop {
-            if inner.stopped {
-                return;
+        if inner.stopped {
+            return;
+        }
+        match scan(shared, &mut inner) {
+            Scan::Dispatch {
+                sid,
+                estimate,
+                exclusive,
+            } => {
+                dispatch(shared, &mut inner, sid, estimate, exclusive);
+                drop(inner);
+                shared.cv.notify_all();
+                inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
             }
-            match scan(shared, &mut inner) {
-                Scan::Dispatch {
-                    sid,
-                    est_bytes,
-                    exclusive,
-                } => break (sid, est_bytes, exclusive),
-                Scan::Wait => {
-                    inner = shared
-                        .cv
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
+            Scan::Estimate { sid, job, op } => {
+                drop(inner);
+                let estimate = shared.engine.estimate_op(&op);
+                inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
+                // The head may have been canceled or failed meanwhile; the
+                // next scan then simply picks again.
+                let head = inner
+                    .sessions
+                    .get_mut(&sid)
+                    .and_then(|s| s.queue.front_mut())
+                    .filter(|head| head.id == job);
+                if let Some(head) = head {
+                    head.estimate = Some(estimate);
                 }
             }
-        };
-        dispatch(shared, &mut inner, sid, est_bytes, exclusive);
-        drop(inner);
-        shared.cv.notify_all();
+            Scan::Wait => {
+                inner = shared
+                    .cv
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
     }
 }
 
@@ -921,6 +985,10 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
                 .is_some_and(|t| head.enqueued.elapsed() > t)
             {
                 doomed = Some((sid, EngineError::TimedOut));
+                break 'sessions;
+            }
+            if let Some(Err(e)) = &head.estimate {
+                doomed = Some((sid, e.clone()));
                 break 'sessions;
             }
             for op in head.spec.operands() {
@@ -972,7 +1040,8 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
     // Memory-ordered admission: the fair head dispatches only into memory
     // known to be free. While it waits, nothing overtakes it — completions
     // free memory, the queue drains, and once the device is idle the job
-    // goes solo (`admit_over_budget`), so deferral cannot starve.
+    // goes solo (admitted past the engine's budget check), so deferral
+    // cannot starve.
     let head = inner.sessions[&sid].queue.front().expect("head exists");
     let (Resolved::Ready(a), Resolved::Ready(b)) = (
         resolve_operand(inner, head, head.spec.a),
@@ -993,12 +1062,18 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
     // admitted directly, and deferred admission remains the backstop for
     // the ones whose measured band genuinely exceeds the free budget (or
     // whose estimate fell back to the constant model).
-    let est_bytes = match shared.engine.estimate_op(&op_spec(a, b, mask)) {
-        Ok(e) => e.est_bytes,
-        // Bad operands (unloaded mid-queue) fail at engine submit with the
-        // right code; let the dispatch path handle it.
-        Err(_) => 0,
+    let estimate = match head.estimate {
+        Some(Ok(e)) => e,
+        // Failed estimates were completed inline above.
+        _ => {
+            return Scan::Estimate {
+                sid,
+                job: head.id,
+                op: op_spec(a, b, mask),
+            }
+        }
     };
+    let est_bytes = estimate.est_bytes;
     let budget = shared.engine.device().mem_budget;
     // Free memory is the budget minus the larger of (a) the in-flight
     // reservations — admitted estimates whose jobs may not have allocated
@@ -1035,14 +1110,21 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
     // (`in_flight == 0`): it runs solo until it completes.
     Scan::Dispatch {
         sid,
-        est_bytes,
+        estimate,
         exclusive: est_bytes > budget,
     }
 }
 
 /// Pops `sid`'s head, advances the fair clock, and hands the job to the
 /// engine; a waiter thread collects the result.
-fn dispatch(shared: &Arc<Shared>, inner: &mut Inner, sid: u64, est_bytes: usize, exclusive: bool) {
+fn dispatch(
+    shared: &Arc<Shared>,
+    inner: &mut Inner,
+    sid: u64,
+    estimate: JobEstimate,
+    exclusive: bool,
+) {
+    let est_bytes = estimate.est_bytes;
     let sess = inner.sessions.get_mut(&sid).expect("session exists");
     let job = sess.queue.pop_front().expect("head exists");
     let start = sess.vtime.max(inner.vclock);
@@ -1071,8 +1153,9 @@ fn dispatch(shared: &Arc<Shared>, inner: &mut Inner, sid: u64, est_bytes: usize,
         .map(|t| t.saturating_sub(job.enqueued.elapsed()));
     // The scheduler already admitted the job against *free* memory (or
     // decided it must run solo); the engine's whole-budget check would
-    // re-reject est > budget jobs the deferral path exists to serve.
-    spec.admit_over_budget = true;
+    // re-reject est > budget jobs the deferral path exists to serve, and
+    // sampling again would only repeat this estimate.
+    spec.admitted = Some(estimate);
     match shared.engine.submit(spec) {
         Ok(ticket) => {
             inner.in_flight += 1;

@@ -128,6 +128,11 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> ServeOpts {
 
 /// Pumps one client: request line in, response line out, until EOF, a write
 /// failure, or the `shutdown` verb.
+///
+/// Each reply leaves in one write, newline included. Split into a body and a
+/// newline, the newline of every reply after a connection's first would sit
+/// in the kernel behind Nagle's algorithm until the client's delayed ACK
+/// released it, some 40 ms later.
 pub fn serve_stream(
     session: &ServeSession,
     input: impl BufRead,
@@ -141,8 +146,10 @@ pub fn serve_stream(
         if line.trim().is_empty() {
             continue;
         }
-        let (resp, control) = session.handle_line(&line);
-        if writeln!(output, "{resp}")
+        let (mut resp, control) = session.handle_line(&line);
+        resp.push('\n');
+        if output
+            .write_all(resp.as_bytes())
             .and_then(|()| output.flush())
             .is_err()
         {
@@ -272,6 +279,9 @@ pub fn run(opts: ServeOpts) -> ExitCode {
                     Ok(s) => s,
                     Err(_) => continue,
                 };
+                // Replies are single writes; without Nagle the tail segment
+                // of a large one cannot wait behind a delayed ACK either.
+                let _ = stream.set_nodelay(true);
                 let scheduler = Arc::clone(&scheduler);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
@@ -292,4 +302,48 @@ pub fn run(opts: ServeOpts) -> ExitCode {
     }
     graceful_exit(&scheduler, drain);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts every byte and counts the `write` calls that carried them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_leaves_in_exactly_one_write() {
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        let scheduler = Arc::new(Scheduler::new(engine, SchedConfig::default()));
+        let session = ServeSession::new(Arc::clone(&scheduler));
+        let input = "{\"op\":\"hello\"}\n\n{\"op\":\"stats\"}\n{\"op\":\"frobnicate\"}\n";
+        let mut out = CountingWriter::default();
+        assert_eq!(
+            serve_stream(&session, input.as_bytes(), &mut out),
+            Control::Continue
+        );
+        // Three replies (the blank line gets none), one write each, each
+        // write a whole line.
+        assert_eq!(out.writes, 3);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.ends_with('\n'));
+        scheduler.shutdown(Duration::from_secs(5));
+    }
 }

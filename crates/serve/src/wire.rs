@@ -295,6 +295,25 @@ impl ServeSession {
             Ok(op) => op,
             Err(msg) => return error_response("bad_request", &msg, &[]),
         };
+        if k < 2 {
+            return error_response("invalid_op", "a chain needs at least two operands", &[]);
+        }
+        // `k` copies of `a` lower to `k − 1` linked jobs in one batch; a
+        // batch longer than the session queue can never be admitted, so
+        // refuse it before allocating the operand list.
+        let depth = match self
+            .session_id()
+            .and_then(|s| self.scheduler.session_depth(s))
+        {
+            Ok(d) => d,
+            Err(e) => return submit_error_response(&e),
+        };
+        if k - 1 > depth as u64 {
+            return submit_error_response(&SubmitError::BatchTooLarge {
+                len: usize::try_from(k - 1).unwrap_or(usize::MAX),
+                depth,
+            });
+        }
         self.linked_chain(req, vec![a; k as usize])
     }
 

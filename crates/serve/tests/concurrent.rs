@@ -59,13 +59,17 @@ struct Client {
 impl Client {
     fn connect(addr: &str) -> Self {
         let stream = TcpStream::connect(addr).expect("connecting to tsg-serve");
+        // Requests go out as single writes with Nagle off, so the client
+        // never waits on the server's delayed ACK.
+        stream.set_nodelay(true).expect("TCP_NODELAY");
         let responses = BufReader::new(stream.try_clone().expect("clonable stream"));
         Client { stream, responses }
     }
 
     fn request(&mut self, line: &str) -> Value {
-        writeln!(self.stream, "{line}").expect("request written");
-        self.stream.flush().expect("request flushed");
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("request written");
         let mut resp = String::new();
         let n = self.responses.read_line(&mut resp).expect("response read");
         assert!(n > 0, "server closed the connection on {line}");
@@ -117,6 +121,29 @@ impl Client {
     }
 }
 
+/// Every reply leaves the server in one write on a `TCP_NODELAY` socket, so
+/// a round trip costs the work, not a Nagle/delayed-ACK stall. Written as
+/// a reply body plus a separate newline, every reply after the first would
+/// wait ~40 ms for the client's delayed ACK.
+#[test]
+fn sequential_round_trips_do_not_stall_on_delayed_acks() {
+    let server = Server::spawn(&["--tcp", "127.0.0.1:0"]);
+    let mut client = Client::connect(&server.addr);
+    let mut rtt_ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let sent = std::time::Instant::now();
+            client.request_ok(r#"{"op":"hello"}"#);
+            sent.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    rtt_ms.sort_by(f64::total_cmp);
+    let median = (rtt_ms[9] + rtt_ms[10]) / 2.0;
+    assert!(
+        median < 10.0,
+        "median hello round trip {median:.1} ms: {rtt_ms:?}"
+    );
+}
+
 #[test]
 fn mid_batch_disconnect_leaves_the_server_healthy() {
     let server = Server::spawn(&[
@@ -156,9 +183,12 @@ fn mid_batch_disconnect_leaves_the_server_healthy() {
     }
 
     // The server must still be serving, and the orphaned batch must have
-    // run to completion rather than wedging the dispatcher.
+    // run to completion rather than wedging the dispatcher. The deadline is
+    // wall-clock: 200 polls used to take ~23 s only because every stats
+    // round trip stalled ~88 ms on delayed ACKs.
     let mut probe = Client::connect(&server.addr);
-    for _ in 0..200 {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while std::time::Instant::now() < deadline {
         let stats = probe.request_ok(r#"{"op":"stats"}"#);
         let serve = stats.get("serve").unwrap();
         let done: u64 = serve

@@ -422,6 +422,42 @@ fn hostile_input_stays_on_protocol_and_never_kills_the_loop() {
 }
 
 #[test]
+fn power_longer_than_the_session_queue_is_refused_before_it_allocates() {
+    let mut serve = Serve::spawn(&["--session-depth", "8"]);
+    let loaded = serve.request_ok(
+        r#"{"op":"load","rows":2,"cols":2,"triplets":[[0,0,1.0],[0,1,2.0],[1,1,3.0]]}"#,
+    );
+    let id = loaded
+        .get("id")
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let error_code = |v: &Value| {
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
+    // 10^10 copies of a handle used to be allocated before the batch was
+    // sized against the queue, aborting the whole server. Nine links do
+    // not fit an eight-deep queue either.
+    for k in ["10000000000", "18446744073709551615", "10"] {
+        let err = serve.request(&format!(r#"{{"op":"power","a":"{id}","k":{k}}}"#));
+        assert_eq!(err.get("ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(error_code(&err).as_deref(), Some("bad_request"), "k = {k}");
+    }
+    // The same session keeps serving: eight links fit exactly.
+    let power = serve.request_ok(&format!(r#"{{"op":"power","a":"{id}","k":9}}"#));
+    assert_eq!(power.get("links").and_then(Value::as_u64), Some(8));
+    assert_eq!(power.get("nnz_c").and_then(Value::as_u64), Some(3));
+
+    let bye = serve.request(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    let status = serve.child.wait().expect("server exits after shutdown");
+    assert!(status.success());
+}
+
+#[test]
 fn budget_flag_still_bounds_memory_under_deferred_admission() {
     // 1 MiB budget: fem-00's square can never fit. The scheduler no longer
     // rejects it up front (deferred admission runs it solo once the device

@@ -156,6 +156,9 @@ fn run_client(argv: &[String]) -> ! {
             // Remote mode: forward lines to tsg-serve and echo its replies.
             let stream = std::net::TcpStream::connect(&addr)
                 .unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
+            // One write per request (below) and no Nagle: a request never
+            // waits for the server's delayed ACK of the one before.
+            let _ = stream.set_nodelay(true);
             let mut replies = BufReader::new(
                 stream
                     .try_clone()
@@ -164,12 +167,14 @@ fn run_client(argv: &[String]) -> ! {
             let mut stream = stream;
             let mut out = stdout.lock();
             for line in requests.lines() {
-                let line = line.unwrap_or_else(|e| die(&format!("read error: {e}")));
+                let mut line = line.unwrap_or_else(|e| die(&format!("read error: {e}")));
                 if line.trim().is_empty() {
                     continue;
                 }
+                line.push('\n');
                 loop {
-                    writeln!(stream, "{line}")
+                    stream
+                        .write_all(line.as_bytes())
                         .unwrap_or_else(|e| die(&format!("send failed: {e}")));
                     let mut resp = String::new();
                     match replies.read_line(&mut resp) {
