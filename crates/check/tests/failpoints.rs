@@ -342,6 +342,37 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
     engine.shutdown();
 }
 
+/// `engine.estimate_sample` on a warm memo: the armed estimate is still the
+/// constant-model fallback, not the memoized sample, and the fallback is
+/// never stored — disarmed, the memoized sampled estimate comes back.
+#[test]
+fn estimate_sample_failure_bypasses_a_warm_memo_without_storing_the_fallback() {
+    let _x = failpoint::exclusive();
+    let engine = Engine::new(EngineConfig::default());
+    let (a, b) = operands();
+    let (ida, _) = engine.register(a);
+    let (idb, _) = engine.register(b);
+    let sampled = engine.estimate(ida, idb).expect("estimate");
+    assert!(sampled.sample.is_some());
+    let warm = engine.stats().registry;
+    assert_eq!((warm.estimate_hits, warm.estimate_misses), (0, 1));
+
+    failpoint::arm("engine.estimate_sample", 0, 1);
+    let fallback = engine.estimate(ida, idb).expect("fallback estimate");
+    failpoint::clear("engine.estimate_sample");
+    assert!(
+        fallback.sample.is_none(),
+        "the armed estimate is the fallback"
+    );
+    assert_eq!(engine.stats().registry, warm, "neither read nor stored");
+
+    let again = engine.estimate(ida, idb).expect("estimate");
+    assert_eq!(again, sampled);
+    assert_eq!(engine.stats().registry.estimate_hits, 1);
+    assert_eq!(engine.stats().registry.estimate_misses, 1);
+    engine.shutdown();
+}
+
 /// The `core.simd_dispatch` failpoint forces the whole multiply down the
 /// scalar kernel ladder: the armed run records zero `simd_*`/`dense_tile`
 /// picks while the accumulator-decision counters are untouched, and —

@@ -34,8 +34,6 @@
 //! measured, the correction zeroes the width, and the estimate degenerates
 //! to the exact count.
 
-use std::collections::HashMap;
-
 use tsg_matrix::{Csr, Scalar, TileMatrix, TILE_DIM};
 
 /// Default fraction of A's tile rows the engine samples per estimate. One
@@ -284,6 +282,130 @@ fn empty_stats(total_rows: usize) -> SampleStats {
     }
 }
 
+/// A set over `0..n` that empties in O(1): a slot is a member while its
+/// stamp equals the current generation. The measured passes count distinct
+/// columns with these instead of sorting and deduplicating unions.
+struct Marker {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl Marker {
+    fn new(n: usize) -> Self {
+        Marker {
+            stamps: vec![0; n],
+            generation: 1,
+        }
+    }
+
+    /// Empties the set.
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Adds `i`, returning whether it was absent.
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamps[i] != self.generation;
+        self.stamps[i] = self.generation;
+        fresh
+    }
+}
+
+/// Measures every selected row: the heavy rows summed, and each stratum
+/// pick paired with its stratum size.
+fn measure_selection(
+    sel: &Selection,
+    mut measure: impl FnMut(u32) -> RowMeasure,
+) -> (RowMeasure, Vec<(RowMeasure, u32)>) {
+    let mut heavy_m = RowMeasure::default();
+    for &i in &sel.heavy {
+        let m = measure(i);
+        heavy_m.products += m.products;
+        heavy_m.nnz += m.nnz;
+        heavy_m.pairs += m.pairs;
+        heavy_m.tiles += m.tiles;
+    }
+    let picks_m = sel.picks.iter().map(|&(i, ns)| (measure(i), ns)).collect();
+    (heavy_m, picks_m)
+}
+
+/// The measured pass over CSR operands: the exact row-union symbolic of one
+/// 16-row block of `A` at a time, as `(nnz, pairs, tiles)`.
+struct CsrBlocks<'m, T> {
+    a: &'m Csr<T>,
+    b: &'m Csr<T>,
+    /// B's columns in the current A row's union.
+    cols: Marker,
+    /// B's tile columns the block's output touches.
+    c_tiles: Marker,
+    /// A's tile columns (B's tile rows) the block reads, and their list.
+    k_tiles: Marker,
+    block_k: Vec<u32>,
+    /// Distinct tile columns per B tile row, filled on first use
+    /// (`u64::MAX` until then): pair counting revisits the same inner tile
+    /// rows constantly.
+    b_row_tiles: Vec<u64>,
+}
+
+impl<'m, T: Scalar> CsrBlocks<'m, T> {
+    fn new(a: &'m Csr<T>, b: &'m Csr<T>) -> Self {
+        CsrBlocks {
+            a,
+            b,
+            cols: Marker::new(b.ncols),
+            c_tiles: Marker::new(b.ncols.div_ceil(TILE_DIM)),
+            k_tiles: Marker::new(a.ncols.div_ceil(TILE_DIM)),
+            block_k: Vec::new(),
+            b_row_tiles: vec![u64::MAX; b.nrows.div_ceil(TILE_DIM)],
+        }
+    }
+
+    fn measure(&mut self, ti: u32) -> (u64, u64, u64) {
+        let (a, b) = (self.a, self.b);
+        let r0 = ti as usize * TILE_DIM;
+        let r1 = (r0 + TILE_DIM).min(a.nrows);
+        let (mut nnz, mut tiles) = (0u64, 0u64);
+        self.c_tiles.clear();
+        self.k_tiles.clear();
+        self.block_k.clear();
+        for r in r0..r1 {
+            self.cols.clear();
+            for &k in a.row(r).0 {
+                if self.k_tiles.insert(k as usize / TILE_DIM) {
+                    self.block_k.push(k / TILE_DIM as u32);
+                }
+                for &j in b.row(k as usize).0 {
+                    if self.cols.insert(j as usize) {
+                        nnz += 1;
+                        tiles += u64::from(self.c_tiles.insert(j as usize / TILE_DIM));
+                    }
+                }
+            }
+        }
+        // The block's tiles are counted, so `c_tiles` is free to count the
+        // tile columns of B tile rows not seen before.
+        let mut pairs = 0u64;
+        for &kt in &self.block_k {
+            let cached = &mut self.b_row_tiles[kt as usize];
+            if *cached == u64::MAX {
+                self.c_tiles.clear();
+                let b0 = kt as usize * TILE_DIM;
+                let b1 = (b0 + TILE_DIM).min(b.nrows);
+                *cached = (b0..b1)
+                    .flat_map(|r| b.row(r).0)
+                    .filter(|&&j| self.c_tiles.insert(j as usize / TILE_DIM))
+                    .count() as u64;
+            }
+            pairs += *cached;
+        }
+        (nnz, pairs, tiles)
+    }
+}
+
 /// Samples the symbolic product `A·B` from CSR operands.
 ///
 /// Pass 1 computes the exact intermediate-product count per tile row of `A`
@@ -308,67 +430,16 @@ pub fn sample_csr<T: Scalar>(a: &Csr<T>, b: &Csr<T>, rate: f64, seed: u64) -> Sa
     let total_products: u64 = w.iter().sum();
     let sel = select_rows(&w, rate, seed);
 
-    // Measured pass: exact row-union symbolic per selected block. The
-    // per-B-tile-row distinct-tile-column counts are memoized because
-    // matched-pair counting revisits the same inner tile rows constantly.
-    let mut btile_cols: HashMap<u32, u64> = HashMap::new();
-    let mut union_scratch: Vec<u32> = Vec::new();
-    let mut block_tiles: Vec<u32> = Vec::new();
-    let mut a_tiles: Vec<u32> = Vec::new();
-    let mut measure = |ti: u32| -> RowMeasure {
-        let r0 = ti as usize * TILE_DIM;
-        let r1 = (r0 + TILE_DIM).min(a.nrows);
-        let mut nnz = 0u64;
-        block_tiles.clear();
-        a_tiles.clear();
-        for r in r0..r1 {
-            let (cols, _) = a.row(r);
-            union_scratch.clear();
-            for &c in cols {
-                a_tiles.push(c >> 4);
-                union_scratch.extend_from_slice(b.row(c as usize).0);
-            }
-            union_scratch.sort_unstable();
-            union_scratch.dedup();
-            nnz += union_scratch.len() as u64;
-            block_tiles.extend(union_scratch.iter().map(|&c| c >> 4));
-        }
-        block_tiles.sort_unstable();
-        block_tiles.dedup();
-        a_tiles.sort_unstable();
-        a_tiles.dedup();
-        let pairs: u64 = a_tiles
-            .iter()
-            .map(|&kt| {
-                *btile_cols.entry(kt).or_insert_with(|| {
-                    let b0 = (kt as usize) * TILE_DIM;
-                    let b1 = (b0 + TILE_DIM).min(b.nrows);
-                    let mut tiles: Vec<u32> = (b0..b1)
-                        .flat_map(|r| b.row(r).0.iter().map(|&c| c >> 4))
-                        .collect();
-                    tiles.sort_unstable();
-                    tiles.dedup();
-                    tiles.len() as u64
-                })
-            })
-            .sum();
+    let mut blocks = CsrBlocks::new(a, b);
+    let (heavy_m, picks_m) = measure_selection(&sel, |ti| {
+        let (nnz, pairs, tiles) = blocks.measure(ti);
         RowMeasure {
             products: w[ti as usize],
             nnz,
             pairs,
-            tiles: block_tiles.len() as u64,
+            tiles,
         }
-    };
-    let mut heavy_m = RowMeasure::default();
-    for &i in &sel.heavy {
-        let m = measure(i);
-        heavy_m.products += m.products;
-        heavy_m.nnz += m.nnz;
-        heavy_m.pairs += m.pairs;
-        heavy_m.tiles += m.tiles;
-    }
-    let picks_m: Vec<(RowMeasure, u32)> =
-        sel.picks.iter().map(|&(i, ns)| (measure(i), ns)).collect();
+    });
     let nnz_cap = total_products.min((a.nrows as u64).saturating_mul(b.ncols as u64));
     let tiles_cap = (total_rows as u64).saturating_mul(b.ncols.div_ceil(TILE_DIM) as u64);
     assemble(
@@ -414,9 +485,42 @@ pub fn sample_tiled<T: Scalar>(
     }
     let sel = select_rows(&w, rate, seed);
 
-    let mut out: HashMap<u32, [u16; TILE_DIM]> = HashMap::new();
-    let mut measure = |ti: u32| -> RowMeasure {
-        out.clear();
+    let mut blocks = TiledBlocks::new(a, b);
+    let (heavy_m, picks_m) = measure_selection(&sel, |ti| blocks.measure(ti));
+    let nnz_cap = (a.nrows as u64).saturating_mul(b.ncols as u64);
+    let tiles_cap = (total_rows as u64).saturating_mul(b.tile_n as u64);
+    assemble(
+        total_rows, &sel, heavy_m, &picks_m, nnz_cap, tiles_cap, None,
+    )
+}
+
+/// The measured pass over tiled operands: the mask-OR symbolic of step 2
+/// for one tile row of `A` at a time.
+struct TiledBlocks<'m, T> {
+    a: &'m TileMatrix<T>,
+    b: &'m TileMatrix<T>,
+    /// The block's output row masks, one slot per B tile column; a slot
+    /// holds this block's masks while its column is marked.
+    slots: Vec<[u16; TILE_DIM]>,
+    live: Marker,
+    touched: Vec<u32>,
+}
+
+impl<'m, T: Scalar> TiledBlocks<'m, T> {
+    fn new(a: &'m TileMatrix<T>, b: &'m TileMatrix<T>) -> Self {
+        TiledBlocks {
+            a,
+            b,
+            slots: vec![[0; TILE_DIM]; b.tile_n],
+            live: Marker::new(b.tile_n),
+            touched: Vec::new(),
+        }
+    }
+
+    fn measure(&mut self, ti: u32) -> RowMeasure {
+        let (a, b) = (self.a, self.b);
+        self.live.clear();
+        self.touched.clear();
         let mut products = 0u64;
         let mut pairs = 0u64;
         for t in a.tile_row_range(ti as usize) {
@@ -442,7 +546,12 @@ pub fn sample_tiled<T: Scalar>(
                 for c in 0..TILE_DIM {
                     products += colcount[c] as u64 * bt_masks[c].count_ones() as u64;
                 }
-                let slot = out.entry(b.tile_colidx[bt]).or_insert([0u16; TILE_DIM]);
+                let j = b.tile_colidx[bt] as usize;
+                if self.live.insert(j) {
+                    self.slots[j] = [0; TILE_DIM];
+                    self.touched.push(j as u32);
+                }
+                let slot = &mut self.slots[j];
                 for (r, &am) in at.masks.iter().enumerate() {
                     let mut m = am;
                     while m != 0 {
@@ -452,32 +561,19 @@ pub fn sample_tiled<T: Scalar>(
                 }
             }
         }
-        let nnz: u64 = out
-            .values()
-            .map(|masks| masks.iter().map(|&m| m.count_ones() as u64).sum::<u64>())
+        let nnz: u64 = self
+            .touched
+            .iter()
+            .flat_map(|&j| self.slots[j as usize])
+            .map(|m| m.count_ones() as u64)
             .sum();
         RowMeasure {
             products,
             nnz,
             pairs,
-            tiles: out.len() as u64,
+            tiles: self.touched.len() as u64,
         }
-    };
-    let mut heavy_m = RowMeasure::default();
-    for &i in &sel.heavy {
-        let m = measure(i);
-        heavy_m.products += m.products;
-        heavy_m.nnz += m.nnz;
-        heavy_m.pairs += m.pairs;
-        heavy_m.tiles += m.tiles;
     }
-    let picks_m: Vec<(RowMeasure, u32)> =
-        sel.picks.iter().map(|&(i, ns)| (measure(i), ns)).collect();
-    let nnz_cap = (a.nrows as u64).saturating_mul(b.ncols as u64);
-    let tiles_cap = (total_rows as u64).saturating_mul(b.tile_n as u64);
-    assemble(
-        total_rows, &sel, heavy_m, &picks_m, nnz_cap, tiles_cap, None,
-    )
 }
 
 #[cfg(test)]
@@ -545,6 +641,155 @@ mod tests {
         assert_eq!(a.heavy, b.heavy);
         let c = select_rows(&w, 0.1, 8);
         assert_ne!(a.picks, c.picks, "a new seed moves the picks");
+    }
+
+    /// The sort-and-dedup measurement the marker pass replaced, kept as
+    /// its reference: `(nnz, pairs, tiles)` of CSR block `ti`.
+    fn sorted_csr_block(a: &Csr<f64>, b: &Csr<f64>, ti: u32) -> (u64, u64, u64) {
+        let r0 = ti as usize * TILE_DIM;
+        let r1 = (r0 + TILE_DIM).min(a.nrows);
+        let mut nnz = 0u64;
+        let mut block_tiles: Vec<u32> = Vec::new();
+        let mut a_tiles: Vec<u32> = Vec::new();
+        for r in r0..r1 {
+            let mut union: Vec<u32> = Vec::new();
+            for &c in a.row(r).0 {
+                a_tiles.push(c >> 4);
+                union.extend_from_slice(b.row(c as usize).0);
+            }
+            union.sort_unstable();
+            union.dedup();
+            nnz += union.len() as u64;
+            block_tiles.extend(union.iter().map(|&c| c >> 4));
+        }
+        block_tiles.sort_unstable();
+        block_tiles.dedup();
+        a_tiles.sort_unstable();
+        a_tiles.dedup();
+        let pairs = a_tiles
+            .iter()
+            .map(|&kt| {
+                let b0 = kt as usize * TILE_DIM;
+                let b1 = (b0 + TILE_DIM).min(b.nrows);
+                let mut tiles: Vec<u32> = (b0..b1)
+                    .flat_map(|r| b.row(r).0.iter().map(|&c| c >> 4))
+                    .collect();
+                tiles.sort_unstable();
+                tiles.dedup();
+                tiles.len() as u64
+            })
+            .sum();
+        (nnz, pairs, block_tiles.len() as u64)
+    }
+
+    /// The hash-map measurement of the tiled sampler, kept as the dense
+    /// slot pass's reference: `(products, nnz, pairs, tiles)` of block `ti`.
+    fn hashed_tiled_block(a: &TileMatrix<f64>, b: &TileMatrix<f64>, ti: u32) -> [u64; 4] {
+        let mut out: std::collections::HashMap<u32, [u16; TILE_DIM]> = Default::default();
+        let (mut products, mut pairs) = (0u64, 0u64);
+        for t in a.tile_row_range(ti as usize) {
+            let k = a.tile_colidx[t] as usize;
+            if k >= b.tile_m {
+                continue;
+            }
+            let at = a.tile(t);
+            for bt in b.tile_row_range(k) {
+                pairs += 1;
+                let bt_masks = b.tile(bt).masks;
+                let slot = out.entry(b.tile_colidx[bt]).or_insert([0u16; TILE_DIM]);
+                for (r, &am) in at.masks.iter().enumerate() {
+                    for (c, &bm) in bt_masks.iter().enumerate() {
+                        if am >> c & 1 == 1 {
+                            products += bm.count_ones() as u64;
+                            slot[r] |= bm;
+                        }
+                    }
+                }
+            }
+        }
+        let nnz = out
+            .values()
+            .flat_map(|masks| masks.iter())
+            .map(|m| m.count_ones() as u64)
+            .sum();
+        [products, nnz, pairs, out.len() as u64]
+    }
+
+    fn from_triplets(nrows: usize, ncols: usize, entries: Vec<(u32, u32, f64)>) -> Csr<f64> {
+        tsg_matrix::Coo::from_triplets(nrows, ncols, entries)
+            .unwrap()
+            .to_csr()
+    }
+
+    /// `(A, B)` pairs the marker passes must count exactly like their
+    /// references: uniform scatter, rectangular, skewed rows, a dense block,
+    /// and a mostly-empty grid.
+    fn block_cases() -> Vec<(&'static str, Csr<f64>, Csr<f64>)> {
+        let skewed = tsg_gen::special::arrow(700, 3, 2, 5);
+        let rmat = tsg_gen::rmat::rmat(10, 9_000, tsg_gen::rmat::RmatParams::GRAPH500, 2);
+        let dense: Vec<(u32, u32, f64)> = (0..300u32)
+            .map(|i| (i, (i * 7) % 300, 1.0))
+            .chain((40..88u32).flat_map(|r| (100..150u32).map(move |c| (r, c, 2.0))))
+            .collect();
+        let dense = from_triplets(300, 300, dense);
+        let empty = from_triplets(
+            2_000,
+            2_000,
+            vec![(3, 1_999, 1.0), (1_999, 3, 1.0), (1_000, 1_000, 1.0)],
+        );
+        vec![
+            ("scatter", scatter(900, 6, 11), scatter(900, 6, 12)),
+            (
+                "rectangular",
+                tsg_gen::random::erdos_renyi(333, 517, 3_000, 4),
+                tsg_gen::random::erdos_renyi(517, 203, 2_500, 5),
+            ),
+            ("skew-row", skewed.clone(), skewed),
+            ("rmat", rmat.clone(), rmat),
+            ("dense-block", dense.clone(), dense),
+            ("mostly-empty", empty.clone(), empty),
+        ]
+    }
+
+    #[test]
+    fn marker_csr_pass_counts_like_sort_and_dedup() {
+        for (name, a, b) in block_cases() {
+            let mut blocks = CsrBlocks::new(&a, &b);
+            for ti in 0..a.nrows.div_ceil(TILE_DIM) as u32 {
+                assert_eq!(
+                    blocks.measure(ti),
+                    sorted_csr_block(&a, &b, ti),
+                    "{name}, block {ti}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_slot_tiled_pass_counts_like_the_hash_map() {
+        for (name, a, b) in block_cases() {
+            let (ta, tb) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&b));
+            let mut blocks = TiledBlocks::new(&ta, &tb);
+            for ti in 0..ta.tile_m as u32 {
+                let m = blocks.measure(ti);
+                assert_eq!(
+                    [m.products, m.nnz, m.pairs, m.tiles],
+                    hashed_tiled_block(&ta, &tb, ti),
+                    "{name}, block {ti}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn marker_generations_survive_wrapping() {
+        let mut m = Marker::new(4);
+        m.generation = u32::MAX;
+        assert!(m.insert(2));
+        m.clear();
+        assert_eq!(m.generation, 1);
+        assert!(m.insert(2), "a wrapped marker starts empty");
+        assert!(!m.insert(2));
     }
 
     #[test]

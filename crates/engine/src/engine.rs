@@ -42,7 +42,7 @@ use crate::estimate::{
     estimate_add, estimate_job, estimate_job_sampled, estimate_product, estimate_tiled_sampled,
     mask_pruned, JobEstimate, OperandShape,
 };
-use crate::registry::{MatrixId, Registry, RegistryStats, TiledLookup};
+use crate::registry::{MatrixId, Registry, RegistryStats, SampledForms, TiledLookup};
 use crate::EngineError;
 
 /// Engine construction parameters.
@@ -445,6 +445,8 @@ pub struct EngineStats {
     /// Bytes held by resident (tiled-primary) product entries, outside the
     /// conversion cache's budget.
     pub resident_bytes: usize,
+    /// Sampled product estimates currently memoized by the registry.
+    pub memoized_estimates: usize,
     /// Bytes currently tracked in-flight against the device budget.
     pub device_bytes_in_use: usize,
     /// High-water footprint of the shared scratch-arena pool (bytes); the
@@ -626,11 +628,38 @@ impl Engine {
     /// never materializes a CSR: operands whose CSR form is absent are
     /// estimated structurally from their registered shape.
     ///
-    /// The registry lock is held only to gather the operands' shapes and
-    /// `Arc`s; the sampled symbolic pass runs after it is released.
+    /// The op's product (a chain's or power's first link) is estimated once
+    /// per operand pair: its sampled estimate is memoized in the registry,
+    /// so a repeated product costs one lookup under the registry lock,
+    /// which the shape check takes anyway. On a miss the lock is held only
+    /// to copy out the operands' `Arc`s; the sampled symbolic pass runs
+    /// after it is released, and its result is stored under a second short
+    /// lock. Memoized or not, the estimate is bit-identical.
     pub fn estimate_op(&self, op: &OpSpec) -> Result<JobEstimate, EngineError> {
-        let inputs = EstimateInputs::gather(&self.lock_registry(), op);
-        estimate_spec(&inputs, op, self.shared.cfg.sample_rate)
+        let cfg = &self.shared.cfg;
+        // Failpoint `engine.estimate_sample`: the sampled symbolic pass
+        // "fails" and estimation falls back to the constant-compression
+        // upper bound — the degraded mode a job must survive (admitted or
+        // deferred, never wrongly rejected for lack of a sample). The
+        // fallback neither reads nor fills the memo.
+        #[cfg(feature = "failpoints")]
+        let sample_rate = if tsg_runtime::failpoint::should_fail("engine.estimate_sample") {
+            0.0
+        } else {
+            cfg.sample_rate
+        };
+        #[cfg(not(feature = "failpoints"))]
+        let sample_rate = cfg.sample_rate;
+        let threads = cfg.device.threads;
+        let mut inputs = EstimateInputs::gather(&mut self.lock_registry(), op, sample_rate)?;
+        let product = inputs.product.take().map(|(a, b, input)| {
+            let (estimate, sampled) = input.estimate(a, b, &inputs, sample_rate, threads);
+            if let Some(forms) = sampled {
+                self.lock_registry().memoize_estimate(a, b, forms, estimate);
+            }
+            estimate
+        });
+        Ok(estimate_spec(&inputs, op, product, threads))
     }
 
     /// Submits a job. Admission control runs synchronously: unknown
@@ -729,9 +758,14 @@ impl Engine {
     /// Current statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         let c = &self.shared.counters;
-        let (registry, cached_bytes, resident_bytes) = {
+        let (registry, cached_bytes, resident_bytes, memoized_estimates) = {
             let reg = self.lock_registry();
-            (reg.stats(), reg.cached_bytes(), reg.resident_bytes())
+            (
+                reg.stats(),
+                reg.cached_bytes(),
+                reg.resident_bytes(),
+                reg.memoized_estimates(),
+            )
         };
         EngineStats {
             submitted: c.submitted.load(Ordering::Relaxed),
@@ -748,6 +782,7 @@ impl Engine {
             registry,
             cached_bytes,
             resident_bytes,
+            memoized_estimates,
             device_bytes_in_use: self.shared.device_tracker.current_bytes(),
             arena_high_water: self.shared.arena.high_water_bytes(),
         }
@@ -941,123 +976,162 @@ fn check_op(
 }
 
 /// What estimating an op needs from the registry, copied out under the
-/// registry lock so the sampler can run without it: each handle's shape
-/// plus whichever matrix forms are materialized (`Arc` clones), or the
-/// lookup error of an unregistered handle.
-struct EstimateInputs(HashMap<MatrixId, Result<OperandForms, EngineError>>);
+/// registry lock so the sampler can run without it.
+struct EstimateInputs {
+    shapes: HashMap<MatrixId, OperandShape>,
+    /// The op's product (none for an add): its operands and how to
+    /// estimate it.
+    product: Option<(MatrixId, MatrixId, ProductInput)>,
+}
 
-struct OperandForms {
-    shape: OperandShape,
-    csr: Option<Arc<tsg_matrix::Csr<f64>>>,
-    tiled: Option<Arc<TileMatrix<f64>>>,
+/// How an op's product is estimated, decided under the registry lock.
+enum ProductInput {
+    /// A memoized sampled estimate.
+    Memoized(JobEstimate),
+    /// Sample both CSR forms.
+    SampleCsr(Arc<tsg_matrix::Csr<f64>>, Arc<tsg_matrix::Csr<f64>>),
+    /// Sample both tiled forms.
+    SampleTiled(Arc<TileMatrix<f64>>, Arc<TileMatrix<f64>>),
+    /// The constant-compression model over the exact flop count (sampling
+    /// disabled).
+    Flops(Arc<tsg_matrix::Csr<f64>>, Arc<tsg_matrix::Csr<f64>>),
+    /// The structural model over the operands' shapes.
+    Shapes,
 }
 
 impl EstimateInputs {
-    fn gather(reg: &Registry, op: &OpSpec) -> Self {
-        let forms = |id| -> Result<OperandForms, EngineError> {
+    /// Checks `op` against the registry ([`check_op`], before any memo
+    /// lookup, so errors are exactly those of an unmemoized estimate) and
+    /// copies out every operand's shape and, for the op's product, its
+    /// memoized estimate or the operand forms to estimate it from.
+    fn gather(reg: &mut Registry, op: &OpSpec, sample_rate: f64) -> Result<Self, EngineError> {
+        let shape_of = |id| {
             let (nrows, ncols, nnz) = reg.shape(id)?;
-            Ok(OperandForms {
-                shape: OperandShape { nrows, ncols, nnz },
-                csr: reg.csr_if_present(id)?,
-                tiled: reg.tiled_if_present(id)?,
-            })
+            Ok(OperandShape { nrows, ncols, nnz })
         };
-        EstimateInputs(
-            op.operands()
-                .into_iter()
-                .map(|id| (id, forms(id)))
-                .collect(),
-        )
+        check_op(&shape_of, op)?;
+        let shapes = op
+            .operands()
+            .into_iter()
+            .map(|id| Ok((id, shape_of(id)?)))
+            .collect::<Result<_, EngineError>>()?;
+        let product = match op {
+            OpSpec::Multiply { a, b } | OpSpec::MaskedMultiply { a, b, .. } => Some((*a, *b)),
+            OpSpec::Chain { operands, .. } => Some((operands[0], operands[1])),
+            OpSpec::Power { a, .. } => Some((*a, *a)),
+            OpSpec::Add { .. } => None,
+        };
+        let product = product
+            .map(|(a, b)| ProductInput::gather(reg, a, b, sample_rate).map(|p| (a, b, p)))
+            .transpose()?;
+        Ok(EstimateInputs { shapes, product })
     }
 
-    fn forms(&self, id: MatrixId) -> Result<&OperandForms, EngineError> {
-        match self.0.get(&id) {
-            Some(Ok(f)) => Ok(f),
-            Some(Err(e)) => Err(e.clone()),
-            None => Err(EngineError::UnknownMatrix(id)),
-        }
-    }
-
-    fn shape(&self, id: MatrixId) -> Result<OperandShape, EngineError> {
-        self.forms(id).map(|f| f.shape)
+    fn shape(&self, id: MatrixId) -> OperandShape {
+        self.shapes[&id]
     }
 }
 
-/// Cost prediction for an op expression, from the operands gathered under
-/// the registry lock.
-///
-/// Uses the sampled symbolic pass when both operand structures are on
-/// hand, the exact row-by-row flop count when only their CSR forms are
-/// (sampling disabled), and the structural heuristic otherwise — the
-/// estimate never forces the CSR materialization the expression API exists
-/// to avoid. Shape validation ([`check_op`]) happens first, so incompatible
-/// operands are rejected at submit, before a worker ever runs.
-fn estimate_spec(
-    inputs: &EstimateInputs,
-    op: &OpSpec,
-    sample_rate: f64,
-) -> Result<JobEstimate, EngineError> {
-    // Failpoint `engine.estimate_sample`: the sampled symbolic pass "fails"
-    // and estimation falls back to the constant-compression upper bound —
-    // the degraded mode a job must survive (admitted or deferred, never
-    // wrongly rejected for lack of a sample).
-    #[cfg(feature = "failpoints")]
-    let sample_rate = if tsg_runtime::failpoint::should_fail("engine.estimate_sample") {
-        0.0
-    } else {
-        sample_rate
-    };
-    check_op(&|id| inputs.shape(id), op)?;
-    let product = |a: MatrixId, b: MatrixId| -> Result<JobEstimate, EngineError> {
-        let (fa, fb) = (inputs.forms(a)?, inputs.forms(b)?);
+impl ProductInput {
+    /// Prefers a sampled estimate when both operand structures are on hand
+    /// (memoized if it was computed before), the exact row-by-row flop
+    /// count when only their CSR forms are (sampling disabled), and the
+    /// structural heuristic otherwise — the estimate never forces the CSR
+    /// materialization the expression API exists to avoid.
+    fn gather(
+        reg: &mut Registry,
+        a: MatrixId,
+        b: MatrixId,
+        sample_rate: f64,
+    ) -> Result<Self, EngineError> {
+        if let Some(forms) = reg.sampled_forms(a, b).filter(|_| sample_rate > 0.0) {
+            if let Some(estimate) = reg.memoized_estimate(a, b, forms) {
+                return Ok(ProductInput::Memoized(estimate));
+            }
+            return Ok(match forms {
+                SampledForms::Csr => ProductInput::SampleCsr(
+                    reg.csr_if_present(a)?.expect("both CSR forms present"),
+                    reg.csr_if_present(b)?.expect("both CSR forms present"),
+                ),
+                SampledForms::Tiled => ProductInput::SampleTiled(
+                    reg.tiled_if_present(a)?.expect("both tiled forms present"),
+                    reg.tiled_if_present(b)?.expect("both tiled forms present"),
+                ),
+            });
+        }
+        Ok(match (reg.csr_if_present(a)?, reg.csr_if_present(b)?) {
+            (Some(ca), Some(cb)) => ProductInput::Flops(ca, cb),
+            _ => ProductInput::Shapes,
+        })
+    }
+
+    /// The product's estimate, and the forms it sampled when the registry
+    /// should memoize it.
+    fn estimate(
+        self,
+        a: MatrixId,
+        b: MatrixId,
+        shapes: &EstimateInputs,
+        sample_rate: f64,
+        threads: usize,
+    ) -> (JobEstimate, Option<SampledForms>) {
         // Seeded per operand pair so repeated estimates of the same product
         // are bit-identical while distinct products decorrelate.
         let seed = a.0.rotate_left(32) ^ b.0 ^ 0x7153_7047_454d_4d01;
-        if sample_rate > 0.0 {
-            if let (Some(ca), Some(cb)) = (&fa.csr, &fb.csr) {
-                return Ok(estimate_job_sampled(ca, cb, sample_rate, seed));
-            }
-            if let (Some(ta), Some(tb)) = (&fa.tiled, &fb.tiled) {
-                return Ok(estimate_tiled_sampled(ta, tb, sample_rate, seed));
-            }
+        match self {
+            ProductInput::Memoized(estimate) => (estimate, None),
+            ProductInput::SampleCsr(ca, cb) => (
+                estimate_job_sampled(&ca, &cb, sample_rate, seed, threads),
+                Some(SampledForms::Csr),
+            ),
+            ProductInput::SampleTiled(ta, tb) => (
+                estimate_tiled_sampled(&ta, &tb, sample_rate, seed, threads),
+                Some(SampledForms::Tiled),
+            ),
+            ProductInput::Flops(ca, cb) => (estimate_job(&ca, None, &cb, None, threads), None),
+            ProductInput::Shapes => (
+                estimate_product(shapes.shape(a), shapes.shape(b), threads),
+                None,
+            ),
         }
-        Ok(match (&fa.csr, &fb.csr) {
-            (Some(ca), Some(cb)) => estimate_job(ca, None, cb, None),
-            _ => estimate_product(fa.shape, fb.shape),
-        })
-    };
-    let mask_shape = |mask: Option<MatrixId>| mask.map(|m| inputs.shape(m)).transpose();
+    }
+}
+
+/// Cost prediction for an op expression that [`EstimateInputs::gather`]
+/// checked, given the estimate of its product (`None` for an add).
+fn estimate_spec(
+    inputs: &EstimateInputs,
+    op: &OpSpec,
+    product: Option<JobEstimate>,
+    threads: usize,
+) -> JobEstimate {
+    let product = || product.expect("every op but add has a product");
+    let mask_shape = |mask: Option<MatrixId>| mask.map(|m| inputs.shape(m));
     match op {
-        OpSpec::Multiply { a, b } => product(*a, *b),
-        OpSpec::MaskedMultiply { a, b, mask } => {
-            Ok(mask_pruned(product(*a, *b)?, inputs.shape(*mask)?))
-        }
-        OpSpec::Add { a, b, .. } => Ok(estimate_add(inputs.shape(*a)?, inputs.shape(*b)?)),
-        OpSpec::Chain { operands, mask } => {
-            let rights = operands[2..]
-                .iter()
-                .map(|&id| inputs.shape(id))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(fold_chain(
-                product(operands[0], operands[1])?,
-                (
-                    inputs.shape(operands[0])?.nrows,
-                    inputs.shape(operands[1])?.ncols,
-                ),
-                rights.into_iter(),
-                false,
-                mask_shape(*mask)?,
-            ))
-        }
+        OpSpec::Multiply { .. } => product(),
+        OpSpec::MaskedMultiply { mask, .. } => mask_pruned(product(), inputs.shape(*mask)),
+        OpSpec::Add { a, b, .. } => estimate_add(inputs.shape(*a), inputs.shape(*b)),
+        OpSpec::Chain { operands, mask } => fold_chain(
+            product(),
+            (
+                inputs.shape(operands[0]).nrows,
+                inputs.shape(operands[1]).ncols,
+            ),
+            operands[2..].iter().map(|&id| inputs.shape(id)),
+            false,
+            mask_shape(*mask),
+            threads,
+        ),
         OpSpec::Power { a, k, mask } => {
-            let sa = inputs.shape(*a)?;
-            Ok(fold_chain(
-                product(*a, *a)?,
+            let sa = inputs.shape(*a);
+            fold_chain(
+                product(),
                 (sa.nrows, sa.ncols),
                 std::iter::repeat_n(sa, *k as usize - 2),
                 true,
-                mask_shape(*mask)?,
-            ))
+                mask_shape(*mask),
+                threads,
+            )
         }
     }
 }
@@ -1081,6 +1155,7 @@ fn fold_chain(
     mut rights: impl ExactSizeIterator<Item = OperandShape>,
     repeats: bool,
     mask: Option<OperandShape>,
+    threads: usize,
 ) -> JobEstimate {
     let (out_rows, mut cols) = first_out;
     let (mut flops, mut est_bytes) = (0u64, 0usize);
@@ -1091,7 +1166,7 @@ fn fold_chain(
             ncols: cols,
             nnz: last.est_nnz_c,
         };
-        let next = estimate_product(cur, sb);
+        let next = estimate_product(cur, sb, threads);
         flops = flops.saturating_add(last.flops);
         est_bytes = est_bytes.max(last.est_bytes);
         cols = sb.ncols;

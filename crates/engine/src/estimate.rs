@@ -12,7 +12,9 @@
 //! job failure — the engine analogue of the paper's Figure-7 "0.00" bars.
 //! Two step-2/3 terms large enough to matter are modelled explicitly: the
 //! delta-packed matched-pair buffer (~2 bytes per surviving pair) and the
-//! per-worker scratch arenas the pipeline reserves.
+//! per-worker scratch arenas the pipeline reserves. Arenas are priced from
+//! the device's thread count (`threads` below), the pool a job runs in, so
+//! an estimate never depends on the thread that computes it.
 //!
 //! When both operand structures are on hand the engine now prefers the
 //! *sampled* estimators ([`estimate_job_sampled`], [`estimate_tiled_sampled`])
@@ -124,13 +126,15 @@ pub fn est_tiled_bytes(nrows: usize, ncols: usize, nnz: usize) -> usize {
     nnz * (1 + 1 + 8) + est_tiles * per_tile + 8 + (tile_m + 1) * 8
 }
 
-/// Predicts the cost of `a · b`. When a tiled form is already cached its
-/// exact byte count replaces the structural estimate.
+/// Predicts the cost of `a · b` on a device of `threads` workers. When a
+/// tiled form is already cached its exact byte count replaces the
+/// structural estimate.
 pub fn estimate_job(
     a: &Csr<f64>,
     a_tiled: Option<&TileMatrix<f64>>,
     b: &Csr<f64>,
     b_tiled: Option<&TileMatrix<f64>>,
+    threads: usize,
 ) -> JobEstimate {
     let flops = a.spgemm_flops(b);
     let a_bytes = a_tiled
@@ -139,7 +143,7 @@ pub fn estimate_job(
     let b_bytes = b_tiled
         .map(Footprint::bytes)
         .unwrap_or_else(|| est_tiled_bytes(b.nrows, b.ncols, b.nnz()));
-    assemble_product(flops, a.nrows, b.ncols, a_bytes, b_bytes)
+    assemble_product(flops, a.nrows, b.ncols, a_bytes, b_bytes, threads)
 }
 
 /// Predicts the cost of a product from operand *shapes* alone — the path
@@ -148,7 +152,7 @@ pub fn estimate_job(
 /// Flops use the uniform-row heuristic `2 · nnz(A) · nnz(B)/nrows(B)`
 /// instead of the exact row-by-row count; everything downstream of the flop
 /// count is the same model as [`estimate_job`].
-pub fn estimate_product(a: OperandShape, b: OperandShape) -> JobEstimate {
+pub fn estimate_product(a: OperandShape, b: OperandShape, threads: usize) -> JobEstimate {
     let avg_b_row = if b.nrows == 0 {
         0.0
     } else {
@@ -161,7 +165,14 @@ pub fn estimate_product(a: OperandShape, b: OperandShape) -> JobEstimate {
         b.ncols,
         est_tiled_bytes(a.nrows, a.ncols, a.nnz),
         est_tiled_bytes(b.nrows, b.ncols, b.nnz),
+        threads,
     )
+}
+
+/// Scratch arenas a job on a device of `threads` workers reserves: the
+/// pipeline takes 4 per worker up front.
+fn arena_bytes(threads: usize) -> usize {
+    threads.max(1) * 4 * Scratch::BASE_BYTES
 }
 
 /// Shared byte model downstream of the flop count.
@@ -171,6 +182,7 @@ fn assemble_product(
     out_cols: usize,
     a_bytes: usize,
     b_bytes: usize,
+    threads: usize,
 ) -> JobEstimate {
     let products = flops / 2;
     let est_nnz_c = (products / ASSUMED_COMPRESSION)
@@ -186,9 +198,7 @@ fn assemble_product(
     let est_pairs = (products as usize / TILE_AREA).max(1);
     let est_tiles_c = est_nnz_c.div_ceil(TILE_DIM).max(1);
     let pair_bytes = est_pairs * 2 + (est_tiles_c + 1) * 4;
-    // Scratch arenas: the pipeline reserves 4 per worker up front.
-    let arena_bytes = rayon::current_num_threads().max(1) * 4 * Scratch::BASE_BYTES;
-    let est_bytes = a_bytes + b_bytes + est_nnz_c * (1 + 1 + 8) + pair_bytes + arena_bytes;
+    let est_bytes = a_bytes + b_bytes + est_nnz_c * (1 + 1 + 8) + pair_bytes + arena_bytes(threads);
     JobEstimate {
         flops,
         est_nnz_c,
@@ -224,8 +234,14 @@ const SAMPLED_PAIR_BYTES: usize = 10;
 /// the scaled sample, and the byte term charges the band-*upper* nonzero
 /// count so a job is only admitted when even the pessimistic edge of the
 /// measured band fits.
-pub fn estimate_job_sampled(a: &Csr<f64>, b: &Csr<f64>, rate: f64, seed: u64) -> JobEstimate {
-    assemble_sampled(&sample_csr(a, b, rate, seed))
+pub fn estimate_job_sampled(
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    rate: f64,
+    seed: u64,
+    threads: usize,
+) -> JobEstimate {
+    assemble_sampled(&sample_csr(a, b, rate, seed), threads)
 }
 
 /// Sampled estimate from tiled operands — the path for resident products
@@ -237,23 +253,23 @@ pub fn estimate_tiled_sampled(
     b: &TileMatrix<f64>,
     rate: f64,
     seed: u64,
+    threads: usize,
 ) -> JobEstimate {
-    assemble_sampled(&sample_tiled(a, b, rate, seed))
+    assemble_sampled(&sample_tiled(a, b, rate, seed), threads)
 }
 
 /// Byte model for a sampled estimate: the calibrated tracked-peak weights
 /// applied to measured quantities — the band-upper nonzero count, the
 /// scaled pair count, and the scaled output-tile count — instead of
 /// `ASSUMED_COMPRESSION`-derived guesses over an operand-byte guess.
-fn assemble_sampled(stats: &SampleStats) -> JobEstimate {
+fn assemble_sampled(stats: &SampleStats, threads: usize) -> JobEstimate {
     let nnz_hi = stats.nnz_hi as usize;
     let est_pairs = (stats.est_pairs as usize).max(1);
     let est_tiles_c = (stats.est_tiles_c as usize).max(1);
-    let arena_bytes = rayon::current_num_threads().max(1) * 4 * Scratch::BASE_BYTES;
     let est_bytes = nnz_hi * SAMPLED_NNZ_BYTES
         + est_tiles_c * SAMPLED_TILE_BYTES
         + est_pairs * SAMPLED_PAIR_BYTES
-        + arena_bytes;
+        + arena_bytes(threads);
     JobEstimate {
         flops: stats.products.saturating_mul(2),
         est_nnz_c: stats.est_nnz_c as usize,
@@ -355,8 +371,8 @@ mod tests {
             seed: 1,
         }
         .build();
-        let e_small = estimate_job(&small, None, &small, None);
-        let e_big = estimate_job(&big, None, &big, None);
+        let e_small = estimate_job(&small, None, &small, None, 2);
+        let e_big = estimate_job(&big, None, &big, None, 2);
         assert!(e_small.flops > 0);
         assert!(e_big.flops > e_small.flops);
         assert!(e_big.est_bytes > e_small.est_bytes);
@@ -371,8 +387,8 @@ mod tests {
         }
         .build();
         let ta = TileMatrix::from_csr(&a);
-        let structural = estimate_job(&a, None, &a, None);
-        let exact = estimate_job(&a, Some(&ta), &a, Some(&ta));
+        let structural = estimate_job(&a, None, &a, None, 2);
+        let exact = estimate_job(&a, Some(&ta), &a, Some(&ta), 2);
         assert_eq!(structural.flops, exact.flops);
         // The structural tile-count bound (nnz tiles) over-estimates the
         // input term relative to the real conversion.
@@ -387,8 +403,8 @@ mod tests {
             seed: 3,
         }
         .build();
-        let exact = estimate_job(&a, None, &a, None);
-        let shaped = estimate_product(OperandShape::of_csr(&a), OperandShape::of_csr(&a));
+        let exact = estimate_job(&a, None, &a, None, 2);
+        let shaped = estimate_product(OperandShape::of_csr(&a), OperandShape::of_csr(&a), 2);
         // Uniform rows: the heuristic flop count is within 2× of the exact
         // row-by-row count, and the byte model is the same downstream.
         assert!(shaped.flops >= exact.flops / 2 && shaped.flops <= exact.flops * 2);
@@ -403,7 +419,7 @@ mod tests {
             seed: 1,
         }
         .build();
-        let base = estimate_job(&a, None, &a, None);
+        let base = estimate_job(&a, None, &a, None, 2);
         let sparse_mask = OperandShape {
             nrows: a.nrows,
             ncols: a.ncols,
@@ -441,10 +457,9 @@ mod tests {
     #[test]
     fn identity_product_estimate_is_tiny() {
         let i = tsg_matrix::Csr::<f64>::identity(64);
-        let e = estimate_job(&i, None, &i, None);
+        let e = estimate_job(&i, None, &i, None, 3);
         assert_eq!(e.flops, 128); // 64 products × 2
                                   // Beyond the fixed scratch-arena floor, the variable part is small.
-        let arena_floor = rayon::current_num_threads().max(1) * 4 * Scratch::BASE_BYTES;
-        assert!(e.est_bytes < arena_floor + 10_000);
+        assert!(e.est_bytes < arena_bytes(3) + 10_000);
     }
 }

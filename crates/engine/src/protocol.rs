@@ -240,21 +240,38 @@ impl Session {
         ])
     }
 
+    /// Refuses a load shape before anything is allocated for it: every
+    /// row and column index must fit the CSR's 32-bit index width, and one
+    /// word per row or per column, `(n + 1) · 8` bytes, must fit the device
+    /// budget. That is the row-pointer array for rows; for columns it bounds
+    /// the column-indexed arrays of the tiled form and the estimator.
+    fn check_load_shape(&self, rows: u64, cols: u64) -> Result<(), ProtocolError> {
+        let max = u64::from(u32::MAX);
+        if rows > max || cols > max {
+            return Err(ProtocolError::bad(
+                "\"rows\" and \"cols\" must fit the 32-bit index width",
+            ));
+        }
+        let budget = self.engine.device().mem_budget as u64;
+        if (rows.max(cols) + 1) * 8 > budget {
+            return Err(ProtocolError::bad(
+                "one word per row or column exceeds the device budget",
+            ));
+        }
+        Ok(())
+    }
+
     fn load(&self, req: &Value) -> Result<Value, ProtocolError> {
         let csr = if let Some(name) = req.get("gen").and_then(Value::as_str) {
             tsg_gen::suite::by_name(name)
                 .ok_or_else(|| ProtocolError::bad("unknown generator dataset name"))?
                 .build()
         } else if let Some(path) = req.get("path").and_then(Value::as_str) {
-            tsg_matrix::io::read_matrix_market_file::<f64>(path)
-                .map_err(|e| {
-                    ProtocolError::with_cause(
-                        "io_error",
-                        "failed to read matrix file",
-                        &e.to_string(),
-                    )
-                })?
-                .to_csr()
+            let coo = tsg_matrix::io::read_matrix_market_file::<f64>(path).map_err(|e| {
+                ProtocolError::with_cause("io_error", "failed to read matrix file", &e.to_string())
+            })?;
+            self.check_load_shape(coo.nrows as u64, coo.ncols as u64)?;
+            coo.to_csr()
         } else if let Some(triplets) = req.get("triplets").and_then(Value::as_arr) {
             let rows = req
                 .get("rows")
@@ -264,6 +281,7 @@ impl Session {
                 .get("cols")
                 .and_then(Value::as_u64)
                 .ok_or_else(|| ProtocolError::bad("triplet load needs \"cols\""))?;
+            self.check_load_shape(rows, cols)?;
             let mut coo = Coo::new(rows as usize, cols as usize);
             for t in triplets {
                 let t = t
@@ -635,6 +653,8 @@ pub fn stats_response(engine: &Engine) -> Value {
         ),
         ("conversions", s.registry.conversions.into()),
         ("cache_hits", s.registry.cache_hits.into()),
+        ("estimate_hits", s.registry.estimate_hits.into()),
+        ("estimate_misses", s.registry.estimate_misses.into()),
         ("cache_misses", s.registry.cache_misses.into()),
         ("cache_hit_rate", Value::Num(hit_rate)),
         ("evictions", s.registry.evictions.into()),

@@ -24,6 +24,13 @@
 //!
 //! In-flight chains [`Registry::pin`] their operands so concurrent cache
 //! pressure cannot evict a tiled form between two links of the same job.
+//!
+//! Each entry also memoizes the sampled estimates of the products it was
+//! the left operand of (DESIGN §14.6). A sampled estimate is a
+//! bit-reproducible function of both operands' contents, the engine's fixed
+//! sample rate, and a seed derived from the two handles; handles are content
+//! hashes, so a memoized estimate is exactly the one sampling again would
+//! compute.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -31,6 +38,7 @@ use std::sync::Arc;
 use tsg_matrix::{Csr, Footprint, TileMatrix};
 use tsg_runtime::{MemTracker, Recorder};
 
+use crate::estimate::JobEstimate;
 use crate::EngineError;
 
 /// Content-derived identifier of a registered matrix.
@@ -73,6 +81,31 @@ pub struct RegistryStats {
     /// this at zero; every increment is a materialization a client opted
     /// into.
     pub csr_derivations: u64,
+    /// Product estimates served from the memo instead of sampled.
+    pub estimate_hits: u64,
+    /// Sampled product estimates computed and stored in the memo.
+    pub estimate_misses: u64,
+}
+
+/// Memoized estimates kept per left operand. Oldest out beyond this, so the
+/// memo grows with the number of registered matrices, not its square.
+pub const ESTIMATE_MEMO_PER_OPERAND: usize = 4;
+
+/// Which operand forms a memoized estimate sampled. Part of the memo key: a
+/// resident product whose CSR is derived later switches from the tiled
+/// sampler to the CSR sampler, whose estimate differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SampledForms {
+    /// Both CSR forms (`estimate_job_sampled`).
+    Csr,
+    /// Both tiled forms (`estimate_tiled_sampled`).
+    Tiled,
+}
+
+struct MemoizedEstimate {
+    right: u64,
+    forms: SampledForms,
+    estimate: JobEstimate,
 }
 
 struct Entry {
@@ -91,6 +124,9 @@ struct Entry {
     /// In-flight pin count; pinned entries are skipped by LRU eviction.
     pins: u32,
     last_used: u64,
+    /// Sampled estimates of products with this entry on the left, oldest
+    /// first, at most [`ESTIMATE_MEMO_PER_OPERAND`].
+    estimates: Vec<MemoizedEstimate>,
 }
 
 /// Outcome of the first half of a two-phase tiled lookup
@@ -161,6 +197,7 @@ impl Registry {
                     resident: false,
                     pins: 0,
                     last_used: now,
+                    estimates: Vec::new(),
                 },
             );
         }
@@ -200,6 +237,7 @@ impl Registry {
                     resident: true,
                     pins: 0,
                     last_used: now,
+                    estimates: Vec::new(),
                 },
             );
         }
@@ -258,6 +296,78 @@ impl Registry {
             .get(&id.0)
             .map(|e| e.shape)
             .ok_or(EngineError::UnknownMatrix(id))
+    }
+
+    /// The forms the sampled estimate of `a · b` would sample: both CSR
+    /// forms when both are materialized, else both tiled forms when both
+    /// are, else `None` (no sampled estimate is possible).
+    pub(crate) fn sampled_forms(&self, a: MatrixId, b: MatrixId) -> Option<SampledForms> {
+        let (ea, eb) = (self.entries.get(&a.0)?, self.entries.get(&b.0)?);
+        if ea.csr.is_some() && eb.csr.is_some() {
+            Some(SampledForms::Csr)
+        } else if ea.tiled.is_some() && eb.tiled.is_some() {
+            Some(SampledForms::Tiled)
+        } else {
+            None
+        }
+    }
+
+    /// The memoized sampled estimate of `a · b` from `forms`, counting a
+    /// hit. Like the other estimation lookups it leaves the LRU clock alone.
+    pub(crate) fn memoized_estimate(
+        &mut self,
+        a: MatrixId,
+        b: MatrixId,
+        forms: SampledForms,
+    ) -> Option<JobEstimate> {
+        let estimate = self
+            .entries
+            .get(&a.0)?
+            .estimates
+            .iter()
+            .find(|m| m.right == b.0 && m.forms == forms)?
+            .estimate;
+        self.stats.estimate_hits += 1;
+        Some(estimate)
+    }
+
+    /// Stores the sampled estimate of `a · b` from `forms` on `a`'s entry,
+    /// dropping that entry's oldest estimate beyond the per-operand bound.
+    /// Skipped when either handle was unregistered while it was sampled.
+    pub(crate) fn memoize_estimate(
+        &mut self,
+        a: MatrixId,
+        b: MatrixId,
+        forms: SampledForms,
+        estimate: JobEstimate,
+    ) {
+        if !self.entries.contains_key(&b.0) {
+            return;
+        }
+        let Some(e) = self.entries.get_mut(&a.0) else {
+            return;
+        };
+        self.stats.estimate_misses += 1;
+        // A racing estimate of the same product stored the same value.
+        if e.estimates
+            .iter()
+            .any(|m| m.right == b.0 && m.forms == forms)
+        {
+            return;
+        }
+        if e.estimates.len() == ESTIMATE_MEMO_PER_OPERAND {
+            e.estimates.remove(0);
+        }
+        e.estimates.push(MemoizedEstimate {
+            right: b.0,
+            forms,
+            estimate,
+        });
+    }
+
+    /// Estimates held in the memo, over every entry.
+    pub fn memoized_estimates(&self) -> usize {
+        self.entries.values().map(|e| e.estimates.len()).sum()
     }
 
     /// Pins `id`: while the pin count is non-zero, LRU eviction skips the
@@ -445,9 +555,9 @@ impl Registry {
     }
 
     /// Unregisters `id` entirely: the cached tiled form (if any) is evicted,
-    /// resident storage is released, and the entry is dropped, so later
-    /// lookups fail with `unknown_matrix`. In-flight users holding `Arc`s
-    /// keep their data.
+    /// resident storage is released, and the entry is dropped with its
+    /// memoized estimates, so later lookups fail with `unknown_matrix`.
+    /// In-flight users holding `Arc`s keep their data.
     pub fn remove(&mut self, id: MatrixId) -> Result<(), EngineError> {
         self.evict(id)?;
         if let Some(e) = self.entries.remove(&id.0) {

@@ -410,6 +410,180 @@ fn power_estimates_fold_their_links_without_materializing_them() {
     assert_eq!(huge.est_nnz_c, long.est_nnz_c);
 }
 
+/// A memoized estimate is the estimate a fresh engine computes: for a plain
+/// and a masked multiply, a power, and a chain, all of which memoize their
+/// (first) product.
+#[test]
+fn memoized_estimates_equal_fresh_ones_for_every_op() {
+    let (a, b, m) = (
+        scatter(512, 6, 51),
+        scatter(512, 4, 52),
+        scatter(512, 3, 53),
+    );
+    let engine_with = || {
+        let engine = Engine::new(EngineConfig::default());
+        let ids = [a.clone(), b.clone(), m.clone()].map(|x| engine.register(x).0);
+        (engine, ids)
+    };
+    let (engine, [ia, ib, im]) = engine_with();
+    let ops = [
+        JobSpec::multiply(ia, ib),
+        JobSpec::multiply(ia, ib).mask(im),
+        JobSpec::power(ia, 3),
+        JobSpec::chain(vec![ib, ia, ib]),
+    ];
+    for spec in &ops {
+        let first = engine.estimate_op(&spec.op).unwrap();
+        let hits = engine.stats().registry.estimate_hits;
+        let again = engine.estimate_op(&spec.op).unwrap();
+        assert_eq!(engine.stats().registry.estimate_hits, hits + 1, "{spec:?}");
+        let (fresh_engine, _) = engine_with();
+        let fresh = fresh_engine.estimate_op(&spec.op).unwrap();
+        assert_eq!(fresh_engine.stats().registry.estimate_hits, 0);
+        assert_eq!(first, fresh, "{spec:?}");
+        assert_eq!(again, fresh, "{spec:?}");
+    }
+    assert!(engine.estimate(ia, ib).unwrap().sample.is_some());
+    // Three products were sampled: a·b (shared by the plain and masked
+    // multiply), a·a and b·a.
+    let s = engine.stats();
+    assert_eq!(s.registry.estimate_misses, 3);
+    assert_eq!(s.memoized_estimates, 3);
+}
+
+/// A resident tiled product is estimated by the tiled sampler, memoized
+/// under that form; once its CSR is derived, the CSR sampler takes over,
+/// which must miss the tiled entry rather than be served it.
+#[test]
+fn memoized_estimates_are_keyed_by_the_sampled_forms() {
+    let a = scatter(1024, 5, 61);
+    let product = multiply(
+        &TileMatrix::from_csr(&a),
+        &TileMatrix::from_csr(&a),
+        &Config::default(),
+        &MemTracker::new(),
+    )
+    .unwrap()
+    .c;
+    let product = std::sync::Arc::new(product);
+    let resident = || {
+        let engine = Engine::new(EngineConfig::default());
+        let (p, _) = engine.register_tiled(std::sync::Arc::clone(&product));
+        (engine, p)
+    };
+    let (engine, p) = resident();
+    let tiled = engine.estimate(p, p).unwrap();
+    assert_eq!(engine.estimate(p, p).unwrap(), tiled);
+    assert_eq!(engine.stats().registry.estimate_hits, 1);
+    assert_eq!(resident().0.estimate(p, p).unwrap(), tiled);
+
+    let csr = engine.csr(p).unwrap();
+    let misses = engine.stats().registry.estimate_misses;
+    let sampled_csr = engine.estimate(p, p).unwrap();
+    assert_eq!(engine.stats().registry.estimate_misses, misses + 1);
+    // The CSR sampler counts flops exactly; the tiled one scales them.
+    assert_eq!(sampled_csr.flops, csr.spgemm_flops(&csr));
+    assert_ne!(sampled_csr, tiled);
+    let (fresh, fp) = resident();
+    fresh.csr(fp).unwrap();
+    assert_eq!(fresh.estimate(fp, fp).unwrap(), sampled_csr);
+    assert_eq!(engine.estimate(p, p).unwrap(), sampled_csr);
+    assert_eq!(engine.stats().memoized_estimates, 2);
+}
+
+/// Unloading a handle drops the estimates memoized on it, and the memo
+/// stays at its per-operand bound however many handles come and go.
+#[test]
+fn unregister_drops_memoized_estimates_and_the_memo_stays_bounded() {
+    use tsg_engine::registry::ESTIMATE_MEMO_PER_OPERAND;
+    let engine = Engine::new(EngineConfig::default());
+    let (base, _) = engine.register(scatter(128, 4, 71));
+    engine.estimate(base, base).unwrap();
+    let (x, _) = engine.register(scatter(128, 4, 72));
+    engine.estimate(x, base).unwrap();
+    assert_eq!(engine.stats().memoized_estimates, 2);
+    engine.unregister(x).unwrap();
+    assert_eq!(engine.stats().memoized_estimates, 1);
+    // Re-registered, the same content is a miss again, not a stale hit.
+    let (x, _) = engine.register(scatter(128, 4, 72));
+    let hits = engine.stats().registry.estimate_hits;
+    engine.estimate(x, base).unwrap();
+    assert_eq!(engine.stats().registry.estimate_hits, hits);
+    engine.unregister(x).unwrap();
+
+    for i in 0..10_000u32 {
+        // A diagonal whose first value makes every iteration's content new.
+        let mut vals = vec![1.0; 128];
+        vals[0] = f64::from(i);
+        let fresh =
+            Csr::from_parts(128, 128, (0..=128).collect(), (0..128).collect(), vals).unwrap();
+        let (f, dedup) = engine.register(fresh);
+        assert!(!dedup);
+        engine.estimate(f, f).unwrap();
+        engine.estimate(base, f).unwrap();
+        engine.unregister(f).unwrap();
+    }
+    // Every fresh square went with its handle; base keeps its newest few
+    // products, whose right operands are gone.
+    let s = engine.stats();
+    assert_eq!(s.registry.estimate_misses, 3 + 20_000);
+    assert_eq!(s.memoized_estimates, ESTIMATE_MEMO_PER_OPERAND);
+
+    // One operand on the left of many products keeps only the newest few.
+    let rights: Vec<_> = (0..2 * ESTIMATE_MEMO_PER_OPERAND as u64)
+        .map(|seed| engine.register(scatter(128, 3, 100 + seed)).0)
+        .collect();
+    for &r in &rights {
+        engine.estimate(base, r).unwrap();
+    }
+    assert_eq!(engine.stats().memoized_estimates, ESTIMATE_MEMO_PER_OPERAND);
+    let hits = engine.stats().registry.estimate_hits;
+    engine.estimate(base, *rights.last().unwrap()).unwrap();
+    engine.estimate(base, rights[0]).unwrap();
+    assert_eq!(engine.stats().registry.estimate_hits, hits + 1);
+}
+
+/// Jobs admitted on a memoized estimate still tick the estimator counters
+/// once per completed job.
+#[test]
+fn warm_memo_jobs_still_tick_the_estimator_counters() {
+    let engine = Engine::new(EngineConfig {
+        profile: true,
+        ..EngineConfig::default()
+    });
+    let (id, _) = engine.register(scatter(512, 8, 81));
+    let warm = engine.estimate(id, id).unwrap();
+    for _ in 0..3 {
+        let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+        assert_eq!(report.estimate, warm);
+    }
+    assert_eq!(engine.stats().registry.estimate_hits, 3);
+    let m = engine.metrics();
+    let est_err: u64 = tsg_runtime::observe::EST_ERR_BUCKETS
+        .iter()
+        .map(|&c| m.get(c))
+        .sum();
+    assert_eq!(est_err, 3);
+    assert_eq!(m.get(tsg_runtime::Counter::EstSampleJobs), 3);
+    assert_eq!(m.get(tsg_runtime::Counter::EstSampleFallback), 0);
+}
+
+/// The estimate prices the device's pool, not the caller's: a one-thread
+/// device estimates the same product identically from inside a four-thread
+/// pool as from outside it.
+#[test]
+fn estimates_do_not_depend_on_the_calling_thread() {
+    let a = scatter(512, 6, 91);
+    let estimate = || {
+        let engine = Engine::on_device(Device::new("one", 1, 1 << 30));
+        let (id, _) = engine.register(a.clone());
+        engine.estimate(id, id).unwrap()
+    };
+    let outside = estimate();
+    let inside = tsg_runtime::device::run_on(&Device::new("four", 4, 1 << 30), estimate);
+    assert_eq!(inside, outside);
+}
+
 #[test]
 fn queue_wait_deadline_times_out_stale_jobs() {
     let engine = Engine::new(EngineConfig {

@@ -107,6 +107,17 @@ fn load_convert_multiply_stats_over_stdin() {
         sessions[0].get("completed").and_then(Value::as_u64),
         Some(1)
     );
+    // The multiply's admission estimate was sampled once and memoized; an
+    // estimate of the same product is a memo hit. Both counters are always
+    // on, profile or not.
+    assert_eq!(
+        stats.get("estimate_misses").and_then(Value::as_u64),
+        Some(1)
+    );
+    assert_eq!(stats.get("estimate_hits").and_then(Value::as_u64), Some(0));
+    serve.request_ok(&format!(r#"{{"op":"estimate","a":"{id}","b":"{id}"}}"#));
+    let stats = serve.request_ok(r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("estimate_hits").and_then(Value::as_u64), Some(1));
 
     let evicted = serve.request_ok(r#"{"op":"evict"}"#);
     assert_eq!(evicted.get("evicted").and_then(Value::as_u64), Some(1));
@@ -373,6 +384,21 @@ fn hostile_input_stays_on_protocol_and_never_kills_the_loop() {
         r#"{"op":"multiply_many"}"#,
     ] {
         assert_eq!(error_code(&serve.request(line)), "bad_request", "{line}");
+    }
+    // Load shapes past the 32-bit index width, or with one word per row or
+    // column beyond the device budget, are refused before anything is
+    // allocated: the first used to abort the process on an 800 TB
+    // allocation, and the third used to wrap its column index to 0 and load
+    // as [[0,0,1.0]].
+    for line in [
+        r#"{"op":"load","rows":100000000000000,"cols":1,"triplets":[]}"#,
+        r#"{"op":"load","rows":4294967297,"cols":1,"triplets":[]}"#,
+        r#"{"op":"load","rows":2,"cols":4294967297,"triplets":[[0,4294967296,1.0]]}"#,
+        r#"{"op":"load","rows":1000000000,"cols":1,"triplets":[]}"#,
+        r#"{"op":"load","rows":1,"cols":1000000000,"triplets":[]}"#,
+    ] {
+        assert_eq!(error_code(&serve.request(line)), "bad_request", "{line}");
+        serve.request_ok(r#"{"op":"hello"}"#);
     }
     // Waiting on a made-up serve job id is an error, not a hang.
     assert_eq!(
