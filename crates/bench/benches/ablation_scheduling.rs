@@ -1,9 +1,8 @@
 //! Ablation of the task granularity: the paper's one-warp-per-tile mapping
 //! (issue #1: bounded work per task, so no load imbalance) against a
-//! coarser one-task-per-tile-row decomposition and the work-binned
-//! heaviest-first dispatch, on a power-law matrix whose tile rows are wildly
-//! uneven — each crossed with the pair-reuse knob (reuse vs the paper's
-//! recompute-in-step-3 path).
+//! coarser one-task-per-tile-row decomposition, on a power-law matrix whose
+//! tile rows are wildly uneven — each crossed with the pair-reuse knob
+//! (reuse vs the paper's recompute-in-step-3 path).
 //!
 //! On a multi-core host the per-tile-row variant loses on skewed matrices
 //! because the heavy tile rows straggle; on a single-core host both collapse
@@ -40,7 +39,6 @@ fn bench_scheduling(c: &mut Criterion) {
         for (label, scheduling) in [
             ("per-tile", Scheduling::PerTile),
             ("per-tile-row", Scheduling::PerTileRow),
-            ("binned", Scheduling::Binned),
         ] {
             for pair_reuse in [true, false] {
                 let cfg = Config::builder()

@@ -1,7 +1,7 @@
 //! Criterion counterpart of Figure 10: the TileSpGEMM pipeline end to end
 //! and its individual steps, on a FEM-class matrix — plus a machine-readable
-//! `BENCH_pipeline.json` at the workspace root comparing the pair-reuse and
-//! scheduling variants on an R-MAT/power-law suite, and measuring the
+//! `BENCH_pipeline.json` at the workspace root comparing pair reuse against
+//! the paper's recompute path on an R-MAT/power-law suite, and measuring the
 //! context-API (`SpGemm` + `NullRecorder`) overhead against the free
 //! function on the same matrices (the `"method":"ctx_overhead"` records).
 //!
@@ -12,15 +12,16 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use tilespgemm_core::step1::tile_structure_spgemm;
-use tilespgemm_core::{Config, Scheduling, SimdPolicy, SpGemm};
+use tilespgemm_core::{Config, SimdPolicy, SpGemm};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
 use tsg_runtime::{Breakdown, MemTracker};
 
 /// One measured pipeline configuration, serialized into BENCH_pipeline.json.
+/// Every record runs the default per-tile scheduling; the row keeps its
+/// `"scheduling":"per-tile"` key for `perf_smoke`'s baseline lookup.
 struct Record {
     matrix: &'static str,
-    scheduling: &'static str,
     pair_reuse: bool,
     wall_ms: f64,
     peak_bytes: usize,
@@ -36,13 +37,12 @@ impl Record {
         format!(
             concat!(
                 "{{\"matrix\":\"{}\",\"method\":\"tilespgemm\",",
-                "\"scheduling\":\"{}\",\"pair_reuse\":{},",
+                "\"scheduling\":\"per-tile\",\"pair_reuse\":{},",
                 "\"wall_ms\":{:.4},\"peak_bytes\":{},",
                 "\"step1_ms\":{:.4},\"step2_ms\":{:.4},",
                 "\"step3_ms\":{:.4},\"alloc_ms\":{:.4}}}"
             ),
             self.matrix,
-            self.scheduling,
             self.pair_reuse,
             self.wall_ms,
             self.peak_bytes,
@@ -56,17 +56,8 @@ impl Record {
 
 /// Best-of-`reps` wall time (plus the matching breakdown and peak bytes)
 /// for one configuration, after one warmup run.
-fn measure(
-    ta: &TileMatrix<f64>,
-    matrix: &'static str,
-    scheduling: (&'static str, Scheduling),
-    pair_reuse: bool,
-    reps: usize,
-) -> Record {
-    let cfg = Config::builder()
-        .scheduling(scheduling.1)
-        .pair_reuse(pair_reuse)
-        .build();
+fn measure(ta: &TileMatrix<f64>, matrix: &'static str, pair_reuse: bool, reps: usize) -> Record {
+    let cfg = Config::builder().pair_reuse(pair_reuse).build();
     tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("warmup multiply");
     let mut best: Option<Record> = None;
     for _ in 0..reps {
@@ -76,7 +67,6 @@ fn measure(
         if best.as_ref().is_none_or(|b| wall_ms < b.wall_ms) {
             best = Some(Record {
                 matrix,
-                scheduling: scheduling.0,
                 pair_reuse,
                 wall_ms,
                 peak_bytes: out.peak_bytes,
@@ -127,9 +117,8 @@ fn overhead_record(ta: &TileMatrix<f64>, matrix: &'static str, reps: usize) -> S
     )
 }
 
-/// The step-3 kernel ablation ladder (DESIGN.md §15): forced-scalar, the
-/// vector kernels without the dense-tile promotion, and the full `Auto`
-/// dispatch with the fast path. One record per rung; best-of-`reps` after a
+/// The step-3 kernel ablation ladder (DESIGN.md §15): forced-scalar and the
+/// `Auto` vector dispatch. One record per rung; best-of-`reps` after a
 /// warmup, with a bitwise-identity check against the scalar rung (the
 /// ladder's core contract). Deliberately carries no `scheduling` /
 /// `pair_reuse` keys so `perf_smoke`'s line-based baseline lookup never
@@ -176,8 +165,8 @@ fn simd_ablation_record(
     )
 }
 
-/// Measures every (matrix, scheduling, pair_reuse) combination of the suite
-/// and writes BENCH_pipeline.json at the workspace root.
+/// Measures every (matrix, pair_reuse) combination of the suite and writes
+/// BENCH_pipeline.json at the workspace root.
 fn emit_bench_json() {
     let suite: [(&'static str, GenSpec); 3] = [
         (
@@ -209,20 +198,14 @@ fn emit_bench_json() {
             },
         ),
     ];
-    let schedulings = [
-        ("per-tile", Scheduling::PerTile),
-        ("binned", Scheduling::Binned),
-    ];
     let mats: Vec<(&'static str, TileMatrix<f64>)> = suite
         .into_iter()
         .map(|(name, spec)| (name, TileMatrix::from_csr(&spec.build())))
         .collect();
     let mut records = Vec::new();
     for &(name, ref ta) in &mats {
-        for &scheduling in &schedulings {
-            for pair_reuse in [true, false] {
-                records.push(measure(ta, name, scheduling, pair_reuse, 5));
-            }
+        for pair_reuse in [true, false] {
+            records.push(measure(ta, name, pair_reuse, 5));
         }
     }
     let mut body: Vec<String> = records
@@ -243,8 +226,7 @@ fn emit_bench_json() {
             .c;
         for (kernel, policy) in [
             ("scalar", SimdPolicy::ForceScalar),
-            ("simd", SimdPolicy::ForceSimd),
-            ("simd+dense", SimdPolicy::Auto),
+            ("simd", SimdPolicy::Auto),
         ] {
             body.push(format!(
                 "  {}",
@@ -258,8 +240,8 @@ fn emit_bench_json() {
     println!("wrote {path} ({} records)", records.len());
     for r in &records {
         println!(
-            "  {:<14} {:<10} reuse={:<5} {:>9.3} ms (peak {} B)",
-            r.matrix, r.scheduling, r.pair_reuse, r.wall_ms, r.peak_bytes
+            "  {:<14} reuse={:<5} {:>9.3} ms (peak {} B)",
+            r.matrix, r.pair_reuse, r.wall_ms, r.peak_bytes
         );
     }
 }

@@ -13,10 +13,11 @@
 //!   summation (accumulator policy × `tnnz` threshold, and all five
 //!   baseline methods). Their products are compared against gold under the
 //!   [`ValuePolicy`] after canonicalization.
-//! * **SIMD-dispatch tier** ([`check_simd`]) — every [`SimdPolicy`] against
-//!   the forced-scalar run, *bitwise*, across the plain, masked and chained
-//!   products: the vector kernels are written to preserve the scalar
-//!   per-slot addition order exactly.
+//! * **SIMD-dispatch tier** ([`check_simd`]) — the vector kernels, and the
+//!   dense vector kernel on every tile, against the forced-scalar run,
+//!   *bitwise*, across the plain, masked and chained products: the vector
+//!   kernels are written to preserve the scalar per-slot addition order
+//!   exactly.
 //!
 //! Every single run uses a fresh [`MemTracker`] and the oracle asserts it
 //! returns to zero bytes — a leak in any variant is a failure even when the
@@ -45,7 +46,7 @@ pub struct OracleReport {
 /// A failed oracle run: which variant diverged, and how.
 #[derive(Debug, Clone)]
 pub struct OracleFailure {
-    /// Human-readable variant label (e.g. `tile[sched=binned,reuse=off]`).
+    /// Human-readable variant label (e.g. `tile[sched=PerTileRow,reuse=off]`).
     pub variant: String,
     /// The first difference found.
     pub mismatch: Mismatch,
@@ -156,12 +157,7 @@ pub fn check_configs(
 
     // Bitwise tier: scheduling × pair-reuse × intersection never touch the
     // per-tile arithmetic order, so the tiled product must be identical.
-    for scheduling in [
-        Scheduling::PerTile,
-        Scheduling::PerTileRow,
-        Scheduling::Binned,
-        Scheduling::Auto,
-    ] {
+    for scheduling in SCHEDULINGS {
         for pair_reuse in [true, false] {
             for intersection in [
                 IntersectionKind::BinarySearch,
@@ -180,13 +176,7 @@ pub fn check_configs(
                     .build();
                 let out = run_tile(&variant, a, b, &cfg)?;
                 if out.c != pivot.c {
-                    return Err(fail(
-                        variant,
-                        Mismatch::Run {
-                            detail: "tiled output is not bitwise identical to the default run"
-                                .to_string(),
-                        },
-                    ));
+                    return Err(not_identical(variant, "the default run"));
                 }
                 checked += 1;
             }
@@ -234,6 +224,19 @@ pub fn check_configs(
     Ok(checked)
 }
 
+/// Every task granularity the pipeline offers.
+const SCHEDULINGS: [Scheduling; 2] = [Scheduling::PerTile, Scheduling::PerTileRow];
+
+/// A failure for a run whose tiled output differs from its pivot.
+fn not_identical(variant: String, pivot: &str) -> OracleFailure {
+    fail(
+        variant,
+        Mismatch::Run {
+            detail: format!("output is not bitwise identical to {pivot}"),
+        },
+    )
+}
+
 /// A unit-valued structural mask keeping the entries of `pattern` whose
 /// coordinates satisfy `keep`. Values are 1.0 so the same matrix doubles
 /// as the Hadamard multiplicand when building the masked gold.
@@ -250,10 +253,13 @@ fn pattern_mask(pattern: &Csr<f64>, keep: impl Fn(u32, u32) -> bool) -> Csr<f64>
     coo.to_csr()
 }
 
-/// Checks the structural-mask kernel (`C⟨M⟩ = A·B`) against the composed
-/// gold `hadamard(reference(a, b), mask)` for a full mask (every product
-/// entry survives) and a checkerboard-thinned one (roughly half pruned —
-/// exercises both tile-level and in-tile rejection). Returns how many
+/// Checks the masked product (`C⟨M⟩ = A·B`) against the composed gold
+/// `hadamard(reference(a, b), mask)` for a full mask (every product entry
+/// survives) and a checkerboard-thinned one (roughly half pruned —
+/// exercises both tile-level and in-tile rejection). Per mask, every
+/// scheduling × pair-reuse variant must be bitwise identical to the default
+/// masked run, and the masked product must hold, bit for bit, the unmasked
+/// product's value at every position the mask keeps. Returns how many
 /// variants were checked.
 pub fn check_masked(
     a: &Csr<f64>,
@@ -263,25 +269,86 @@ pub fn check_masked(
     let gold = reference_spgemm(a, b);
     let ta = TileMatrix::from_csr(a);
     let tb = TileMatrix::from_csr(b);
+    let unmasked = run_tile("masked[unmasked]", a, b, &Config::default())?
+        .c
+        .to_csr();
     let masks = [
-        ("masked[full]", pattern_mask(&gold, |_, _| true)),
+        ("full", pattern_mask(&gold, |_, _| true)),
         (
-            "masked[checkerboard]",
+            "checkerboard",
             pattern_mask(&gold, |r, c| (r + c).is_multiple_of(2)),
         ),
     ];
     let mut checked = 0;
-    for (variant, mask) in &masks {
-        let tracker = MemTracker::new();
+    for (name, mask) in &masks {
         let tm = TileMatrix::from_csr(mask);
-        let out = multiply_masked(&ta, &tb, &tm, &Config::default(), &tracker)
-            .map_err(|e| run_detail(variant, e))?;
-        balanced(variant, &tracker)?;
+        let run = |variant: &str, config: &Config| {
+            let tracker = MemTracker::new();
+            let out = multiply_masked(&ta, &tb, &tm, config, &tracker)
+                .map_err(|e| run_detail(variant, e))?;
+            balanced(variant, &tracker)?;
+            Ok::<_, OracleFailure>(out)
+        };
+        let variant = format!("masked[{name}]");
+        let pivot = run(&variant, &Config::default())?;
         let expected = ops::hadamard(&gold, mask);
-        compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(*variant, m))?;
+        compare_csr(&pivot.to_csr(), &expected, policy).map_err(|m| fail(&variant, m))?;
+        checked += 1;
+
+        for scheduling in SCHEDULINGS {
+            for pair_reuse in [true, false] {
+                let cfg = Config::builder()
+                    .scheduling(scheduling)
+                    .pair_reuse(pair_reuse)
+                    .build();
+                if cfg == Config::default() {
+                    continue;
+                }
+                let variant = format!(
+                    "masked[{name},sched={scheduling:?},reuse={}]",
+                    if pair_reuse { "on" } else { "off" }
+                );
+                if run(&variant, &cfg)?.c != pivot.c {
+                    return Err(not_identical(variant, "the default masked run"));
+                }
+                checked += 1;
+            }
+        }
+
+        let variant = format!("masked[{name},vs-unmasked]");
+        if pivot.c.to_csr() != restricted(&unmasked, mask) {
+            return Err(not_identical(
+                variant,
+                "the unmasked product at the kept positions",
+            ));
+        }
         checked += 1;
     }
     Ok(checked)
+}
+
+/// `c` restricted to the stored positions of `mask`, keeping every stored
+/// value of `c` (explicit zeros included) as it is.
+fn restricted(c: &Csr<f64>, mask: &Csr<f64>) -> Csr<f64> {
+    let mut out = Csr {
+        nrows: c.nrows,
+        ncols: c.ncols,
+        rowptr: vec![0],
+        colidx: Vec::new(),
+        vals: Vec::new(),
+    };
+    for r in 0..c.nrows {
+        let (keep, _) = mask.row(r);
+        let (cols, vals) = c.row(r);
+        for (&col, &v) in cols.iter().zip(vals) {
+            if keep.binary_search(&col).is_ok() {
+                out.colidx.push(col);
+                out.vals.push(v);
+            }
+        }
+        out.rowptr.push(out.colidx.len());
+    }
+    out
 }
 
 /// Checks the tiled linear combination `αX + βY` against the elementwise
@@ -373,33 +440,32 @@ pub fn check_chain(
     Ok(checked)
 }
 
-/// Checks the SIMD dispatch axis: every [`SimdPolicy`] must be **bitwise**
-/// identical to the forced-scalar run. The vector kernels preserve the
-/// per-output-slot addition order (separate mul/add roundings, no FMA, lane
-/// blending — see the `tilespgemm_core::simd` module docs), so unlike the
-/// accumulator value tier this axis demands exact equality, and it demands
-/// it across the plain product (under `tnnz` thresholds straddling the
-/// dense-tile promotion), the masked kernel, and a two-link tiled chain.
-/// Returns how many variants were checked.
+/// Checks the SIMD dispatch axis **bitwise** against the forced-scalar run:
+/// [`SimdPolicy::Auto`] under the default accumulator, and under
+/// [`AccumulatorKind::AlwaysDense`] so the dense vector micro-kernel runs on
+/// every tile. The vector kernels preserve the per-output-slot addition
+/// order (separate mul/add roundings, no FMA, lane blending — see the
+/// `tilespgemm_core::simd` module docs), so unlike the accumulator value
+/// tier this axis demands exact equality, and it demands it across the
+/// plain product (under `tnnz` thresholds on both sides of the tiles'
+/// densities), the masked product, and a two-link tiled chain. Returns how
+/// many variants were checked.
 pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
-    const POLICIES: [(&str, SimdPolicy); 3] = [
-        ("auto", SimdPolicy::Auto),
-        ("force-simd", SimdPolicy::ForceSimd),
-        ("force-dense-tile", SimdPolicy::ForceDenseTile),
+    const VECTOR: [(&str, AccumulatorKind); 2] = [
+        ("auto", AccumulatorKind::Adaptive),
+        ("auto,always-dense", AccumulatorKind::AlwaysDense),
     ];
-    let not_identical = |variant: String| {
-        fail(
-            variant,
-            Mismatch::Run {
-                detail: "output is not bitwise identical to the forced-scalar run".to_string(),
-            },
-        )
+    let vector_config = |accumulator| {
+        Config::builder()
+            .simd(SimdPolicy::Auto)
+            .accumulator(accumulator)
     };
+    let scalar = "the forced-scalar run";
     let mut checked = 0;
 
     // Plain product, with the accumulator threshold on both sides of the
-    // dense-tile promotion point so sparse-SIMD, dense-SIMD and the fast
-    // path all get exercised against their scalar references.
+    // tiles' densities so sparse-SIMD and dense-SIMD both get exercised
+    // against their scalar references.
     for tnnz in [64usize, 192] {
         let pivot_cfg = Config::builder()
             .simd(SimdPolicy::ForceScalar)
@@ -407,18 +473,18 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
             .build();
         let pivot = run_tile(&format!("simd[scalar,tnnz={tnnz}]"), a, b, &pivot_cfg)?;
         checked += 1;
-        for (name, policy) in POLICIES {
+        for (name, accumulator) in VECTOR {
             let variant = format!("simd[{name},tnnz={tnnz}]");
-            let cfg = Config::builder().simd(policy).tnnz_threshold(tnnz).build();
+            let cfg = vector_config(accumulator).tnnz_threshold(tnnz).build();
             let out = run_tile(&variant, a, b, &cfg)?;
             if out.c != pivot.c {
-                return Err(not_identical(variant));
+                return Err(not_identical(variant, scalar));
             }
             checked += 1;
         }
     }
 
-    // Masked kernel: the checkerboard mask forces the remap of sparse
+    // Masked product: the checkerboard mask forces the remap of sparse
     // kernels to their dense counterparts (products land outside the mask).
     {
         let gold = reference_spgemm(a, b);
@@ -426,21 +492,23 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
         let ta = TileMatrix::from_csr(a);
         let tb = TileMatrix::from_csr(b);
         let tm = TileMatrix::from_csr(&mask);
-        let run = |variant: &str, policy: SimdPolicy| {
+        let run = |variant: &str, cfg: &Config| {
             let tracker = MemTracker::new();
-            let cfg = Config::builder().simd(policy).build();
-            let out = multiply_masked(&ta, &tb, &tm, &cfg, &tracker)
+            let out = multiply_masked(&ta, &tb, &tm, cfg, &tracker)
                 .map_err(|e| run_detail(variant, e))?;
             balanced(variant, &tracker)?;
             Ok::<_, OracleFailure>(out)
         };
-        let pivot = run("simd[scalar,masked]", SimdPolicy::ForceScalar)?;
+        let pivot = run(
+            "simd[scalar,masked]",
+            &Config::builder().simd(SimdPolicy::ForceScalar).build(),
+        )?;
         checked += 1;
-        for (name, policy) in POLICIES {
+        for (name, accumulator) in VECTOR {
             let variant = format!("simd[{name},masked]");
-            let out = run(&variant, policy)?;
+            let out = run(&variant, &vector_config(accumulator).build())?;
             if out.c != pivot.c {
-                return Err(not_identical(variant));
+                return Err(not_identical(variant, scalar));
             }
             checked += 1;
         }
@@ -463,21 +531,23 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
         let ta = TileMatrix::from_csr(a);
         let tb = TileMatrix::from_csr(b);
         let td = TileMatrix::from_csr(&d);
-        let run = |variant: &str, policy: SimdPolicy| {
+        let run = |variant: &str, cfg: &Config| {
             let tracker = MemTracker::new();
-            let cfg = Config::builder().simd(policy).build();
-            let cur = multiply(&ta, &tb, &cfg, &tracker).map_err(|e| run_detail(variant, e))?;
-            let out = multiply(&cur.c, &td, &cfg, &tracker).map_err(|e| run_detail(variant, e))?;
+            let cur = multiply(&ta, &tb, cfg, &tracker).map_err(|e| run_detail(variant, e))?;
+            let out = multiply(&cur.c, &td, cfg, &tracker).map_err(|e| run_detail(variant, e))?;
             balanced(variant, &tracker)?;
             Ok::<_, OracleFailure>(out)
         };
-        let pivot = run("simd[scalar,chain]", SimdPolicy::ForceScalar)?;
+        let pivot = run(
+            "simd[scalar,chain]",
+            &Config::builder().simd(SimdPolicy::ForceScalar).build(),
+        )?;
         checked += 1;
-        for (name, policy) in POLICIES {
+        for (name, accumulator) in VECTOR {
             let variant = format!("simd[{name},chain]");
-            let out = run(&variant, policy)?;
+            let out = run(&variant, &vector_config(accumulator).build())?;
             if out.c != pivot.c {
-                return Err(not_identical(variant));
+                return Err(not_identical(variant, scalar));
             }
             checked += 1;
         }

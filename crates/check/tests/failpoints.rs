@@ -374,8 +374,7 @@ fn estimate_sample_failure_bypasses_a_warm_memo_without_storing_the_fallback() {
 }
 
 /// The `core.simd_dispatch` failpoint forces the whole multiply down the
-/// scalar kernel ladder: the armed run records zero `simd_*`/`dense_tile`
-/// picks while the accumulator-decision counters are untouched, and —
+/// scalar kernel ladder: the armed run records zero `simd_*` picks while the accumulator-decision counters are untouched, and —
 /// because scalar *is* the reference summation order — the product is
 /// bitwise identical to the unforced run. Disarmed, vector dispatch
 /// resumes by itself.
@@ -404,9 +403,7 @@ fn simd_dispatch_failpoint_forces_scalar_and_stays_bitwise_identical() {
         "the dispatch site was exercised"
     );
     assert_eq!(
-        forced_snap.get(Counter::SimdSparsePicks)
-            + forced_snap.get(Counter::SimdDensePicks)
-            + forced_snap.get(Counter::DenseTilePicks),
+        forced_snap.get(Counter::SimdSparsePicks) + forced_snap.get(Counter::SimdDensePicks),
         0,
         "the armed run must not touch a vector kernel"
     );

@@ -29,7 +29,7 @@
 //!
 //! let recorder = Arc::new(CollectingRecorder::new());
 //! let ctx = SpGemm::builder()
-//!     .config(Config::builder().scheduling(Scheduling::Binned).build())
+//!     .config(Config::builder().scheduling(Scheduling::PerTileRow).build())
 //!     .recorder(recorder.clone())
 //!     .build();
 //! let a = TileMatrix::from_csr(&Csr::<f64>::identity(64));
@@ -138,6 +138,7 @@ impl SpGemm {
         multiply_with_pool(
             a,
             b,
+            None,
             &self.config,
             &self.tracker,
             &*self.recorder,

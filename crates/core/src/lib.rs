@@ -40,7 +40,6 @@ pub mod add;
 pub mod context;
 pub mod convert;
 pub mod intersect;
-pub mod masked;
 pub mod maskops;
 pub mod pipeline;
 pub mod sample;
@@ -54,9 +53,9 @@ pub use add::add;
 pub use context::{SpGemm, SpGemmBuilder};
 pub use convert::{timed_csr_to_tile, ConversionTiming};
 pub use intersect::IntersectionKind;
-pub use masked::multiply_masked;
 pub use pipeline::{
-    multiply, multiply_csr, multiply_csr_with, multiply_with, multiply_with_pool, Output,
+    multiply, multiply_csr, multiply_csr_with, multiply_masked, multiply_with, multiply_with_pool,
+    Output,
 };
 pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};
@@ -73,7 +72,7 @@ pub use step3::AccumulatorKind;
 /// ```
 /// use tilespgemm_core::{Config, Scheduling};
 /// let cfg = Config::builder()
-///     .scheduling(Scheduling::Binned)
+///     .scheduling(Scheduling::PerTileRow)
 ///     .pair_reuse(false)
 ///     .build();
 /// assert_eq!(cfg.tnnz_threshold, 192); // unset fields keep the paper values
@@ -102,29 +101,10 @@ pub struct Config {
     /// intersection per tile as the paper's kernels do. On by default; turn
     /// off to get the paper-faithful recompute path for ablation benches.
     pub pair_reuse: bool,
-    /// Sampled-estimator hints (see [`crate::sample`]) an admission layer
-    /// can pass down so the pipeline pre-sizes its buffers to the measured
-    /// product instead of growing them on demand. Purely an allocation
-    /// hint: the output is bit-identical with or without it.
-    pub est_hints: Option<EstHints>,
     /// Step-3 numeric-kernel policy (see [`crate::simd`]): runtime-detected
-    /// vector kernels plus the dense-tile fast path under `Auto` (default),
-    /// or a pinned path for ablations. Every policy is bit-identical to the
-    /// scalar reference — the tsg-check oracle enforces it.
+    /// vector kernels under `Auto` (default), or the pinned scalar
+    /// reference. Both are bit-identical — the tsg-check oracle enforces it.
     pub simd: SimdPolicy,
-}
-
-/// What a sampled pre-pass predicted about the product — the allocation
-/// hints [`Config::est_hints`] carries into the pipeline. All-integer and
-/// `Eq` so `Config` stays comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EstHints {
-    /// Predicted output nonzeros (band upper edge — sizing, not truth).
-    pub nnz_c: usize,
-    /// Predicted surviving `(A_ik, B_kj)` tile pairs.
-    pub pairs: usize,
-    /// Predicted non-empty output tiles.
-    pub tiles_c: usize,
 }
 
 impl Default for Config {
@@ -135,7 +115,6 @@ impl Default for Config {
             accumulator: AccumulatorKind::Adaptive,
             scheduling: Scheduling::PerTile,
             pair_reuse: true,
-            est_hints: None,
             simd: SimdPolicy::Auto,
         }
     }
@@ -185,12 +164,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Attaches sampled-estimator pre-sizing hints (see [`EstHints`]).
-    pub fn est_hints(mut self, v: Option<EstHints>) -> Self {
-        self.config.est_hints = v;
-        self
-    }
-
     /// Sets the step-3 numeric-kernel policy (see [`SimdPolicy`]).
     pub fn simd(mut self, v: SimdPolicy) -> Self {
         self.config.simd = v;
@@ -213,17 +186,6 @@ pub enum Scheduling {
     /// One parallel task per output *tile row* — a coarser, imbalance-prone
     /// decomposition kept for the scheduling ablation bench.
     PerTileRow,
-    /// Per-tile tasks dispatched heaviest bucket first: tiles are binned by
-    /// a cheap spECK-style work estimate (for step 3: tile nnz plus matched
-    /// pairs × average tile density of the A row) and the self-scheduling
-    /// chunk queue consumes the heaviest bins first, so giant tail tiles
-    /// cannot defeat work stealing.
-    Binned,
-    /// Picks [`Scheduling::Binned`] when the worker count and tile count
-    /// are both large enough for binning's extra pass to pay off, and
-    /// [`Scheduling::PerTile`] otherwise (small problems or low
-    /// parallelism, where binning is pure overhead).
-    Auto,
 }
 
 /// Errors surfaced by the SpGEMM pipelines in this workspace.
@@ -304,10 +266,10 @@ mod tests {
     #[test]
     fn builder_overrides_only_named_fields() {
         let cfg = Config::builder()
-            .scheduling(Scheduling::Binned)
+            .scheduling(Scheduling::PerTileRow)
             .pair_reuse(false)
             .build();
-        assert_eq!(cfg.scheduling, Scheduling::Binned);
+        assert_eq!(cfg.scheduling, Scheduling::PerTileRow);
         assert!(!cfg.pair_reuse);
         // Everything unset keeps the paper defaults.
         assert_eq!(cfg.tnnz_threshold, 192);

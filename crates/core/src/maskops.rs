@@ -1,6 +1,6 @@
 //! Shared mask algebra for 16×16 tiles — the single source of truth for the
-//! OR/AND/popcount/rank operations that step 2, step 3, the masked kernel,
-//! and the bitmap intersection all build on.
+//! OR/AND/popcount/rank operations that step 2 (masked or not), step 3 and
+//! the bitmap intersection all build on.
 //!
 //! Every helper here is pure integer work, so the SIMD variants (dispatched
 //! by [`crate::simd::SimdLevel`]) are exactly identical to the scalar ones —
@@ -42,8 +42,8 @@ pub fn row_ptr_from_masks(masks: &[u16; TILE_DIM]) -> ([u8; TILE_DIM], usize) {
     (row_ptr, nnz)
 }
 
-/// Elementwise AND of two 16-row mask sets — the masked kernel's pruning
-/// reduction. One 256-bit op on AVX2, two 128-bit ops on NEON.
+/// Elementwise AND of two 16-row mask sets — a masked product's step-2
+/// pruning reduction. One 256-bit op on AVX2, two 128-bit ops on NEON.
 #[inline]
 pub fn and_masks(x: &[u16; TILE_DIM], y: &[u16; TILE_DIM], level: SimdLevel) -> [u16; TILE_DIM] {
     #[cfg(target_arch = "x86_64")]

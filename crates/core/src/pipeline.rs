@@ -2,10 +2,13 @@
 //! step 3, with the per-step breakdown of Figure 10 and device-memory
 //! accounting for Figures 7 and 9.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use crate::convert::{timed_csr_to_tile, ConversionTiming};
 use crate::intersect::{resolve_kind, IntersectionKind};
+use crate::maskops;
 use crate::simd::{self, Kernel};
-use crate::step1::tile_structure_spgemm;
+use crate::step1::{tile_structure_spgemm, TilePattern};
 use crate::step2::{self, encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
 use crate::{Config, Scheduling, SpGemmError};
 
@@ -13,10 +16,7 @@ use rayon::prelude::*;
 use tsg_matrix::{Csr, ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
 use tsg_runtime::arena::Scratch;
 use tsg_runtime::observe::{Counter, NullRecorder, Recorder};
-use tsg_runtime::{
-    bin_rows_by, split_mut_by_offsets, split_mut_uniform, Bins, Breakdown, MemTracker, ScratchPool,
-    Step,
-};
+use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, ScratchPool, Step};
 
 /// The result of a TileSpGEMM multiplication — the one result type both the
 /// tiled and the CSR entry points return.
@@ -47,10 +47,6 @@ impl<T: Scalar> Output<T> {
     }
 }
 
-/// Bucket count for [`crate::Scheduling::Binned`]: keys up to `2^18` get
-/// their own power-of-two bucket, larger ones clamp into the last.
-const BINNED_BUCKETS: usize = 20;
-
 /// Footprint cap for the bitmap intersection sidecars: when
 /// [`ListBitmaps::bytes_for`] over both operands exceeds this, the sidecars
 /// are skipped and `Bitmap`/`Adaptive` degrade to the list kernels. The cap
@@ -58,103 +54,6 @@ const BINNED_BUCKETS: usize = 20;
 /// while admitting every matrix in the evaluation suite (webbase-like at
 /// scale 14 needs ≈0.4 MB).
 const TILE_BITMAP_MAX_BYTES: usize = 8 << 20;
-
-/// [`crate::Scheduling::Auto`] picks `Binned` only at or above this worker
-/// count: below it, the bin/permute bookkeeping cannot buy back anything
-/// because there is hardly any imbalance to fix.
-const AUTO_MIN_THREADS: usize = 4;
-
-/// [`crate::Scheduling::Auto`] picks `Binned` only at or above this tile
-/// count: with few tiles the phase is too short for dispatch order to
-/// matter.
-const AUTO_MIN_TILES: usize = 4096;
-
-/// Resolves [`crate::Scheduling::Auto`] to a concrete strategy from the
-/// available parallelism and the output's tile count.
-///
-/// An explicit `Binned` request on a single worker also resolves to
-/// `PerTile`: the dispatch order cannot balance anything when every tile
-/// runs on the same thread, so the bin keys (a pass over B's tile-column
-/// nnz plus a per-tile work estimate) and the window permutation would be
-/// pure overhead. The degradation is observable only in wall time and the
-/// bin counters — tile outputs are bitwise identical either way.
-fn resolve_scheduling(s: Scheduling, num_tiles: usize) -> Scheduling {
-    let threads = rayon::current_num_threads().max(1);
-    match s {
-        Scheduling::Auto => {
-            if threads >= AUTO_MIN_THREADS && num_tiles >= AUTO_MIN_TILES {
-                Scheduling::Binned
-            } else {
-                Scheduling::PerTile
-            }
-        }
-        Scheduling::Binned if threads == 1 => Scheduling::PerTile,
-        other => other,
-    }
-}
-
-/// Stored nonzeros of `A`'s tile row `ti` — O(1) from the cumulative
-/// per-tile nnz offsets. Feeds the binned work estimates.
-fn tile_row_nnz<T: Scalar>(a: &TileMatrix<T>, ti: usize) -> usize {
-    a.tile_nnz[a.tile_ptr[ti + 1]] - a.tile_nnz[a.tile_ptr[ti]]
-}
-
-/// Flattens bins heaviest bucket first. The runtime's self-scheduling chunk
-/// queue consumes the permutation front to back, so dispatching heavy tiles
-/// first approximates longest-processing-time-first scheduling and keeps a
-/// giant tail tile from serializing the end of the phase.
-fn heavy_first(bins: &Bins) -> Vec<u32> {
-    let mut order = Vec::with_capacity(bins.rows.len());
-    for b in (0..bins.bucket_count()).rev() {
-        order.extend_from_slice(bins.bucket(b));
-    }
-    order
-}
-
-/// Deals a heavy-first sequence round-robin into `ways` buckets and
-/// concatenates them. The executor hands out contiguous chunks, so a plain
-/// heavy-first order would concentrate every heavy tile into the first chunk
-/// and serialize them on one worker; dealing gives each chunk an even share
-/// of heavy and light tiles with the heavy ones still leading.
-fn deal(order: &[u32], ways: usize) -> Vec<u32> {
-    let ways = ways.clamp(1, order.len().max(1));
-    let mut out = Vec::with_capacity(order.len());
-    for start in 0..ways {
-        out.extend(order.iter().skip(start).step_by(ways));
-    }
-    out
-}
-
-/// The dispatch order for [`crate::Scheduling::Binned`]: heaviest bucket
-/// first, dealt across as many buckets as the executor makes chunks.
-///
-/// With a single worker the dispatch order cannot balance anything — every
-/// tile runs on the same thread regardless — while the dealt order still
-/// destroys the sequential tile locality the per-tile dispatch gets for
-/// free. So one worker keeps the natural order; [`resolve_scheduling`]
-/// normally short-circuits that case to `PerTile` before the bins are even
-/// built, and this branch backstops any caller that builds them anyway.
-fn binned_order(bins: &Bins) -> Vec<u32> {
-    let threads = rayon::current_num_threads().max(1);
-    if threads == 1 {
-        return (0..bins.rows.len() as u32).collect();
-    }
-    deal(&heavy_first(bins), threads * 4)
-}
-
-/// Reorders per-tile windows by `order`, a permutation of `0..windows.len()`.
-fn permuted<W>(windows: Vec<W>, order: &[u32]) -> Vec<W> {
-    debug_assert_eq!(windows.len(), order.len());
-    let mut slots: Vec<Option<W>> = windows.into_iter().map(Some).collect();
-    order
-        .iter()
-        .map(|&t| {
-            slots[t as usize]
-                .take()
-                .expect("order must be a permutation")
-        })
-        .collect()
-}
 
 /// Stores to one element of every 4 KiB page of `v`, so a buffer the
 /// allocator mapped fresh (zero pages the kernel has not backed yet) is
@@ -233,8 +132,7 @@ pub fn multiply<T: Scalar>(
 /// [`multiply`] with an explicit recorder and job id: phase spans nest under
 /// a `"job"` root span recorded for `job`, and the pipeline's counters
 /// ([`Counter::TilesVisited`], matched pairs, intersection probes, the
-/// chosen-kernel histogram, accumulator picks, bin occupancy) flow into the
-/// recorder.
+/// chosen-kernel histogram, accumulator picks) flow into the recorder.
 ///
 /// All per-tile instrumentation is derived outside the parallel hot loops
 /// from state the pipeline already computes, and is skipped entirely when
@@ -254,10 +152,31 @@ pub fn multiply_with<T: Scalar>(
     job: u64,
 ) -> Result<Output<T>, SpGemmError> {
     let arena = ScratchPool::new();
-    multiply_with_pool(a, b, config, tracker, recorder, job, &arena)
+    multiply_with_pool(a, b, None, config, tracker, recorder, job, &arena)
 }
 
-/// [`multiply_with`] against a caller-owned [`ScratchPool`].
+/// Computes `C⟨M⟩ = A·B`: the product restricted to the stored pattern of
+/// `mask`, the GraphBLAS structural mask the paper's §1 places SpGEMM
+/// under (triangle counting is `C⟨A⟩ = A·A` followed by a reduction).
+/// Tiles of the product outside `mask`'s tile layout are never formed;
+/// inside a surviving tile, only positions present in `mask` are kept.
+/// Values of `mask` are ignored.
+///
+/// A thin wrapper over [`multiply_with_pool`] with recording disabled, the
+/// way [`multiply`] wraps [`multiply_with`].
+pub fn multiply_masked<T: Scalar>(
+    a: &TileMatrix<T>,
+    b: &TileMatrix<T>,
+    mask: &TileMatrix<T>,
+    config: &Config,
+    tracker: &MemTracker,
+) -> Result<Output<T>, SpGemmError> {
+    let arena = ScratchPool::new();
+    multiply_with_pool(a, b, Some(mask), config, tracker, &NullRecorder, 0, &arena)
+}
+
+/// [`multiply_with`] against a caller-owned [`ScratchPool`], optionally
+/// under a structural `mask` (see [`multiply_masked`]).
 ///
 /// Steps 2 and 3 check a [`Scratch`] arena out of `arena` once per task
 /// chunk; after the first multiply warms the pool, the per-tile hot path
@@ -268,10 +187,18 @@ pub fn multiply_with<T: Scalar>(
 /// to `tracker` for the duration of the call (so `peak_bytes` covers
 /// scratch memory) and credited back at the end — growth observed during
 /// the run is reconciled before the peak is read.
+///
+/// A mask changes three things (DESIGN.md §13.3): step 1 takes `mask`'s
+/// tile layout instead of the symbolic tile product, step 2 ANDs each
+/// tile's symbolic row masks with `mask`'s, and step 3 runs a tile the mask
+/// cut through the dense counterpart of its kernel — the sparse
+/// accumulator rank-addresses through the row masks, so a product outside
+/// them would land in a neighbour's slot.
 #[allow(clippy::too_many_arguments)]
 pub fn multiply_with_pool<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
+    mask: Option<&TileMatrix<T>>,
     config: &Config,
     tracker: &MemTracker,
     recorder: &dyn Recorder,
@@ -283,6 +210,14 @@ pub fn multiply_with_pool<T: Scalar>(
             a: (a.nrows, a.ncols),
             b: (b.nrows, b.ncols),
         });
+    }
+    if let Some(m) = mask {
+        if (m.nrows, m.ncols) != (a.nrows, b.ncols) {
+            return Err(SpGemmError::ShapeMismatch {
+                a: (m.nrows, m.ncols),
+                b: (a.nrows, b.ncols),
+            });
+        }
     }
     let mut breakdown = Breakdown::default();
     let peak_start = tracker.peak_bytes();
@@ -301,16 +236,25 @@ pub fn multiply_with_pool<T: Scalar>(
     }
 
     // ---- Step 1: tile-structure symbolic SpGEMM (Figure 3). ----
+    // Under a mask, C takes M's tile layout: a product tile can only survive
+    // where M has a tile, and M's tiles the product misses come out with
+    // zero nonzeros, like the retained empty tiles of the unmasked step 1.
     let span = recorder.span_enter(job, "step1");
-    let c_pattern = breakdown.timed(Step::Step1, || {
-        tile_structure_spgemm(
+    let c_pattern = breakdown.timed(Step::Step1, || match mask {
+        Some(m) => TilePattern {
+            rows: m.tile_m,
+            cols: m.tile_n,
+            ptr: m.tile_ptr.clone(),
+            idx: m.tile_colidx.clone(),
+        },
+        None => tile_structure_spgemm(
             a.tile_m,
             &a.tile_ptr,
             &a.tile_colidx,
             &b.tile_ptr,
             &b.tile_colidx,
             b.tile_n,
-        )
+        ),
     });
     recorder.span_exit(span);
     let num_tiles = c_pattern.nnz();
@@ -351,11 +295,22 @@ pub fn multiply_with_pool<T: Scalar>(
     recorder.span_exit(span);
     let bitmaps_ref = bitmaps.as_ref().map(|(am, bm)| (am, bm));
     let bitmap_words = bitmaps_ref.map(|(am, _)| am.words_per_list());
+    // Under a mask, one flag per tile records whether the mask removed
+    // anything from the tile's symbolic pattern; step 3 reads it to pick the
+    // tile's kernel. Whichever task owns tile `t` writes flag `t`, so the
+    // flags need no per-task windows of their own. The flags publish no
+    // other data, and the join that ends step 2 orders every store before
+    // step 3's loads, so relaxed ordering suffices.
+    let cut: Vec<AtomicBool> = match mask {
+        Some(_) => (0..num_tiles).map(|_| AtomicBool::new(false)).collect(),
+        None => Vec::new(),
+    };
     let step2_temp_bytes = c_pattern.nnz() * 4
         + b_cols.colptr.len() * 8
         + b_cols.rowidx.len() * 8
         + num_tiles * (4 + TILE_DIM * 3 + 8)
         + bitmaps_ref.map_or(0, |(am, bm)| am.bytes() + bm.bytes())
+        + cut.len()
         + 8;
     if let Err(e) = tracker.on_alloc(step2_temp_bytes) {
         tracker.on_free(input_bytes);
@@ -384,52 +339,29 @@ pub fn multiply_with_pool<T: Scalar>(
             return Err(fail(e.into()));
         }
     };
-    let scheduling = resolve_scheduling(config.scheduling, num_tiles);
-
-    // Binned dispatch keys want a B-side density term (a matched pair's
-    // mask-OR walks the A tile *and* touches the B tile's row masks, and
-    // pairing against a dense B tile column is proportionally heavier).
-    // One cheap pass over the tile-column index gives the per-column stored
-    // nonzeros; per-pair average = b_col_nnz[tj] / lb.
-    let b_col_nnz: Vec<usize> = if matches!(scheduling, Scheduling::Binned) {
-        (0..b_cols.tile_n)
-            .map(|tj| {
-                b_cols
-                    .col(tj)
-                    .1
-                    .iter()
-                    .map(|&t| b.tile_nnz_of(t as usize))
-                    .sum()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // The kernel level is a run constant: resolved once (policy, then the
+    // `core.simd_dispatch` failpoint, then hardware detection), so the
+    // counter replay below re-derives the same choices.
+    let simd_level = simd::resolve_level(config.simd);
 
     // ---- Step 2: per-tile symbolic (Algorithm 2). ----
     let mut c_counts = vec![0usize; num_tiles];
     // Matched-pair count per tile: always recorded (one word per tile) — it
-    // feeds the Binned step-3 work estimate and the counters.
+    // feeds the matched-pair counter.
     let mut pair_counts = vec![0usize; num_tiles];
     // With pair reuse on, each step-2 task appends the packed pair words of
     // a contiguous run of tiles to one chunk-local staging buffer and
     // records each tile's word count in `pair_offsets[t + 1]`; right after
     // the phase a scan turns the counts into the PairBuffer's offsets and
-    // the chunks are gathered into its words. The buffers are untracked
+    // the chunks are concatenated into its words. The buffers are untracked
     // host scratch, like the arenas' lists.
     let chunk_len = step2::staging_chunk_len(num_tiles, threads);
     let mut pair_offsets = vec![0u32; num_tiles + 1];
-    // Every step-1 tile has at least one matched pair, so a chunk needs at
-    // least a word per tile; a sampled estimate (see `crate::sample`)
-    // pre-sizes it to the predicted pairs instead. Step 1 already ran, so
-    // the exact output-tile count beats the hinted one as the divisor.
-    // Allocation only — the output is bit-identical with or without hints.
-    let words_per_tile = config
-        .est_hints
-        .map_or(1, |h| (h.pairs / num_tiles.max(1)).max(1));
+    // Every step-1 tile has at least one matched pair (a mask tile may have
+    // none), so a chunk starts at a word per tile and grows on demand.
     let staged_chunk = |tiles: usize| {
         if config.pair_reuse {
-            Vec::with_capacity(tiles * words_per_tile)
+            Vec::with_capacity(tiles)
         } else {
             Vec::new()
         }
@@ -457,9 +389,23 @@ pub fn multiply_with_pool<T: Scalar>(
         );
         *pair_count = s.id_pairs.len();
         let sym = symbolic_tile(a, b, &s.id_pairs);
-        mask_w.copy_from_slice(&sym.masks);
-        row_ptr_w.copy_from_slice(&sym.row_ptr);
-        *count = sym.nnz;
+        match mask {
+            None => {
+                mask_w.copy_from_slice(&sym.masks);
+                row_ptr_w.copy_from_slice(&sym.row_ptr);
+                *count = sym.nnz;
+            }
+            Some(m) => {
+                let mut m_masks = [0u16; TILE_DIM];
+                m_masks.copy_from_slice(m.tile(t).masks);
+                let allowed = maskops::and_masks(&sym.masks, &m_masks, simd_level);
+                let (row_ptr, nnz) = maskops::row_ptr_from_masks(&allowed);
+                mask_w.copy_from_slice(&allowed);
+                row_ptr_w.copy_from_slice(&row_ptr);
+                *count = nnz;
+                cut[t].store(allowed != sym.masks, Ordering::Relaxed);
+            }
+        }
         if !config.pair_reuse {
             return 0;
         }
@@ -469,27 +415,11 @@ pub fn multiply_with_pool<T: Scalar>(
         encode_pairs(&s.pos_pairs, staged);
         (staged.len() - start) as u32
     };
-    // Per-tile work estimate for the binned dispatch, calibrated against
-    // measured per-pair cost: the intersection visits ~min(la, lb)
-    // candidates, and each matched pair (≤ min(la, lb)) walks one of A's
-    // tiles in the row (average nnz = row nnz / la) *and* ORs the matching
-    // B tile's row masks (average nnz = column nnz / lb) — the product
-    // proxy the sampled estimator measures, replacing the A-only model
-    // that ignored B-side density entirely.
-    let step2_estimate = |t: usize| {
-        let ti = c_rowidx[t] as usize;
-        let tj = c_pattern.idx[t] as usize;
-        let la = a.tile_row_range(ti).len();
-        let lb = b_cols.col(tj).0.len();
-        let m = la.min(lb);
-        m + m * (tile_row_nnz(a, ti) / la.max(1) + b_col_nnz[tj] / lb.max(1))
-    };
     let span = recorder.span_enter(job, "step2");
-    // One staging buffer per task: a `chunk_len` run of tiles (PerTile and
-    // Binned — the latter over its dispatch order) or one tile row
-    // (PerTileRow). `Some(order)` marks the chunks as permuted.
+    // One staging buffer per task: a `chunk_len` run of tiles (PerTile) or
+    // one tile row (PerTileRow), either way an ascending run of tiles.
     let mut staged: Vec<Vec<u16>> = Vec::new();
-    let binned_dispatch: Option<Vec<u32>> = breakdown.timed(Step::Step2, || match scheduling {
+    breakdown.timed(Step::Step2, || match config.scheduling {
         Scheduling::PerTile => {
             staged.resize_with(num_tiles.div_ceil(chunk_len), Vec::new);
             c_masks
@@ -517,7 +447,6 @@ pub fn multiply_with_pool<T: Scalar>(
                         }
                     },
                 );
-            None
         }
         Scheduling::PerTileRow => {
             staged.resize_with(c_pattern.rows, Vec::new);
@@ -553,52 +482,7 @@ pub fn multiply_with_pool<T: Scalar>(
                         }
                     },
                 );
-            None
         }
-        Scheduling::Binned => {
-            if num_tiles == 0 {
-                return None;
-            }
-            let bins = bin_rows_by(num_tiles, BINNED_BUCKETS, step2_estimate);
-            if enabled {
-                recorder.add(Counter::BinnedTiles, num_tiles as u64);
-                recorder.add(Counter::BinsOccupied, bins.occupied_buckets() as u64);
-            }
-            let order = binned_order(&bins);
-            staged.resize_with(num_tiles.div_ceil(chunk_len), Vec::new);
-            let mut masks_w = permuted(split_mut_uniform(&mut c_masks, num_tiles), &order);
-            let mut rowptr_w = permuted(split_mut_uniform(&mut c_row_ptr, num_tiles), &order);
-            let mut counts_w = permuted(c_counts.iter_mut().collect(), &order);
-            let mut paircnt_w = permuted(pair_counts.iter_mut().collect(), &order);
-            let mut words_w = permuted(pair_offsets[1..].iter_mut().collect(), &order);
-            order
-                .par_chunks(chunk_len)
-                .zip(masks_w.par_chunks_mut(chunk_len))
-                .zip(rowptr_w.par_chunks_mut(chunk_len))
-                .zip(counts_w.par_chunks_mut(chunk_len))
-                .zip(paircnt_w.par_chunks_mut(chunk_len))
-                .zip(words_w.par_chunks_mut(chunk_len))
-                .zip(staged.par_iter_mut())
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, ((((((tiles, masks), row_ptrs), counts), pairs), words), buf)| {
-                        *buf = staged_chunk(tiles.len());
-                        for (k, &t) in tiles.iter().enumerate() {
-                            *words[k] = step2_tile(
-                                s,
-                                t as usize,
-                                masks[k],
-                                row_ptrs[k],
-                                counts[k],
-                                pairs[k],
-                                buf,
-                            );
-                        }
-                    },
-                );
-            Some(order)
-        }
-        Scheduling::Auto => unreachable!("Auto resolved before dispatch"),
     });
 
     recorder.span_exit(span);
@@ -639,7 +523,7 @@ pub fn multiply_with_pool<T: Scalar>(
         0
     };
 
-    // Gather the chunk-staged words into the compact CSR-shaped buffer
+    // Concatenate the chunk-staged words into the compact CSR-shaped buffer
     // step 3 will read. The staging chunks are host-side scratch; only the
     // compact buffer is tracked as device memory.
     let pair_buffer: Option<PairBuffer> = if config.pair_reuse {
@@ -650,8 +534,7 @@ pub fn multiply_with_pool<T: Scalar>(
                 total_words * std::mem::size_of::<u16>()
                     + (num_tiles + 1) * std::mem::size_of::<u32>(),
             )?;
-            let binned = binned_dispatch.as_deref().map(|order| (order, chunk_len));
-            Ok::<_, SpGemmError>(PairBuffer::from_staged(pair_offsets, staged, binned))
+            Ok::<_, SpGemmError>(PairBuffer::from_staged(pair_offsets, staged))
         });
         recorder.span_exit(span);
         match res {
@@ -689,11 +572,18 @@ pub fn multiply_with_pool<T: Scalar>(
     };
 
     // ---- Step 3: numeric (Algorithm 3). ----
-    // The kernel level and dense-tile threshold are run constants: resolved
-    // once (policy, then the `core.simd_dispatch` failpoint, then hardware
-    // detection), so the counter replay below re-derives the same choices.
-    let simd_level = simd::resolve_level(config.simd);
-    let dense_tile_nnz = simd::dense_tile_threshold(config.tnnz_threshold, config.est_hints);
+    // The per-tile kernel: the accumulator rule at the run's level, with a
+    // tile the mask cut moved from the sparse kernel to its dense
+    // counterpart. A pure function of step-2 state, so the counter replay
+    // below re-derives exactly what ran.
+    let tile_kernel = |t: usize, nnz: usize| {
+        let cut = cut.get(t).is_some_and(|c| c.load(Ordering::Relaxed));
+        match simd::select_kernel(simd_level, nnz, config.accumulator, config.tnnz_threshold) {
+            Kernel::SparseScalar if cut => Kernel::DenseScalar,
+            Kernel::SparseSimd if cut => Kernel::DenseSimd,
+            kernel => kernel,
+        }
+    };
     let step3_tile = |s: &mut Scratch,
                       t: usize,
                       row_idx_w: &mut [u8],
@@ -725,16 +615,8 @@ pub fn multiply_with_pool<T: Scalar>(
                 );
             }
         }
-        let kernel = simd::select_kernel(
-            config.simd,
-            simd_level,
-            vals_w.len(),
-            config.accumulator,
-            config.tnnz_threshold,
-            dense_tile_nnz,
-        );
         simd::run_numeric(
-            kernel,
+            tile_kernel(t, vals_w.len()),
             simd_level,
             a,
             b,
@@ -745,7 +627,7 @@ pub fn multiply_with_pool<T: Scalar>(
         );
     };
     let span = recorder.span_enter(job, "step3");
-    breakdown.timed(Step::Step3, || match scheduling {
+    breakdown.timed(Step::Step3, || match config.scheduling {
         Scheduling::PerTile => {
             let row_idx_w = split_mut_by_offsets(&mut c_row_idx, &c_offsets);
             let col_idx_w = split_mut_by_offsets(&mut c_col_idx, &c_offsets);
@@ -792,70 +674,23 @@ pub fn multiply_with_pool<T: Scalar>(
                     },
                 );
         }
-        Scheduling::Binned => {
-            if num_tiles == 0 {
-                return;
-            }
-            // Work estimate from exact, free-to-read step-2 facts: writing
-            // the tile's nnz plus, per persisted pair, the walk over one of
-            // A's tiles in the row (average nnz = row nnz / la) and the
-            // scatter into the matching B tile (average nnz = column nnz /
-            // lb) — the same product proxy the step-2 bins use.
-            let bins = bin_rows_by(num_tiles, BINNED_BUCKETS, |t| {
-                let ti = c_rowidx[t] as usize;
-                let tj = c_pattern.idx[t] as usize;
-                let la = a.tile_row_range(ti).len();
-                let lb = b_cols.col(tj).0.len();
-                c_counts[t]
-                    + pair_counts[t]
-                        * (tile_row_nnz(a, ti) / la.max(1) + b_col_nnz[tj] / lb.max(1)).max(1)
-            });
-            if enabled {
-                recorder.add(Counter::BinnedTiles, num_tiles as u64);
-                recorder.add(Counter::BinsOccupied, bins.occupied_buckets() as u64);
-            }
-            let order = binned_order(&bins);
-            let row_idx_w = permuted(split_mut_by_offsets(&mut c_row_idx, &c_offsets), &order);
-            let col_idx_w = permuted(split_mut_by_offsets(&mut c_col_idx, &c_offsets), &order);
-            let vals_w = permuted(split_mut_by_offsets(&mut c_vals, &c_offsets), &order);
-            order
-                .par_iter()
-                .zip(row_idx_w)
-                .zip(col_idx_w)
-                .zip(vals_w)
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (((&t, row_idx_w), col_idx_w), vals_w)| {
-                        step3_tile(s, t as usize, row_idx_w, col_idx_w, vals_w);
-                    },
-                );
-        }
-        Scheduling::Auto => unreachable!("Auto resolved before dispatch"),
     });
     recorder.span_exit(span);
 
     // Step-3 counters: the kernel pick per tile re-derives the exact branch
     // `step3_tile` took (same inputs, same pure selector), and a run
     // without pair reuse repeats the step-2 intersections, so the probe
-    // count is charged again. `sparse + dense` still sums to the visited
-    // tiles; the `simd_*`/`dense_tile` counters histogram which
-    // implementation ran each accumulator shape.
+    // count is charged again. `sparse + dense` sums to the visited tiles;
+    // the `simd_*` counters histogram which implementation ran each
+    // accumulator shape.
     if enabled {
         if pair_buffer.is_none() {
             recorder.add(Counter::IntersectionProbes, probes);
         }
         let (mut sparse, mut dense) = (0u64, 0u64);
-        let (mut simd_sparse, mut simd_dense, mut dense_tile) = (0u64, 0u64, 0u64);
+        let (mut simd_sparse, mut simd_dense) = (0u64, 0u64);
         for t in 0..num_tiles {
-            let tile_nnz = c_offsets[t + 1] - c_offsets[t];
-            match simd::select_kernel(
-                config.simd,
-                simd_level,
-                tile_nnz,
-                config.accumulator,
-                config.tnnz_threshold,
-                dense_tile_nnz,
-            ) {
+            match tile_kernel(t, c_offsets[t + 1] - c_offsets[t]) {
                 Kernel::SparseScalar => sparse += 1,
                 Kernel::DenseScalar => dense += 1,
                 Kernel::SparseSimd => {
@@ -866,28 +701,12 @@ pub fn multiply_with_pool<T: Scalar>(
                     dense += 1;
                     simd_dense += 1;
                 }
-                Kernel::DenseTile => {
-                    // The fast path promotes the *kernel*, not the paper's
-                    // accumulator decision: the legacy sparse/dense counters
-                    // keep recording the threshold rule so they stay
-                    // comparable across SIMD policies.
-                    if config
-                        .accumulator
-                        .use_dense(tile_nnz, config.tnnz_threshold)
-                    {
-                        dense += 1;
-                    } else {
-                        sparse += 1;
-                    }
-                    dense_tile += 1;
-                }
             }
         }
         recorder.add(Counter::SparseAccPicks, sparse);
         recorder.add(Counter::DenseAccPicks, dense);
         recorder.add(Counter::SimdSparsePicks, simd_sparse);
         recorder.add(Counter::SimdDensePicks, simd_dense);
-        recorder.add(Counter::DenseTilePicks, dense_tile);
     }
 
     // Assemble the output structure.
@@ -1079,8 +898,8 @@ mod tests {
     fn scheduling_variants_agree_bitwise() {
         use tsg_gen::suite::GenSpec;
         // Skewed R-MAT inputs (a Graph500-parameter one and a webbase-like
-        // one) on top of the uniform random matrix: binning and pair reuse
-        // must be invisible in the output on every input family.
+        // one) on top of the uniform random matrix: task granularity and
+        // pair reuse must be invisible in the output on every input family.
         let inputs: Vec<(&str, Csr<f64>)> = vec![
             ("uniform-random", random_csr(150, 6, 21)),
             (
@@ -1107,12 +926,7 @@ mod tests {
         for (name, a) in &inputs {
             let ta = TileMatrix::from_csr(a);
             let reference = multiply(&ta, &ta, &Config::default(), &MemTracker::new()).unwrap();
-            for scheduling in [
-                crate::Scheduling::PerTile,
-                crate::Scheduling::PerTileRow,
-                crate::Scheduling::Binned,
-                crate::Scheduling::Auto,
-            ] {
+            for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
                 for pair_reuse in [true, false] {
                     let cfg = Config {
                         scheduling,
@@ -1201,11 +1015,7 @@ mod tests {
                 .build()
                 .unwrap();
             for (name, ta, tb) in [("random", &random, &random), ("stress", &sa, &sb)] {
-                for scheduling in [
-                    crate::Scheduling::PerTile,
-                    crate::Scheduling::PerTileRow,
-                    crate::Scheduling::Binned,
-                ] {
+                for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
                     let what = format!("{name}/{scheduling:?}/{threads} workers");
                     let run = |pair_reuse| {
                         let cfg = Config::builder()
@@ -1263,12 +1073,7 @@ mod tests {
     fn tracker_returns_to_zero_after_multiply() {
         let a = random_csr(120, 5, 33);
         let ta = TileMatrix::from_csr(&a);
-        for scheduling in [
-            crate::Scheduling::PerTile,
-            crate::Scheduling::PerTileRow,
-            crate::Scheduling::Binned,
-            crate::Scheduling::Auto,
-        ] {
+        for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
             for pair_reuse in [true, false] {
                 let cfg = Config {
                     scheduling,
@@ -1334,6 +1139,7 @@ mod tests {
         let first = multiply_with_pool(
             &ta,
             &ta,
+            None,
             &Config::default(),
             &tracker,
             &NullRecorder,
@@ -1352,6 +1158,7 @@ mod tests {
         let second = multiply_with_pool(
             &ta,
             &ta,
+            None,
             &Config::default(),
             &tracker,
             &NullRecorder,
@@ -1363,32 +1170,6 @@ mod tests {
         assert_eq!(pool.created(), created_after_first, "no new arenas");
         assert_eq!(pool.bytes(), warmed_bytes, "no scratch growth in reuse");
         assert_eq!(tracker.current_bytes(), 0);
-    }
-
-    #[test]
-    fn heavy_first_order_is_a_permutation_heaviest_leading() {
-        let keys = [0usize, 3, 100, 2, 7, 0];
-        let bins = bin_rows_by(keys.len(), 8, |t| keys[t]);
-        let order = heavy_first(&bins);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..keys.len() as u32).collect::<Vec<_>>());
-        assert_eq!(order[0], 2, "the heaviest tile must be dispatched first");
-    }
-
-    #[test]
-    fn dealt_order_stays_a_permutation() {
-        let order: Vec<u32> = (0..97).rev().collect();
-        for ways in [1usize, 2, 7, 96, 97, 200] {
-            let dealt = deal(&order, ways);
-            let mut sorted = dealt.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..97).collect::<Vec<_>>(), "ways={ways}");
-        }
-        // Each bucket leads with the heaviest tile it was dealt.
-        let dealt = deal(&order, 4);
-        assert_eq!(dealt[0], order[0]);
-        assert!(deal(&[], 4).is_empty());
     }
 
     #[test]
@@ -1452,5 +1233,155 @@ mod tests {
         assert_eq!(out.c.vals[0], 0.0);
         let csr = out.c.to_csr().drop_numeric_zeros();
         assert_eq!(csr.nnz(), 0);
+    }
+
+    fn masked_oracle(a: &Csr<f64>, b: &Csr<f64>, mask: &Csr<f64>) -> Csr<f64> {
+        let full = multiply_csr(a, b, &Config::default(), &MemTracker::new())
+            .unwrap()
+            .to_csr();
+        let pattern = mask.map_values(|_| 1.0);
+        tsg_matrix::ops::hadamard(&full, &pattern)
+    }
+
+    #[test]
+    fn masked_product_matches_hadamard_oracle() {
+        for seed in [1u64, 7, 23] {
+            let a = random_csr(80, 5, seed);
+            let b = random_csr(80, 5, seed + 50);
+            let mask = random_csr(80, 8, seed + 99);
+            let ta = TileMatrix::from_csr(&a);
+            let tb = TileMatrix::from_csr(&b);
+            let tm = TileMatrix::from_csr(&mask);
+            let out =
+                multiply_masked(&ta, &tb, &tm, &Config::default(), &MemTracker::new()).unwrap();
+            out.c.validate().unwrap();
+            // C takes M's tile layout, mask tiles with an empty product
+            // included.
+            assert_eq!(out.c.tile_ptr, tm.tile_ptr);
+            assert_eq!(out.c.tile_colidx, tm.tile_colidx);
+            let got = out.c.to_csr().drop_numeric_zeros();
+            let want = masked_oracle(&a, &b, &mask).drop_numeric_zeros();
+            assert!(got.approx_eq_ignoring_zeros(&want, 1e-10), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn masked_variants_agree_bitwise() {
+        let a = TileMatrix::from_csr(&random_csr(150, 6, 61));
+        let mask = TileMatrix::from_csr(&random_csr(150, 9, 62));
+        let reference = multiply_masked(&a, &a, &mask, &Config::default(), &MemTracker::new())
+            .unwrap()
+            .c;
+        for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
+            for pair_reuse in [true, false] {
+                for simd in [crate::SimdPolicy::Auto, crate::SimdPolicy::ForceScalar] {
+                    let cfg = Config {
+                        scheduling,
+                        pair_reuse,
+                        simd,
+                        ..Config::default()
+                    };
+                    let tracker = MemTracker::new();
+                    let out = multiply_masked(&a, &a, &mask, &cfg, &tracker).unwrap();
+                    assert_eq!(reference, out.c, "{cfg:?} must agree bitwise");
+                    assert_eq!(out.pair_buffer.is_some(), pair_reuse);
+                    assert_eq!(tracker.current_bytes(), 0, "unbalanced for {cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn self_mask_gives_triangle_counting_kernel() {
+        // C<A> = A·A on a small undirected graph: per-edge common-neighbour
+        // counts.
+        let mut coo = Coo::new(4, 4);
+        for &(u, v) in &[(0u32, 1u32), (0, 2), (1, 2), (2, 3)] {
+            coo.push(u, v, 1.0);
+            coo.push(v, u, 1.0);
+        }
+        let t = TileMatrix::from_csr(&coo.to_csr());
+        let out = multiply_masked(&t, &t, &t, &Config::default(), &MemTracker::new()).unwrap();
+        let c = out.c.to_csr();
+        // Edge (0,1): common neighbour {2} -> 1. Edge (2,3): no common
+        // neighbour, so the position is absent from the product pattern and
+        // the mask intersection drops it.
+        assert_eq!(c.get(0, 1), Some(1.0));
+        assert_eq!(c.get(2, 3), None);
+        // Triangle count = sum / 6.
+        assert_eq!(tsg_matrix::ops::sum_all(&c), 6.0);
+    }
+
+    #[test]
+    fn masked_output_never_exceeds_mask_pattern() {
+        let a = random_csr(60, 6, 3);
+        let mask = random_csr(60, 2, 4);
+        let ta = TileMatrix::from_csr(&a);
+        let tm = TileMatrix::from_csr(&mask);
+        let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &MemTracker::new()).unwrap();
+        let c = out.c.to_csr();
+        for row in 0..60 {
+            let (cols, _) = c.row(row);
+            let (mcols, _) = mask.row(row);
+            for &col in cols {
+                assert!(mcols.contains(&col), "({row},{col}) outside the mask");
+            }
+        }
+        assert!(out.c.nnz() <= mask.nnz());
+    }
+
+    #[test]
+    fn empty_mask_gives_empty_product() {
+        let ta = TileMatrix::from_csr(&random_csr(40, 5, 9));
+        let tm = TileMatrix::from_csr(&Csr::zero(40, 40));
+        let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &MemTracker::new()).unwrap();
+        assert_eq!(out.c.nnz(), 0);
+        assert_eq!(out.c.tile_count(), 0);
+    }
+
+    #[test]
+    fn masked_tracker_returns_to_baseline_after_success_and_every_refusal() {
+        let a = random_csr(80, 5, 31);
+        let mask = random_csr(80, 8, 32);
+        let (ta, tm) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&mask));
+        // A resident charge the multiply must leave exactly as it found it.
+        let baseline = 4096;
+        let tracker = MemTracker::with_timeline(usize::MAX);
+        tracker.on_alloc(baseline).unwrap();
+        let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &tracker).unwrap();
+        assert!(out.c.nnz() > 0);
+        assert_eq!(tracker.current_bytes(), baseline, "success credits all");
+
+        // Refuse each charge in turn — inputs, step-2 temporaries, arena
+        // reservation, pair buffer, output arrays — by a budget one byte
+        // short of the level that charge reached.
+        let timeline = tracker.timeline();
+        let levels: Vec<usize> = timeline
+            .windows(2)
+            .filter(|w| w[1].current_bytes > w[0].current_bytes)
+            .map(|w| w[1].current_bytes)
+            .collect();
+        assert!(levels.len() >= 5, "charges: {levels:?}");
+        for level in levels {
+            let tracker = MemTracker::with_budget(level - 1);
+            tracker.on_alloc(baseline).unwrap();
+            let err = multiply_masked(&ta, &ta, &tm, &Config::default(), &tracker).unwrap_err();
+            assert!(matches!(err, SpGemmError::OutOfMemory(_)), "{err:?}");
+            assert_eq!(tracker.current_bytes(), baseline, "budget {}", level - 1);
+        }
+    }
+
+    #[test]
+    fn masked_shape_mismatch_is_rejected() {
+        let a = TileMatrix::from_csr(&Csr::<f64>::identity(32));
+        let m = TileMatrix::from_csr(&Csr::<f64>::identity(48));
+        let err = multiply_masked(&a, &a, &m, &Config::default(), &MemTracker::new()).unwrap_err();
+        assert_eq!(
+            err,
+            SpGemmError::ShapeMismatch {
+                a: (48, 48),
+                b: (32, 32)
+            }
+        );
     }
 }

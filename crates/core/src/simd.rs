@@ -1,25 +1,21 @@
-//! Runtime-dispatched SIMD numeric kernels for step 3, and the dense-tile
-//! fast path.
+//! Runtime-dispatched SIMD numeric kernels for step 3.
 //!
 //! The 16×16 tile with 16-bit row masks maps directly onto vector lanes: a
 //! tile row is four f64 lanes × four strips on AVX2 (two lanes × eight
 //! strips on NEON), and a row mask nibble selects the live lanes of one
-//! strip. This module layers three pieces over the scalar kernels in
+//! strip. This module layers two pieces over the scalar kernels in
 //! [`crate::step3`]:
 //!
 //! 1. **Runtime dispatch** ([`detected_level`]): `is_x86_feature_detected!`
 //!    picks AVX2 on x86_64, NEON is baseline on aarch64, and everything else
 //!    (or `TSG_SIMD=scalar` in the environment, or the `core.simd_dispatch`
 //!    failpoint) falls back to the scalar reference kernels.
-//! 2. **A policy knob** ([`SimdPolicy`], `Config::simd`) mirroring
-//!    [`crate::IntersectionKind::Adaptive`]: `Auto` selects per tile,
-//!    `ForceScalar`/`ForceSimd`/`ForceDenseTile` pin a path for ablations
-//!    and differential checks.
-//! 3. **A dense-tile fast path**: when a tile's output density crosses
-//!    [`DENSE_TILE_TNNZ`] (a closed-form threshold in the spirit of the
-//!    step-2 selector; see DESIGN.md §15), the whole tile runs through the
-//!    dense 16×16 micro-kernel — expanded B rows, masked lane adds — instead
-//!    of the per-product sparse accumulator.
+//! 2. **A policy knob** ([`SimdPolicy`], `Config::simd`): `Auto` runs the
+//!    paper's sparse/dense accumulator split on the vector kernels, and
+//!    `ForceScalar` pins the scalar reference for ablations and
+//!    differential checks. Tiles the accumulator rule sends dense (above
+//!    `tnnz`) run the dense 16×16 micro-kernel — expanded B rows, masked
+//!    lane adds.
 //!
 //! **Bitwise identity.** Every path here produces output bit-identical to
 //! the scalar sparse accumulator. Two invariants make that possible: each
@@ -41,7 +37,6 @@ use crate::maskops;
 use crate::step3::{
     fill_indices_from_masks, numeric_tile_dense, numeric_tile_sparse, AccumulatorKind,
 };
-use crate::EstHints;
 
 /// The instruction set the numeric kernels run on, resolved once per
 /// process by [`detected_level`] (and forced down by policy or failpoint
@@ -71,55 +66,12 @@ impl SimdLevel {
 /// knob carried by `Config::simd`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPolicy {
-    /// Per-tile selection (default): vector kernels when the hardware has
-    /// them, and the dense-tile micro-kernel once a tile's output density
-    /// crosses the [`DENSE_TILE_TNNZ`] threshold.
+    /// The vector kernels when the hardware has them (default), under the
+    /// paper's sparse/dense accumulator split.
     Auto,
     /// Pin the scalar reference kernels (pre-SIMD behavior, and the pivot
     /// the oracle compares every other policy against).
     ForceScalar,
-    /// Pin the vector kernels under the paper's sparse/dense accumulator
-    /// split, without the lowered dense-tile threshold. Degrades to scalar
-    /// where the hardware has no vector unit.
-    ForceSimd,
-    /// Run every tile through the dense 16×16 micro-kernel regardless of
-    /// density (the ablation's upper bound on dense-path coverage).
-    ForceDenseTile,
-}
-
-/// Output-density threshold (stored nonzeros out of 256) above which `Auto`
-/// routes a tile through the dense micro-kernel even though the paper's
-/// accumulator rule (`tnnz` = 192) would still pick the sparse one.
-///
-/// Derivation (DESIGN.md §15): per product the sparse accumulator pays a
-/// hardware-popcount rank + scattered add; the dense micro-kernel pays a
-/// per-pair B expansion (~b_nnz + 16 stores) amortized over the pair's A
-/// nonzeros, then ~6 vector ops per live 4-slot strip — but a strip only
-/// covers real work when its slots are mostly live. On the committed
-/// power-law rows B rows average ~2 stored entries, so the expansion never
-/// amortizes until the output tile is close to full: measured on those rows
-/// the dense micro-kernel only beats the tight sparse kernel above ~11/16
-/// density, 176 of 256 slots (the paper's accumulator rule takes over at
-/// `tnnz` = 192).
-pub const DENSE_TILE_TNNZ: usize = 176;
-
-/// When `est_hints` predicts at least this many matched pairs per output
-/// tile, the B-expansion cost of the dense micro-kernel amortizes over more
-/// A nonzeros, so `Auto` halves the dense-tile threshold.
-pub const HINT_PAIRS_PER_TILE: usize = 8;
-
-/// The dense-tile promotion threshold for one run: [`DENSE_TILE_TNNZ`]
-/// capped at the configured `tnnz` (so a lowered accumulator threshold is
-/// honored), and halved when the sampled-estimator hints predict pair-heavy
-/// tiles ([`HINT_PAIRS_PER_TILE`]).
-pub fn dense_tile_threshold(tnnz: usize, est_hints: Option<EstHints>) -> usize {
-    let mut t = DENSE_TILE_TNNZ.min(tnnz);
-    if let Some(h) = est_hints {
-        if h.pairs >= h.tiles_c.max(1) * HINT_PAIRS_PER_TILE {
-            t /= 2;
-        }
-    }
-    t
 }
 
 /// Detects the best vector level this process can use. Cached after the
@@ -177,65 +129,26 @@ pub enum Kernel {
     DenseScalar,
     /// Sparse accumulator with lane-built rank tables.
     SparseSimd,
-    /// Vector dense micro-kernel, chosen by the paper's `tnnz` rule.
+    /// Vector dense micro-kernel.
     DenseSimd,
-    /// Vector dense micro-kernel, promoted by the dense-tile fast path
-    /// (below `tnnz`) or pinned by [`SimdPolicy::ForceDenseTile`].
-    DenseTile,
 }
 
-/// Selects the kernel for a tile with `nnz` stored output nonzeros.
-///
-/// `dense_tile_nnz` is the promotion threshold from
-/// [`dense_tile_threshold`]. The fast path only promotes under
-/// [`AccumulatorKind::Adaptive`], so the `AlwaysSparse`/`AlwaysDense`
-/// ablation knobs keep their meaning.
-pub fn select_kernel(
-    policy: SimdPolicy,
-    level: SimdLevel,
-    nnz: usize,
-    acc: AccumulatorKind,
-    tnnz: usize,
-    dense_tile_nnz: usize,
-) -> Kernel {
-    let dense = acc.use_dense(nnz, tnnz);
-    let vector = level != SimdLevel::Scalar;
-    match policy {
-        SimdPolicy::ForceScalar => {
-            if dense {
-                Kernel::DenseScalar
-            } else {
-                Kernel::SparseScalar
-            }
-        }
-        SimdPolicy::ForceDenseTile => Kernel::DenseTile,
-        SimdPolicy::ForceSimd => match (vector, dense) {
-            (true, true) => Kernel::DenseSimd,
-            (true, false) => Kernel::SparseSimd,
-            (false, true) => Kernel::DenseScalar,
-            (false, false) => Kernel::SparseScalar,
-        },
-        SimdPolicy::Auto => {
-            if !vector {
-                if dense {
-                    Kernel::DenseScalar
-                } else {
-                    Kernel::SparseScalar
-                }
-            } else if dense {
-                Kernel::DenseSimd
-            } else if acc == AccumulatorKind::Adaptive && nnz >= dense_tile_nnz {
-                Kernel::DenseTile
-            } else {
-                Kernel::SparseSimd
-            }
-        }
+/// Selects the kernel for a tile with `nnz` stored output nonzeros at
+/// `level` (already forced down to scalar by [`SimdPolicy::ForceScalar`]):
+/// the accumulator rule picks sparse or dense, the level picks the
+/// implementation.
+pub fn select_kernel(level: SimdLevel, nnz: usize, acc: AccumulatorKind, tnnz: usize) -> Kernel {
+    match (level != SimdLevel::Scalar, acc.use_dense(nnz, tnnz)) {
+        (true, true) => Kernel::DenseSimd,
+        (true, false) => Kernel::SparseSimd,
+        (false, true) => Kernel::DenseScalar,
+        (false, false) => Kernel::SparseScalar,
     }
 }
 
 /// Runs the numeric phase for one tile through the selected kernel.
 ///
-/// All five kernels produce bit-identical `vals`; see the module docs for
+/// All four kernels produce bit-identical `vals`; see the module docs for
 /// why. Non-`f64` element types always take the scalar reference kernels
 /// (the vector kernels are f64-lane specializations).
 #[allow(clippy::too_many_arguments)]
@@ -253,9 +166,7 @@ pub fn run_numeric<T: Scalar>(
         Kernel::SparseScalar => numeric_tile_sparse(a, b, pairs, masks, row_ptr, vals),
         Kernel::DenseScalar => numeric_tile_dense(a, b, pairs, masks, vals),
         Kernel::SparseSimd => numeric_tile_sparse_fast(a, b, pairs, masks, row_ptr, vals, level),
-        Kernel::DenseSimd | Kernel::DenseTile => {
-            numeric_tile_dense_simd(a, b, pairs, masks, vals, level)
-        }
+        Kernel::DenseSimd => numeric_tile_dense_simd(a, b, pairs, masks, vals, level),
     }
 }
 
@@ -270,8 +181,8 @@ pub fn run_numeric<T: Scalar>(
 ///
 /// Power-law workloads put ~80% of output tiles below 9 stored nonzeros,
 /// so the per-pair/per-product overhead is what the SIMD rung actually
-/// buys back — the wide dense strips only pay on near-dense tiles (see
-/// [`DENSE_TILE_TNNZ`]).
+/// buys back — the wide dense strips only pay on near-dense tiles
+/// (DESIGN.md §15).
 pub fn numeric_tile_sparse_fast<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
@@ -626,7 +537,6 @@ mod tests {
             Kernel::DenseScalar,
             Kernel::SparseSimd,
             Kernel::DenseSimd,
-            Kernel::DenseTile,
         ] {
             let mut vals = vec![0.0f64; sym.nnz];
             run_numeric(
@@ -671,71 +581,27 @@ mod tests {
     }
 
     #[test]
-    fn selection_is_pure_and_respects_policies() {
+    fn selection_follows_the_accumulator_rule_at_the_level() {
         use AccumulatorKind::*;
-        let t = dense_tile_threshold(192, None);
-        assert_eq!(t, DENSE_TILE_TNNZ);
         // Scalar level never yields vector kernels.
         for nnz in [0, 64, 200] {
-            let k = select_kernel(SimdPolicy::Auto, SimdLevel::Scalar, nnz, Adaptive, 192, t);
+            let k = select_kernel(SimdLevel::Scalar, nnz, Adaptive, 192);
             assert!(matches!(k, Kernel::SparseScalar | Kernel::DenseScalar));
         }
-        // Auto on a vector level: sparse below the fast-path threshold,
-        // dense-tile promotion in between, accumulator-dense above tnnz.
+        // A vector level: sparse up to tnnz, dense above, and the
+        // accumulator ablation knobs keep their meaning.
         let lvl = SimdLevel::Avx2;
+        assert_eq!(select_kernel(lvl, 192, Adaptive, 192), Kernel::SparseSimd);
+        assert_eq!(select_kernel(lvl, 193, Adaptive, 192), Kernel::DenseSimd);
         assert_eq!(
-            select_kernel(SimdPolicy::Auto, lvl, t - 1, Adaptive, 192, t),
+            select_kernel(lvl, 200, AlwaysSparse, 192),
             Kernel::SparseSimd
         );
+        assert_eq!(select_kernel(lvl, 1, AlwaysDense, 192), Kernel::DenseSimd);
         assert_eq!(
-            select_kernel(SimdPolicy::Auto, lvl, t, Adaptive, 192, t),
-            Kernel::DenseTile
-        );
-        assert_eq!(
-            select_kernel(SimdPolicy::Auto, lvl, 193, Adaptive, 192, t),
-            Kernel::DenseSimd
-        );
-        // The fast path respects the accumulator ablation knobs.
-        assert_eq!(
-            select_kernel(SimdPolicy::Auto, lvl, 200, AlwaysSparse, 192, t),
-            Kernel::SparseSimd
-        );
-        assert_eq!(
-            select_kernel(SimdPolicy::ForceScalar, lvl, 200, Adaptive, 192, t),
+            select_kernel(SimdLevel::Scalar, 200, Adaptive, 192),
             Kernel::DenseScalar
         );
-        assert_eq!(
-            select_kernel(
-                SimdPolicy::ForceDenseTile,
-                SimdLevel::Scalar,
-                1,
-                Adaptive,
-                192,
-                t
-            ),
-            Kernel::DenseTile
-        );
-    }
-
-    #[test]
-    fn hints_lower_the_dense_tile_threshold() {
-        let hints = EstHints {
-            nnz_c: 10_000,
-            pairs: 1000,
-            tiles_c: 100,
-        };
-        assert_eq!(dense_tile_threshold(192, Some(hints)), DENSE_TILE_TNNZ / 2);
-        let sparse_hints = EstHints {
-            nnz_c: 10_000,
-            pairs: 100,
-            tiles_c: 100,
-        };
-        assert_eq!(
-            dense_tile_threshold(192, Some(sparse_hints)),
-            DENSE_TILE_TNNZ
-        );
-        // A lowered accumulator threshold caps the fast path.
-        assert_eq!(dense_tile_threshold(32, None), 32);
     }
 
     #[test]

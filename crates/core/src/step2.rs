@@ -85,42 +85,15 @@ impl PairBuffer {
     /// Assembles the buffer from step 2's chunk-local staging.
     ///
     /// `offsets` are the final per-tile offsets ([`scan_word_counts`]).
-    /// Chunk `c` of `chunks` holds the words of the tiles one task staged,
-    /// back to back in dispatch order. With `binned = None` the chunks
-    /// cover ascending runs of tiles, so they are simply concatenated; with
-    /// `Some((order, chunk_len))` chunk `c` staged the tiles
-    /// `order[c * chunk_len..]`, and each tile's words are gathered back to
-    /// its own offset. Each chunk is freed as soon as it is copied.
-    pub(crate) fn from_staged(
-        offsets: Vec<u32>,
-        chunks: Vec<Vec<u16>>,
-        binned: Option<(&[u32], usize)>,
-    ) -> PairBuffer {
+    /// Chunk `c` of `chunks` holds the words of the ascending run of tiles
+    /// one task staged, back to back, so the chunks are simply
+    /// concatenated. Each chunk is freed as soon as it is copied.
+    pub(crate) fn from_staged(offsets: Vec<u32>, chunks: Vec<Vec<u16>>) -> PairBuffer {
         let total = offsets.last().map_or(0, |&o| o as usize);
-        let words = match binned {
-            None => {
-                let mut words = Vec::with_capacity(total);
-                for chunk in chunks {
-                    words.extend_from_slice(&chunk);
-                }
-                words
-            }
-            Some((order, chunk_len)) => {
-                let mut words = vec![0u16; total];
-                for (tiles, chunk) in order.chunks(chunk_len).zip(chunks) {
-                    let mut at = 0usize;
-                    for &t in tiles {
-                        let (lo, hi) = (
-                            offsets[t as usize] as usize,
-                            offsets[t as usize + 1] as usize,
-                        );
-                        words[lo..hi].copy_from_slice(&chunk[at..at + hi - lo]);
-                        at += hi - lo;
-                    }
-                }
-                words
-            }
-        };
+        let mut words = Vec::with_capacity(total);
+        for chunk in chunks {
+            words.extend_from_slice(&chunk);
+        }
         debug_assert_eq!(words.len(), total);
         PairBuffer { offsets, words }
     }

@@ -62,15 +62,11 @@ fn warmed_multiply_allocates_far_less_than_once_per_output_tile() {
         }
         .build(),
     );
-    for scheduling in [
-        Scheduling::PerTile,
-        Scheduling::PerTileRow,
-        Scheduling::Binned,
-    ] {
+    for scheduling in [Scheduling::PerTile, Scheduling::PerTileRow] {
         let config = Config::builder().scheduling(scheduling).build();
         let pool = ScratchPool::new();
         let tracker = MemTracker::new();
-        let run = || multiply_with_pool(&a, &a, &config, &tracker, &NullRecorder, 0, &pool);
+        let run = || multiply_with_pool(&a, &a, None, &config, &tracker, &NullRecorder, 0, &pool);
         let warm = run().expect("warm-up multiply");
 
         let before = ALLOCS.load(Ordering::Relaxed);

@@ -1,32 +1,35 @@
 //! SIMD-vs-scalar bitwise equivalence on adversarial tiles.
 //!
-//! Every [`SimdPolicy`] must reproduce the forced-scalar product *bit for
-//! bit* — the vector kernels keep the scalar per-slot addition order (no
-//! FMA, lane blending; see the `simd` module docs), so this is an exact
-//! contract, not a tolerance. The cases aim at the spots where a lane
-//! kernel would first go wrong:
+//! [`SimdPolicy::Auto`] must reproduce the forced-scalar product *bit for
+//! bit*, under the default accumulator and under
+//! [`AccumulatorKind::AlwaysDense`] (which runs the dense vector
+//! micro-kernel on every tile) — the vector kernels keep the scalar
+//! per-slot addition order (no FMA, lane blending; see the `simd` module
+//! docs), so this is an exact contract, not a tolerance. The cases aim at
+//! the spots where a lane kernel would first go wrong:
 //!
 //! * an all-dense 16×16 tile (every lane selected, full strips);
 //! * a single-entry tile (one lane selected, everything else blended off);
 //! * cancellation to an exact stored zero (a `+0.0`/`-0.0` confusion or a
 //!   spurious `x*0` contribution flips the sign bit here);
-//! * output tiles with nnz pinned at the dense-tile promotion threshold
-//!   and the paper's `tnnz` accumulator threshold, ±1 on both sides;
+//! * output tiles with nnz pinned at the paper's `tnnz` accumulator
+//!   threshold, ±1 on both sides;
 //! * R-MAT matrices across proptest seeds, squared, under the default
 //!   thread pool and pinned to one rayon thread.
 
 use proptest::prelude::*;
-use tilespgemm_core::{multiply_csr, simd::DENSE_TILE_TNNZ, Config, Output, SimdPolicy};
+use tilespgemm_core::{multiply_csr, AccumulatorKind, Config, Output, SimdPolicy};
 use tsg_matrix::{Coo, Csr, TILE_DIM};
 
-const POLICIES: [SimdPolicy; 3] = [
-    SimdPolicy::Auto,
-    SimdPolicy::ForceSimd,
-    SimdPolicy::ForceDenseTile,
-];
+/// The accumulator policies the vector kernels run under.
+const ACCUMULATORS: [AccumulatorKind; 2] =
+    [AccumulatorKind::Adaptive, AccumulatorKind::AlwaysDense];
 
-fn run(a: &Csr<f64>, b: &Csr<f64>, policy: SimdPolicy) -> Output<f64> {
-    let cfg = Config::builder().simd(policy).build();
+fn run(a: &Csr<f64>, b: &Csr<f64>, simd: SimdPolicy, accumulator: AccumulatorKind) -> Output<f64> {
+    let cfg = Config::builder()
+        .simd(simd)
+        .accumulator(accumulator)
+        .build();
     multiply_csr(a, b, &cfg, &tsg_runtime::MemTracker::new()).expect("multiply succeeds")
 }
 
@@ -34,16 +37,16 @@ fn run(a: &Csr<f64>, b: &Csr<f64>, policy: SimdPolicy) -> Output<f64> {
 /// `-0.0 == 0.0` and any NaN as unequal, so the sign-of-zero cases compare
 /// the raw representations.
 fn assert_bitwise(name: &str, a: &Csr<f64>, b: &Csr<f64>) {
-    let pivot = run(a, b, SimdPolicy::ForceScalar);
-    for policy in POLICIES {
-        let out = run(a, b, policy);
+    let pivot = run(a, b, SimdPolicy::ForceScalar, AccumulatorKind::Adaptive);
+    for acc in ACCUMULATORS {
+        let out = run(a, b, SimdPolicy::Auto, acc);
         assert_eq!(
             pivot.c.masks, out.c.masks,
-            "{name}/{policy:?}: structure diverged"
+            "{name}/{acc:?}: structure diverged"
         );
         let pb: Vec<u64> = pivot.c.vals.iter().map(|v| v.to_bits()).collect();
         let ob: Vec<u64> = out.c.vals.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(pb, ob, "{name}/{policy:?}: values are not bit-identical");
+        assert_eq!(pb, ob, "{name}/{acc:?}: values are not bit-identical");
     }
 }
 
@@ -94,7 +97,7 @@ fn cancellation_to_stored_zero_is_bitwise_equal() {
     }
     let b = coo.to_csr();
     assert_bitwise("cancellation", &a, &b);
-    let out = run(&a, &b, SimdPolicy::ForceSimd);
+    let out = run(&a, &b, SimdPolicy::Auto, AccumulatorKind::Adaptive);
     assert!(
         out.c.vals.iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
         "the cancelled row stores exact +0.0"
@@ -102,19 +105,11 @@ fn cancellation_to_stored_zero_is_bitwise_equal() {
 }
 
 #[test]
-fn output_nnz_pinned_at_both_thresholds_is_bitwise_equal() {
+fn output_nnz_pinned_at_the_threshold_is_bitwise_equal() {
     // I · B keeps B's tile nnz, so the output tile sits exactly at the
-    // requested count: the dense-tile promotion point and the paper's
-    // `tnnz` accumulator threshold, each ±1.
+    // requested count: the paper's `tnnz` accumulator threshold, ±1.
     let eye = Csr::<f64>::identity(TILE_DIM);
-    for nnz in [
-        DENSE_TILE_TNNZ - 1,
-        DENSE_TILE_TNNZ,
-        DENSE_TILE_TNNZ + 1,
-        191,
-        192,
-        193,
-    ] {
+    for nnz in [191, 192, 193] {
         let b = tile_with_nnz(nnz, 1.0);
         assert_bitwise(&format!("tnnz-{nnz}"), &eye, &b);
     }

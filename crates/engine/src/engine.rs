@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tilespgemm_core::{multiply_masked, multiply_with_pool, Config, SpGemmError};
+use tilespgemm_core::{multiply_with_pool, Config, SpGemmError};
 use tsg_matrix::{Footprint, TileMatrix};
 use tsg_runtime::observe::{
     est_error_bucket, null_recorder, CollectingRecorder, Counter, MetricsSnapshot, Recorder,
@@ -1231,77 +1231,56 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         recorder.span_exit(span);
         out
     };
-    let mut config = job.spec.config.unwrap_or(shared.cfg.base_config);
-    // Thread the sampled admission estimate down as allocation hints, so
-    // the pipeline pre-sizes its pair-staging chunks to the measured
-    // product. Explicit job configs keep their own hints if set.
-    if config.est_hints.is_none() {
-        if let Some(s) = job.estimate.sample {
-            config.est_hints = Some(tilespgemm_core::EstHints {
-                nnz_c: s.nnz_hi,
-                pairs: s.est_pairs,
-                tiles_c: s.est_tiles_c,
-            });
-        }
-    }
+    let config = job.spec.config.unwrap_or(shared.cfg.base_config);
     let result = match &job.spec.op {
-        OpSpec::Multiply { a, b } => resolve(*a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(*b)?;
-            let out = pool_for(&shared.cfg.device)
-                .install(|| {
-                    multiply_with_pool(
-                        &ta,
-                        &tb,
-                        &config,
-                        &shared.device_tracker,
-                        recorder,
-                        job.id,
-                        &shared.arena,
-                    )
+        OpSpec::Multiply { a, b } | OpSpec::MaskedMultiply { a, b, .. } => {
+            resolve(*a).and_then(|(ta, hit_a)| {
+                let (tb, hit_b) = resolve(*b)?;
+                let (mut cache_hits, mut conversions) = (
+                    u32::from(hit_a) + u32::from(hit_b),
+                    u32::from(!hit_a) + u32::from(!hit_b),
+                );
+                let tm = match &job.spec.op {
+                    OpSpec::MaskedMultiply { mask, .. } => {
+                        let (tm, hit_m) = resolve(*mask)?;
+                        cache_hits += u32::from(hit_m);
+                        conversions += u32::from(!hit_m);
+                        Some(tm)
+                    }
+                    _ => None,
+                };
+                let out = pool_for(&shared.cfg.device)
+                    .install(|| {
+                        multiply_with_pool(
+                            &ta,
+                            &tb,
+                            tm.as_deref(),
+                            &config,
+                            &shared.device_tracker,
+                            recorder,
+                            job.id,
+                            &shared.arena,
+                        )
+                    })
+                    .map_err(EngineError::SpGemm)?;
+                let exec = exec_start.elapsed();
+                Ok(JobReport {
+                    job: job.id,
+                    nnz_c: out.c.nnz(),
+                    tiles_c: out.c.tile_count(),
+                    c: Arc::new(out.c),
+                    queue_wait,
+                    exec,
+                    peak_bytes: out.peak_bytes,
+                    cache_hits,
+                    conversions,
+                    estimate: job.estimate,
+                    breakdown: out.breakdown,
+                    links: 1,
+                    intermediates: Vec::new(),
                 })
-                .map_err(EngineError::SpGemm)?;
-            let exec = exec_start.elapsed();
-            Ok(JobReport {
-                job: job.id,
-                nnz_c: out.c.nnz(),
-                tiles_c: out.c.tile_count(),
-                c: Arc::new(out.c),
-                queue_wait,
-                exec,
-                peak_bytes: out.peak_bytes,
-                cache_hits: u32::from(hit_a) + u32::from(hit_b),
-                conversions: u32::from(!hit_a) + u32::from(!hit_b),
-                estimate: job.estimate,
-                breakdown: out.breakdown,
-                links: 1,
-                intermediates: Vec::new(),
             })
-        }),
-        OpSpec::MaskedMultiply { a, b, mask } => resolve(*a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(*b)?;
-            let (tm, hit_m) = resolve(*mask)?;
-            let span = recorder.span_enter(job.id, "job");
-            let out = pool_for(&shared.cfg.device)
-                .install(|| multiply_masked(&ta, &tb, &tm, &config, &shared.device_tracker));
-            recorder.span_exit(span);
-            let out = out.map_err(EngineError::SpGemm)?;
-            let exec = exec_start.elapsed();
-            Ok(JobReport {
-                job: job.id,
-                nnz_c: out.c.nnz(),
-                tiles_c: out.c.tile_count(),
-                c: Arc::new(out.c),
-                queue_wait,
-                exec,
-                peak_bytes: out.peak_bytes,
-                cache_hits: u32::from(hit_a) + u32::from(hit_b) + u32::from(hit_m),
-                conversions: u32::from(!hit_a) + u32::from(!hit_b) + u32::from(!hit_m),
-                estimate: job.estimate,
-                breakdown: out.breakdown,
-                links: 1,
-                intermediates: Vec::new(),
-            })
-        }),
+        }
         OpSpec::Add { alpha, a, beta, b } => resolve(*a).and_then(|(ta, hit_a)| {
             let (tb, hit_b) = resolve(*b)?;
             if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
@@ -1451,7 +1430,7 @@ type TiledHit = (Arc<TileMatrix<f64>>, bool);
 /// intermediate in the tiled format: link `i`'s product feeds link `i+1`
 /// directly as an `Arc`, and is also registered as a resident product
 /// handle (no CSR is derived — see [`Registry::insert_tiled`]). The mask,
-/// if any, applies to the final link via the masked kernel.
+/// if any, applies to the final link only.
 ///
 /// All named operands are pinned in the registry for the duration, so
 /// concurrent cache pressure cannot evict a tiled form between links.
@@ -1500,28 +1479,21 @@ fn run_chain(
             let (tb, hit) = resolve(bid)?;
             cache_hits += u32::from(hit);
             conversions += u32::from(!hit);
-            let out = match (i == last, &tm) {
-                (true, Some(tm)) => {
-                    let span = recorder.span_enter(job.id, "job");
-                    let out = pool_for(&shared.cfg.device)
-                        .install(|| multiply_masked(&cur, &tb, tm, config, &shared.device_tracker));
-                    recorder.span_exit(span);
-                    out.map_err(EngineError::SpGemm)?
-                }
-                _ => pool_for(&shared.cfg.device)
-                    .install(|| {
-                        multiply_with_pool(
-                            &cur,
-                            &tb,
-                            config,
-                            &shared.device_tracker,
-                            recorder,
-                            job.id,
-                            &shared.arena,
-                        )
-                    })
-                    .map_err(EngineError::SpGemm)?,
-            };
+            let mask = if i == last { tm.as_deref() } else { None };
+            let out = pool_for(&shared.cfg.device)
+                .install(|| {
+                    multiply_with_pool(
+                        &cur,
+                        &tb,
+                        mask,
+                        config,
+                        &shared.device_tracker,
+                        recorder,
+                        job.id,
+                        &shared.arena,
+                    )
+                })
+                .map_err(EngineError::SpGemm)?;
             breakdown.step1 += out.breakdown.step1;
             breakdown.step2 += out.breakdown.step2;
             breakdown.step3 += out.breakdown.step3;

@@ -2,9 +2,8 @@
 //!
 //! The engine predicts, before running a job, roughly how many flops the
 //! product costs and how many device bytes it will touch, in the same spirit
-//! as spECK's lightweight pre-analysis (and the per-tile work estimate the
-//! pipeline's `Scheduling::Binned` mode bins by): cheap to compute, accurate
-//! enough to steer scheduling, and explicitly *not* an upper bound. Jobs
+//! as spECK's lightweight pre-analysis: cheap to compute, accurate enough to
+//! steer scheduling, and explicitly *not* an upper bound. Jobs
 //! whose prediction already exceeds the device budget are rejected up front;
 //! jobs the prediction lets through can still trip the [`MemTracker`] budget
 //! mid-flight (the estimate ignores most step-2 temporaries and assumes a
@@ -227,6 +226,11 @@ const SAMPLED_NNZ_BYTES: usize = 16;
 const SAMPLED_TILE_BYTES: usize = 72;
 const SAMPLED_PAIR_BYTES: usize = 10;
 
+/// Bytes per output nonzero of the tiled output's own arrays (`rowIdx` +
+/// `colIdx` + `val`) — the share of the per-nonzero weights a mask can
+/// reclaim.
+const OUTPUT_NNZ_BYTES: usize = 1 + 1 + 8;
+
 /// Predicts the cost of `a · b` from a sampled symbolic pass over the CSR
 /// operands — the admission path when both CSR forms are on hand and
 /// sampling is enabled. The flop count is exact (the sampler's first pass
@@ -290,7 +294,7 @@ fn assemble_sampled(stats: &SampleStats, threads: usize) -> JobEstimate {
 /// per-nonzero locals plus the pair-offset array) — what mask pruning can
 /// reclaim from a product estimate.
 fn output_terms(est_nnz_c: usize) -> usize {
-    est_nnz_c * (1 + 1 + 8) + (est_nnz_c.div_ceil(TILE_DIM).max(1) + 1) * 4
+    est_nnz_c * OUTPUT_NNZ_BYTES + (est_nnz_c.div_ceil(TILE_DIM).max(1) + 1) * 4
 }
 
 /// Prunes a product estimate by a mask: the output cannot exceed the mask's
@@ -300,8 +304,11 @@ fn output_terms(est_nnz_c: usize) -> usize {
 /// mask's own tiled input bytes join the operand term (fallback estimates
 /// only — sampled estimates model the tracked pipeline peak, which never
 /// includes input residency). On a sampled estimate the whole band is
-/// capped, and the byte term is rebuilt from the pruned band-upper edge
-/// (the basis admission charged for) at the sampled per-nonzero weight.
+/// capped, and the byte term gives back only the output arrays of the
+/// nonzeros the mask prunes from the band-upper edge (the basis admission
+/// charged for): the sampled per-nonzero weight was calibrated on unmasked
+/// products, where it also covers the inputs and step-2 temporaries, and
+/// those do not shrink under a mask.
 pub fn mask_pruned(est: JobEstimate, mask: OperandShape) -> JobEstimate {
     let pruned = est.est_nnz_c.min(mask.nnz);
     let survival = if est.est_nnz_c == 0 {
@@ -314,8 +321,8 @@ pub fn mask_pruned(est: JobEstimate, mask: OperandShape) -> JobEstimate {
     let pruned_basis = byte_basis.min(mask.nnz);
     let (removed, added) = if est.sample.is_some() {
         (
-            byte_basis * SAMPLED_NNZ_BYTES,
-            pruned_basis * SAMPLED_NNZ_BYTES,
+            byte_basis * OUTPUT_NNZ_BYTES,
+            pruned_basis * OUTPUT_NNZ_BYTES,
         )
     } else {
         let mask_bytes = est_tiled_bytes(mask.nrows, mask.ncols, mask.nnz);

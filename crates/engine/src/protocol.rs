@@ -38,8 +38,8 @@
 //! `frame_too_large` error code without being parsed; the session keeps
 //! serving subsequent lines.
 //!
-//! `multiply` accepts optional `"scheduling"` (`"per-tile"`, `"per-tile-row"`,
-//! `"binned"`), `"pair_reuse"` (bool), and `"timeout_ms"` overrides, plus
+//! `multiply` accepts optional `"scheduling"` (`"per-tile"` or
+//! `"per-tile-row"`), `"pair_reuse"` (bool), and `"timeout_ms"` overrides, plus
 //! `"keep":true` (v2) to register the product as an operand: the reply then
 //! carries its handle as `"c":"m…"`. Handles are content hashes, so equal
 //! `"c"` values prove bitwise-identical products.
@@ -412,7 +412,6 @@ impl Session {
             let scheduling = match s {
                 "per-tile" => Scheduling::PerTile,
                 "per-tile-row" => Scheduling::PerTileRow,
-                "binned" => Scheduling::Binned,
                 _ => return Err(ProtocolError::bad("unknown scheduling")),
             };
             config.get_or_insert_with(Config::default).scheduling = scheduling;

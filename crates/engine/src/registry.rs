@@ -26,7 +26,7 @@
 //! pressure cannot evict a tiled form between two links of the same job.
 //!
 //! Each entry also memoizes the sampled estimates of the products it was
-//! the left operand of (DESIGN §14.6). A sampled estimate is a
+//! the left operand of (DESIGN §14.5). A sampled estimate is a
 //! bit-reproducible function of both operands' contents, the engine's fixed
 //! sample rate, and a seed derived from the two handles; handles are content
 //! hashes, so a memoized estimate is exactly the one sampling again would

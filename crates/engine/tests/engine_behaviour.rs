@@ -255,6 +255,97 @@ fn masked_multiplies_tick_est_err_and_sample_counters() {
     assert_eq!(m.get(tsg_runtime::Counter::EstSampleFallback), 0);
 }
 
+/// A masked job runs the one tiled pipeline: its span tree carries the
+/// step children under `job`, and step 2 visits exactly the mask's tiles
+/// (C takes the mask's tile layout).
+#[test]
+fn masked_jobs_report_pipeline_spans_and_counters() {
+    use tsg_engine::OpSpec;
+    use tsg_runtime::Counter;
+    let engine = Engine::new(EngineConfig {
+        profile: true,
+        ..EngineConfig::default()
+    });
+    let mask = scatter(512, 2, 4);
+    let mask_tiles = TileMatrix::from_csr(&mask).tile_count();
+    let (id, _) = engine.register(scatter(512, 8, 21));
+    let (mask, _) = engine.register(mask);
+    let report = engine
+        .multiply_now(JobSpec::of(OpSpec::MaskedMultiply { a: id, b: id, mask }))
+        .unwrap();
+    let trees = engine
+        .collector()
+        .expect("profiled engine")
+        .span_tree(report.job);
+    let job = trees.iter().find(|n| n.name == "job").expect("a job span");
+    for step in ["step1", "step2", "step3"] {
+        assert!(job.child(step).is_some(), "no {step} under job: {job:?}");
+    }
+    assert_eq!(
+        engine.metrics().get(Counter::TilesVisited) as usize,
+        mask_tiles
+    );
+    assert_eq!(report.tiles_c, mask_tiles);
+}
+
+/// Reservation admission assumes a job's estimate covers its tracked peak.
+/// A mask shrinks only the output's arrays, so a masked estimate must not
+/// give back the inputs and step-2 temporaries its unmasked weights cover:
+/// on the triangle-count product `C⟨A⟩ = A·A` of a FEM adjacency, and on a
+/// FEM square under a checkerboard-thinned mask of its own product, the
+/// estimate stays at or above the job's peak on a fresh tracker.
+#[test]
+fn masked_estimates_cover_the_job_peak() {
+    use tsg_engine::OpSpec;
+    let fem = |nodes, spread, seed| {
+        GenSpec::Fem {
+            nodes,
+            block: 6,
+            couplings: 4,
+            spread,
+            seed,
+        }
+        .build()
+    };
+    let checkerboard = |c: &Csr<f64>| {
+        let mut coo = tsg_matrix::Coo::new(c.nrows, c.ncols);
+        for r in 0..c.nrows {
+            for &col in c.row(r).0 {
+                if (r as u32 + col).is_multiple_of(2) {
+                    coo.push(r as u32, col, 1.0);
+                }
+            }
+        }
+        coo.to_csr()
+    };
+    for seed in [3u64, 5, 7] {
+        let adj = fem(1_000, 30, seed);
+        let square = fem(1_500, 40, seed);
+        let t = TileMatrix::from_csr(&square);
+        let product = multiply(&t, &t, &Config::default(), &MemTracker::new())
+            .unwrap()
+            .c
+            .to_csr();
+        for (name, a, mask) in [
+            ("triangle", adj.clone(), adj),
+            ("fem-checkerboard", square, checkerboard(&product)),
+        ] {
+            let engine = Engine::new(EngineConfig::default());
+            let (a, _) = engine.register(a);
+            let (mask, _) = engine.register(mask);
+            let report = engine
+                .multiply_now(JobSpec::of(OpSpec::MaskedMultiply { a, b: a, mask }))
+                .unwrap();
+            assert!(
+                report.estimate.est_bytes >= report.peak_bytes,
+                "{name}/{seed}: estimate {} below the peak {}",
+                report.estimate.est_bytes,
+                report.peak_bytes
+            );
+        }
+    }
+}
+
 /// Masked multiplies credit everything they charge: once a batch of them
 /// has drained, the shared device tracker is back at zero.
 #[test]

@@ -41,12 +41,6 @@ impl Bins {
             .map(move |b| (b, self.bucket(b)))
             .filter(|(_, rows)| !rows.is_empty())
     }
-
-    /// Number of buckets holding at least one row (the occupancy the
-    /// observability layer reports per binned dispatch).
-    pub fn occupied_buckets(&self) -> usize {
-        self.iter_nonempty().count()
-    }
 }
 
 /// Which bucket a key belongs to, clamped to `bucket_count` buckets.

@@ -61,6 +61,6 @@ pub use observe::{
 pub use scan::{
     exclusive_scan_in_place, exclusive_scan_to, par_exclusive_scan_in_place, par_exclusive_scan_to,
 };
-pub use split::{split_mut_by_offsets, split_mut_uniform};
+pub use split::split_mut_by_offsets;
 pub use timer::{time, Breakdown, Step};
 pub use tracker::{MemTracker, TrackedBuf};

@@ -58,11 +58,6 @@ pub enum Counter {
     BytesAlloc,
     /// Bytes credited back to the device through an attached tracker.
     BytesFreed,
-    /// Tiles dispatched through `Scheduling::Binned`'s work-estimate bins
-    /// (steps 2 and 3 each count their own dispatch).
-    BinnedTiles,
-    /// Non-empty work-estimate buckets observed by binned dispatches.
-    BinsOccupied,
     /// Output tiles whose intersection resolved to the binary-search kernel
     /// (the chosen-kernel histogram of `IntersectionKind::Adaptive`; fixed
     /// kinds also report here so the three picks always sum to the visited
@@ -120,21 +115,15 @@ pub enum Counter {
     /// Step-3 tiles run through the SIMD sparse kernel (lane-built rank
     /// tables). A subset of `sparse_acc_picks`; zero on the scalar path.
     SimdSparsePicks,
-    /// Step-3 tiles run through the SIMD dense micro-kernel because the
-    /// paper's `tnnz` rule picked the dense accumulator. A subset of
-    /// `dense_acc_picks`; zero on the scalar path.
+    /// Step-3 tiles run through the SIMD dense micro-kernel (the paper's
+    /// `tnnz` rule, or a masked tile the mask cut, picked the dense
+    /// accumulator). A subset of `dense_acc_picks`; zero on the scalar path.
     SimdDensePicks,
-    /// Step-3 tiles promoted to the dense 16×16 micro-kernel by the
-    /// dense-tile fast path (below `tnnz`) or pinned by `ForceDenseTile`.
-    /// The legacy `sparse_acc_picks`/`dense_acc_picks` counters keep
-    /// recording the paper's threshold rule for these tiles, so this
-    /// overlays (rather than partitions) those counts.
-    DenseTilePicks,
 }
 
 /// Number of counter slots. Kept in sync with [`Counter`]; new counters are
 /// appended (the enum is `#[non_exhaustive]`).
-pub const COUNTER_COUNT: usize = 31;
+pub const COUNTER_COUNT: usize = 28;
 
 /// Every counter, in slot order, with its snake_case wire name.
 pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
@@ -145,8 +134,6 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::DenseAccPicks, "dense_acc_picks"),
     (Counter::BytesAlloc, "bytes_alloc"),
     (Counter::BytesFreed, "bytes_freed"),
-    (Counter::BinnedTiles, "binned_tiles"),
-    (Counter::BinsOccupied, "bins_occupied"),
     (Counter::IsectBinaryPicks, "isect_binary_picks"),
     (Counter::IsectMergePicks, "isect_merge_picks"),
     (Counter::IsectBitmapPicks, "isect_bitmap_picks"),
@@ -168,7 +155,6 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::EstSampleFallback, "est_sample_fallback"),
     (Counter::SimdSparsePicks, "simd_sparse_picks"),
     (Counter::SimdDensePicks, "simd_dense_picks"),
-    (Counter::DenseTilePicks, "dense_tile_picks"),
 ];
 
 /// The five estimator-error buckets in ascending log₂(peak/est) order, so a

@@ -37,14 +37,6 @@ pub fn split_mut_by_offsets<'a, T>(data: &'a mut [T], offsets: &[usize]) -> Vec<
     windows
 }
 
-/// Splits `data` into `parts` near-equal mutable windows (the last may be
-/// shorter). Useful for chunked parallel fills where no offset array exists.
-pub fn split_mut_uniform<T>(data: &mut [T], parts: usize) -> Vec<&mut [T]> {
-    assert!(parts > 0, "parts must be positive");
-    let chunk = data.len().div_ceil(parts).max(1);
-    data.chunks_mut(chunk).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,15 +88,5 @@ mod tests {
     fn rejects_nonzero_start() {
         let mut data = vec![0u8; 4];
         split_mut_by_offsets(&mut data, &[1, 4]);
-    }
-
-    #[test]
-    fn uniform_split_covers_everything() {
-        let mut data: Vec<usize> = (0..17).collect();
-        let total: usize = split_mut_uniform(&mut data, 4)
-            .into_iter()
-            .map(|w| w.len())
-            .sum();
-        assert_eq!(total, 17);
     }
 }

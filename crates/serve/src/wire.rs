@@ -510,7 +510,6 @@ fn parse_overrides(req: &Value) -> Result<(Option<Config>, Option<Duration>), St
         let scheduling = match s {
             "per-tile" => Scheduling::PerTile,
             "per-tile-row" => Scheduling::PerTileRow,
-            "binned" => Scheduling::Binned,
             _ => return Err("unknown scheduling".to_string()),
         };
         config.get_or_insert_with(Config::default).scheduling = scheduling;

@@ -1,12 +1,13 @@
 //! Scheduler behaviour: weighted-fair interleaving, backpressure instead of
 //! shedding, deferred admission, batch dependencies, cancellation, drain.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use tsg_engine::{Engine, EngineConfig, EngineError};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::Csr;
+use tsg_runtime::observe::{Counter, MetricsSnapshot, Recorder, SpanId};
 use tsg_runtime::Device;
 use tsg_serve::{
     Operand, SchedConfig, Scheduler, Submission, SubmitError, SubmitSpec, SERVE_JOB_BASE,
@@ -135,6 +136,56 @@ fn weights_bias_the_dispatch_ratio() {
     assert_eq!(heavy, 4, "dispatch log {log:?}");
 }
 
+/// A recorder for the engine's device tracker that parks the first job to
+/// charge device memory until the test opens the gate, so that job stays in
+/// flight for as long as the test needs, however fast it would run.
+#[derive(Debug, Default)]
+struct Gate {
+    /// `(a job is parked or has passed, the gate is open)`.
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn wait_until_parked(&self) {
+        let mut state = self.state.lock().unwrap();
+        while !state.0 {
+            state = self.cv.wait(state).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+impl Recorder for Gate {
+    // Enabled, or the tracker would not attach it.
+    fn is_enabled(&self) -> bool {
+        true
+    }
+
+    fn span_enter(&self, _job: u64, _name: &'static str) -> SpanId {
+        SpanId::NULL
+    }
+
+    fn span_exit(&self, _span: SpanId) {}
+
+    fn add(&self, _counter: Counter, _n: u64) {
+        let mut state = self.state.lock().unwrap();
+        state.0 = true;
+        self.cv.notify_all();
+        while !state.1 {
+            state = self.cv.wait(state).unwrap();
+        }
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot::default()
+    }
+}
+
 #[test]
 fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     let mut device = Device::rtx3090_sim();
@@ -155,6 +206,13 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     let sid = sched.open_session("pressured", 1.0, Some(1)).unwrap();
     let (blocker, _) = sched.engine().register(banded(2048, 24, 12));
     let (small, _) = sched.engine().register(Csr::<f64>::identity(64));
+    // The blocker parks on its first device charge until the gate opens, so
+    // it pins the only worker whatever the machine's speed.
+    let gate = Arc::new(Gate::default());
+    sched
+        .engine()
+        .device_tracker()
+        .set_recorder(Some(Arc::clone(&gate) as Arc<dyn Recorder>));
 
     let Submission::Queued(head) = sched
         .submit(sid, vec![SubmitSpec::new(blocker, blocker)])
@@ -162,11 +220,10 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     else {
         panic!("empty queue must accept")
     };
-    // Wait until the blocker leaves the session queue for the engine, so
-    // the depth-1 queue is empty again.
-    while sched.stats().in_flight == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // Once the blocker is parked on the engine's worker it has left the
+    // session queue for the engine, so the depth-1 queue is empty again.
+    gate.wait_until_parked();
+    assert_eq!(sched.stats().in_flight, 1);
     let Submission::Queued(second) = sched
         .submit(sid, vec![SubmitSpec::new(small, small)])
         .unwrap()
@@ -185,8 +242,12 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     assert_eq!(hint.queue_position, 1);
     assert!(hint.retry_after >= Duration::from_millis(1));
     assert_eq!(sched.stats().backpressure_hints, 1);
+    // The premise: the hint was answered while the blocker still ran.
+    assert!(head[0].try_result().is_none(), "the blocker is in flight");
+    assert_eq!(sched.stats().in_flight, 1);
 
     // Resubmitting after the backlog drains succeeds: nothing was lost.
+    gate.open();
     wait_all(&head);
     wait_all(&second);
     let Submission::Queued(third) = sched

@@ -441,6 +441,20 @@ fn hostile_input_stays_on_protocol_and_never_kills_the_loop() {
     let product = serve.request_ok(&format!(r#"{{"op":"multiply","a":"{id2}","b":"{id2}"}}"#));
     assert!(product.get("nnz_c").and_then(Value::as_u64).unwrap() > 0);
 
+    // A retired scheduling name is as unknown as any other: bad_request,
+    // and the session answers the next line.
+    let err = serve.request(&format!(
+        r#"{{"op":"multiply","a":"{id2}","b":"{id2}","scheduling":"binned"}}"#
+    ));
+    assert_eq!(error_code(&err), "bad_request");
+    let message = err.get("error").and_then(|e| e.get("message"));
+    assert_eq!(
+        message.and_then(Value::as_str),
+        Some("unknown scheduling"),
+        "{err}"
+    );
+    serve.request_ok(r#"{"op":"hello"}"#);
+
     let bye = serve.request(r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
     let status = serve.child.wait().expect("server exits after shutdown");

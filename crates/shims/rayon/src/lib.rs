@@ -6,8 +6,8 @@
 //! every terminal operation splits its indexed producer into small chunks and
 //! drains them from a shared queue on `std::thread::scope` workers, so chunks
 //! self-schedule dynamically — heavy chunks keep one worker busy while the
-//! rest of the queue drains elsewhere. That property is what makes the
-//! heaviest-first binned dispatch in `tilespgemm-core` meaningful.
+//! rest of the queue drains elsewhere. That property is what lets the
+//! per-tile dispatch in `tilespgemm-core` balance uneven tiles.
 //!
 //! Supported surface (all of it exercised by this workspace):
 //! * `par_iter` / `par_iter_mut` / `into_par_iter` (slices, `Vec`, ranges)

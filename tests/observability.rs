@@ -7,7 +7,6 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tilespgemm::core::Scheduling;
 use tilespgemm::prelude::*;
 
 /// A representative mix: a banded FEM-like pattern, a power-law scatter,
@@ -127,32 +126,6 @@ fn byte_counters_reconcile_with_the_tracker() {
             out.peak_bytes
         );
     }
-}
-
-#[test]
-fn binned_scheduling_reports_bin_occupancy() {
-    let (_, ta) = fixtures().remove(0);
-    let cfg = Config::builder().scheduling(Scheduling::Binned).build();
-    // A single worker resolves Binned to PerTile (the bins cannot balance
-    // anything there), so pin the counter contract inside a two-worker
-    // pool where the binned dispatch genuinely runs — host-independent.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("two-worker pool");
-    let (out, recorder, _ctx) = pool.install(|| profiled_square(&ta, cfg));
-    let snap = recorder.snapshot();
-    // Steps 2 and 3 each dispatch the full tile set through the bins.
-    assert_eq!(
-        snap.get(Counter::BinnedTiles) as usize,
-        2 * out.c.tile_count()
-    );
-    let occupied = snap.get(Counter::BinsOccupied);
-    assert!(occupied > 0, "some work bucket is non-empty");
-    assert!(
-        occupied <= 2 * 20,
-        "at most all 20 buckets per binned dispatch"
-    );
 }
 
 #[test]

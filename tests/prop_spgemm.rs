@@ -73,11 +73,7 @@ fn check_staged_pair_buffer(
         .num_threads(threads)
         .build()
         .unwrap();
-    for scheduling in [
-        Scheduling::PerTile,
-        Scheduling::PerTileRow,
-        Scheduling::Binned,
-    ] {
+    for scheduling in [Scheduling::PerTile, Scheduling::PerTileRow] {
         let run = |pair_reuse| {
             let cfg = Config::builder()
                 .scheduling(scheduling)
