@@ -1,19 +1,18 @@
 //! Fault-injection tests (`--features failpoints`).
 //!
-//! Each test arms one failpoint from the catalog (DESIGN.md §10.3) and
+//! Each test arms one failpoint from the catalog (DESIGN.md §10.4) and
 //! asserts *graceful degradation*: the stable error code comes back, the
 //! memory tracker unwinds to balance, and the component keeps serving
 //! afterwards. Every test holds [`failpoint::exclusive`] because the
-//! registry is process-global.
+//! registry is process-global. The two request-framing sites
+//! (`protocol.*`) live in `tsg-serve`'s request handler and are tested in
+//! `crates/serve/tests/failpoints.rs`.
 
 #![cfg(feature = "failpoints")]
-
-use std::sync::Arc;
 
 use tilespgemm_core::{multiply_csr, Config};
 use tsg_baselines::reference::reference_spgemm;
 use tsg_check::{compare_csr, corpus, ValuePolicy};
-use tsg_engine::protocol::{Control, Session};
 use tsg_engine::{Engine, EngineConfig, JobSpec};
 use tsg_runtime::failpoint;
 use tsg_runtime::MemTracker;
@@ -111,14 +110,14 @@ fn engine_job_survives_device_oom() {
 
     failpoint::arm("tracker.alloc", 0, 1);
     let err = engine
-        .multiply_now(JobSpec::new(ida, idb))
+        .multiply_now(JobSpec::multiply(ida, idb))
         .expect_err("armed job must fail");
     assert_eq!(err.code(), "out_of_memory");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
     assert_eq!(engine.stats().failed, 1);
 
     let report = engine
-        .multiply_now(JobSpec::new(ida, idb))
+        .multiply_now(JobSpec::multiply(ida, idb))
         .expect("engine keeps serving after a failed job");
     assert!(report.nnz_c > 0);
     engine.shutdown();
@@ -138,7 +137,7 @@ fn cache_alloc_failure_falls_back_to_uncached_conversion() {
     assert!(!hit, "conversion served fresh, not from cache");
     assert_eq!(engine.stats().registry.uncached_conversions, 1);
 
-    let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
     assert!(report.nnz_c > 0);
     engine.shutdown();
 }
@@ -157,7 +156,7 @@ fn eviction_race_reconverts_and_completes() {
     engine.convert(idb).unwrap();
 
     failpoint::arm("registry.evict_all", 0, 1);
-    let report = engine.multiply_now(JobSpec::new(ida, idb)).unwrap();
+    let report = engine.multiply_now(JobSpec::multiply(ida, idb)).unwrap();
     let stats = engine.stats();
     assert!(
         stats.registry.evictions >= 2,
@@ -183,12 +182,12 @@ fn queue_full_sheds_and_recovers() {
 
     failpoint::arm("engine.queue_full", 0, 1);
     let err = engine
-        .submit(JobSpec::new(id, id))
+        .submit(JobSpec::multiply(id, id))
         .expect_err("armed submission is shed");
     assert_eq!(err.code(), "queue_full");
     assert_eq!(engine.stats().shed, 1);
 
-    let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
     assert!(report.nnz_c > 0);
     engine.shutdown();
 }
@@ -205,12 +204,12 @@ fn resolve_race_fails_job_but_not_the_worker() {
 
     failpoint::arm("engine.resolve", 0, 1);
     let err = engine
-        .multiply_now(JobSpec::new(id, id))
+        .multiply_now(JobSpec::multiply(id, id))
         .expect_err("armed resolve must fail");
     assert_eq!(err.code(), "unknown_matrix");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
 
-    let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
     assert!(report.nnz_c > 0);
     engine.shutdown();
 }
@@ -256,48 +255,6 @@ fn chain_intermediate_registration_failure_degrades_gracefully() {
     engine.shutdown();
 }
 
-/// A request frame truncated in transit parses as garbage: the session
-/// answers `bad_request` and keeps serving the same connection.
-#[test]
-fn truncated_frame_is_bad_request_and_session_survives() {
-    let _x = failpoint::exclusive();
-    let session = Session::new(Arc::new(Engine::new(EngineConfig::default())));
-
-    failpoint::arm("protocol.truncate_request", 0, 1);
-    let (resp, ctl) = session.handle_line(r#"{"op":"stats"}"#);
-    assert_eq!(ctl, Control::Continue);
-    assert!(resp.contains("\"bad_request\""), "got: {resp}");
-
-    let (resp, ctl) = session.handle_line(r#"{"op":"stats"}"#);
-    assert_eq!(ctl, Control::Continue);
-    assert!(
-        !resp.contains("\"error\""),
-        "session must keep serving: {resp}"
-    );
-    session.engine().shutdown();
-}
-
-/// A frame over the 16 MiB limit — injected, so the harness does not ship
-/// 16 MiB — is refused with `frame_too_large` before parsing, and the
-/// session keeps serving.
-#[test]
-fn oversized_frame_is_refused_and_session_survives() {
-    let _x = failpoint::exclusive();
-    let session = Session::new(Arc::new(Engine::new(EngineConfig::default())));
-
-    failpoint::arm("protocol.oversized_request", 0, 1);
-    let (resp, ctl) = session.handle_line(r#"{"op":"hello"}"#);
-    assert_eq!(ctl, Control::Continue);
-    assert!(resp.contains("\"frame_too_large\""), "got: {resp}");
-
-    let (resp, _) = session.handle_line(r#"{"op":"hello"}"#);
-    assert!(
-        !resp.contains("\"error\""),
-        "session must keep serving: {resp}"
-    );
-    session.engine().shutdown();
-}
-
 /// The sampled admission estimator "fails" (`engine.estimate_sample`): the
 /// estimate must fall back to the constant-compression upper bound and the
 /// job must still be *admitted* — degraded estimation may widen the
@@ -330,7 +287,7 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
     // reject a job the default budget admits.
     failpoint::arm("engine.estimate_sample", 0, 1);
     let report = engine
-        .multiply_now(JobSpec::new(ida, idb))
+        .multiply_now(JobSpec::multiply(ida, idb))
         .expect("job admitted and completed on the fallback estimate");
     assert!(report.nnz_c > 0);
     assert!(report.estimate.sample.is_none());

@@ -180,17 +180,6 @@ impl OpSpec {
             }
         }
     }
-
-    /// Stable kind name (used in protocol responses and bench rows).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OpSpec::Multiply { .. } => "multiply",
-            OpSpec::MaskedMultiply { .. } => "masked_multiply",
-            OpSpec::Add { .. } => "add",
-            OpSpec::Chain { .. } => "chain",
-            OpSpec::Power { .. } => "power",
-        }
-    }
 }
 
 /// One job request: an [`OpSpec`] expression plus scheduling knobs.
@@ -213,15 +202,6 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job multiplying `a · b` with engine defaults.
-    ///
-    /// Kept as a thin compatibility wrapper over [`JobSpec::multiply`]; the
-    /// protocol-v2 `multiply` verb and all pre-expression callers build
-    /// their specs here and behave exactly as before the op redesign.
-    pub fn new(a: MatrixId, b: MatrixId) -> Self {
-        Self::multiply(a, b)
-    }
-
     /// A job running an arbitrary op expression with engine defaults.
     pub fn of(op: OpSpec) -> Self {
         JobSpec {

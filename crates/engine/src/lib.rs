@@ -13,33 +13,34 @@
 //! service-level statistics (queue wait, cache hit rate, evictions, shed
 //! jobs).
 //!
-//! The [`protocol`] module exposes the engine as a JSON-lines request/
-//! response protocol; the `tsg-serve` binary serves it over stdin/stdout or
-//! TCP, and the `tile_spgemm client` subcommand drives it from scripts.
+//! The engine is a typed Rust API: [`Engine::register`], [`Engine::submit`]
+//! with a [`JobSpec`], [`Engine::stats`]. Its one JSON front end is the
+//! `tsg-serve` crate's request handler, which the `tsg-serve` binary serves
+//! over stdin/stdout or TCP and the `tile_spgemm client` subcommand drives
+//! from scripts; [`json`] is the dependency-free JSON value type that front
+//! end and the serving benchmark share.
 //!
 //! ```
 //! use tsg_engine::{Engine, EngineConfig, JobSpec};
 //!
 //! let engine = Engine::new(EngineConfig::default());
 //! let (id, _) = engine.register(tsg_matrix::Csr::<f64>::identity(64));
-//! let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+//! let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
 //! assert_eq!(report.nnz_c, 64);
 //! // The second product of the same operands reuses the cached conversion.
-//! let again = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+//! let again = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
 //! assert_eq!(again.cache_hits, 2);
 //! ```
 
 pub mod engine;
 pub mod estimate;
 pub mod json;
-pub mod protocol;
 pub mod registry;
 
 pub use engine::{
     Engine, EngineConfig, EngineStats, JobReport, JobResult, JobSpec, JobTicket, OpSpec,
 };
 pub use estimate::{estimate_job, JobEstimate};
-pub use protocol::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use registry::{MatrixId, Registry, RegistryStats, TiledLookup};
 
 use tilespgemm_core::SpGemmError;

@@ -35,7 +35,7 @@ fn over_budget_estimate_is_rejected_up_front() {
     let est = engine.estimate(id, id).unwrap();
     assert!(est.est_bytes > engine.device().mem_budget);
 
-    let err = engine.submit(JobSpec::new(id, id)).unwrap_err();
+    let err = engine.submit(JobSpec::multiply(id, id)).unwrap_err();
     match err {
         EngineError::EstimateExceedsBudget { est_bytes, budget } => {
             assert_eq!(est_bytes, est.est_bytes);
@@ -54,7 +54,7 @@ fn over_budget_estimate_is_rejected_up_front() {
 
     // An over-budget spec can still be force-admitted by a scheduler doing
     // its own deferred admission; the mid-flight tracker stays the backstop.
-    let mut solo = JobSpec::new(id, id);
+    let mut solo = JobSpec::multiply(id, id);
     solo.admitted = Some(est);
     let err = engine.multiply_now(solo).unwrap_err();
     assert_eq!(err.code(), "out_of_memory");
@@ -87,7 +87,7 @@ fn mid_flight_budget_trip_fails_the_job_and_frees_back_to_zero() {
     let (id, _) = unconstrained.register(a.clone());
     let est = unconstrained.estimate(id, id).unwrap();
     let peak = unconstrained
-        .multiply_now(JobSpec::new(id, id))
+        .multiply_now(JobSpec::multiply(id, id))
         .unwrap()
         .peak_bytes;
     assert!(
@@ -100,7 +100,7 @@ fn mid_flight_budget_trip_fails_the_job_and_frees_back_to_zero() {
     let budget = est.est_bytes + (peak - est.est_bytes) / 4;
     let engine = engine_with_budget(budget);
     let (id, _) = engine.register(a);
-    let err = engine.multiply_now(JobSpec::new(id, id)).unwrap_err();
+    let err = engine.multiply_now(JobSpec::multiply(id, id)).unwrap_err();
     match &err {
         EngineError::SpGemm(SpGemmError::OutOfMemory(trip)) => {
             assert_eq!(err.code(), "out_of_memory");
@@ -118,7 +118,10 @@ fn mid_flight_budget_trip_fails_the_job_and_frees_back_to_zero() {
     // The engine stays serviceable: a small product still completes.
     let (tiny, _) = engine.register(Csr::<f64>::identity(64));
     assert_eq!(
-        engine.multiply_now(JobSpec::new(tiny, tiny)).unwrap().nnz_c,
+        engine
+            .multiply_now(JobSpec::multiply(tiny, tiny))
+            .unwrap()
+            .nnz_c,
         64
     );
 }
@@ -131,9 +134,9 @@ fn repeated_multiplies_convert_once_and_match_direct_multiply() {
     let (ia, _) = engine.register(a.clone());
     let (ib, _) = engine.register(b.clone());
 
-    let first = engine.multiply_now(JobSpec::new(ia, ib)).unwrap();
-    let second = engine.multiply_now(JobSpec::new(ia, ib)).unwrap();
-    let third = engine.multiply_now(JobSpec::new(ia, ib)).unwrap();
+    let first = engine.multiply_now(JobSpec::multiply(ia, ib)).unwrap();
+    let second = engine.multiply_now(JobSpec::multiply(ia, ib)).unwrap();
+    let third = engine.multiply_now(JobSpec::multiply(ia, ib)).unwrap();
 
     // Exactly one conversion per operand, all on the first job.
     assert_eq!(first.conversions, 2);
@@ -162,13 +165,13 @@ fn repeated_multiplies_convert_once_and_match_direct_multiply() {
 fn kept_products_register_with_preseeded_conversion() {
     let engine = Engine::new(EngineConfig::default());
     let (ia, _) = engine.register(scatter(256, 4, 2));
-    let r = engine.multiply_now(JobSpec::new(ia, ia)).unwrap();
+    let r = engine.multiply_now(JobSpec::multiply(ia, ia)).unwrap();
 
     let (ic, dedup) = engine.register_product(std::sync::Arc::clone(&r.c));
     assert!(!dedup);
     // The cache was pre-seeded with the product itself, so using it as an
     // operand costs no conversion (ia is already cached from the first job).
-    let r2 = engine.multiply_now(JobSpec::new(ic, ia)).unwrap();
+    let r2 = engine.multiply_now(JobSpec::multiply(ic, ia)).unwrap();
     assert_eq!(r2.conversions, 0);
     assert_eq!(r2.cache_hits, 2);
     // Content-addressed: re-registering the product — through either path —
@@ -188,7 +191,7 @@ fn completed_jobs_populate_the_estimator_error_counters() {
         ..EngineConfig::default()
     });
     let (id, _) = engine.register(scatter(512, 8, 21));
-    let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
 
     // Exactly one completed job → exactly one est-error observation, in the
     // bucket the report's own numbers map to.
@@ -218,7 +221,7 @@ fn masked_multiplies_tick_est_err_and_sample_counters() {
     let (id, _) = engine.register(scatter(512, 8, 21));
     let (mask, _) = engine.register(scatter(512, 2, 4));
 
-    let plain = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+    let plain = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
     let masked = engine
         .multiply_now(JobSpec::of(OpSpec::MaskedMultiply { a: id, b: id, mask }))
         .unwrap();
@@ -381,12 +384,12 @@ fn full_queue_sheds_with_backpressure() {
     let (big, _) = engine.register(scatter(4096, 12, 3));
     let (tiny, _) = engine.register(Csr::<f64>::identity(64));
 
-    let mut tickets = vec![engine.submit(JobSpec::new(big, big)).unwrap()];
+    let mut tickets = vec![engine.submit(JobSpec::multiply(big, big)).unwrap()];
     let mut shed = 0;
     // Keep submitting until backpressure appears; the queue holds 2, so at
     // most 3 submissions can be in flight before one is shed.
     for _ in 0..16 {
-        match engine.submit(JobSpec::new(tiny, tiny)) {
+        match engine.submit(JobSpec::multiply(tiny, tiny)) {
             Ok(t) => tickets.push(t),
             Err(EngineError::QueueFull { depth }) => {
                 assert_eq!(depth, 2);
@@ -414,9 +417,9 @@ fn queued_jobs_can_be_canceled_but_not_running_ones() {
     let (tiny, _) = engine.register(Csr::<f64>::identity(64));
 
     // The worker picks this up immediately; cancel arrives too late.
-    let running = engine.submit(JobSpec::new(big, big)).unwrap();
+    let running = engine.submit(JobSpec::multiply(big, big)).unwrap();
     // This one waits behind it; cancel lands while it is still queued.
-    let queued = engine.submit(JobSpec::new(tiny, tiny)).unwrap();
+    let queued = engine.submit(JobSpec::multiply(tiny, tiny)).unwrap();
     queued.cancel();
 
     assert_eq!(queued.wait().unwrap_err(), EngineError::Canceled);
@@ -443,30 +446,33 @@ fn admitted_estimates_are_reported_verbatim_and_operands_still_checked() {
     let mut handed = engine.estimate(a, a).unwrap();
     handed.est_bytes += 12_345;
     handed.sample = None;
-    let mut spec = JobSpec::new(a, a);
+    let mut spec = JobSpec::multiply(a, a);
     spec.admitted = Some(handed);
     let report = engine.multiply_now(spec).unwrap();
     assert_eq!(report.estimate, handed);
 
     // Operands and shapes are still checked at submit.
     let (wide, _) = engine.register(Csr::<f64>::zero(8, 9));
-    let mut mismatched = JobSpec::new(wide, wide);
+    let mut mismatched = JobSpec::multiply(wide, wide);
     mismatched.admitted = Some(handed);
     assert_eq!(
         engine.submit(mismatched).unwrap_err().code(),
-        engine.submit(JobSpec::new(wide, wide)).unwrap_err().code()
+        engine
+            .submit(JobSpec::multiply(wide, wide))
+            .unwrap_err()
+            .code()
     );
 
     // An operand unloaded between submit and execution fails the job with
     // `unknown_matrix`, exactly as without a handed estimate.
-    let running = engine.submit(JobSpec::new(big, big)).unwrap();
-    let mut queued = JobSpec::new(a, a);
+    let running = engine.submit(JobSpec::multiply(big, big)).unwrap();
+    let mut queued = JobSpec::multiply(a, a);
     queued.admitted = Some(handed);
     let queued = engine.submit(queued).unwrap();
     engine.unregister(a).unwrap();
     assert_eq!(queued.wait().unwrap_err().code(), "unknown_matrix");
     assert!(running.wait().is_ok());
-    let mut gone = JobSpec::new(a, a);
+    let mut gone = JobSpec::multiply(a, a);
     gone.admitted = Some(handed);
     assert_eq!(engine.submit(gone).unwrap_err().code(), "unknown_matrix");
 }
@@ -645,7 +651,7 @@ fn warm_memo_jobs_still_tick_the_estimator_counters() {
     let (id, _) = engine.register(scatter(512, 8, 81));
     let warm = engine.estimate(id, id).unwrap();
     for _ in 0..3 {
-        let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
+        let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
         assert_eq!(report.estimate, warm);
     }
     assert_eq!(engine.stats().registry.estimate_hits, 3);
@@ -684,8 +690,8 @@ fn queue_wait_deadline_times_out_stale_jobs() {
     let (big, _) = engine.register(scatter(4096, 12, 6));
     let (tiny, _) = engine.register(Csr::<f64>::identity(64));
 
-    let running = engine.submit(JobSpec::new(big, big)).unwrap();
-    let mut stale = JobSpec::new(tiny, tiny);
+    let running = engine.submit(JobSpec::multiply(big, big)).unwrap();
+    let mut stale = JobSpec::multiply(tiny, tiny);
     stale.timeout = Some(Duration::ZERO); // expires the instant it queues
     let stale = engine.submit(stale).unwrap();
 
@@ -702,7 +708,7 @@ fn shutdown_drains_queued_jobs_then_refuses_new_ones() {
     });
     let (id, _) = engine.register(scatter(512, 4, 8));
     let tickets: Vec<_> = (0..6)
-        .map(|_| engine.submit(JobSpec::new(id, id)).unwrap())
+        .map(|_| engine.submit(JobSpec::multiply(id, id)).unwrap())
         .collect();
     engine.shutdown();
     // Graceful: everything admitted before shutdown still completed.
@@ -710,7 +716,7 @@ fn shutdown_drains_queued_jobs_then_refuses_new_ones() {
         t.wait().unwrap();
     }
     assert_eq!(
-        engine.submit(JobSpec::new(id, id)).unwrap_err(),
+        engine.submit(JobSpec::multiply(id, id)).unwrap_err(),
         EngineError::ShuttingDown
     );
 }

@@ -93,8 +93,11 @@ pub enum Counter {
     ServeDeferred,
     /// Jobs that arrived as members of a `multiply_many` batch.
     ServeBatchJobs,
-    /// Multiply links executed inside `Chain`/`Power` jobs (a chain of `n`
-    /// operands reports `n - 1` links; plain multiplies report none).
+    /// Multiply links of chain and power expressions (a chain of `n`
+    /// operands has `n - 1` links; plain multiplies have none). An engine
+    /// `Chain`/`Power` job adds its links when it completes; `tsg-serve`,
+    /// which lowers `chain`/`power` requests to batches of linked
+    /// multiplies, adds a batch's links when it queues the batch.
     ChainLinks,
     /// Masked-multiply jobs completed (`MaskedMultiply`, or a chain whose
     /// final link carried a mask).

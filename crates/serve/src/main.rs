@@ -5,7 +5,7 @@
 //! over TCP, one session per connection, all connections sharing one engine
 //! and one weighted-fair scheduler (and therefore one matrix registry, one
 //! device budget, and one dispatch order). See `tsg_serve::wire` for the
-//! protocol v2 verbs and DESIGN.md §12 for the serving model.
+//! protocol's verbs and DESIGN.md §12 for the serving model.
 //!
 //! ```text
 //! tsg-serve [--device 0|1] [--workers N] [--queue-depth N]

@@ -40,9 +40,9 @@
 //!   registry lock), so job N+1's CSR→tiled conversion runs while job N
 //!   computes.
 //!
-//! Serve-level job ids live at [`SERVE_JOB_BASE`] and above so they can
-//! never collide with the engine's own ticket ids on the shared `wait`
-//! verb.
+//! Serve-level job ids live at [`SERVE_JOB_BASE`] and above, apart from
+//! the engine's own ticket ids, so a job id on the wire always names a
+//! scheduler job.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
@@ -57,7 +57,7 @@ use tsg_engine::{Engine, EngineError, JobEstimate, JobReport, JobSpec, MatrixId,
 use tsg_runtime::observe::{Counter, QueueGauge, WaitGauge};
 
 /// Serve-level job ids count up from here (engine ticket ids count up from
-/// 1), so the two id spaces never collide on the protocol's `wait` verb.
+/// 1), so a scheduler job id is never mistaken for an engine ticket id.
 pub const SERVE_JOB_BASE: u64 = 1 << 32;
 
 /// Scheduler construction parameters.
@@ -94,7 +94,9 @@ pub enum Operand {
     Ref(usize),
 }
 
-/// One multiply in a submission (single job or batch entry).
+/// One job in a submission (single job or batch entry): the product
+/// `a·b`, masked when `mask` is set, or with `add` the sum `alpha·a +
+/// beta·b`.
 #[derive(Debug, Clone)]
 pub struct SubmitSpec {
     /// Left operand.
@@ -106,6 +108,10 @@ pub struct SubmitSpec {
     /// `$k` back-reference, so a chain's final link can mask by an earlier
     /// entry's product.
     pub mask: Option<Operand>,
+    /// `Some((alpha, beta))` makes the job the sum `alpha·a + beta·b`
+    /// instead of a product. A sum has no product to mask, so it ignores
+    /// `mask`, as [`JobSpec::mask`] does.
+    pub add: Option<(f64, f64)>,
     /// Pipeline configuration override; `None` uses the engine's base.
     pub config: Option<Config>,
     /// Total queue-wait deadline (scheduler and engine queues combined).
@@ -113,8 +119,8 @@ pub struct SubmitSpec {
     /// Register the product as an operand and report its handle.
     pub keep: bool,
     /// How a registered product (kept or `$k`-referenced) enters the
-    /// registry: `true` materializes its CSR (the v2 behaviour, handles
-    /// usable everywhere), `false` registers the tiled form as a resident
+    /// registry: `true` materializes its CSR (handles usable everywhere),
+    /// `false` registers the tiled form as a resident
     /// entry — chain links stay handle-in/handle-out with no CSR
     /// round-trip.
     pub materialize: bool,
@@ -127,6 +133,7 @@ impl SubmitSpec {
             a: Operand::Id(a),
             b: Operand::Id(b),
             mask: None,
+            add: None,
             config: None,
             timeout: None,
             keep: false,
@@ -135,19 +142,26 @@ impl SubmitSpec {
     }
 
     /// Every operand the job depends on, mask included.
-    fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+    pub(crate) fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
         [Some(self.a), Some(self.b), self.mask]
             .into_iter()
             .flatten()
     }
 }
 
-/// The engine op for resolved operands: masked multiply when a mask rides
-/// along, plain multiply otherwise.
-fn op_spec(a: MatrixId, b: MatrixId, mask: Option<MatrixId>) -> OpSpec {
-    match mask {
-        Some(mask) => OpSpec::MaskedMultiply { a, b, mask },
-        None => OpSpec::Multiply { a, b },
+/// The engine op for resolved operands: an add when `add` carries its
+/// scalars, a masked multiply when a mask rides along, a plain multiply
+/// otherwise.
+pub(crate) fn op_spec(
+    add: Option<(f64, f64)>,
+    a: MatrixId,
+    b: MatrixId,
+    mask: Option<MatrixId>,
+) -> OpSpec {
+    match (add, mask) {
+        (Some((alpha, beta)), _) => OpSpec::Add { alpha, a, beta, b },
+        (None, Some(mask)) => OpSpec::MaskedMultiply { a, b, mask },
+        (None, None) => OpSpec::Multiply { a, b },
     }
 }
 
@@ -162,7 +176,7 @@ fn handle_op(spec: &SubmitSpec) -> Option<OpSpec> {
         Some(m) => Some(id(m)?),
         None => None,
     };
-    Some(op_spec(id(spec.a)?, id(spec.b)?, mask))
+    Some(op_spec(spec.add, id(spec.a)?, id(spec.b)?, mask))
 }
 
 /// Structured flow-control answer to a submission that could not be queued:
@@ -1069,7 +1083,7 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
             return Scan::Estimate {
                 sid,
                 job: head.id,
-                op: op_spec(a, b, mask),
+                op: op_spec(head.spec.add, a, b, mask),
             }
         }
     };
@@ -1145,7 +1159,7 @@ fn dispatch(
             Resolved::Ready(id) => id,
             _ => unreachable!("scan only dispatches runnable heads"),
         });
-    let mut spec = JobSpec::of(op_spec(a, b, mask));
+    let mut spec = JobSpec::of(op_spec(job.spec.add, a, b, mask));
     spec.config = job.spec.config;
     spec.timeout = job
         .spec

@@ -15,12 +15,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tsg_engine::protocol::Control;
 use tsg_engine::{Engine, EngineConfig};
 use tsg_runtime::Device;
 
 use crate::scheduler::{SchedConfig, Scheduler};
-use crate::wire::ServeSession;
+use crate::wire::{Control, ServeSession};
 
 /// Everything the binary's command line configures.
 #[derive(Debug, Clone)]

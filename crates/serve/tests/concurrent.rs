@@ -234,11 +234,11 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
                 .expect("known dataset")
                 .build();
             let (m, _) = engine.register(csr);
-            let r1 = engine.multiply_now(JobSpec::new(m, m)).unwrap();
+            let r1 = engine.multiply_now(JobSpec::multiply(m, m)).unwrap();
             let (p1, _) = engine.register_product(Arc::clone(&r1.c));
-            let r2 = engine.multiply_now(JobSpec::new(p1, p1)).unwrap();
+            let r2 = engine.multiply_now(JobSpec::multiply(p1, p1)).unwrap();
             let (p2, _) = engine.register_product(Arc::clone(&r2.c));
-            let r3 = engine.multiply_now(JobSpec::new(p2, m)).unwrap();
+            let r3 = engine.multiply_now(JobSpec::multiply(p2, m)).unwrap();
             let (p3, _) = engine.register_product(Arc::clone(&r3.c));
             chains.push(vec![p1.to_string(), p2.to_string(), p3.to_string()]);
         }
@@ -251,7 +251,7 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
         let addr = addr.clone();
         std::thread::spawn(move || {
             let mut client = Client::connect(&addr);
-            client.request_ok(r#"{"op":"hello","v":2}"#);
+            client.request_ok(r#"{"op":"hello","v":3}"#);
             client.request_ok(&format!(
                 r#"{{"op":"open_session","name":"{name}","weight":{weight},"depth":2}}"#
             ));

@@ -1,11 +1,13 @@
 //! Fault injection for the serving layer (`--features failpoints`).
 //!
-//! The two serve-side failpoints exercise client-visible refusal paths
+//! The serve-side failpoints exercise client-visible refusal paths
 //! deterministically: `serve.session_open` makes the scheduler refuse a
-//! session as if it were draining, and `serve.backpressure_wait` expires
-//! the bounded submission hold immediately so the hint path fires on an
-//! otherwise empty queue. Both tests assert the refusal is clean — the
-//! same call succeeds the moment the failpoint disarms.
+//! session as if it were draining, `serve.backpressure_wait` expires the
+//! bounded submission hold immediately so the hint path fires on an
+//! otherwise empty queue, and the two `protocol.*` sites in
+//! [`ServeSession::handle_line`] truncate a request frame or treat it as
+//! oversized. Every test asserts the refusal is clean — the same call
+//! succeeds the moment the failpoint disarms.
 
 #![cfg(feature = "failpoints")]
 
@@ -15,7 +17,9 @@ use tsg_engine::json::{parse, Value};
 use tsg_engine::{Engine, EngineConfig};
 use tsg_matrix::Csr;
 use tsg_runtime::failpoint;
-use tsg_serve::{SchedConfig, Scheduler, ServeSession, Submission, SubmitError, SubmitSpec};
+use tsg_serve::{
+    Control, SchedConfig, Scheduler, ServeSession, Submission, SubmitError, SubmitSpec,
+};
 
 fn scheduler() -> Scheduler {
     let engine = Engine::new(EngineConfig {
@@ -109,4 +113,51 @@ fn backpressure_wait_failpoint_forces_a_hint_on_an_empty_queue() {
     };
     tickets[0].wait().expect("retried job completes");
     assert_eq!(sched.stats().backpressure_hints, 1, "no further hints");
+}
+
+/// A request frame truncated in transit parses as garbage: the session
+/// answers `bad_request` and keeps serving the same connection.
+#[test]
+fn truncated_frame_is_bad_request_and_session_survives() {
+    let _x = failpoint::exclusive();
+    let session = ServeSession::new(Arc::new(scheduler()));
+
+    failpoint::arm("protocol.truncate_request", 0, 1);
+    let (resp, ctl) = session.handle_line(r#"{"op":"stats"}"#);
+    assert_eq!(ctl, Control::Continue);
+    assert!(resp.contains("\"bad_request\""), "got: {resp}");
+    assert_eq!(failpoint::hits("protocol.truncate_request"), 1);
+
+    let (resp, ctl) = session.handle_line(r#"{"op":"stats"}"#);
+    assert_eq!(ctl, Control::Continue);
+    assert!(
+        !resp.contains("\"error\""),
+        "session must keep serving: {resp}"
+    );
+}
+
+/// A frame over the 16 MiB limit — injected, so the harness does not ship
+/// 16 MiB — is refused with `frame_too_large` before parsing (nothing is
+/// submitted), and the session keeps serving.
+#[test]
+fn oversized_frame_is_refused_and_session_survives() {
+    let _x = failpoint::exclusive();
+    let sched = Arc::new(scheduler());
+    let session = ServeSession::new(Arc::clone(&sched));
+    let (id, _) = sched.engine().register(Csr::<f64>::identity(32));
+    let multiply = format!(r#"{{"op":"multiply","a":"{id}","b":"{id}"}}"#);
+
+    failpoint::arm("protocol.oversized_request", 0, 1);
+    let (resp, ctl) = session.handle_line(&multiply);
+    assert_eq!(ctl, Control::Continue);
+    assert!(resp.contains("\"frame_too_large\""), "got: {resp}");
+    assert_eq!(sched.stats().dispatched, 0, "the refused frame ran nothing");
+
+    let (resp, _) = session.handle_line(&multiply);
+    let v = parse(&resp).unwrap();
+    assert_eq!(
+        v.get("nnz_c").and_then(Value::as_u64),
+        Some(32),
+        "session must keep serving: {resp}"
+    );
 }

@@ -343,15 +343,15 @@ fn batch_refs_chain_products_and_failures_poison_dependents() {
     // the comparison exact — equal ids are bitwise-identical products.
     let engine = sched.engine();
     let r1 = engine
-        .multiply_now(tsg_engine::JobSpec::new(ia, ia))
+        .multiply_now(tsg_engine::JobSpec::multiply(ia, ia))
         .unwrap();
     let (gold1, _) = engine.register_product(Arc::clone(&r1.c));
     let r2 = engine
-        .multiply_now(tsg_engine::JobSpec::new(gold1, gold1))
+        .multiply_now(tsg_engine::JobSpec::multiply(gold1, gold1))
         .unwrap();
     let (gold2, _) = engine.register_product(Arc::clone(&r2.c));
     let r3 = engine
-        .multiply_now(tsg_engine::JobSpec::new(gold2, gold2))
+        .multiply_now(tsg_engine::JobSpec::multiply(gold2, gold2))
         .unwrap();
     let (gold3, _) = engine.register_product(Arc::clone(&r3.c));
 

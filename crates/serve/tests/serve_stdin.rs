@@ -92,7 +92,7 @@ fn load_convert_multiply_stats_over_stdin() {
     // Arrivals are fully accounted: everything submitted was admitted.
     assert_eq!(stats.get("submitted").and_then(Value::as_u64), Some(1));
     assert_eq!(stats.get("admitted").and_then(Value::as_u64), Some(1));
-    // v2 responses extend the same object with the serving layer's view.
+    // The engine's statistics carry the serving layer's view as "serve".
     let serve_stats = stats.get("serve").expect("serve member");
     let sessions = serve_stats
         .get("sessions")
@@ -141,40 +141,46 @@ fn load_convert_multiply_stats_over_stdin() {
 #[test]
 fn protocol_version_is_stamped_and_gated_over_stdin() {
     let mut serve = Serve::spawn(&[]);
+    let error_code = |v: &Value| {
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
 
-    // Every live generation is accepted, and every response stamps the
-    // server's own version (3).
-    for v in [1, 2, 3] {
-        let hello = serve.request_ok(&format!(r#"{{"op":"hello","v":{v}}}"#));
-        assert_eq!(hello.get("v").and_then(Value::as_u64), Some(3));
+    // The server speaks version 3, and every reply stamps it.
+    let hello = serve.request_ok(r#"{"op":"hello","v":3}"#);
+    assert_eq!(hello.get("v").and_then(Value::as_u64), Some(3));
+    assert_eq!(
+        hello.get("server").and_then(Value::as_str),
+        Some("tsg-serve")
+    );
+    assert_eq!(hello.get("profile").and_then(Value::as_bool), Some(false));
+
+    // Any other version — the retired 1 and 2, a future one, a non-number —
+    // is refused with the stable code, and even the refusal carries the
+    // server's version.
+    for v in ["1", "2", "4", r#""x""#] {
+        let err = serve.request(&format!(r#"{{"op":"hello","v":{v}}}"#));
+        assert_eq!(err.get("ok").and_then(Value::as_bool), Some(false), "v={v}");
+        assert_eq!(err.get("v").and_then(Value::as_u64), Some(3));
+        assert_eq!(error_code(&err).as_deref(), Some("protocol_mismatch"));
+    }
+    // Every verb runs the same gate.
+    for line in [
+        r#"{"op":"open_session","v":999}"#,
+        r#"{"op":"load","gen":"fem-00","v":2}"#,
+        r#"{"op":"stats","v":1}"#,
+    ] {
+        let err = serve.request(line);
         assert_eq!(
-            hello.get("server").and_then(Value::as_str),
-            Some("tsg-serve")
+            error_code(&err).as_deref(),
+            Some("protocol_mismatch"),
+            "{line}"
         );
-        assert_eq!(hello.get("profile").and_then(Value::as_bool), Some(false));
     }
 
-    // A client speaking a future generation is refused with the stable
-    // code — and even the refusal carries the server's version.
-    let err = serve.request(r#"{"op":"hello","v":4}"#);
-    assert_eq!(err.get("ok").and_then(Value::as_bool), Some(false));
-    assert_eq!(err.get("v").and_then(Value::as_u64), Some(3));
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Value::as_str),
-        Some("protocol_mismatch")
-    );
-    // The serve-layer verbs run the same gate.
-    let err = serve.request(r#"{"op":"open_session","v":999}"#);
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Value::as_str),
-        Some("protocol_mismatch")
-    );
-
-    // Version-less requests (protocol 1 clients) keep working.
+    // A request without "v" is answered as version 3.
     let stats = serve.request_ok(r#"{"op":"stats"}"#);
     assert_eq!(stats.get("v").and_then(Value::as_u64), Some(3));
 }
@@ -340,7 +346,7 @@ fn profiled_burst_reports_spans_and_counters_over_stdin() {
     let profile = serve.request_ok(r#"{"op":"profile"}"#);
     let jobs = profile.get("jobs").and_then(Value::as_arr).expect("jobs");
     assert_eq!(jobs.len(), 20, "one span tree per burst job");
-    let hello = serve.request_ok(r#"{"op":"hello","v":2}"#);
+    let hello = serve.request_ok(r#"{"op":"hello","v":3}"#);
     assert_eq!(hello.get("profile").and_then(Value::as_bool), Some(true));
 }
 
@@ -365,7 +371,7 @@ fn hostile_input_stays_on_protocol_and_never_kills_the_loop() {
         "bad_request"
     );
     // Missing the "op" member entirely.
-    assert_eq!(error_code(&serve.request(r#"{"v":1}"#)), "bad_request");
+    assert_eq!(error_code(&serve.request(r#"{"v":3}"#)), "bad_request");
 
     // A frame past the 16 MiB limit is refused before parsing.
     let oversized = format!(r#"{{"op":"hello","pad":"{}"}}"#, "x".repeat(16 << 20));

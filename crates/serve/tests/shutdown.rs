@@ -42,7 +42,7 @@ fn request_ok(child: &mut Child, reader: &mut impl BufRead, line: &str) -> Value
 /// Loads a generator matrix and queues `jobs` async self-multiplies;
 /// returns the serve job ids.
 fn queue_burst(child: &mut Child, reader: &mut impl BufRead, jobs: usize) -> Vec<u64> {
-    request_ok(child, reader, r#"{"op":"hello","v":2}"#);
+    request_ok(child, reader, r#"{"op":"hello","v":3}"#);
     request_ok(
         child,
         reader,

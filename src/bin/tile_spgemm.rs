@@ -16,16 +16,17 @@
 //! total runtime with GFlops, and a correctness check against the serial
 //! reference implementation.
 //!
-//! A second mode drives the resident engine (see `tsg-serve`) with
-//! JSON-lines scripts:
+//! A second mode drives the `tsg-serve` request handler with JSON-lines
+//! scripts:
 //!
 //! ```text
-//! tile_spgemm client script.jsonl          # in-process engine
+//! tile_spgemm client script.jsonl          # in-process server
 //! echo '{"op":"stats"}' | tile_spgemm client -
 //! tile_spgemm client --connect 127.0.0.1:7878 script.jsonl
 //! ```
 //!
-//! Scripts speak protocol v3, so beyond `load`/`convert`/`multiply` they can
+//! Scripts speak protocol version 3 (the only one; a request naming another
+//! `"v"` is refused), so beyond `load`/`convert`/`multiply` they can
 //! chain products on resident handles (`{"op":"chain","ids":[...]}` or
 //! `{"op":"power","a":"m…","k":6}` — intermediates stay tiled, no CSR
 //! round-trips), mask a product (`{"op":"multiply",…,"mask":"m…"}`), and
@@ -114,9 +115,10 @@ fn backpressure_delay(resp: &str) -> Option<std::time::Duration> {
 
 /// `tile_spgemm client [--connect ADDR] <script.jsonl | ->`
 ///
-/// Feeds engine-protocol request lines (from a file, or stdin with `-`) to
-/// an in-process scheduler, or to a running `tsg-serve` when `--connect`
-/// names its TCP address, and prints one response line per request.
+/// Feeds request lines (from a file, or stdin with `-`) to an in-process
+/// `tsg-serve` request handler over its own engine and scheduler, or to a
+/// running `tsg-serve` when `--connect` names its TCP address, and prints
+/// one response line per request.
 /// Backpressure refusals are handled transparently: the client holds the
 /// request for the hinted `retry_after_ms` and resubmits, so scripts never
 /// see flow control.
@@ -197,11 +199,10 @@ fn run_client(argv: &[String]) -> ! {
             }
         }
         None => {
-            // Local mode: an in-process scheduler behind the same protocol,
-            // so scripts using the v2 session/batch verbs run unchanged.
-            use tilespgemm::engine::protocol::Control;
+            // Local mode: the server's own request handler in-process, so a
+            // script behaves exactly as it would over `--connect`.
             use tilespgemm::engine::{Engine, EngineConfig};
-            use tilespgemm::serve::{SchedConfig, Scheduler, ServeSession};
+            use tilespgemm::serve::{Control, SchedConfig, Scheduler, ServeSession};
             let scheduler = std::sync::Arc::new(Scheduler::new(
                 std::sync::Arc::new(Engine::new(EngineConfig::default())),
                 SchedConfig::default(),
