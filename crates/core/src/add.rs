@@ -8,6 +8,9 @@
 
 use rayon::prelude::*;
 use tsg_matrix::{Scalar, TileMatrix, TILE_DIM};
+use tsg_runtime::split_mut_by_offsets;
+
+use crate::step2::chunk_bounds;
 
 /// Computes `C = alpha·A + beta·B` for tiled operands of identical shape.
 ///
@@ -109,7 +112,9 @@ pub fn add<T: Scalar>(alpha: T, a: &TileMatrix<T>, beta: T, b: &TileMatrix<T>) -
     }
     let nnz = tile_nnz[num_tiles];
 
-    // Pass 2: fill per-tile arrays (parallel over output tiles).
+    // Pass 2: fill per-tile arrays, parallel over the chunks of tiles the
+    // pipeline's steps 2 and 3 run. The arrays are split at chunk
+    // boundaries only; a task slices each tile's window from `tile_nnz`.
     let mut row_ptr = vec![0u8; num_tiles * TILE_DIM];
     let mut row_idx = vec![0u8; nnz];
     let mut col_idx = vec![0u8; nnz];
@@ -118,42 +123,60 @@ pub fn add<T: Scalar>(alpha: T, a: &TileMatrix<T>, beta: T, b: &TileMatrix<T>) -
         .iter()
         .flat_map(|p| p.sources.iter().copied())
         .collect();
+    let fill_tile =
+        |t: usize, rp_w: &mut [u8], ri_w: &mut [u8], ci_w: &mut [u8], vals_w: &mut [T]| {
+            let tile_masks = &masks[t * TILE_DIM..(t + 1) * TILE_DIM];
+            // Indices from the union masks.
+            crate::step3::fill_indices_from_masks(tile_masks, ri_w, ci_w);
+            let mut k = 0usize;
+            for (r, &m) in tile_masks.iter().enumerate() {
+                rp_w[r] = k as u8;
+                k += m.count_ones() as usize;
+            }
+            // Scatter: for each source tile, add its values at the rank
+            // positions of the union masks.
+            let mut scatter = |tile: tsg_matrix::TileView<'_, T>, scale: T| {
+                for (r, c, v) in tile.iter() {
+                    let m = tile_masks[r as usize];
+                    let rank = (m & ((1u16 << c) - 1)).count_ones() as usize;
+                    let base = rp_w[r as usize] as usize;
+                    vals_w[base + rank] += scale * v;
+                }
+            };
+            let (sa, sb) = sources_flat[t];
+            if let Some(ta) = sa {
+                scatter(a.tile(ta as usize), alpha);
+            }
+            if let Some(tb) = sb {
+                scatter(b.tile(tb as usize), beta);
+            }
+        };
     {
-        let windows = tsg_runtime::split_mut_by_offsets(&mut vals, &tile_nnz);
-        let ri_w = tsg_runtime::split_mut_by_offsets(&mut row_idx, &tile_nnz);
-        let ci_w = tsg_runtime::split_mut_by_offsets(&mut col_idx, &tile_nnz);
-        let rp_w: Vec<&mut [u8]> = row_ptr.chunks_mut(TILE_DIM).collect();
-        windows
+        let runs = chunk_bounds(num_tiles, rayon::current_num_threads());
+        let rp_bounds: Vec<usize> = runs.iter().map(|&t| t * TILE_DIM).collect();
+        let elem_bounds: Vec<usize> = runs.iter().map(|&t| tile_nnz[t]).collect();
+        let rp_runs = split_mut_by_offsets(&mut row_ptr, &rp_bounds);
+        let ri_runs = split_mut_by_offsets(&mut row_idx, &elem_bounds);
+        let ci_runs = split_mut_by_offsets(&mut col_idx, &elem_bounds);
+        let vals_runs = split_mut_by_offsets(&mut vals, &elem_bounds);
+        rp_runs
             .into_par_iter()
-            .zip(ri_w)
-            .zip(ci_w)
-            .zip(rp_w)
+            .zip(ri_runs)
+            .zip(ci_runs)
+            .zip(vals_runs)
             .enumerate()
-            .for_each(|(t, (((vals_w, ri_w), ci_w), rp_w))| {
-                let tile_masks = &masks[t * TILE_DIM..(t + 1) * TILE_DIM];
-                // Indices from the union masks.
-                crate::step3::fill_indices_from_masks(tile_masks, ri_w, ci_w);
-                let mut k = 0usize;
-                for (r, &m) in tile_masks.iter().enumerate() {
-                    rp_w[r] = k as u8;
-                    k += m.count_ones() as usize;
-                }
-                // Scatter: for each source tile, add its values at the rank
-                // positions of the union masks.
-                let mut scatter = |tile: tsg_matrix::TileView<'_, T>, scale: T| {
-                    for (r, c, v) in tile.iter() {
-                        let m = tile_masks[r as usize];
-                        let rank = (m & ((1u16 << c) - 1)).count_ones() as usize;
-                        let base = rp_w[r as usize] as usize;
-                        vals_w[base + rank] += scale * v;
-                    }
-                };
-                let (sa, sb) = sources_flat[t];
-                if let Some(ta) = sa {
-                    scatter(a.tile(ta as usize), alpha);
-                }
-                if let Some(tb) = sb {
-                    scatter(b.tile(tb as usize), beta);
+            .for_each(|(r, (((rp_r, ri_r), ci_r), vals_r))| {
+                for t in runs[r]..runs[r + 1] {
+                    let k = t - runs[r];
+                    let lo = tile_nnz[t] - elem_bounds[r];
+                    let hi = tile_nnz[t + 1] - elem_bounds[r];
+                    fill_tile(
+                        t,
+                        &mut rp_r[k * TILE_DIM..(k + 1) * TILE_DIM],
+                        &mut ri_r[lo..hi],
+                        &mut ci_r[lo..hi],
+                        &mut vals_r[lo..hi],
+                    );
                 }
             });
     }
@@ -214,6 +237,25 @@ mod tests {
                 .to_csr()
                 .drop_numeric_zeros()
                 .approx_eq_ignoring_zeros(&want, 1e-12));
+        }
+    }
+
+    #[test]
+    fn chunked_fill_agrees_bitwise_at_every_thread_count() {
+        // ~600 output tiles: 16 to 40 chunks at 2–8 workers, ragged at 3.
+        let a = TileMatrix::from_csr(&random(400, 6000, 11));
+        let b = TileMatrix::from_csr(&random(400, 5000, 12));
+        let on = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| add(1.5, &a, -0.25, &b))
+        };
+        let serial = on(1);
+        serial.validate().unwrap();
+        for threads in [2, 3, 8] {
+            assert_eq!(on(threads), serial, "{threads} threads");
         }
     }
 

@@ -180,8 +180,10 @@ impl ConfigBuilder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Scheduling {
-    /// One parallel task per output tile — the paper's one-warp-per-tile
-    /// mapping, whose bounded work is the load-balancing argument of §1.
+    /// Per-tile work — the paper's one-warp-per-tile mapping, whose bounded
+    /// work is the load-balancing argument of §1 — dealt to parallel tasks
+    /// in contiguous chunks of output tiles (at most 512, at least 8 chunks
+    /// per worker); each tile finds its output window from the tile offsets.
     PerTile,
     /// One parallel task per output *tile row* — a coarser, imbalance-prone
     /// decomposition kept for the scheduling ablation bench.

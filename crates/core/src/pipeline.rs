@@ -27,7 +27,11 @@ pub struct Output<T> {
     pub c: TileMatrix<T>,
     /// Per-step wall times (Figure 10's slices).
     pub breakdown: Breakdown,
-    /// Peak tracked device bytes during this multiplication.
+    /// Peak tracked device bytes of this multiplication alone: the sum of
+    /// its own charges (inputs, step-2 temporaries, the scratch-arena
+    /// share, the pair buffer and the output arrays), all held until it
+    /// returns. Charges other jobs hold on a shared tracker are not
+    /// included; on a fresh tracker this equals the tracker's peak.
     pub peak_bytes: usize,
     /// The matched-pair lists step 2 persisted and step 3 consumed; present
     /// iff [`Config::pair_reuse`] was on. Exposed for tests and ablations.
@@ -181,12 +185,13 @@ pub fn multiply_masked<T: Scalar>(
 /// Steps 2 and 3 check a [`Scratch`] arena out of `arena` once per task
 /// chunk; after the first multiply warms the pool, the per-tile hot path
 /// performs zero heap allocations (DESIGN.md §11). What the multiply as a
-/// whole allocates is per-multiply arrays plus one pair-staging buffer per
-/// step-2 task — fewer than 0.05 allocations per output tile, pinned by
-/// `tests/pipeline_alloc_audit.rs`. The pool's total footprint is charged
-/// to `tracker` for the duration of the call (so `peak_bytes` covers
-/// scratch memory) and credited back at the end — growth observed during
-/// the run is reconciled before the peak is read.
+/// whole allocates is per-multiply arrays, one pair-staging buffer per
+/// step-2 task and one slice per task run of each output array — fewer
+/// than 0.05 allocations per output tile and a bounded number of host
+/// bytes per tile, pinned by `tests/pipeline_alloc_audit.rs`. The pool's
+/// total footprint is charged to `tracker` for the duration of the call
+/// (so `peak_bytes` covers scratch memory) and credited back at the end —
+/// growth observed during the run is reconciled before the peak is read.
 ///
 /// A mask changes three things (DESIGN.md §13.3): step 1 takes `mask`'s
 /// tile layout instead of the symbolic tile product, step 2 ANDs each
@@ -220,7 +225,6 @@ pub fn multiply_with_pool<T: Scalar>(
         }
     }
     let mut breakdown = Breakdown::default();
-    let peak_start = tracker.peak_bytes();
     let enabled = recorder.is_enabled();
     let root = recorder.span_enter(job, "job");
     // Closes `root` (and reports nothing else) on early error returns.
@@ -344,18 +348,27 @@ pub fn multiply_with_pool<T: Scalar>(
     // counter replay below re-derives the same choices.
     let simd_level = simd::resolve_level(config.simd);
 
+    // Steps 2 and 3 give each parallel task an ascending run of tiles: a
+    // `staging_chunk_len` chunk (PerTile) or one tile row (PerTileRow).
+    // C's arrays are split at run boundaries only, and a task slices each
+    // tile's window out of its run's from the tile offsets, the way the
+    // paper's warps find their output from `tileNnz`.
+    let runs: Vec<usize> = match config.scheduling {
+        Scheduling::PerTile => step2::chunk_bounds(num_tiles, threads),
+        Scheduling::PerTileRow => c_pattern.ptr.clone(),
+    };
+
     // ---- Step 2: per-tile symbolic (Algorithm 2). ----
     let mut c_counts = vec![0usize; num_tiles];
     // Matched-pair count per tile: always recorded (one word per tile) — it
     // feeds the matched-pair counter.
     let mut pair_counts = vec![0usize; num_tiles];
     // With pair reuse on, each step-2 task appends the packed pair words of
-    // a contiguous run of tiles to one chunk-local staging buffer and
-    // records each tile's word count in `pair_offsets[t + 1]`; right after
+    // its run of tiles to one chunk-local staging buffer and records each
+    // tile's word count in `pair_offsets[t + 1]`; right after
     // the phase a scan turns the counts into the PairBuffer's offsets and
     // the chunks are concatenated into its words. The buffers are untracked
     // host scratch, like the arenas' lists.
-    let chunk_len = step2::staging_chunk_len(num_tiles, threads);
     let mut pair_offsets = vec![0u32; num_tiles + 1];
     // Every step-1 tile has at least one matched pair (a mask tile may have
     // none), so a chunk starts at a word per tile and grows on demand.
@@ -416,73 +429,41 @@ pub fn multiply_with_pool<T: Scalar>(
         (staged.len() - start) as u32
     };
     let span = recorder.span_enter(job, "step2");
-    // One staging buffer per task: a `chunk_len` run of tiles (PerTile) or
-    // one tile row (PerTileRow), either way an ascending run of tiles.
-    let mut staged: Vec<Vec<u16>> = Vec::new();
-    breakdown.timed(Step::Step2, || match config.scheduling {
-        Scheduling::PerTile => {
-            staged.resize_with(num_tiles.div_ceil(chunk_len), Vec::new);
-            c_masks
-                .par_chunks_mut(TILE_DIM * chunk_len)
-                .zip(c_row_ptr.par_chunks_mut(TILE_DIM * chunk_len))
-                .zip(c_counts.par_chunks_mut(chunk_len))
-                .zip(pair_counts.par_chunks_mut(chunk_len))
-                .zip(pair_offsets[1..].par_chunks_mut(chunk_len))
-                .zip(staged.par_iter_mut())
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (c, (((((masks, row_ptrs), counts), pairs), words), buf))| {
-                        *buf = staged_chunk(counts.len());
-                        for k in 0..counts.len() {
-                            words[k] = step2_tile(
-                                s,
-                                c * chunk_len + k,
-                                &mut masks[k * TILE_DIM..(k + 1) * TILE_DIM],
-                                &mut row_ptrs[k * TILE_DIM..(k + 1) * TILE_DIM],
-                                &mut counts[k],
-                                &mut pairs[k],
-                                buf,
-                            );
-                        }
-                    },
-                );
-        }
-        Scheduling::PerTileRow => {
-            staged.resize_with(c_pattern.rows, Vec::new);
-            let elem_bounds: Vec<usize> = c_pattern.ptr.iter().map(|&t| t * TILE_DIM).collect();
-            let masks_rows = split_mut_by_offsets(&mut c_masks, &elem_bounds);
-            let rowptr_rows = split_mut_by_offsets(&mut c_row_ptr, &elem_bounds);
-            let counts_rows = split_mut_by_offsets(&mut c_counts, &c_pattern.ptr);
-            let paircnt_rows = split_mut_by_offsets(&mut pair_counts, &c_pattern.ptr);
-            let words_rows = split_mut_by_offsets(&mut pair_offsets[1..], &c_pattern.ptr);
-            masks_rows
-                .into_par_iter()
-                .zip(rowptr_rows)
-                .zip(counts_rows)
-                .zip(paircnt_rows)
-                .zip(words_rows)
-                .zip(staged.par_iter_mut())
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (ti, (((((masks_r, rowptr_r), counts_r), paircnt_r), words_r), buf))| {
-                        *buf = staged_chunk(counts_r.len());
-                        let base = c_pattern.ptr[ti];
-                        for (k, count) in counts_r.iter_mut().enumerate() {
-                            words_r[k] = step2_tile(
-                                s,
-                                base + k,
-                                &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM],
-                                &mut rowptr_r[k * TILE_DIM..(k + 1) * TILE_DIM],
-                                count,
-                                &mut paircnt_r[k],
-                                buf,
-                            );
-                        }
-                    },
-                );
-        }
+    // One staging buffer per run.
+    let mut staged: Vec<Vec<u16>> = vec![Vec::new(); runs.len() - 1];
+    breakdown.timed(Step::Step2, || {
+        let elem_bounds: Vec<usize> = runs.iter().map(|&t| t * TILE_DIM).collect();
+        let masks_runs = split_mut_by_offsets(&mut c_masks, &elem_bounds);
+        let rowptr_runs = split_mut_by_offsets(&mut c_row_ptr, &elem_bounds);
+        let counts_runs = split_mut_by_offsets(&mut c_counts, &runs);
+        let paircnt_runs = split_mut_by_offsets(&mut pair_counts, &runs);
+        let words_runs = split_mut_by_offsets(&mut pair_offsets[1..], &runs);
+        masks_runs
+            .into_par_iter()
+            .zip(rowptr_runs)
+            .zip(counts_runs)
+            .zip(paircnt_runs)
+            .zip(words_runs)
+            .zip(staged.par_iter_mut())
+            .enumerate()
+            .for_each_init(
+                || arena.checkout(),
+                |s, (r, (((((masks_r, rowptr_r), counts_r), paircnt_r), words_r), buf))| {
+                    *buf = staged_chunk(counts_r.len());
+                    let base = runs[r];
+                    for (k, count) in counts_r.iter_mut().enumerate() {
+                        words_r[k] = step2_tile(
+                            s,
+                            base + k,
+                            &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM],
+                            &mut rowptr_r[k * TILE_DIM..(k + 1) * TILE_DIM],
+                            count,
+                            &mut paircnt_r[k],
+                            buf,
+                        );
+                    }
+                },
+            );
     });
 
     recorder.span_exit(span);
@@ -627,53 +608,33 @@ pub fn multiply_with_pool<T: Scalar>(
         );
     };
     let span = recorder.span_enter(job, "step3");
-    breakdown.timed(Step::Step3, || match config.scheduling {
-        Scheduling::PerTile => {
-            let row_idx_w = split_mut_by_offsets(&mut c_row_idx, &c_offsets);
-            let col_idx_w = split_mut_by_offsets(&mut c_col_idx, &c_offsets);
-            let vals_w = split_mut_by_offsets(&mut c_vals, &c_offsets);
-            row_idx_w
-                .into_par_iter()
-                .zip(col_idx_w)
-                .zip(vals_w)
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (t, ((row_idx_w, col_idx_w), vals_w))| {
-                        step3_tile(s, t, row_idx_w, col_idx_w, vals_w);
-                    },
-                );
-        }
-        Scheduling::PerTileRow => {
-            let row_bounds: Vec<usize> = c_pattern.ptr.iter().map(|&t| c_offsets[t]).collect();
-            let row_idx_rows = split_mut_by_offsets(&mut c_row_idx, &row_bounds);
-            let col_idx_rows = split_mut_by_offsets(&mut c_col_idx, &row_bounds);
-            let vals_rows = split_mut_by_offsets(&mut c_vals, &row_bounds);
-            row_idx_rows
-                .into_par_iter()
-                .zip(col_idx_rows)
-                .zip(vals_rows)
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (ti, ((ri_r, ci_r), vals_r))| {
-                        let tile_base = c_pattern.ptr[ti];
-                        let elem_base = c_offsets[tile_base];
-                        for t in tile_base..c_pattern.ptr[ti + 1] {
-                            let lo = c_offsets[t] - elem_base;
-                            let hi = c_offsets[t + 1] - elem_base;
-                            // Split the row window into this tile's slice.
-                            step3_tile(
-                                s,
-                                t,
-                                &mut ri_r[lo..hi],
-                                &mut ci_r[lo..hi],
-                                &mut vals_r[lo..hi],
-                            );
-                        }
-                    },
-                );
-        }
+    breakdown.timed(Step::Step3, || {
+        let elem_bounds: Vec<usize> = runs.iter().map(|&t| c_offsets[t]).collect();
+        let row_idx_runs = split_mut_by_offsets(&mut c_row_idx, &elem_bounds);
+        let col_idx_runs = split_mut_by_offsets(&mut c_col_idx, &elem_bounds);
+        let vals_runs = split_mut_by_offsets(&mut c_vals, &elem_bounds);
+        row_idx_runs
+            .into_par_iter()
+            .zip(col_idx_runs)
+            .zip(vals_runs)
+            .enumerate()
+            .for_each_init(
+                || arena.checkout(),
+                |s, (r, ((ri_r, ci_r), vals_r))| {
+                    let elem_base = elem_bounds[r];
+                    for t in runs[r]..runs[r + 1] {
+                        let lo = c_offsets[t] - elem_base;
+                        let hi = c_offsets[t + 1] - elem_base;
+                        step3_tile(
+                            s,
+                            t,
+                            &mut ri_r[lo..hi],
+                            &mut ci_r[lo..hi],
+                            &mut vals_r[lo..hi],
+                        );
+                    }
+                },
+            );
     });
     recorder.span_exit(span);
 
@@ -740,14 +701,16 @@ pub fn multiply_with_pool<T: Scalar>(
         }
         arena_charged + grown
     };
-    let peak_bytes = tracker.peak_bytes().max(peak_start);
+    // The multiply only adds charges until here, so its own peak is their
+    // sum; whatever else a shared tracker carries is not part of it.
+    let peak_bytes = input_bytes + step2_temp_bytes + pair_bytes + output_bytes + arena_total;
     // Everything this product allocated is released: inputs, step-2
     // temporaries, the pair buffer, the arena reservation, and the output
     // arrays (handed back to the host). The tracker's current-bytes count
     // returns to its pre-call level — DESIGN.md §5's balanced alloc/free
     // rule. The arenas themselves stay warm in the pool for the next
     // multiply; only the tracker charge is released.
-    tracker.on_free(input_bytes + step2_temp_bytes + pair_bytes + output_bytes + arena_total);
+    tracker.on_free(peak_bytes);
     recorder.span_exit(root);
 
     Ok(Output {
@@ -1170,6 +1133,31 @@ mod tests {
         assert_eq!(pool.created(), created_after_first, "no new arenas");
         assert_eq!(pool.bytes(), warmed_bytes, "no scratch growth in reuse");
         assert_eq!(tracker.current_bytes(), 0);
+    }
+
+    #[test]
+    fn peak_bytes_are_the_jobs_own_on_a_shared_tracker() {
+        let large = TileMatrix::from_csr(&random_csr(400, 8, 71));
+        let small = TileMatrix::from_csr(&random_csr(40, 3, 72));
+        let pool = tsg_runtime::ScratchPool::new();
+        let run = |m: &TileMatrix<f64>, tracker: &MemTracker| {
+            let cfg = Config::default();
+            multiply_with_pool(m, m, None, &cfg, tracker, &NullRecorder, 0, &pool)
+                .unwrap()
+                .peak_bytes
+        };
+        let shared = MemTracker::new();
+        let large_peak = run(&large, &shared);
+        let small_after_large = run(&small, &shared);
+        // The same small call, on a fresh tracker and the same warm pool.
+        let fresh = MemTracker::new();
+        let small_alone = run(&small, &fresh);
+        assert!(small_alone < large_peak, "{small_alone} vs {large_peak}");
+        assert_eq!(
+            small_after_large, small_alone,
+            "a job's peak must not inherit an earlier job's"
+        );
+        assert_eq!(small_alone, fresh.peak_bytes(), "fresh tracker: its peak");
     }
 
     #[test]

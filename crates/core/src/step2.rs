@@ -46,6 +46,18 @@ pub(crate) fn staging_chunk_len(num_tiles: usize, threads: usize) -> usize {
         .clamp(1, STAGING_CHUNK_TILES)
 }
 
+/// Tile boundaries of the [`staging_chunk_len`] chunks of a per-tile pass:
+/// `[0, len, 2·len, …, num_tiles]`, the CSR-shaped bounds a parallel pass
+/// splits its output arrays at. Each task then walks its chunk's tiles and
+/// slices each tile's window from the tile offsets, as the paper's warps
+/// find theirs from `tileNnz` — no per-tile table of slices is built.
+pub(crate) fn chunk_bounds(num_tiles: usize, threads: usize) -> Vec<usize> {
+    let len = staging_chunk_len(num_tiles, threads);
+    (0..=num_tiles.div_ceil(len))
+        .map(|c| (c * len).min(num_tiles))
+        .collect()
+}
+
 /// Turns per-tile word counts into [`PairBuffer::offsets`] in place:
 /// `offsets[0]` is 0 and `offsets[t + 1]` holds tile `t`'s word count on
 /// entry, its end offset on exit. Returns the total word count.

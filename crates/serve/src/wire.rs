@@ -23,7 +23,7 @@
 //! | `{"op":"multiply",…,"mask":"m…"}` | the masked product `(A·B) ∘ mask`, mask pushed into step 2 |
 //! | `{"op":"multiply",…}` (queue full) | `{"ok":false,"error":{"code":"backpressure",…},"retry_after_ms":N,"queue_position":P}` |
 //! | `{"op":"multiply",…,"async":true}` | `{"ok":true,"job":4294967296,"queued":true}`, collected by `wait` |
-//! | `{"op":"add","a":"m…","b":"m…","alpha":1,"beta":-1}` | multiply-shaped reply for `alpha·A + beta·B` |
+//! | `{"op":"add","a":"m…","b":"m…","alpha":1,"beta":-1}` | multiply-shaped reply for `alpha·A + beta·B`; a `"mask"` is refused with `bad_request` |
 //! | `{"op":"multiply_many","jobs":[{"a":"m…","b":"m…","keep":true},{"a":"$0","b":"$0"}]}` | `{"ok":true,"results":[…]}` |
 //! | `{"op":"multiply_many",…,"async":true}` | `{"ok":true,"jobs":[…],"queued":true}` |
 //! | `{"op":"chain","ids":["m…","m…","m…"]}` | the final link's reply plus `"links"` and `"intermediates":["m…"]` |
@@ -486,9 +486,13 @@ impl ServeSession {
     }
 
     fn add(&self, req: &Value) -> Result<Value, WireError> {
+        // An add has no masked form: refuse the member instead of answering
+        // with the unmasked sum.
+        if req.get("mask").is_some() {
+            return Err(WireError::bad("add takes no \"mask\""));
+        }
         let scalar = |key| req.get(key).and_then(Value::as_f64).unwrap_or(1.0);
         let spec = SubmitSpec {
-            mask: None,
             add: Some((scalar("alpha"), scalar("beta"))),
             ..parse_spec(req, false)?
         };
@@ -1155,6 +1159,28 @@ mod tests {
         assert_eq!(num(&cubed, "links"), 2);
         let v = reply(&s, &format!(r#"{{"op":"power","a":"{id}","k":1}}"#));
         assert_eq!(code(&v), "invalid_op");
+    }
+
+    #[test]
+    fn add_refuses_a_mask_instead_of_ignoring_it() {
+        let s = session_over(EngineConfig::default());
+        let id = handle(&ok(&s, SMALL), "id");
+        let one = handle(
+            &ok(
+                &s,
+                r#"{"op":"load","rows":3,"cols":3,"triplets":[[0,0,1]]}"#,
+            ),
+            "id",
+        );
+        let v = reply(
+            &s,
+            &format!(r#"{{"op":"add","a":"{id}","b":"{id}","mask":"{one}"}}"#),
+        );
+        assert_eq!(code(&v), "bad_request", "{v}");
+        // Refused before submission, and the session keeps serving.
+        assert_eq!(num(&ok(&s, r#"{"op":"stats"}"#), "submitted"), 0);
+        let sum = ok(&s, &format!(r#"{{"op":"add","a":"{id}","b":"{id}"}}"#));
+        assert_eq!(num(&sum, "nnz_c"), 4);
     }
 
     #[test]

@@ -284,14 +284,21 @@ fn run_chunked<P: ParallelIterator>(p: P, per_chunk: &(impl Fn(usize, P) + Sync)
     }
     let target = threads * 4;
     let chunk = len.div_ceil(target).max(1);
+    // Peel chunks off the back. Splitting a `Vec`-backed producer moves the
+    // items after the split point into a new buffer, so back-peeling moves
+    // each item at most once; peeling off the front would re-copy the whole
+    // remaining tail at every split.
     let mut chunks = Vec::with_capacity(len.div_ceil(chunk));
     let mut rest = p;
-    while rest.pi_len() > chunk {
-        let (head, tail) = rest.pi_split_at(chunk);
-        chunks.push(head);
-        rest = tail;
+    let mut start = (len - 1) / chunk * chunk;
+    while start > 0 {
+        let (head, tail) = rest.pi_split_at(start);
+        chunks.push(tail);
+        rest = head;
+        start -= chunk;
     }
     chunks.push(rest);
+    chunks.reverse();
     debug_assert_eq!(chunks.len(), chunk_count(len));
 
     let queue: Vec<Mutex<Option<P>>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
@@ -498,7 +505,9 @@ impl<'a, T: Send> ParallelIterator for ChunksIterMut<'a, T> {
     }
 }
 
-/// Parallel iterator taking ownership of a `Vec`'s items.
+/// Parallel iterator taking ownership of a `Vec`'s items. A split moves the
+/// items after the split point into a new buffer; the head keeps the
+/// original allocation.
 pub struct VecIntoIter<T> {
     vec: Vec<T>,
 }
@@ -850,6 +859,80 @@ mod tests {
         assert_eq!(out.len(), 10_000);
         // Far fewer inits than items proves per-chunk state reuse.
         assert!(inits.load(Ordering::Relaxed) <= 10_000 / 64);
+    }
+
+    /// An owned item that counts its drops in a shared table.
+    struct Tracked<'a> {
+        id: usize,
+        drops: &'a [AtomicUsize],
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn split_vecs_drop_each_item_once_and_keep_order_and_indices() {
+        // 103 items cut into ragged multi-chunk regions: chunks of 13, 9 and
+        // 4 items at 2, 3 and 8 threads.
+        const N: usize = 103;
+        for threads in [1usize, 2, 3, 8] {
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let chunks = crate::chunk_count(N);
+                assert_eq!(
+                    chunks > 1,
+                    threads > 1,
+                    "{threads} threads: {chunks} chunks"
+                );
+                let drops: Vec<AtomicUsize> = (0..2 * N).map(|_| AtomicUsize::new(0)).collect();
+                let items = |from: usize| -> Vec<Tracked<'_>> {
+                    (from..from + N)
+                        .map(|id| Tracked { id, drops: &drops })
+                        .collect()
+                };
+                let dropped_once = |ids: std::ops::Range<usize>, what: &str| {
+                    for id in ids {
+                        let n = drops[id].swap(0, Ordering::Relaxed);
+                        assert_eq!(n, 1, "{what} at {threads} threads: item {id} dropped {n}×");
+                    }
+                };
+
+                let seen: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+                items(0).into_par_iter().for_each(|t| {
+                    seen[t.id].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
+                dropped_once(0..N, "for_each");
+
+                let ids: Vec<usize> = items(0).into_par_iter().map(|t| t.id).collect();
+                assert_eq!(ids, (0..N).collect::<Vec<_>>(), "map+collect order");
+                dropped_once(0..N, "map+collect");
+
+                // Collected items are moved, not dropped, until the result is.
+                let kept: Vec<Tracked<'_>> = items(0).into_par_iter().map(|t| t).collect();
+                assert!(kept.iter().map(|t| t.id).eq(0..N), "collect order");
+                assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 0));
+                drop(kept);
+                dropped_once(0..N, "collect");
+
+                // Every index matches its item, so both sides of every chunk
+                // boundary carry the right one.
+                items(0)
+                    .into_par_iter()
+                    .zip(items(N))
+                    .enumerate()
+                    .for_each(|(i, (a, b))| {
+                        assert_eq!((a.id, b.id), (i, N + i), "enumerate index");
+                    });
+                dropped_once(0..2 * N, "zip+enumerate");
+            });
+        }
     }
 
     #[test]
