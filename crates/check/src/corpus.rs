@@ -65,7 +65,7 @@ pub const CASES: &[CaseSpec] = &[
     },
     CaseSpec {
         name: "phantom-tile",
-        summary: "step-1 predicts a tile whose element intersection is empty",
+        summary: "index-matched tile pair whose element intersection is empty: no tile",
     },
     CaseSpec {
         name: "cancellation",
@@ -248,9 +248,10 @@ pub fn build(name: &str, seed: u64) -> Option<(Csr<f64>, Csr<f64>)> {
         }
         "phantom-tile" => {
             // A's tile (0,1) covers columns {16}; B's tile (1,0) covers
-            // rows {17}. Step 1 predicts output tile (0,0) from the
-            // tile-level product, but the element-level intersection
-            // 16 ∩ 17 is empty: the tile is allocated with zero nonzeros.
+            // rows {17}. The tile-level product predicts output tile (0,0),
+            // but the element-level intersection 16 ∩ 17 is empty: the
+            // pair is dead, so the exact step 1 allocates no tile for it
+            // (the paper's step 1 keeps it with zero nonzeros).
             let mut a = Coo::new(32, 32);
             let mut b = Coo::new(32, 32);
             a.push(0, t, 1.0);

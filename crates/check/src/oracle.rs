@@ -76,8 +76,9 @@ fn run_detail(variant: &str, e: impl std::fmt::Display) -> OracleFailure {
     )
 }
 
-/// Runs the tiled pipeline once under `config` with a balanced-tracker
-/// check, returning the raw output.
+/// Runs the unmasked tiled pipeline once under `config` with a
+/// balanced-tracker check and the exact-layout check, returning the raw
+/// output.
 fn run_tile(
     variant: &str,
     a: &Csr<f64>,
@@ -87,7 +88,27 @@ fn run_tile(
     let tracker = MemTracker::new();
     let out = multiply_csr(a, b, config, &tracker).map_err(|e| run_detail(variant, e))?;
     balanced(variant, &tracker)?;
+    exact_layout(variant, &out.c)?;
     Ok(out)
+}
+
+/// An unmasked product's tile layout is exactly its non-empty tiles: step
+/// 1 gathers through live tile pairs only, so a tile without a stored
+/// entry is a failure. Every unmasked tiled run of the sweep is held to
+/// this; a masked product keeps the mask's layout, empty tiles included.
+fn exact_layout(variant: &str, c: &TileMatrix<f64>) -> Result<(), OracleFailure> {
+    match (0..c.tile_count()).find(|&t| c.tile_nnz_of(t) == 0) {
+        Some(t) => Err(fail(
+            variant,
+            Mismatch::Run {
+                detail: format!(
+                    "unmasked product stores tile {t} with no entry ({} tiles)",
+                    c.tile_count()
+                ),
+            },
+        )),
+        None => Ok(()),
+    }
 }
 
 fn balanced(variant: &str, tracker: &MemTracker) -> Result<(), OracleFailure> {
@@ -191,6 +212,7 @@ pub fn check_configs(
         let out = multiply_csr_with(a, b, &Config::default(), &tracker, &recorder, 1)
             .map_err(|e| run_detail(variant, e))?;
         balanced(variant, &tracker)?;
+        exact_layout(variant, &out.c)?;
         if out.c != pivot.c {
             return Err(fail(
                 variant,
@@ -419,6 +441,8 @@ pub fn check_chain(
         let cur = multiply(&ta, &tb, &config, &tracker).map_err(|e| run_detail(variant, e))?;
         let out = multiply(&cur.c, &td, &config, &tracker).map_err(|e| run_detail(variant, e))?;
         balanced(variant, &tracker)?;
+        exact_layout(variant, &cur.c)?;
+        exact_layout(variant, &out.c)?;
         compare_csr(&out.to_csr(), &gold, policy).map_err(|m| fail(variant, m))?;
         checked += 1;
     }
@@ -433,6 +457,7 @@ pub fn check_chain(
         let out = multiply_masked(&cur.c, &td, &tm, &config, &tracker)
             .map_err(|e| run_detail(variant, e))?;
         balanced(variant, &tracker)?;
+        exact_layout(variant, &cur.c)?;
         let expected = ops::hadamard(&gold, &mask);
         compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(variant, m))?;
         checked += 1;
@@ -536,6 +561,8 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
             let cur = multiply(&ta, &tb, cfg, &tracker).map_err(|e| run_detail(variant, e))?;
             let out = multiply(&cur.c, &td, cfg, &tracker).map_err(|e| run_detail(variant, e))?;
             balanced(variant, &tracker)?;
+            exact_layout(variant, &cur.c)?;
+            exact_layout(variant, &out.c)?;
             Ok::<_, OracleFailure>(out)
         };
         let pivot = run(

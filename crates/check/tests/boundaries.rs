@@ -4,8 +4,8 @@
 //! * a tile with exactly `tnnz = 192` nonzeros (last sparse-accumulator
 //!   tile) and with 193 (first dense-accumulator tile);
 //! * a fully dense 256-nonzero tile;
-//! * a step-1 tile whose element-level intersection is empty (allocated,
-//!   then zero nonzeros);
+//! * an index-matched tile pair whose element-level intersection is empty
+//!   (no tile allocated);
 //! * the threshold knob itself moving the 192 tile across the boundary.
 //!
 //! The accumulator choice is observed through the recorder's
@@ -87,20 +87,18 @@ fn threshold_knob_moves_the_192_tile_across_the_boundary() {
 }
 
 #[test]
-fn empty_intersection_still_allocates_a_step1_tile() {
+fn empty_intersection_allocates_no_tile() {
     let (a, b) = case("phantom-tile");
     let tracker = MemTracker::new();
     let out = multiply_csr(&a, &b, &Config::default(), &tracker).expect("multiply succeeds");
-    // Step 1 predicts tile (0,0) from the tile-level product, but the
-    // element-level intersection is empty: the tile must be present in the
-    // output structure with zero stored nonzeros.
+    // The tile-level product predicts tile (0,0), but the element-level
+    // intersection is empty: the pair is dead, so step 1 allocates no tile
+    // for it, and only the honest product's tile (1,1) remains.
     let empties = (0..out.c.tile_count())
         .filter(|&t| out.c.tile_nnz_of(t) == 0)
         .count();
-    assert!(
-        empties >= 1,
-        "the predicted-but-empty tile is retained in the tiled output"
-    );
+    assert_eq!(empties, 0, "no zero-entry tile in the tiled output");
+    assert_eq!(out.c.tile_count(), 1);
     // The canonical product still matches the reference exactly: only the
     // honest (20,20) entry survives.
     let gold = reference_spgemm(&a, &b);

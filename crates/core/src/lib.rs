@@ -8,8 +8,9 @@
 //! Matrix-Matrix Multiplication on GPUs* (PPoPP '22):
 //!
 //! 1. [`step1`] — a symbolic SpGEMM on the high-level tile layout
-//!    `C' = A'·B'` yields the (possibly overestimated) set of non-empty
-//!    tiles of `C`;
+//!    `C' = A'·B'`, gathering only through tile pairs whose 16-bit
+//!    occupancy words meet, yields exactly the non-empty tiles of `C` (the
+//!    paper keeps the index-level prediction, empty tiles included);
 //! 2. [`step2`] — per tile of `C`: binary-search set intersection of `A`'s
 //!    tile row with `B`'s tile column finds the matched tile pairs, and
 //!    OR-ing `B`'s row bitmasks through `A`'s nonzeros produces `C`'s tile

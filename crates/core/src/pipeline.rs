@@ -8,7 +8,7 @@ use crate::convert::{timed_csr_to_tile, ConversionTiming};
 use crate::intersect::{resolve_kind, IntersectionKind};
 use crate::maskops;
 use crate::simd::{self, Kernel};
-use crate::step1::{tile_structure_spgemm, TilePattern};
+use crate::step1::{live_tile_structure, Occupancy, TilePattern};
 use crate::step2::{self, encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
 use crate::{Config, Scheduling, SpGemmError};
 
@@ -22,8 +22,9 @@ use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, ScratchPool, Step
 /// tiled and the CSR entry points return.
 #[derive(Debug)]
 pub struct Output<T> {
-    /// The product in sparse-tile form. May retain step-1 tiles that turned
-    /// out empty, exactly as the paper allows.
+    /// The product in sparse-tile form. Unmasked, its layout is exactly the
+    /// product's non-empty tiles; under a mask it is the mask's layout, and
+    /// mask tiles the product misses hold no entries.
     pub c: TileMatrix<T>,
     /// Per-step wall times (Figure 10's slices).
     pub breakdown: Breakdown,
@@ -240,25 +241,24 @@ pub fn multiply_with_pool<T: Scalar>(
     }
 
     // ---- Step 1: tile-structure symbolic SpGEMM (Figure 3). ----
-    // Under a mask, C takes M's tile layout: a product tile can only survive
+    // The operands' occupancy words decide which tile pairs are live, so the
+    // unmasked layout is exactly C's non-empty tiles (DESIGN.md §7). Under a
+    // mask, C takes M's tile layout instead: a product tile can only survive
     // where M has a tile, and M's tiles the product misses come out with
-    // zero nonzeros, like the retained empty tiles of the unmasked step 1.
+    // zero nonzeros — the only tiles of C that can.
     let span = recorder.span_enter(job, "step1");
-    let c_pattern = breakdown.timed(Step::Step1, || match mask {
-        Some(m) => TilePattern {
-            rows: m.tile_m,
-            cols: m.tile_n,
-            ptr: m.tile_ptr.clone(),
-            idx: m.tile_colidx.clone(),
-        },
-        None => tile_structure_spgemm(
-            a.tile_m,
-            &a.tile_ptr,
-            &a.tile_colidx,
-            &b.tile_ptr,
-            &b.tile_colidx,
-            b.tile_n,
-        ),
+    let (occupancy, c_pattern) = breakdown.timed(Step::Step1, || {
+        let occupancy = Occupancy::new(a, b);
+        let pattern = match mask {
+            Some(m) => TilePattern {
+                rows: m.tile_m,
+                cols: m.tile_n,
+                ptr: m.tile_ptr.clone(),
+                idx: m.tile_colidx.clone(),
+            },
+            None => live_tile_structure(a, b, &occupancy),
+        };
+        (occupancy, pattern)
     });
     recorder.span_exit(span);
     let num_tiles = c_pattern.nnz();
@@ -314,6 +314,7 @@ pub fn multiply_with_pool<T: Scalar>(
         + b_cols.rowidx.len() * 8
         + num_tiles * (4 + TILE_DIM * 3 + 8)
         + bitmaps_ref.map_or(0, |(am, bm)| am.bytes() + bm.bytes())
+        + occupancy.bytes()
         + cut.len()
         + 8;
     if let Err(e) = tracker.on_alloc(step2_temp_bytes) {
@@ -360,7 +361,7 @@ pub fn multiply_with_pool<T: Scalar>(
 
     // ---- Step 2: per-tile symbolic (Algorithm 2). ----
     let mut c_counts = vec![0usize; num_tiles];
-    // Matched-pair count per tile: always recorded (one word per tile) — it
+    // Live-pair count per tile: always recorded (one word per tile) — it
     // feeds the matched-pair counter.
     let mut pair_counts = vec![0usize; num_tiles];
     // With pair reuse on, each step-2 task appends the packed pair words of
@@ -370,7 +371,7 @@ pub fn multiply_with_pool<T: Scalar>(
     // the chunks are concatenated into its words. The buffers are untracked
     // host scratch, like the arenas' lists.
     let mut pair_offsets = vec![0u32; num_tiles + 1];
-    // Every step-1 tile has at least one matched pair (a mask tile may have
+    // Every unmasked tile has at least one live pair (a mask tile may have
     // none), so a chunk starts at a word per tile and grows on demand.
     let staged_chunk = |tiles: usize| {
         if config.pair_reuse {
@@ -400,6 +401,9 @@ pub fn multiply_with_pool<T: Scalar>(
             &mut s.pos_pairs,
             &mut s.id_pairs,
         );
+        // Dead pairs add nothing to any slot: drop them before the OR, the
+        // encoding and the numeric kernel.
+        occupancy.retain_live(&mut s.pos_pairs, &mut s.id_pairs);
         *pair_count = s.id_pairs.len();
         let sym = symbolic_tile(a, b, &s.id_pairs);
         match mask {
@@ -478,9 +482,9 @@ pub fn multiply_with_pool<T: Scalar>(
     recorder.span_exit(span);
 
     // Step-2 counters, all derived from state the phase already produced:
-    // one visit per predicted output tile (== step-1 nnz), the matched-pair
-    // total, the length-derived probe count, and the chosen-kernel
-    // histogram (see `intersection_stats`).
+    // one visit per output tile (== step-1 nnz), the live-pair total, the
+    // length-derived probe count, and the chosen-kernel histogram (see
+    // `intersection_stats`).
     let probes = if enabled {
         let (probes, picks) = intersection_stats(
             a,
@@ -570,6 +574,10 @@ pub fn multiply_with_pool<T: Scalar>(
                       row_idx_w: &mut [u8],
                       col_idx_w: &mut [u8],
                       vals_w: &mut [T]| {
+        // Only a mask tile the product misses can be empty; nothing to do.
+        if vals_w.is_empty() {
+            return;
+        }
         let masks = &c_masks[t * TILE_DIM..(t + 1) * TILE_DIM];
         let row_ptr = &c_row_ptr[t * TILE_DIM..(t + 1) * TILE_DIM];
         let filled = simd::fill_indices_fast(masks, row_idx_w, col_idx_w, simd_level);
@@ -594,6 +602,7 @@ pub fn multiply_with_pool<T: Scalar>(
                     &mut s.pos_pairs,
                     &mut s.id_pairs,
                 );
+                occupancy.retain_live(&mut s.pos_pairs, &mut s.id_pairs);
             }
         }
         simd::run_numeric(
@@ -641,16 +650,16 @@ pub fn multiply_with_pool<T: Scalar>(
     // Step-3 counters: the kernel pick per tile re-derives the exact branch
     // `step3_tile` took (same inputs, same pure selector), and a run
     // without pair reuse repeats the step-2 intersections, so the probe
-    // count is charged again. `sparse + dense` sums to the visited tiles;
-    // the `simd_*` counters histogram which implementation ran each
-    // accumulator shape.
+    // count is charged again. `sparse + dense` sums to the tiles holding
+    // entries (all of them, unmasked); the `simd_*` counters histogram
+    // which implementation ran each accumulator shape.
     if enabled {
         if pair_buffer.is_none() {
             recorder.add(Counter::IntersectionProbes, probes);
         }
         let (mut sparse, mut dense) = (0u64, 0u64);
         let (mut simd_sparse, mut simd_dense) = (0u64, 0u64);
-        for t in 0..num_tiles {
+        for t in (0..num_tiles).filter(|&t| c_offsets[t + 1] > c_offsets[t]) {
             match tile_kernel(t, c_offsets[t + 1] - c_offsets[t]) {
                 Kernel::SparseScalar => sparse += 1,
                 Kernel::DenseScalar => dense += 1,
@@ -907,10 +916,11 @@ mod tests {
     }
 
     /// A product shaped to stress step 2's chunk staging: every tile row of
-    /// A holds all 300 inner tiles, and B's tile column `j` picks two inner
-    /// tiles by `j % 3` — 299 positions apart (an escape-coded pair),
-    /// adjacent (two plain words), or 299 apart on a B row A never touches
-    /// (a phantom tile: matched pairs, zero nonzeros).
+    /// A holds all 300 inner tiles, each with one entry in local column 0,
+    /// and B's tile column `j` picks two inner tiles by `j % 3` — 299
+    /// positions apart (an escape-coded pair), adjacent (two plain words),
+    /// or 299 apart with the first on a B row A never touches (one dead
+    /// pair dropped before the encoding, one escape-coded live pair).
     fn staging_stress(rows: usize, cols: usize) -> (TileMatrix<f64>, TileMatrix<f64>) {
         const INNER: u32 = 300;
         let mut a = Coo::new(rows * TILE_DIM, INNER as usize * TILE_DIM);
@@ -921,13 +931,14 @@ mod tests {
         }
         let mut b = Coo::new(INNER as usize * TILE_DIM, cols * TILE_DIM);
         for j in 0..cols as u32 {
-            let (far, local_row) = match j % 3 {
-                0 => (INNER - 1, 0),
-                1 => (1, 0),
-                _ => (INNER - 1, 1),
+            // (inner tile, local row) of the column's two entries.
+            let [near, far] = match j % 3 {
+                0 => [(0, 0), (INNER - 1, 0)],
+                1 => [(0, 0), (1, 0)],
+                _ => [(0, 1), (INNER - 1, 0)],
             };
-            b.push(local_row, j * 16, 2.0);
-            b.push(far * 16 + local_row, j * 16 + 3, -1.0);
+            b.push(near.0 * 16 + near.1, j * 16, 2.0);
+            b.push(far.0 * 16 + far.1, j * 16 + 3, -1.0);
         }
         (
             TileMatrix::from_csr(&a.to_csr()),
@@ -936,17 +947,27 @@ mod tests {
     }
 
     /// Asserts `buf` is exactly the per-tile `encode_pairs` concatenation
-    /// over `c`'s tiles, in tile order.
+    /// of the live pairs of `c`'s tiles, in tile order, and returns how many
+    /// dead pairs the intersections matched. A pair is live iff some entry
+    /// `(r, c)` of its A tile meets a non-empty row `c` of its B tile.
     fn assert_per_tile_encoding(
         ta: &TileMatrix<f64>,
         tb: &TileMatrix<f64>,
         c: &TileMatrix<f64>,
         buf: &PairBuffer,
         what: &str,
-    ) {
+    ) -> usize {
+        let live = |(a_id, b_id): (u32, u32)| {
+            let b_masks = tb.tile(b_id as usize).masks;
+            ta.tile(a_id as usize)
+                .col_idx
+                .iter()
+                .any(|&col| b_masks[col as usize] != 0)
+        };
         let b_cols = tb.col_index();
         let (mut positions, mut pairs) = (Vec::new(), Vec::new());
         let (mut offsets, mut words) = (vec![0u32], Vec::new());
+        let mut dead = 0;
         for ti in 0..c.tile_m {
             for &tj in c.tile_row_cols(ti) {
                 matched_pairs(
@@ -958,12 +979,20 @@ mod tests {
                     &mut positions,
                     &mut pairs,
                 );
-                encode_pairs(&positions, &mut words);
+                let kept: Vec<_> = positions
+                    .iter()
+                    .zip(&pairs)
+                    .filter(|&(_, &pair)| live(pair))
+                    .map(|(&pos, _)| pos)
+                    .collect();
+                dead += positions.len() - kept.len();
+                encode_pairs(&kept, &mut words);
                 offsets.push(words.len() as u32);
             }
         }
         assert_eq!(buf.offsets, offsets, "{what}: offsets");
         assert_eq!(buf.words, words, "{what}: words");
+        dead
     }
 
     #[test]
@@ -998,12 +1027,14 @@ mod tests {
             }
             // The stress product really straddles what it is meant to:
             // many chunks with a ragged last one, escape-coded pairs on
-            // both sides of a boundary, and phantom tiles.
+            // both sides of a boundary, and dead pairs beside live ones in
+            // tiles that all hold entries.
             let out = pool
                 .install(|| multiply(&sa, &sb, &Config::default(), &MemTracker::new()))
                 .unwrap();
             let buf = out.pair_buffer.as_ref().unwrap();
             let tiles = out.c.tile_count();
+            assert_eq!(tiles, 40 * 301, "every tile has a live pair");
             let chunk = step2::staging_chunk_len(tiles, threads);
             assert!(
                 tiles / chunk >= 8 && tiles % chunk != 0,
@@ -1013,10 +1044,9 @@ mod tests {
             assert!((chunk..tiles)
                 .step_by(chunk)
                 .any(|e| escaped(e - 1) && escaped(e)));
-            assert!(
-                (0..tiles).any(|t| out.c.tile_nnz_of(t) == 0),
-                "phantom tiles"
-            );
+            assert!((0..tiles).all(|t| out.c.tile_nnz_of(t) > 0));
+            let dead = assert_per_tile_encoding(&sa, &sb, &out.c, buf, "stress");
+            assert_eq!(dead, 40 * 100, "one dead pair per `j % 3 == 2` tile");
         }
     }
 
@@ -1199,11 +1229,11 @@ mod tests {
     }
 
     #[test]
-    fn step1_overestimate_retains_empty_tiles() {
+    fn cancelled_entries_stay_stored_as_zeros() {
         // A(0, 16) * B(16, 0): step 1 pairs tile (0,1) of A with tile (1,0)
-        // of B, predicting C tile (0,0). The product is 1*1 at (0,0) —
-        // nonzero. Now use values that cancel: A has two entries whose
-        // products into the same C position cancel exactly.
+        // of B through a live pair, giving C tile (0,0). Use values that
+        // cancel: A has two entries whose products into the same C position
+        // cancel exactly.
         let mut coo_a = Coo::new(32, 32);
         coo_a.push(0, 16, 1.0);
         coo_a.push(0, 17, 1.0);

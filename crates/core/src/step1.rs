@@ -4,15 +4,95 @@
 //! `C = A·B` is the pattern of `C' = A'·B'` where `A'`/`B'` are the tile
 //! layouts of `A`/`B` (the paper's Figure 3). The paper calls NSPARSE for
 //! this small symbolic product; our NSPARSE stand-in is the same kernel:
-//! per-row upper bounds, then a per-row accumulator that switches between
-//! sort-dedup (short rows) and open-addressing hashing (long rows).
+//! each row gathers its candidate tile columns, then a per-row accumulator
+//! switches between sort-dedup (short rows) and open-addressing hashing
+//! (long rows).
 //!
-//! Tile-wise cancellation is *not* considered: a tile of `C'` may turn out
-//! to hold zero nonzeros after step 2, and is then retained as an empty tile
-//! exactly as the paper specifies ("the final C is allowed to store empty
-//! tiles").
+//! The paper's step 1 ([`tile_structure_spgemm`]) gathers every `B'` tile
+//! an `A'` tile's column index reaches, so a tile of `C'` may turn out to
+//! hold zero nonzeros after step 2 and is then kept as an empty tile ("the
+//! final C is allowed to store empty tiles"). The pipeline runs
+//! `live_tile_structure` instead: it gathers `B_kj` into `C_ij`'s tile row
+//! only through a *live* pair `(A_ik, B_kj)`, one whose 16-bit occupancy
+//! words meet (`Occupancy`), so an unmasked `C`'s layout is exactly its
+//! non-empty tiles.
+//! Numeric cancellation is still not considered: a live tile whose values
+//! cancel keeps its stored zeros.
 
+use crate::intersect::MatchedPair;
 use rayon::prelude::*;
+use tsg_matrix::{Scalar, TileMatrix, TILE_DIM};
+
+/// The 16-bit occupancy words of a product's operand tiles, which decide
+/// exactly whether a tile pair contributes to the product.
+///
+/// Row `r` of `C_ij` receives row `c` of `B_kj` for each nonzero `(r, c)`
+/// of `A_ik`, so the pair `(A_ik, B_kj)` adds to some entry iff an occupied
+/// local column of `A_ik` is an occupied local row of `B_kj`: one AND of
+/// the two words. A *dead* pair (AND zero) adds nothing to any slot, so
+/// dropping it leaves every stored value bitwise unchanged.
+#[derive(Debug)]
+pub(crate) struct Occupancy {
+    /// Per tile of `A`: bit `c` set iff local column `c` holds an entry
+    /// (the OR of the tile's 16 row masks).
+    a_cols: Vec<u16>,
+    /// Per tile of `B`: bit `r` set iff local row `r` holds an entry.
+    b_rows: Vec<u16>,
+}
+
+impl Occupancy {
+    /// The occupancy words of `a`'s tiles (columns) and `b`'s (rows).
+    pub(crate) fn new<T: Scalar>(a: &TileMatrix<T>, b: &TileMatrix<T>) -> Self {
+        Self {
+            a_cols: tile_words(&a.masks, |rows| rows.iter().fold(0, |acc, &m| acc | m)),
+            b_rows: tile_words(&b.masks, |rows| {
+                (0..TILE_DIM).fold(0, |acc, r| acc | (u16::from(rows[r] != 0) << r))
+            }),
+        }
+    }
+
+    /// Whether the pair of `A` tile `a_id` and `B` tile `b_id` is live.
+    #[inline]
+    fn live(&self, a_id: usize, b_id: usize) -> bool {
+        self.a_cols[a_id] & self.b_rows[b_id] != 0
+    }
+
+    /// Drops the dead pairs of one tile's matched-pair lists in place:
+    /// `pairs` holds flat `(a_id, b_id)` tile ids and `positions` the
+    /// intersection's list positions of the same pairs, index for index.
+    /// The live pairs keep their order.
+    pub(crate) fn retain_live(
+        &self,
+        positions: &mut Vec<MatchedPair>,
+        pairs: &mut Vec<(u32, u32)>,
+    ) {
+        debug_assert_eq!(positions.len(), pairs.len());
+        let mut kept = 0;
+        for i in 0..pairs.len() {
+            let (a_id, b_id) = pairs[i];
+            if self.live(a_id as usize, b_id as usize) {
+                pairs[kept] = pairs[i];
+                positions[kept] = positions[i];
+                kept += 1;
+            }
+        }
+        pairs.truncate(kept);
+        positions.truncate(kept);
+    }
+
+    /// Tracked size in bytes: one `u16` per operand tile.
+    pub(crate) fn bytes(&self) -> usize {
+        (self.a_cols.len() + self.b_rows.len()) * std::mem::size_of::<u16>()
+    }
+}
+
+/// One word per tile of a matrix's row masks (16 per tile).
+fn tile_words(masks: &[u16], word: impl Fn(&[u16; TILE_DIM]) -> u16) -> Vec<u16> {
+    masks
+        .chunks_exact(TILE_DIM)
+        .map(|rows| word(rows.try_into().expect("a tile has 16 row masks")))
+        .collect()
+}
 
 /// The pattern of one level of tile structure: a CSR without values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +124,8 @@ impl TilePattern {
 /// granularity step 1 needs.
 const SORT_PATH_MAX: usize = 128;
 
-/// Computes the symbolic product pattern `C' = A'·B'` over tile structures.
+/// Computes the symbolic product pattern `C' = A'·B'` over tile structures
+/// — the paper's step 1, which keeps every tile an index match predicts.
 ///
 /// `a_ptr`/`a_idx` describe `A'` (one entry per sparse tile of `A`), and
 /// likewise for `B'`. Output rows are sorted.
@@ -56,23 +137,76 @@ pub fn tile_structure_spgemm(
     b_idx: &[u32],
     b_cols: usize,
 ) -> TilePattern {
+    structure_with(a_rows, a_ptr, a_idx, b_ptr, b_idx, b_cols, None)
+}
+
+/// The exact tile layout of `C = A·B`: [`tile_structure_spgemm`] gathering
+/// each `B` tile through live pairs only, so every tile it yields holds at
+/// least one entry and every non-empty tile of the product is present.
+pub(crate) fn live_tile_structure<T: Scalar>(
+    a: &TileMatrix<T>,
+    b: &TileMatrix<T>,
+    occupancy: &Occupancy,
+) -> TilePattern {
+    structure_with(
+        a.tile_m,
+        &a.tile_ptr,
+        &a.tile_colidx,
+        &b.tile_ptr,
+        &b.tile_colidx,
+        b.tile_n,
+        Some(occupancy),
+    )
+}
+
+/// The symbolic tile product, gathering each `B'` tile through each `A'`
+/// tile whose column index matches its row — or, given `occupancy`, only
+/// through the live ones.
+fn structure_with(
+    a_rows: usize,
+    a_ptr: &[usize],
+    a_idx: &[u32],
+    b_ptr: &[usize],
+    b_idx: &[u32],
+    b_cols: usize,
+    occupancy: Option<&Occupancy>,
+) -> TilePattern {
+    // Each task gathers a row's candidates into one reused buffer, then
+    // dedups them by sorting (short rows) or through one reused hash table
+    // (long rows), and allocates the row at its final length. The path
+    // follows the gathered count, not the index-level bound: under live
+    // gathering, most candidates of a power-law product never make it in.
     let rows: Vec<Vec<u32>> = (0..a_rows)
         .into_par_iter()
-        .map(|i| {
-            let acols = &a_idx[a_ptr[i]..a_ptr[i + 1]];
-            let ub: usize = acols
-                .iter()
-                .map(|&k| b_ptr[k as usize + 1] - b_ptr[k as usize])
-                .sum();
-            if ub == 0 {
-                return Vec::new();
-            }
-            if ub <= SORT_PATH_MAX {
-                symbolic_row_sort(acols, b_ptr, b_idx, ub)
-            } else {
-                symbolic_row_hash(acols, b_ptr, b_idx, ub)
-            }
-        })
+        .map_init(
+            || (Vec::new(), Vec::new()),
+            |(gathered, table), i| {
+                gathered.clear();
+                let a_base = a_ptr[i];
+                for (a_id, &k) in (a_base..).zip(&a_idx[a_base..a_ptr[i + 1]]) {
+                    let b_tiles = b_ptr[k as usize]..b_ptr[k as usize + 1];
+                    let cols = &b_idx[b_tiles.clone()];
+                    match occupancy {
+                        None => gathered.extend_from_slice(cols),
+                        Some(occ) => {
+                            let a_word = occ.a_cols[a_id];
+                            for (&col, &b_word) in cols.iter().zip(&occ.b_rows[b_tiles]) {
+                                if a_word & b_word != 0 {
+                                    gathered.push(col);
+                                }
+                            }
+                        }
+                    }
+                }
+                if gathered.len() <= SORT_PATH_MAX {
+                    gathered.sort_unstable();
+                    gathered.dedup();
+                    gathered.to_vec()
+                } else {
+                    symbolic_row_hash(gathered, table)
+                }
+            },
+        )
         .collect();
 
     let mut ptr = vec![0usize; a_rows + 1];
@@ -91,43 +225,34 @@ pub fn tile_structure_spgemm(
     }
 }
 
-fn symbolic_row_sort(acols: &[u32], b_ptr: &[usize], b_idx: &[u32], ub: usize) -> Vec<u32> {
-    let mut gathered = Vec::with_capacity(ub);
-    for &k in acols {
-        gathered.extend_from_slice(&b_idx[b_ptr[k as usize]..b_ptr[k as usize + 1]]);
-    }
-    gathered.sort_unstable();
-    gathered.dedup();
-    gathered
-}
-
-/// Open-addressing (linear probing) hash set over `u32` keys, sized to the
-/// next power of two above `2·ub` — the NSPARSE symbolic-phase design.
-fn symbolic_row_hash(acols: &[u32], b_ptr: &[usize], b_idx: &[u32], ub: usize) -> Vec<u32> {
+/// The distinct columns of `gathered`, ascending, through an
+/// open-addressing (linear probing) hash set over `u32` keys in the scratch
+/// `table`, sized to the next power of two above twice the gathered count
+/// — the NSPARSE symbolic-phase design.
+fn symbolic_row_hash(gathered: &[u32], table: &mut Vec<u32>) -> Vec<u32> {
     const EMPTY: u32 = u32::MAX;
-    let capacity = (2 * ub).next_power_of_two();
+    let capacity = (2 * gathered.len()).next_power_of_two();
     let mask = capacity - 1;
-    let mut table = vec![EMPTY; capacity];
+    table.clear();
+    table.resize(capacity, EMPTY);
     let mut count = 0usize;
-    for &k in acols {
-        for &col in &b_idx[b_ptr[k as usize]..b_ptr[k as usize + 1]] {
-            let mut slot = (col as usize).wrapping_mul(0x9E37_79B9) & mask;
-            loop {
-                let cur = table[slot];
-                if cur == col {
-                    break;
-                }
-                if cur == EMPTY {
-                    table[slot] = col;
-                    count += 1;
-                    break;
-                }
-                slot = (slot + 1) & mask;
+    for &col in gathered {
+        let mut slot = (col as usize).wrapping_mul(0x9E37_79B9) & mask;
+        loop {
+            let cur = table[slot];
+            if cur == col {
+                break;
             }
+            if cur == EMPTY {
+                table[slot] = col;
+                count += 1;
+                break;
+            }
+            slot = (slot + 1) & mask;
         }
     }
     let mut out = Vec::with_capacity(count);
-    out.extend(table.into_iter().filter(|&c| c != EMPTY));
+    out.extend(table.iter().copied().filter(|&c| c != EMPTY));
     out.sort_unstable();
     out
 }
@@ -216,13 +341,84 @@ mod tests {
         assert_eq!(c.ptr, vec![0, 0, 0, 0]);
     }
 
+    /// A tiled matrix on a `tiles`×`tiles` grid from `(row, col)` entries.
+    fn tiled(tiles: usize, entries: &[(u32, u32)]) -> TileMatrix<f64> {
+        let mut coo = tsg_matrix::Coo::new(tiles * TILE_DIM, tiles * TILE_DIM);
+        for &(r, c) in entries {
+            coo.push(r, c, 1.0);
+        }
+        TileMatrix::from_csr(&coo.to_csr())
+    }
+
+    #[test]
+    fn occupancy_words_decide_which_pairs_are_live() {
+        // A tile (0,1) holds (2, 16+3) and (7, 16+3): local column 3 only.
+        // B tile (1,0) holds row 3 -> live with it; B tile (1,1) holds only
+        // local row 4 -> dead; the index-level product predicts both.
+        let a = tiled(2, &[(2, 19), (7, 19)]);
+        let b = tiled(2, &[(19, 5), (20, 16 + 9)]);
+        let occ = Occupancy::new(&a, &b);
+        assert_eq!(occ.a_cols, vec![1 << 3]);
+        assert_eq!(occ.b_rows, vec![1 << 3, 1 << 4]);
+        assert!(occ.live(0, 0));
+        assert!(!occ.live(0, 1));
+        assert_eq!(occ.bytes(), 6);
+        let paper = tile_structure_spgemm(
+            2,
+            &a.tile_ptr,
+            &a.tile_colidx,
+            &b.tile_ptr,
+            &b.tile_colidx,
+            2,
+        );
+        assert_eq!(paper.row(0), &[0, 1], "the paper keeps the dead tile");
+        let live = live_tile_structure(&a, &b, &occ);
+        assert_eq!(live.row(0), &[0]);
+        assert_eq!(live.ptr, vec![0, 1, 1]);
+
+        let (mut positions, mut pairs) = (vec![(0, 0), (0, 1)], vec![(0, 0), (0, 1)]);
+        occ.retain_live(&mut positions, &mut pairs);
+        assert_eq!((positions, pairs), (vec![(0, 0)], vec![(0, 0)]));
+    }
+
+    #[test]
+    fn live_structure_is_the_exact_product_layout_on_both_paths() {
+        let mut state = 4242u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // The 12-tile grids keep every row on the sort path; the 40-tile
+        // grid's rows gather past SORT_PATH_MAX candidates (hash path).
+        for (tiles, count) in [(12usize, 60usize), (12, 400), (40, 3000)] {
+            let n = (tiles * TILE_DIM) as u64;
+            let mut entries = |count: usize| -> Vec<(u32, u32)> {
+                (0..count)
+                    .map(|_| ((next() % n) as u32, (next() % n) as u32))
+                    .collect()
+            };
+            let (a, b) = (tiled(tiles, &entries(count)), tiled(tiles, &entries(count)));
+            let exact = TileMatrix::from_csr(
+                &tsg_matrix::Dense::from_csr(&a.to_csr())
+                    .matmul(&tsg_matrix::Dense::from_csr(&b.to_csr()))
+                    .to_csr(),
+            );
+            let live = live_tile_structure(&a, &b, &Occupancy::new(&a, &b));
+            assert_eq!(live.ptr, exact.tile_ptr, "{tiles} tiles, {count} entries");
+            assert_eq!(
+                live.idx, exact.tile_colidx,
+                "{tiles} tiles, {count} entries"
+            );
+        }
+    }
+
     #[test]
     fn hash_path_handles_adversarial_collisions() {
         // All columns map near each other: many probes, still exact.
-        let acols = [0u32];
-        let b_ptr = [0usize, 200];
         let b_idx: Vec<u32> = (0..200u32).map(|i| i * 64).collect();
-        let got = symbolic_row_hash(&acols, &b_ptr, &b_idx, 200);
+        let got = symbolic_row_hash(&b_idx, &mut Vec::new());
         assert_eq!(got, b_idx);
     }
 }

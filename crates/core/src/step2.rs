@@ -3,8 +3,10 @@
 //! For every tile `C_ij` found by step 1, one task (the paper's warp):
 //!
 //! 1. intersects `A`'s tile row `i` with `B`'s tile column `j`
-//!    ([`crate::intersect`]) to find the matched pairs `(A_ik, B_kj)`;
-//! 2. for each pair, walks `A_ik`'s nonzeros; a nonzero at local `(r, c)`
+//!    ([`crate::intersect`]) to find the matched pairs `(A_ik, B_kj)`, and
+//!    keeps the live ones, whose occupancy words meet (see [`crate::step1`]):
+//!    a dead pair adds nothing to the tile;
+//! 2. for each live pair, walks `A_ik`'s nonzeros; a nonzero at local `(r, c)`
 //!    pulls `B_kj`'s row mask `c` and ORs it into `C_ij`'s row mask `r`
 //!    (the paper's `AtomicOr` — plain OR here because one task owns the
 //!    tile);
@@ -70,8 +72,8 @@ pub(crate) fn scan_word_counts(offsets: &mut [u32]) -> usize {
     total
 }
 
-/// The matched pairs of every output tile, delta-coded into packed `u16`
-/// words: tile `t` owns `words[offsets[t]..offsets[t + 1]]`.
+/// The live matched pairs of every output tile, delta-coded into packed
+/// `u16` words: tile `t` owns `words[offsets[t]..offsets[t + 1]]`.
 ///
 /// Step 2 persists this when [`crate::Config::pair_reuse`] is on, so step 3
 /// reads the lists back instead of re-running the tile-row/tile-column set

@@ -559,13 +559,14 @@ impl Engine {
     /// [`Registry::insert_tiled`]); a CSR is derived lazily only if a
     /// client later asks for one.
     ///
-    /// The product is compacted first ([`TileMatrix::compact`]): phantom
-    /// tiles out of step 1's structural prediction would otherwise tax
-    /// every job that takes the handle as an operand, and would make the
-    /// content hash depend on which pipeline produced the value.
+    /// The product is compacted first ([`TileMatrix::compact`]): the empty
+    /// tiles a masked product keeps (mask tiles the product misses) would
+    /// otherwise tax every job that takes the handle as an operand, and
+    /// would make the content hash depend on which expression produced the
+    /// value.
     pub fn register_tiled(&self, tiled: Arc<TileMatrix<f64>>) -> (MatrixId, bool) {
         let compact = if (0..tiled.tile_count()).any(|t| tiled.tile_nnz_of(t) == 0) {
-            Arc::new(tiled.compact())
+            Arc::new(Arc::unwrap_or_clone(tiled).compact())
         } else {
             tiled
         };
@@ -1479,11 +1480,9 @@ fn run_chain(
             breakdown.step3 += out.breakdown.step3;
             breakdown.alloc += out.breakdown.alloc;
             peak = peak.max(out.peak_bytes);
-            // Step 1 predicts the product's tile set structurally, so the
-            // raw output can carry phantom (zero-entry) tiles. The next
-            // link's step 1 walks every operand tile, so compact before
-            // feeding the product back — a pure metadata rewrite, far
-            // cheaper than the CSR round-trip it replaces.
+            // Only a masked link can carry zero-entry tiles (the mask tiles
+            // the product misses). Compacting drops them and moves the
+            // entry arrays; an unmasked link comes back untouched.
             let c = Arc::new(out.c.compact());
             if i != last {
                 // Failpoint `engine.chain_register`: the resident

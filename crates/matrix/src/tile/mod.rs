@@ -168,23 +168,23 @@ impl<T: Scalar> TileMatrix<T> {
         self.tile_nnz[t + 1] - self.tile_nnz[t]
     }
 
-    /// Returns a copy with empty tiles dropped.
+    /// Drops the tiles that store no entry.
     ///
-    /// The pipeline predicts the product's tile set *structurally* in step
-    /// 1, so tiles whose every candidate position misses (or cancels) come
-    /// out with zero stored entries — the `phantom-tile` case. Those tiles
-    /// carry no values but still cost every downstream consumer: operand-
-    /// side step-1 intersection walks them, and per-tile metadata (34
-    /// bytes each) inflates the resident footprint. Compacting is a pure
-    /// tiled-to-tiled metadata rewrite — the entry arrays are shared
-    /// verbatim since empty tiles own no entries — so a product can be fed
-    /// back as an operand without any CSR round-trip.
-    pub fn compact(&self) -> Self {
+    /// Such tiles come from a layout predicted structurally rather than from
+    /// the entries: the paper's step 1 keeps the tiles whose candidate
+    /// positions all miss (the `phantom-tile` case), and a masked product
+    /// keeps the mask tiles it misses. They carry no values but still cost
+    /// every downstream consumer: operand-side step-1 intersection walks
+    /// them, and per-tile metadata (34 bytes each) inflates the resident
+    /// footprint. Compacting rewrites the tile metadata only — empty tiles
+    /// own no entries, so the entry arrays move over untouched, and a matrix
+    /// without empty tiles comes back as it is.
+    pub fn compact(self) -> Self {
         let empties = (0..self.tile_count())
             .filter(|&t| self.tile_nnz_of(t) == 0)
             .count();
         if empties == 0 {
-            return self.clone();
+            return self;
         }
         let kept = self.tile_count() - empties;
         let mut tile_ptr = vec![0usize; self.tile_m + 1];
@@ -207,18 +207,12 @@ impl<T: Scalar> TileMatrix<T> {
             tile_ptr[ti + 1] = tile_colidx.len();
         }
         Self {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            tile_m: self.tile_m,
-            tile_n: self.tile_n,
             tile_ptr,
             tile_colidx,
             tile_nnz,
             row_ptr,
-            row_idx: self.row_idx.clone(),
-            col_idx: self.col_idx.clone(),
-            vals: self.vals.clone(),
             masks,
+            ..self
         }
     }
 
@@ -615,14 +609,18 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_phantom_tiles_and_preserves_the_matrix() {
-        // Splice an empty (phantom) tile between the two real tiles of the
-        // sample — the shape step 1 produces when every candidate of a
-        // predicted tile misses.
+    fn compact_drops_phantom_tiles_and_moves_the_entries() {
+        // No empties: the matrix comes back as it is, buffers included.
         let t = TileMatrix::from_csr(&sample());
-        assert_eq!(t.compact(), t, "no empties: compact is the identity");
-        // Append an empty tile (0,2) after tile row 0's real tiles: flat
-        // index 2, zero entries, zeroed row pointers and masks.
+        let copy = t.clone();
+        let copy_at = copy.vals.as_ptr();
+        let same = copy.compact();
+        assert_eq!(same, t, "no empties: compact is the identity");
+        assert_eq!(same.vals.as_ptr(), copy_at, "and copies nothing");
+        // Splice an empty (phantom) tile (0,2) after tile row 0's real
+        // tiles — the shape the paper's step 1 produces when every
+        // candidate of a predicted tile misses: flat index 2, zero entries,
+        // zeroed row pointers and masks.
         let mut padded = t.clone();
         padded.ncols = 33;
         padded.tile_n = 3;
@@ -637,9 +635,24 @@ mod tests {
             *p += 1;
         }
         padded.validate().expect("padded form is well-formed");
+        let csr = padded.to_csr();
+        let entries_at = (
+            padded.row_idx.as_ptr(),
+            padded.col_idx.as_ptr(),
+            padded.vals.as_ptr(),
+        );
         let compacted = padded.compact();
         compacted.validate().unwrap();
         assert_eq!(compacted.tile_count(), t.tile_count());
-        assert_eq!(compacted.to_csr(), padded.to_csr(), "same matrix");
+        assert_eq!(compacted.to_csr(), csr, "same matrix");
+        assert_eq!(
+            (
+                compacted.row_idx.as_ptr(),
+                compacted.col_idx.as_ptr(),
+                compacted.vals.as_ptr()
+            ),
+            entries_at,
+            "the entry arrays move over uncopied"
+        );
     }
 }

@@ -28,10 +28,11 @@ fn arb_square(n_max: usize, nnz_max: usize) -> impl Strategy<Value = Csr<f64>> {
 }
 
 /// A product stressing step 2's chunk staging: every tile row of A holds
-/// all 300 inner tiles, and B's tile column `j` picks two inner tiles by
-/// `kinds[j]` — 299 list positions apart (an escape-coded pair), adjacent
-/// (plain words), or 299 apart on a B row A never touches (a phantom tile:
-/// matched pairs, zero nonzeros).
+/// all 300 inner tiles, each with one entry in local column 0, and B's tile
+/// column `j` picks two inner tiles by `kinds[j]` — 299 list positions
+/// apart (an escape-coded pair), adjacent (plain words), or 299 apart with
+/// the first on a B row A never touches (a phantom pair: matched by index,
+/// dead by occupancy, dropped beside an escape-coded live pair).
 fn staging_stress(rows: usize, kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64>) {
     const INNER: u32 = 300;
     let mut a = Coo::new(rows * 16, INNER as usize * 16);
@@ -43,13 +44,14 @@ fn staging_stress(rows: usize, kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64
     let mut b = Coo::new(INNER as usize * 16, kinds.len() * 16);
     for (j, &kind) in kinds.iter().enumerate() {
         let j = j as u32;
-        let (far, local_row) = match kind {
-            0 => (INNER - 1, 0),
-            1 => (1, 0),
-            _ => (INNER - 1, 1),
+        // (inner tile, local row) of the column's two entries.
+        let [near, far] = match kind {
+            0 => [(0, 0), (INNER - 1, 0)],
+            1 => [(0, 0), (1, 0)],
+            _ => [(0, 1), (INNER - 1, 0)],
         };
-        b.push(local_row, j * 16, 2.0);
-        b.push(far * 16 + local_row, j * 16 + 3, -1.0);
+        b.push(near.0 * 16 + near.1, j * 16, 2.0);
+        b.push(far.0 * 16 + far.1, j * 16 + 3, -1.0);
     }
     (
         TileMatrix::from_csr(&a.to_csr()),
@@ -57,10 +59,20 @@ fn staging_stress(rows: usize, kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64
     )
 }
 
+/// Whether tile pair `(a_id, b_id)` can produce an entry: some entry
+/// `(r, c)` of the A tile meets a non-empty row `c` of the B tile.
+fn live_pair(a: &TileMatrix<f64>, b: &TileMatrix<f64>, (a_id, b_id): (u32, u32)) -> bool {
+    let b_masks = b.tile(b_id as usize).masks;
+    a.tile(a_id as usize)
+        .col_idx
+        .iter()
+        .any(|&c| b_masks[c as usize] != 0)
+}
+
 /// Runs `a·b` under every scheduling on a `threads`-worker pool and checks
 /// that the persisted `PairBuffer` is exactly the per-tile `encode_pairs`
-/// concatenation in tile order, and that C is bitwise the product
-/// recomputed without pair reuse.
+/// concatenation of the live pairs in tile order, and that C is bitwise
+/// the product recomputed without pair reuse.
 fn check_staged_pair_buffer(
     a: &TileMatrix<f64>,
     b: &TileMatrix<f64>,
@@ -97,7 +109,13 @@ fn check_staged_pair_buffer(
                     &mut positions,
                     &mut pairs,
                 );
-                encode_pairs(&positions, &mut words);
+                let live: Vec<_> = positions
+                    .iter()
+                    .zip(&pairs)
+                    .filter(|&(_, &pair)| live_pair(a, b, pair))
+                    .map(|(&pos, _)| pos)
+                    .collect();
+                encode_pairs(&live, &mut words);
                 offsets.push(words.len() as u32);
             }
         }
@@ -181,12 +199,33 @@ proptest! {
     }
 
     #[test]
+    fn tile_layout_is_the_structural_products(
+        a in arb_square(48, 250),
+        b_seed in 0u64..1000,
+    ) {
+        // Positive values: nothing cancels, so the dense product's pattern
+        // is the structural product, and an unmasked multiply's layout must
+        // be exactly its tiles — every one non-empty, none missing.
+        let b = tilespgemm::gen::random::erdos_renyi(a.nrows, a.ncols, a.nnz().max(1), b_seed)
+            .map_values(|v| v.abs() + 0.5);
+        let (ta, tb) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&b));
+        let out = tilespgemm::core::multiply(&ta, &tb, &Config::default(), &MemTracker::new())
+            .unwrap();
+        let structural = TileMatrix::from_csr(
+            &Dense::from_csr(&a).matmul(&Dense::from_csr(&b)).to_csr(),
+        );
+        prop_assert_eq!(&out.c.tile_ptr, &structural.tile_ptr);
+        prop_assert_eq!(&out.c.tile_colidx, &structural.tile_colidx);
+        prop_assert_eq!(out.c.nnz(), structural.nnz());
+    }
+
+    #[test]
     fn pair_buffer_equals_recomputed_matched_pairs(
         a in arb_square(48, 250),
         threads in 1usize..4,
     ) {
         // The compact pair buffer step 2 persists must hold, tile for tile,
-        // exactly the lists a fresh intersection produces.
+        // exactly the live pairs of a fresh intersection.
         let ta = TileMatrix::from_csr(&a);
         let out = tilespgemm::core::multiply(&ta, &ta, &Config::default(), &MemTracker::new())
             .unwrap();
@@ -208,6 +247,8 @@ proptest! {
                     &mut scratch,
                     &mut pairs,
                 );
+                pairs.retain(|&pair| live_pair(&ta, &ta, pair));
+                prop_assert!(!pairs.is_empty(), "tile {} has a live pair", t);
                 let (_, b_ids) = b_cols.col(tj);
                 buf.decode_tile(t, ta.tile_ptr[ti] as u32, b_ids, &mut decoded);
                 prop_assert_eq!(&decoded, &pairs, "tile {}", t);
@@ -223,9 +264,9 @@ proptest! {
         kinds in proptest::collection::vec(0u8..3, 1..80),
         threads in 1usize..4,
     ) {
-        // Escape-coded, plain and phantom tiles in a random mix, across
-        // enough tiles that the staging chunks hold many tiles each and
-        // their boundaries land on every kind.
+        // Escape-coded, plain and phantom-pair tiles in a random mix,
+        // across enough tiles that the staging chunks hold many tiles each
+        // and their boundaries land on every kind.
         let (ta, tb) = staging_stress(rows, &kinds);
         check_staged_pair_buffer(&ta, &tb, threads)?;
     }
