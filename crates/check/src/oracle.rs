@@ -30,7 +30,7 @@ use tilespgemm_core::{
 use tsg_baselines::reference::reference_spgemm;
 use tsg_baselines::{run_method, MethodKind};
 use tsg_matrix::{ops, Coo, Csr, TileMatrix};
-use tsg_runtime::{CollectingRecorder, MemTracker};
+use tsg_runtime::{CollectingRecorder, Counter, MemTracker, Recorder};
 
 use crate::compare::{compare_csr, Mismatch, ValuePolicy};
 
@@ -204,14 +204,21 @@ pub fn check_configs(
         }
     }
 
-    // Recorder attachment must also be invisible to the product.
+    // Recorder attachment must also be invisible to the product. The
+    // recorded run is repeated on the paper path: the row pass must visit
+    // the same tiles and find exactly the live pairs the per-tile
+    // intersection finds.
     {
         let variant = "tile[recorder=collecting]";
-        let tracker = MemTracker::new();
-        let recorder = CollectingRecorder::new();
-        let out = multiply_csr_with(a, b, &Config::default(), &tracker, &recorder, 1)
-            .map_err(|e| run_detail(variant, e))?;
-        balanced(variant, &tracker)?;
+        let recorded = |config: &Config| {
+            let tracker = MemTracker::new();
+            let recorder = CollectingRecorder::new();
+            let out = multiply_csr_with(a, b, config, &tracker, &recorder, 1)
+                .map_err(|e| run_detail(variant, e))?;
+            balanced(variant, &tracker)?;
+            Ok((out, recorder.snapshot()))
+        };
+        let (out, counters) = recorded(&Config::default())?;
         exact_layout(variant, &out.c)?;
         if out.c != pivot.c {
             return Err(fail(
@@ -220,6 +227,21 @@ pub fn check_configs(
                     detail: "recorded run is not bitwise identical to the default run".to_string(),
                 },
             ));
+        }
+        let (_, paper) = recorded(&Config::builder().pair_reuse(false).build())?;
+        for counter in [Counter::TilesVisited, Counter::MatchedPairs] {
+            let (rows, tiles) = (counters.get(counter), paper.get(counter));
+            if rows != tiles {
+                return Err(fail(
+                    variant,
+                    Mismatch::Run {
+                        detail: format!(
+                            "{counter:?}: the row pass counts {rows}, the per-tile \
+                             intersection {tiles}"
+                        ),
+                    },
+                ));
+            }
         }
         checked += 1;
     }

@@ -10,10 +10,11 @@
 
 #![cfg(feature = "failpoints")]
 
-use tilespgemm_core::{multiply_csr, Config};
+use tilespgemm_core::{multiply, multiply_csr, multiply_masked, Config};
 use tsg_baselines::reference::reference_spgemm;
 use tsg_check::{compare_csr, corpus, ValuePolicy};
 use tsg_engine::{Engine, EngineConfig, JobSpec};
+use tsg_matrix::TileMatrix;
 use tsg_runtime::failpoint;
 use tsg_runtime::MemTracker;
 
@@ -24,44 +25,80 @@ fn operands() -> (tsg_matrix::Csr<f64>, tsg_matrix::Csr<f64>) {
 /// Every tracked allocation of the pipeline, failed one at a time: the
 /// multiply must return the stable `out_of_memory` code and credit back
 /// everything it had allocated — including the failure *inside step 3*
-/// (the output-array allocation, the last tracked site).
+/// (the output-array allocation, the last tracked site). Covered on both
+/// ways step 2 finds pairs — the row pass (plain and masked) and the
+/// paper's per-tile intersection (`pair_reuse(false)`).
 #[test]
 fn oom_at_every_pipeline_allocation_unwinds_and_recovers() {
     let _x = failpoint::exclusive();
     let (a, b) = operands();
-
-    // First, count the tracked allocation sites of one clean run by arming
-    // with an infinite skip (never fails, still counts hits).
-    failpoint::arm("tracker.alloc", u64::MAX, 1);
-    let tracker = MemTracker::new();
-    multiply_csr(&a, &b, &Config::default(), &tracker).expect("clean run");
-    let allocs = failpoint::hits("tracker.alloc");
-    assert!(allocs >= 3, "pipeline has inputs/temps/output allocations");
-
-    // Now fail each site in turn, the last being mid-step-3.
-    for k in 0..allocs {
-        failpoint::arm("tracker.alloc", k, 1);
-        let tracker = MemTracker::new();
-        let err = multiply_csr(&a, &b, &Config::default(), &tracker)
-            .expect_err("armed allocation must fail");
-        assert_eq!(err.code(), "out_of_memory", "allocation #{k}");
-        assert_eq!(
-            tracker.current_bytes(),
-            0,
-            "allocation #{k} must unwind everything already charged"
-        );
+    let (ta, tb) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&b));
+    let gold = reference_spgemm(&a, &b);
+    // The mask keeps the product's entries on a checkerboard of tiles and
+    // on every third row, so it drops tiles and cuts others, and adds a
+    // diagonal the product may miss.
+    let mut coo = tsg_matrix::Coo::new(gold.nrows, gold.ncols);
+    for r in 0..gold.nrows {
+        for &c in gold.row(r).0 {
+            if (r / 16 + c as usize / 16).is_multiple_of(2) || r.is_multiple_of(3) {
+                coo.push(r as u32, c, 1.0);
+            }
+        }
+        if r.is_multiple_of(5) && r < gold.ncols && gold.get(r, r as u32).is_none() {
+            coo.push(r as u32, r as u32, 1.0);
+        }
     }
+    let mask = coo.to_csr();
+    let tm = TileMatrix::from_csr(&mask);
+    let masked_gold = tsg_matrix::ops::hadamard(&gold, &mask);
+    let paper = Config::builder().pair_reuse(false).build();
+    // (what, mask, config, expected product)
+    let runs = [
+        ("row pass", None, Config::default(), &gold),
+        (
+            "masked row pass",
+            Some(&tm),
+            Config::default(),
+            &masked_gold,
+        ),
+        ("paper path", None, paper, &gold),
+    ];
+    for (name, mask, config, want) in runs {
+        let run = |tracker: &MemTracker| match mask {
+            None => multiply(&ta, &tb, &config, tracker),
+            Some(m) => multiply_masked(&ta, &tb, m, &config, tracker),
+        };
+        // First, count the tracked allocation sites of one clean run by
+        // arming with an infinite skip (never fails, still counts hits).
+        failpoint::arm("tracker.alloc", u64::MAX, 1);
+        run(&MemTracker::new()).expect("clean run");
+        let allocs = failpoint::hits("tracker.alloc");
+        assert!(allocs >= 3, "{name}: inputs/temps/output allocations");
 
-    // Disarmed, the same operands multiply fine and match the reference.
-    failpoint::clear("tracker.alloc");
-    let tracker = MemTracker::new();
-    let out = multiply_csr(&a, &b, &Config::default(), &tracker).expect("recovered");
-    compare_csr(
-        &out.to_csr(),
-        &reference_spgemm(&a, &b),
-        &ValuePolicy::default(),
-    )
-    .unwrap();
+        // Now fail each site in turn, the last being mid-step-3.
+        for k in 0..allocs {
+            failpoint::arm("tracker.alloc", k, 1);
+            let tracker = MemTracker::new();
+            let err = run(&tracker).expect_err("armed allocation must fail");
+            assert_eq!(err.code(), "out_of_memory", "{name}: allocation #{k}");
+            assert_eq!(
+                tracker.current_bytes(),
+                0,
+                "{name}: allocation #{k} must unwind everything already charged"
+            );
+        }
+
+        // Disarmed, the same operands multiply fine and match the reference.
+        failpoint::clear("tracker.alloc");
+        let tracker = MemTracker::new();
+        let out = run(&tracker).expect("recovered");
+        assert_eq!(tracker.current_bytes(), 0, "{name}");
+        assert!(out.c.nnz() > 0, "{name}: a non-trivial product");
+        compare_csr(&out.to_csr(), want, &ValuePolicy::default()).unwrap();
+    }
+    // The CSR entry point, which converts first, recovers the same way.
+    let out = multiply_csr(&a, &b, &Config::default(), &MemTracker::new()).expect("recovered");
+    compare_csr(&out.to_csr(), &gold, &ValuePolicy::default()).unwrap();
 }
 
 /// Scratch-arena pool growth refused by the `arena.grow` failpoint: the

@@ -149,7 +149,7 @@ impl SpGemm {
 
     /// Converts CSR operands to tiled form and multiplies, under the next
     /// job id. The returned [`Output`] carries the conversion timing and the
-    /// same breakdown/peak/pair-buffer fields as [`SpGemm::multiply`];
+    /// same breakdown and peak fields as [`SpGemm::multiply`];
     /// [`Output::to_csr`] recovers a CSR product.
     pub fn multiply_csr<T: Scalar>(
         &self,

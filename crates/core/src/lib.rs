@@ -11,11 +11,12 @@
 //!    `C' = A'·B'`, gathering only through tile pairs whose 16-bit
 //!    occupancy words meet, yields exactly the non-empty tiles of `C` (the
 //!    paper keeps the index-level prediction, empty tiles included);
-//! 2. [`step2`] — per tile of `C`: binary-search set intersection of `A`'s
-//!    tile row with `B`'s tile column finds the matched tile pairs, and
-//!    OR-ing `B`'s row bitmasks through `A`'s nonzeros produces `C`'s tile
-//!    masks, local row pointers, and nonzero counts, after which `C` is
-//!    allocated;
+//! 2. [`step2`] — per tile of `C`: the live tile pairs `(A_ik, B_kj)` are
+//!    found — by the paper's binary-search set intersection of `A`'s tile
+//!    row with `B`'s tile column, or by default by one walk per tile row
+//!    that groups them into per-tile lists for step 3 — and OR-ing `B`'s
+//!    row bitmasks through `A`'s nonzeros produces `C`'s tile masks, local
+//!    row pointers, and nonzero counts, after which `C` is allocated;
 //! 3. [`step3`] — per tile of `C`: the numeric phase accumulates
 //!    intermediate products through an *adaptive* accumulator — a rank-based
 //!    sparse accumulator for tiles with ≤ `tnnz` = 192 nonzeros, a dense
@@ -60,7 +61,6 @@ pub use pipeline::{
 };
 pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};
-pub use step2::PairBuffer;
 pub use step3::AccumulatorKind;
 
 /// Tuning knobs of the algorithm. `Config::default()` is the paper's
@@ -84,12 +84,13 @@ pub struct Config {
     /// Sparse/dense accumulator switch-over: tiles with more stored nonzeros
     /// than this use the dense accumulator. The paper sets 192 (75% of 256).
     pub tnnz_threshold: usize,
-    /// Set-intersection strategy for step 2. The paper fixes binary search
-    /// (which it found faster than merging); the default here is
+    /// Set-intersection strategy of the paper's per-tile intersection in
+    /// steps 2 and 3, which runs only with [`Config::pair_reuse`] off (the
+    /// default row pass runs no intersection). The paper fixes binary
+    /// search (which it found faster than merging); the default here is
     /// [`IntersectionKind::Adaptive`], which picks binary search, merge, or
-    /// the bitmap kernel per tile from list lengths and sidecar density —
-    /// a documented departure in the spirit of [`Config::pair_reuse`]. Set
-    /// [`IntersectionKind::BinarySearch`] for the paper-faithful kernel.
+    /// the bitmap kernel per tile from list lengths and sidecar density.
+    /// Set [`IntersectionKind::BinarySearch`] for the paper-faithful kernel.
     pub intersection: IntersectionKind,
     /// Accumulator policy for step 3 (paper: adaptive).
     pub accumulator: AccumulatorKind,
@@ -97,10 +98,12 @@ pub struct Config {
     /// per-tile-row variant exists to demonstrate the load-imbalance the
     /// paper's issue #1 attributes to row-level decomposition).
     pub scheduling: Scheduling,
-    /// Persist the matched-pair lists found by step 2 in a compact CSR-like
-    /// buffer and reuse them in step 3, instead of re-running the set
-    /// intersection per tile as the paper's kernels do. On by default; turn
-    /// off to get the paper-faithful recompute path for ablation benches.
+    /// Find step 2's live tile pairs by one walk per tile row of `C`
+    /// ([`step2::row_pass`]) and hand them to step 3 as flat per-tile
+    /// lists, instead of intersecting `A`'s tile row with `B`'s tile column
+    /// per tile in step 2 and again in step 3 as the paper's kernels do.
+    /// On by default and bitwise identical; turn off to get the
+    /// paper-faithful per-tile intersection for ablation benches.
     pub pair_reuse: bool,
     /// Step-3 numeric-kernel policy (see [`crate::simd`]): runtime-detected
     /// vector kernels under `Auto` (default), or the pinned scalar
@@ -159,7 +162,7 @@ impl ConfigBuilder {
         self
     }
 
-    /// Enables or disables matched-pair reuse between steps 2 and 3.
+    /// Enables or disables the row pass and its pair reuse in step 3.
     pub fn pair_reuse(mut self, v: bool) -> Self {
         self.config.pair_reuse = v;
         self
@@ -254,9 +257,9 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.tnnz_threshold, 192);
         // Two deliberate departures from the paper (DESIGN.md §7, §11):
-        // matched pairs found in step 2 are reused in step 3, and the
-        // intersection kernel is chosen adaptively per tile. Both are
-        // bitwise-invisible in the output.
+        // step 2 finds each tile's pairs by a row pass whose lists step 3
+        // reuses, and the paper path's intersection kernel is chosen
+        // adaptively per tile. Both are bitwise-invisible in the output.
         assert_eq!(c.intersection, IntersectionKind::Adaptive);
         assert_eq!(c.accumulator, AccumulatorKind::Adaptive);
         assert_eq!(c.scheduling, Scheduling::PerTile);

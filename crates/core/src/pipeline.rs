@@ -8,15 +8,15 @@ use crate::convert::{timed_csr_to_tile, ConversionTiming};
 use crate::intersect::{resolve_kind, IntersectionKind};
 use crate::maskops;
 use crate::simd::{self, Kernel};
-use crate::step1::{live_tile_structure, Occupancy, TilePattern};
-use crate::step2::{self, encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
+use crate::step1::{live_tile_structure, masked_pair_ptr, Occupancy, TilePattern};
+use crate::step2::{self, matched_pairs_with, symbolic_tile};
 use crate::{Config, Scheduling, SpGemmError};
 
 use rayon::prelude::*;
 use tsg_matrix::{Csr, ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
 use tsg_runtime::arena::Scratch;
 use tsg_runtime::observe::{Counter, NullRecorder, Recorder};
-use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, ScratchPool, Step};
+use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, ScratchPool, ScratchSizes, Step};
 
 /// The result of a TileSpGEMM multiplication — the one result type both the
 /// tiled and the CSR entry points return.
@@ -29,14 +29,12 @@ pub struct Output<T> {
     /// Per-step wall times (Figure 10's slices).
     pub breakdown: Breakdown,
     /// Peak tracked device bytes of this multiplication alone: the sum of
-    /// its own charges (inputs, step-2 temporaries, the scratch-arena
-    /// share, the pair buffer and the output arrays), all held until it
-    /// returns. Charges other jobs hold on a shared tracker are not
-    /// included; on a fresh tracker this equals the tracker's peak.
+    /// its own charges (inputs, step-2 temporaries — the row pass's pair
+    /// lists among them — the scratch-arena share and the output arrays),
+    /// all held until it returns. Charges other jobs hold on a shared
+    /// tracker are not included; on a fresh tracker this equals the
+    /// tracker's peak.
     pub peak_bytes: usize,
-    /// The matched-pair lists step 2 persisted and step 3 consumed; present
-    /// iff [`Config::pair_reuse`] was on. Exposed for tests and ablations.
-    pub pair_buffer: Option<PairBuffer>,
     /// CSR → tiled conversion timing, summed over both operands. `Some` iff
     /// this output came from a CSR entry point; the tiled entry points set
     /// `None`. Conversion stays outside [`Output::breakdown`], matching the
@@ -75,44 +73,145 @@ fn faulted<T: Copy>(mut v: Vec<T>) -> Vec<T> {
     v
 }
 
-/// Set-intersection lookups a step-2/step-3 intersection pass issues, plus
-/// the chosen-kernel histogram `[binary-search, merge, bitmap]`, derived
-/// from list lengths alone: binary search probes once per element of the
-/// shorter tile list; merge advances at most `|a| + |b|` times; the bitmap
-/// kernel touches its fixed word count. The per-tile kernel choice is a
-/// pure function of the lengths ([`resolve_kind`]), so the histogram can be
-/// replayed here, outside the parallel hot loops — the counters are a
-/// deterministic proxy, not a hardware event count.
-fn intersection_stats<T: Scalar>(
-    a: &TileMatrix<T>,
-    b_cols: &TileColIndex,
-    c_rowidx: &[u32],
-    c_colidx: &[u32],
-    kind: IntersectionKind,
-    bitmap_words: Option<usize>,
-) -> (u64, [u64; 3]) {
-    let mut probes = 0u64;
-    let mut picks = [0u64; 3];
-    for t in 0..c_rowidx.len() {
-        let la = a.tile_row_range(c_rowidx[t] as usize).len();
-        let lb = b_cols.col(c_colidx[t] as usize).0.len();
-        probes += match resolve_kind(kind, la, lb, bitmap_words) {
-            IntersectionKind::BinarySearch => {
-                picks[0] += 1;
-                la.min(lb) as u64
+/// What the paper's per-tile intersection needs beyond the operands
+/// (`pair_reuse = false`): B's column-wise tile index (Algorithm 2's
+/// tileColPtr_B/tileRowidx_B), C's expanded tile-row indices and — when the
+/// intersection kind wants them and the footprint gate admits them — the
+/// bitmap sidecars of A's tile rows and B's tile columns.
+struct PaperIndex {
+    b_cols: TileColIndex,
+    bitmaps: Option<(ListBitmaps, ListBitmaps)>,
+    c_rowidx: Vec<u32>,
+}
+
+impl PaperIndex {
+    fn new<T: Scalar>(
+        a: &TileMatrix<T>,
+        b: &TileMatrix<T>,
+        c: &TilePattern,
+        kind: IntersectionKind,
+    ) -> Self {
+        let b_cols = b.col_index();
+        let bitmaps = match kind {
+            IntersectionKind::Bitmap | IntersectionKind::Adaptive if c.nnz() > 0 => {
+                // Both lists live in the shared universe K = A.tile_n ==
+                // B.tile_m (shapes were checked by the caller).
+                let k = a.tile_n;
+                let est = ListBitmaps::bytes_for(a.tile_m, k) + ListBitmaps::bytes_for(b.tile_n, k);
+                (est <= TILE_BITMAP_MAX_BYTES).then(|| {
+                    (
+                        ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, k),
+                        ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, k),
+                    )
+                })
             }
-            IntersectionKind::Merge => {
-                picks[1] += 1;
-                (la + lb) as u64
-            }
-            IntersectionKind::Bitmap => {
-                picks[2] += 1;
-                bitmap_words.expect("Bitmap only resolves with sidecars") as u64
-            }
-            IntersectionKind::Adaptive => unreachable!("resolve_kind never yields Adaptive"),
+            _ => None,
         };
+        let mut c_rowidx = vec![0u32; c.nnz()];
+        for ti in 0..c.rows {
+            c_rowidx[c.ptr[ti]..c.ptr[ti + 1]].fill(ti as u32);
+        }
+        Self {
+            b_cols,
+            bitmaps,
+            c_rowidx,
+        }
     }
-    (probes, picks)
+
+    /// Tracked size in bytes.
+    fn bytes(&self) -> usize {
+        self.c_rowidx.len() * std::mem::size_of::<u32>()
+            + (self.b_cols.colptr.len() + self.b_cols.rowidx.len()) * 8
+            + self
+                .bitmaps
+                .as_ref()
+                .map_or(0, |(am, bm)| am.bytes() + bm.bytes())
+    }
+
+    /// The most pairs one tile's intersection can match: the shorter of A's
+    /// longest tile row and B's longest tile column.
+    fn pair_bound<T: Scalar>(&self, a: &TileMatrix<T>) -> usize {
+        let longest = |ptr: &[usize]| ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        longest(&a.tile_ptr).min(longest(&self.b_cols.colptr))
+    }
+
+    /// Intersects for tile `t` of `c` and keeps its live pairs, leaving
+    /// their flat ids in `s.id_pairs`.
+    fn live_pairs<T: Scalar>(
+        &self,
+        a: &TileMatrix<T>,
+        occupancy: &Occupancy,
+        c: &TilePattern,
+        t: usize,
+        kind: IntersectionKind,
+        s: &mut Scratch,
+    ) {
+        matched_pairs_with(
+            a,
+            &self.b_cols,
+            self.c_rowidx[t] as usize,
+            c.idx[t] as usize,
+            kind,
+            self.bitmaps.as_ref().map(|(am, bm)| (am, bm)),
+            &mut s.pos_pairs,
+            &mut s.id_pairs,
+        );
+        // Dead pairs add nothing to any slot: drop them before the OR and
+        // the numeric kernel.
+        occupancy.retain_live(&mut s.pos_pairs, &mut s.id_pairs);
+    }
+
+    /// Set-intersection lookups one pass over `c_colidx`'s tiles issues,
+    /// plus the chosen-kernel histogram `[binary-search, merge, bitmap]`,
+    /// derived from list lengths alone: binary search probes once per
+    /// element of the shorter tile list; merge advances at most `|a| + |b|`
+    /// times; the bitmap kernel touches its fixed word count. The per-tile
+    /// kernel choice is a pure function of the lengths ([`resolve_kind`]),
+    /// so the histogram can be replayed here, outside the parallel hot
+    /// loops — the counters are a deterministic proxy, not a hardware event
+    /// count.
+    fn stats<T: Scalar>(
+        &self,
+        a: &TileMatrix<T>,
+        c_colidx: &[u32],
+        kind: IntersectionKind,
+    ) -> (u64, [u64; 3]) {
+        let bitmap_words = self.bitmaps.as_ref().map(|(am, _)| am.words_per_list());
+        let mut probes = 0u64;
+        let mut picks = [0u64; 3];
+        for (&ti, &tj) in self.c_rowidx.iter().zip(c_colidx) {
+            let la = a.tile_row_range(ti as usize).len();
+            let lb = self.b_cols.col(tj as usize).0.len();
+            probes += match resolve_kind(kind, la, lb, bitmap_words) {
+                IntersectionKind::BinarySearch => {
+                    picks[0] += 1;
+                    la.min(lb) as u64
+                }
+                IntersectionKind::Merge => {
+                    picks[1] += 1;
+                    (la + lb) as u64
+                }
+                IntersectionKind::Bitmap => {
+                    picks[2] += 1;
+                    bitmap_words.expect("Bitmap only resolves with sidecars") as u64
+                }
+                IntersectionKind::Adaptive => unreachable!("resolve_kind never yields Adaptive"),
+            };
+        }
+        (probes, picks)
+    }
+}
+
+/// Candidate pairs step 2's row pass tests: over the tile rows it walks
+/// (those with a live pair), the length of `B`'s tile row each of the
+/// row's `A` tiles indexes. Derived from lengths alone, outside the hot
+/// loop.
+fn row_pass_probes<T: Scalar>(a: &TileMatrix<T>, b: &TileMatrix<T>, pair_ptr: &[usize]) -> u64 {
+    (0..a.tile_m)
+        .filter(|&i| pair_ptr[i + 1] > pair_ptr[i])
+        .flat_map(|i| a.tile_row_cols(i))
+        .map(|&k| b.tile_row_range(k as usize).len() as u64)
+        .sum()
 }
 
 /// Runs `C = A·B` on tiled operands with the paper's three-step algorithm.
@@ -184,22 +283,23 @@ pub fn multiply_masked<T: Scalar>(
 /// under a structural `mask` (see [`multiply_masked`]).
 ///
 /// Steps 2 and 3 check a [`Scratch`] arena out of `arena` once per task
-/// chunk; after the first multiply warms the pool, the per-tile hot path
-/// performs zero heap allocations (DESIGN.md §11). What the multiply as a
-/// whole allocates is per-multiply arrays, one pair-staging buffer per
-/// step-2 task and one slice per task run of each output array — fewer
-/// than 0.05 allocations per output tile and a bounded number of host
-/// bytes per tile, pinned by `tests/pipeline_alloc_audit.rs`. The pool's
+/// chunk; after the first multiply warms the pool, the per-tile and
+/// per-row hot paths perform zero heap allocations (DESIGN.md §11). What
+/// the multiply as a whole allocates is per-multiply arrays (the pair
+/// lists among them) and one slice per task run of each array it splits —
+/// fewer than 0.05 allocations per output tile and a bounded number of
+/// host bytes per tile, pinned by `tests/pipeline_alloc_audit.rs`. The pool's
 /// total footprint is charged to `tracker` for the duration of the call
 /// (so `peak_bytes` covers scratch memory) and credited back at the end —
 /// growth observed during the run is reconciled before the peak is read.
 ///
 /// A mask changes three things (DESIGN.md §13.3): step 1 takes `mask`'s
-/// tile layout instead of the symbolic tile product, step 2 ANDs each
-/// tile's symbolic row masks with `mask`'s, and step 3 runs a tile the mask
-/// cut through the dense counterpart of its kernel — the sparse
-/// accumulator rank-addresses through the row masks, so a product outside
-/// them would land in a neighbour's slot.
+/// tile layout instead of the symbolic tile product (and counts only the
+/// live pairs landing in its tiles), step 2 ANDs each tile's symbolic row
+/// masks with `mask`'s, and step 3 runs a tile the mask cut through the
+/// dense counterpart of its kernel — the sparse accumulator rank-addresses
+/// through the row masks, so a product outside them would land in a
+/// neighbour's slot.
 #[allow(clippy::too_many_arguments)]
 pub fn multiply_with_pool<T: Scalar>(
     a: &TileMatrix<T>,
@@ -245,60 +345,61 @@ pub fn multiply_with_pool<T: Scalar>(
     // unmasked layout is exactly C's non-empty tiles (DESIGN.md §7). Under a
     // mask, C takes M's tile layout instead: a product tile can only survive
     // where M has a tile, and M's tiles the product misses come out with
-    // zero nonzeros — the only tiles of C that can.
+    // zero nonzeros — the only tiles of C that can. Step 1 also counts each
+    // tile row's live pairs (under a mask, those landing in M's tiles), which
+    // size and balance step 2's row pass; the paper path counts its own.
+    let reuse = config.pair_reuse;
     let span = recorder.span_enter(job, "step1");
-    let (occupancy, c_pattern) = breakdown.timed(Step::Step1, || {
+    let (occupancy, c_pattern, pair_ptr) = breakdown.timed(Step::Step1, || {
         let occupancy = Occupancy::new(a, b);
-        let pattern = match mask {
-            Some(m) => TilePattern {
-                rows: m.tile_m,
-                cols: m.tile_n,
-                ptr: m.tile_ptr.clone(),
-                idx: m.tile_colidx.clone(),
-            },
+        let (pattern, pair_ptr) = match mask {
+            Some(m) => {
+                let pattern = TilePattern {
+                    rows: m.tile_m,
+                    cols: m.tile_n,
+                    ptr: m.tile_ptr.clone(),
+                    idx: m.tile_colidx.clone(),
+                };
+                let pair_ptr = if reuse {
+                    masked_pair_ptr(a, b, &pattern, &occupancy)
+                } else {
+                    Vec::new()
+                };
+                (pattern, pair_ptr)
+            }
             None => live_tile_structure(a, b, &occupancy),
         };
-        (occupancy, pattern)
+        (occupancy, pattern, pair_ptr)
     });
     recorder.span_exit(span);
     let num_tiles = c_pattern.nnz();
+    let total_pairs = if reuse { pair_ptr[c_pattern.rows] } else { 0 };
+    assert!(
+        u32::try_from(total_pairs).is_ok(),
+        "{total_pairs} live pairs overflow the u32 list offsets"
+    );
 
     // ---- Allocation for step 2 (counted like the paper's cudaMalloc). ----
-    // B's column-wise tile index (Algorithm 2's tileColPtr_B/tileRowidx_B),
-    // C's expanded tile-row indices, and — when the intersection kind wants
-    // them and the footprint gate admits them — the bitmap sidecars of A's
-    // tile rows and B's tile columns.
+    // C's row masks and local row pointers, then per path: the row pass's
+    // flat pair lists with their per-tile end offsets, or the per-tile
+    // intersection's indexes.
     let span = recorder.span_enter(job, "alloc");
-    let (b_cols, bitmaps, c_rowidx, mut c_masks, mut c_row_ptr) =
+    let (paper, mut c_masks, mut c_row_ptr, mut pair_ends, mut pair_lists) =
         breakdown.timed(Step::Alloc, || {
-            let b_cols = b.col_index();
-            let bitmaps: Option<(ListBitmaps, ListBitmaps)> = match config.intersection {
-                IntersectionKind::Bitmap | IntersectionKind::Adaptive if num_tiles > 0 => {
-                    // Both lists live in the shared universe K = A.tile_n ==
-                    // B.tile_m (shapes were checked above).
-                    let k = a.tile_n;
-                    let est =
-                        ListBitmaps::bytes_for(a.tile_m, k) + ListBitmaps::bytes_for(b.tile_n, k);
-                    (est <= TILE_BITMAP_MAX_BYTES).then(|| {
-                        (
-                            ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, k),
-                            ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, k),
-                        )
-                    })
-                }
-                _ => None,
-            };
-            let mut c_rowidx = vec![0u32; num_tiles];
-            for ti in 0..c_pattern.rows {
-                c_rowidx[c_pattern.ptr[ti]..c_pattern.ptr[ti + 1]].fill(ti as u32);
-            }
+            let paper = (!reuse).then(|| PaperIndex::new(a, b, &c_pattern, config.intersection));
             let c_masks = vec![0u16; num_tiles * TILE_DIM];
             let c_row_ptr = vec![0u8; num_tiles * TILE_DIM];
-            (b_cols, bitmaps, c_rowidx, c_masks, c_row_ptr)
+            let (pair_ends, pair_lists) = if reuse {
+                (
+                    vec![0u32; num_tiles + 1],
+                    faulted(vec![(0u32, 0u32); total_pairs]),
+                )
+            } else {
+                (Vec::new(), Vec::new())
+            };
+            (paper, c_masks, c_row_ptr, pair_ends, pair_lists)
         });
     recorder.span_exit(span);
-    let bitmaps_ref = bitmaps.as_ref().map(|(am, bm)| (am, bm));
-    let bitmap_words = bitmaps_ref.map(|(am, _)| am.words_per_list());
     // Under a mask, one flag per tile records whether the mask removed
     // anything from the tile's symbolic pattern; step 3 reads it to pick the
     // tile's kernel. Whichever task owns tile `t` writes flag `t`, so the
@@ -309,11 +410,14 @@ pub fn multiply_with_pool<T: Scalar>(
         Some(_) => (0..num_tiles).map(|_| AtomicBool::new(false)).collect(),
         None => Vec::new(),
     };
-    let step2_temp_bytes = c_pattern.nnz() * 4
-        + b_cols.colptr.len() * 8
-        + b_cols.rowidx.len() * 8
-        + num_tiles * (4 + TILE_DIM * 3 + 8)
-        + bitmaps_ref.map_or(0, |(am, bm)| am.bytes() + bm.bytes())
+    // Live-pair count per tile on the paper path (the row pass's lists
+    // carry theirs); it feeds the matched-pair counter.
+    let mut pair_counts = vec![0usize; if reuse { 0 } else { num_tiles }];
+    let step2_temp_bytes = num_tiles * (TILE_DIM * 3 + 8)
+        + pair_ends.len() * std::mem::size_of::<u32>()
+        + pair_lists.len() * std::mem::size_of::<(u32, u32)>()
+        + (pair_ptr.len() + pair_counts.len()) * std::mem::size_of::<usize>()
+        + paper.as_ref().map_or(0, PaperIndex::bytes)
         + occupancy.bytes()
         + cut.len()
         + 8;
@@ -327,17 +431,26 @@ pub fn multiply_with_pool<T: Scalar>(
     // for the duration of this multiply. A warmed pool re-charges its grown
     // size, so scratch memory shows up in `peak_bytes` every run.
     //
-    // Each arena's pair lists are sized up front to the job's per-tile pair
-    // bound: a tile's intersection matches at most min(la, lb) pairs, so
-    // the shorter of A's longest tile row and B's longest tile column
-    // bounds every tile. Nothing then grows mid-phase, and the charge
-    // depends on the operands alone rather than on which worker drew the
-    // heaviest tile.
-    let longest = |ptr: &[usize]| ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-    let pair_bound = longest(&a.tile_ptr).min(longest(&b_cols.colptr));
+    // Each arena's lists are sized up front to bounds the operands fix. The
+    // row pass needs a slot per tile column of B and room for the heaviest
+    // tile row's live pairs, which step 1 counted. A tile's intersection
+    // matches at most min(la, lb) pairs, so on the paper path the shorter
+    // of A's longest tile row and B's longest tile column bounds every
+    // tile. Nothing then grows mid-phase, and the charge depends on the
+    // operands alone rather than on which worker drew the heaviest work.
     let threads = rayon::current_num_threads().max(1);
-    let arena_slots = threads * 4;
-    let arena_charged = match arena.reserve(arena_slots, pair_bound, tracker) {
+    let sizes = match &paper {
+        None => ScratchSizes {
+            slots: b.tile_n,
+            row_pairs: pair_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
+            ..ScratchSizes::default()
+        },
+        Some(p) => ScratchSizes {
+            pairs: p.pair_bound(a),
+            ..ScratchSizes::default()
+        },
+    };
+    let arena_charged = match arena.reserve(threads * 4, sizes, tracker) {
         Ok(bytes) => bytes,
         Err(e) => {
             tracker.on_free(input_bytes + step2_temp_bytes);
@@ -349,8 +462,29 @@ pub fn multiply_with_pool<T: Scalar>(
     // counter replay below re-derives the same choices.
     let simd_level = simd::resolve_level(config.simd);
 
-    // Steps 2 and 3 give each parallel task an ascending run of tiles: a
-    // `staging_chunk_len` chunk (PerTile) or one tile row (PerTileRow).
+    // ---- Step 2: per-tile symbolic (Algorithm 2). ----
+    let mut c_counts = vec![0usize; num_tiles];
+    // Finishes tile `t` from the symbolic masks in its window: applies the
+    // output mask, if any, and derives the local row pointers and count.
+    let finish_tile = |t: usize, masks_w: &mut [u16], row_ptr_w: &mut [u8], count: &mut usize| {
+        let mut masks = [0u16; TILE_DIM];
+        masks.copy_from_slice(masks_w);
+        if let Some(m) = mask {
+            let mut m_masks = [0u16; TILE_DIM];
+            m_masks.copy_from_slice(m.tile(t).masks);
+            let allowed = maskops::and_masks(&masks, &m_masks, simd_level);
+            cut[t].store(allowed != masks, Ordering::Relaxed);
+            masks_w.copy_from_slice(&allowed);
+            masks = allowed;
+        }
+        let (row_ptr, nnz) = maskops::row_ptr_from_masks(&masks);
+        row_ptr_w.copy_from_slice(&row_ptr);
+        *count = nnz;
+    };
+    // Steps 2 and 3 of the paper path give each parallel task an ascending
+    // run of tiles: a `chunk_len` chunk (PerTile) or one tile row
+    // (PerTileRow). The row pass takes runs of whole tile rows instead,
+    // balanced by their live pairs (or one row each under PerTileRow).
     // C's arrays are split at run boundaries only, and a task slices each
     // tile's window out of its run's from the tile offsets, the way the
     // paper's warps find their output from `tileNnz`.
@@ -358,118 +492,85 @@ pub fn multiply_with_pool<T: Scalar>(
         Scheduling::PerTile => step2::chunk_bounds(num_tiles, threads),
         Scheduling::PerTileRow => c_pattern.ptr.clone(),
     };
-
-    // ---- Step 2: per-tile symbolic (Algorithm 2). ----
-    let mut c_counts = vec![0usize; num_tiles];
-    // Live-pair count per tile: always recorded (one word per tile) — it
-    // feeds the matched-pair counter.
-    let mut pair_counts = vec![0usize; num_tiles];
-    // With pair reuse on, each step-2 task appends the packed pair words of
-    // its run of tiles to one chunk-local staging buffer and records each
-    // tile's word count in `pair_offsets[t + 1]`; right after
-    // the phase a scan turns the counts into the PairBuffer's offsets and
-    // the chunks are concatenated into its words. The buffers are untracked
-    // host scratch, like the arenas' lists.
-    let mut pair_offsets = vec![0u32; num_tiles + 1];
-    // Every unmasked tile has at least one live pair (a mask tile may have
-    // none), so a chunk starts at a word per tile and grows on demand.
-    let staged_chunk = |tiles: usize| {
-        if config.pair_reuse {
-            Vec::with_capacity(tiles)
-        } else {
-            Vec::new()
-        }
-    };
-    // Runs one tile and returns how many packed words it staged.
-    let step2_tile = |s: &mut Scratch,
-                      t: usize,
-                      mask_w: &mut [u16],
-                      row_ptr_w: &mut [u8],
-                      count: &mut usize,
-                      pair_count: &mut usize,
-                      staged: &mut Vec<u16>|
-     -> u32 {
-        let ti = c_rowidx[t] as usize;
-        let tj = c_pattern.idx[t] as usize;
-        matched_pairs_with(
-            a,
-            &b_cols,
-            ti,
-            tj,
-            config.intersection,
-            bitmaps_ref,
-            &mut s.pos_pairs,
-            &mut s.id_pairs,
-        );
-        // Dead pairs add nothing to any slot: drop them before the OR, the
-        // encoding and the numeric kernel.
-        occupancy.retain_live(&mut s.pos_pairs, &mut s.id_pairs);
-        *pair_count = s.id_pairs.len();
-        let sym = symbolic_tile(a, b, &s.id_pairs);
-        match mask {
-            None => {
-                mask_w.copy_from_slice(&sym.masks);
-                row_ptr_w.copy_from_slice(&sym.row_ptr);
-                *count = sym.nnz;
-            }
-            Some(m) => {
-                let mut m_masks = [0u16; TILE_DIM];
-                m_masks.copy_from_slice(m.tile(t).masks);
-                let allowed = maskops::and_masks(&sym.masks, &m_masks, simd_level);
-                let (row_ptr, nnz) = maskops::row_ptr_from_masks(&allowed);
-                mask_w.copy_from_slice(&allowed);
-                row_ptr_w.copy_from_slice(&row_ptr);
-                *count = nnz;
-                cut[t].store(allowed != sym.masks, Ordering::Relaxed);
-            }
-        }
-        if !config.pair_reuse {
-            return 0;
-        }
-        // Pack the list positions onto the chunk's staging buffer; step 3
-        // decodes them back to flat ids with the same base/id context.
-        let start = staged.len();
-        encode_pairs(&s.pos_pairs, staged);
-        (staged.len() - start) as u32
-    };
     let span = recorder.span_enter(job, "step2");
-    // One staging buffer per run.
-    let mut staged: Vec<Vec<u16>> = vec![Vec::new(); runs.len() - 1];
-    breakdown.timed(Step::Step2, || {
-        let elem_bounds: Vec<usize> = runs.iter().map(|&t| t * TILE_DIM).collect();
-        let masks_runs = split_mut_by_offsets(&mut c_masks, &elem_bounds);
-        let rowptr_runs = split_mut_by_offsets(&mut c_row_ptr, &elem_bounds);
-        let counts_runs = split_mut_by_offsets(&mut c_counts, &runs);
-        let paircnt_runs = split_mut_by_offsets(&mut pair_counts, &runs);
-        let words_runs = split_mut_by_offsets(&mut pair_offsets[1..], &runs);
-        masks_runs
-            .into_par_iter()
-            .zip(rowptr_runs)
-            .zip(counts_runs)
-            .zip(paircnt_runs)
-            .zip(words_runs)
-            .zip(staged.par_iter_mut())
-            .enumerate()
-            .for_each_init(
-                || arena.checkout(),
-                |s, (r, (((((masks_r, rowptr_r), counts_r), paircnt_r), words_r), buf))| {
-                    *buf = staged_chunk(counts_r.len());
-                    let base = runs[r];
-                    for (k, count) in counts_r.iter_mut().enumerate() {
-                        words_r[k] = step2_tile(
-                            s,
-                            base + k,
-                            &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM],
-                            &mut rowptr_r[k * TILE_DIM..(k + 1) * TILE_DIM],
-                            count,
-                            &mut paircnt_r[k],
-                            buf,
-                        );
-                    }
-                },
-            );
+    breakdown.timed(Step::Step2, || match &paper {
+        None => {
+            let row_runs: Vec<usize> = match config.scheduling {
+                Scheduling::PerTile => step2::row_chunk_bounds(&pair_ptr, &c_pattern.ptr, threads),
+                Scheduling::PerTileRow => (0..=c_pattern.rows).collect(),
+            };
+            let tile_bounds: Vec<usize> = row_runs.iter().map(|&i| c_pattern.ptr[i]).collect();
+            let elem_bounds: Vec<usize> = tile_bounds.iter().map(|&t| t * TILE_DIM).collect();
+            let pair_bounds: Vec<usize> = row_runs.iter().map(|&i| pair_ptr[i]).collect();
+            split_mut_by_offsets(&mut c_masks, &elem_bounds)
+                .into_par_iter()
+                .zip(split_mut_by_offsets(&mut c_row_ptr, &elem_bounds))
+                .zip(split_mut_by_offsets(&mut c_counts, &tile_bounds))
+                .zip(split_mut_by_offsets(&mut pair_ends[1..], &tile_bounds))
+                .zip(split_mut_by_offsets(&mut pair_lists, &pair_bounds))
+                .enumerate()
+                .for_each_init(
+                    || arena.checkout(),
+                    |s, (r, ((((masks_r, rowptr_r), counts_r), ends_r), lists_r))| {
+                        let (tile_base, pair_base) = (tile_bounds[r], pair_bounds[r]);
+                        for i in row_runs[r]..row_runs[r + 1] {
+                            let tiles = c_pattern.ptr[i]..c_pattern.ptr[i + 1];
+                            let local = tiles.start - tile_base..tiles.end - tile_base;
+                            let pairs = pair_ptr[i]..pair_ptr[i + 1];
+                            if !pairs.is_empty() {
+                                let found = step2::row_pass(
+                                    a,
+                                    b,
+                                    &occupancy,
+                                    i,
+                                    c_pattern.row(i),
+                                    s,
+                                    &mut masks_r[local.start * TILE_DIM..local.end * TILE_DIM],
+                                    &mut ends_r[local.clone()],
+                                    &mut lists_r[pairs.start - pair_base..pairs.end - pair_base],
+                                );
+                                debug_assert_eq!(found, pairs.len(), "step 1 counted row {i}");
+                            }
+                            for (l, t) in local.zip(tiles) {
+                                ends_r[l] += pairs.start as u32;
+                                finish_tile(
+                                    t,
+                                    &mut masks_r[l * TILE_DIM..(l + 1) * TILE_DIM],
+                                    &mut rowptr_r[l * TILE_DIM..(l + 1) * TILE_DIM],
+                                    &mut counts_r[l],
+                                );
+                            }
+                        }
+                    },
+                );
+        }
+        Some(p) => {
+            let elem_bounds: Vec<usize> = runs.iter().map(|&t| t * TILE_DIM).collect();
+            split_mut_by_offsets(&mut c_masks, &elem_bounds)
+                .into_par_iter()
+                .zip(split_mut_by_offsets(&mut c_row_ptr, &elem_bounds))
+                .zip(split_mut_by_offsets(&mut c_counts, &runs))
+                .zip(split_mut_by_offsets(&mut pair_counts, &runs))
+                .enumerate()
+                .for_each_init(
+                    || arena.checkout(),
+                    |s, (r, (((masks_r, rowptr_r), counts_r), paircnt_r))| {
+                        for (k, t) in (runs[r]..runs[r + 1]).enumerate() {
+                            p.live_pairs(a, &occupancy, &c_pattern, t, config.intersection, s);
+                            paircnt_r[k] = s.id_pairs.len();
+                            let masks_w = &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM];
+                            masks_w.copy_from_slice(&symbolic_tile(a, b, &s.id_pairs).masks);
+                            finish_tile(
+                                t,
+                                masks_w,
+                                &mut rowptr_r[k * TILE_DIM..(k + 1) * TILE_DIM],
+                                &mut counts_r[k],
+                            );
+                        }
+                    },
+                );
+        }
     });
-
     recorder.span_exit(span);
 
     // Prefix-sum the per-tile counts into the tileNnz offsets — the scan
@@ -482,57 +583,35 @@ pub fn multiply_with_pool<T: Scalar>(
     recorder.span_exit(span);
 
     // Step-2 counters, all derived from state the phase already produced:
-    // one visit per output tile (== step-1 nnz), the live-pair total, the
-    // length-derived probe count, and the chosen-kernel histogram (see
-    // `intersection_stats`).
+    // one visit per output tile (== step-1 nnz) and the live-pair total.
+    // The probe count is length-derived: the candidates the row pass tests
+    // (`row_pass_probes`), or the per-tile intersection's lookups with the
+    // chosen-kernel histogram (`intersection_stats`), which only the paper
+    // path has.
     let probes = if enabled {
-        let (probes, picks) = intersection_stats(
-            a,
-            &b_cols,
-            &c_rowidx,
-            &c_pattern.idx,
-            config.intersection,
-            bitmap_words,
-        );
         recorder.add(Counter::TilesVisited, num_tiles as u64);
-        recorder.add(
-            Counter::MatchedPairs,
-            pair_counts.iter().map(|&p| p as u64).sum(),
-        );
+        let probes = match &paper {
+            None => {
+                recorder.add(Counter::MatchedPairs, total_pairs as u64);
+                row_pass_probes(a, b, &pair_ptr)
+            }
+            Some(p) => {
+                recorder.add(
+                    Counter::MatchedPairs,
+                    pair_counts.iter().map(|&n| n as u64).sum(),
+                );
+                let (probes, picks) = p.stats(a, &c_pattern.idx, config.intersection);
+                recorder.add(Counter::IsectBinaryPicks, picks[0]);
+                recorder.add(Counter::IsectMergePicks, picks[1]);
+                recorder.add(Counter::IsectBitmapPicks, picks[2]);
+                probes
+            }
+        };
         recorder.add(Counter::IntersectionProbes, probes);
-        recorder.add(Counter::IsectBinaryPicks, picks[0]);
-        recorder.add(Counter::IsectMergePicks, picks[1]);
-        recorder.add(Counter::IsectBitmapPicks, picks[2]);
         probes
     } else {
         0
     };
-
-    // Concatenate the chunk-staged words into the compact CSR-shaped buffer
-    // step 3 will read. The staging chunks are host-side scratch; only the
-    // compact buffer is tracked as device memory.
-    let pair_buffer: Option<PairBuffer> = if config.pair_reuse {
-        let span = recorder.span_enter(job, "alloc");
-        let res = breakdown.timed(Step::Alloc, || {
-            let total_words = step2::scan_word_counts(&mut pair_offsets);
-            tracker.on_alloc(
-                total_words * std::mem::size_of::<u16>()
-                    + (num_tiles + 1) * std::mem::size_of::<u32>(),
-            )?;
-            Ok::<_, SpGemmError>(PairBuffer::from_staged(pair_offsets, staged))
-        });
-        recorder.span_exit(span);
-        match res {
-            Ok(buf) => Some(buf),
-            Err(e) => {
-                tracker.on_free(input_bytes + step2_temp_bytes + arena_charged);
-                return Err(fail(e));
-            }
-        }
-    } else {
-        None
-    };
-    let pair_bytes = pair_buffer.as_ref().map_or(0, PairBuffer::bytes);
 
     // The output arrays come back zeroed straight from the OS for large
     // products, so their pages would fault in during step 3; touching each
@@ -551,7 +630,7 @@ pub fn multiply_with_pool<T: Scalar>(
     let (mut c_row_idx, mut c_col_idx, mut c_vals) = match alloc_res {
         Ok(v) => v,
         Err(e) => {
-            tracker.on_free(input_bytes + step2_temp_bytes + pair_bytes + arena_charged);
+            tracker.on_free(input_bytes + step2_temp_bytes + arena_charged);
             return Err(fail(e));
         }
     };
@@ -582,35 +661,21 @@ pub fn multiply_with_pool<T: Scalar>(
         let row_ptr = &c_row_ptr[t * TILE_DIM..(t + 1) * TILE_DIM];
         let filled = simd::fill_indices_fast(masks, row_idx_w, col_idx_w, simd_level);
         debug_assert_eq!(filled, vals_w.len());
-        let ti = c_rowidx[t] as usize;
-        let tj = c_pattern.idx[t] as usize;
-        // With pair reuse on, step 2's persisted packed list replaces the
-        // second intersection of A's tile row with B's tile column.
-        match &pair_buffer {
-            Some(buf) => {
-                let (_, b_ids) = b_cols.col(tj);
-                buf.decode_tile(t, a.tile_ptr[ti] as u32, b_ids, &mut s.id_pairs);
+        // The row pass's list is read as it is; the paper path repeats the
+        // tile's intersection.
+        let pairs = match &paper {
+            None => &pair_lists[pair_ends[t] as usize..pair_ends[t + 1] as usize],
+            Some(p) => {
+                p.live_pairs(a, &occupancy, &c_pattern, t, config.intersection, s);
+                &s.id_pairs[..]
             }
-            None => {
-                matched_pairs_with(
-                    a,
-                    &b_cols,
-                    ti,
-                    tj,
-                    config.intersection,
-                    bitmaps_ref,
-                    &mut s.pos_pairs,
-                    &mut s.id_pairs,
-                );
-                occupancy.retain_live(&mut s.pos_pairs, &mut s.id_pairs);
-            }
-        }
+        };
         simd::run_numeric(
             tile_kernel(t, vals_w.len()),
             simd_level,
             a,
             b,
-            &s.id_pairs,
+            pairs,
             masks,
             row_ptr,
             vals_w,
@@ -648,13 +713,13 @@ pub fn multiply_with_pool<T: Scalar>(
     recorder.span_exit(span);
 
     // Step-3 counters: the kernel pick per tile re-derives the exact branch
-    // `step3_tile` took (same inputs, same pure selector), and a run
-    // without pair reuse repeats the step-2 intersections, so the probe
-    // count is charged again. `sparse + dense` sums to the tiles holding
-    // entries (all of them, unmasked); the `simd_*` counters histogram
-    // which implementation ran each accumulator shape.
+    // `step3_tile` took (same inputs, same pure selector), and the paper
+    // path repeats the step-2 intersections, so its probe count is charged
+    // again. `sparse + dense` sums to the tiles holding entries (all of
+    // them, unmasked); the `simd_*` counters histogram which implementation
+    // ran each accumulator shape.
     if enabled {
-        if pair_buffer.is_none() {
+        if paper.is_some() {
             recorder.add(Counter::IntersectionProbes, probes);
         }
         let (mut sparse, mut dense) = (0u64, 0u64);
@@ -702,9 +767,7 @@ pub fn multiply_with_pool<T: Scalar>(
         let grown = arena.bytes().saturating_sub(arena_charged);
         if grown > 0 {
             if let Err(e) = tracker.on_alloc(grown) {
-                tracker.on_free(
-                    input_bytes + step2_temp_bytes + pair_bytes + output_bytes + arena_charged,
-                );
+                tracker.on_free(input_bytes + step2_temp_bytes + output_bytes + arena_charged);
                 return Err(fail(e.into()));
             }
         }
@@ -712,13 +775,13 @@ pub fn multiply_with_pool<T: Scalar>(
     };
     // The multiply only adds charges until here, so its own peak is their
     // sum; whatever else a shared tracker carries is not part of it.
-    let peak_bytes = input_bytes + step2_temp_bytes + pair_bytes + output_bytes + arena_total;
+    let peak_bytes = input_bytes + step2_temp_bytes + output_bytes + arena_total;
     // Everything this product allocated is released: inputs, step-2
-    // temporaries, the pair buffer, the arena reservation, and the output
-    // arrays (handed back to the host). The tracker's current-bytes count
-    // returns to its pre-call level — DESIGN.md §5's balanced alloc/free
-    // rule. The arenas themselves stay warm in the pool for the next
-    // multiply; only the tracker charge is released.
+    // temporaries (the pair lists among them), the arena reservation, and
+    // the output arrays (handed back to the host). The tracker's
+    // current-bytes count returns to its pre-call level — DESIGN.md §5's
+    // balanced alloc/free rule. The arenas themselves stay warm in the pool
+    // for the next multiply; only the tracker charge is released.
     tracker.on_free(peak_bytes);
     recorder.span_exit(root);
 
@@ -726,7 +789,6 @@ pub fn multiply_with_pool<T: Scalar>(
         c,
         breakdown,
         peak_bytes,
-        pair_buffer,
         conversion: None,
     })
 }
@@ -915,17 +977,24 @@ mod tests {
         }
     }
 
-    /// A product shaped to stress step 2's chunk staging: every tile row of
-    /// A holds all 300 inner tiles, each with one entry in local column 0,
-    /// and B's tile column `j` picks two inner tiles by `j % 3` — 299
-    /// positions apart (an escape-coded pair), adjacent (two plain words),
-    /// or 299 apart with the first on a B row A never touches (one dead
-    /// pair dropped before the encoding, one escape-coded live pair).
-    fn staging_stress(rows: usize, cols: usize) -> (TileMatrix<f64>, TileMatrix<f64>) {
-        const INNER: u32 = 300;
-        let mut a = Coo::new(rows * TILE_DIM, INNER as usize * TILE_DIM);
-        for i in 0..rows as u32 {
-            for k in 0..INNER {
+    /// A product shaped to stress the row pass's chunk split: each tile row
+    /// of A is empty (kind 0), light (kind 1: inner tiles 0 and `INNER - 1`)
+    /// or heavy (kind 2: every inner tile), with one entry per tile in local
+    /// column 0. B's tile column `j` holds two entries picked by `j % 3` —
+    /// inner tiles 0 and `INNER - 1`, adjacent inner tiles 0 and 1, or local
+    /// row 1 of inner tile 0 (which A never touches: a dead pair) beside
+    /// `INNER - 1` — plus an entry in every inner tile from 2 to
+    /// `INNER - 2`, which only heavy rows reach.
+    fn row_stress(row_kinds: &[u8], cols: usize) -> (TileMatrix<f64>, TileMatrix<f64>) {
+        const INNER: u32 = 64;
+        let mut a = Coo::new(row_kinds.len() * TILE_DIM, INNER as usize * TILE_DIM);
+        for (i, &kind) in (0u32..).zip(row_kinds) {
+            let inner: Vec<u32> = match kind {
+                0 => vec![],
+                1 => vec![0, INNER - 1],
+                _ => (0..INNER).collect(),
+            };
+            for k in inner {
                 a.push(i * 16, k * 16, 1.0 + (i + k) as f64 * 0.5);
             }
         }
@@ -939,6 +1008,9 @@ mod tests {
             };
             b.push(near.0 * 16 + near.1, j * 16, 2.0);
             b.push(far.0 * 16 + far.1, j * 16 + 3, -1.0);
+            for k in 2..INNER - 1 {
+                b.push(k * 16, j * 16 + 5, 0.25 * (k % 7) as f64);
+            }
         }
         (
             TileMatrix::from_csr(&a.to_csr()),
@@ -946,15 +1018,15 @@ mod tests {
         )
     }
 
-    /// Asserts `buf` is exactly the per-tile `encode_pairs` concatenation
-    /// of the live pairs of `c`'s tiles, in tile order, and returns how many
-    /// dead pairs the intersections matched. A pair is live iff some entry
-    /// `(r, c)` of its A tile meets a non-empty row `c` of its B tile.
-    fn assert_per_tile_encoding(
+    /// Asserts that every tile of the layout `c` gets from the row pass
+    /// exactly the live pairs of the paper's intersection, in its order,
+    /// and returns how many dead pairs the intersections matched. A pair is
+    /// live iff some entry `(r, c)` of its A tile meets a non-empty row `c`
+    /// of its B tile.
+    fn assert_row_lists_match_intersection(
         ta: &TileMatrix<f64>,
         tb: &TileMatrix<f64>,
         c: &TileMatrix<f64>,
-        buf: &PairBuffer,
         what: &str,
     ) -> usize {
         let live = |(a_id, b_id): (u32, u32)| {
@@ -964,102 +1036,120 @@ mod tests {
                 .iter()
                 .any(|&col| b_masks[col as usize] != 0)
         };
+        let lists = step2::row_pass_lists(ta, tb, &c.tile_ptr, &c.tile_colidx);
+        assert_eq!(lists.len(), c.tile_count(), "{what}: one list per tile");
         let b_cols = tb.col_index();
         let (mut positions, mut pairs) = (Vec::new(), Vec::new());
-        let (mut offsets, mut words) = (vec![0u32], Vec::new());
         let mut dead = 0;
         for ti in 0..c.tile_m {
-            for &tj in c.tile_row_cols(ti) {
+            for t in c.tile_row_range(ti) {
                 matched_pairs(
                     ta,
                     &b_cols,
                     ti,
-                    tj as usize,
+                    c.tile_colidx[t] as usize,
                     crate::IntersectionKind::BinarySearch,
                     &mut positions,
                     &mut pairs,
                 );
-                let kept: Vec<_> = positions
-                    .iter()
-                    .zip(&pairs)
-                    .filter(|&(_, &pair)| live(pair))
-                    .map(|(&pos, _)| pos)
-                    .collect();
-                dead += positions.len() - kept.len();
-                encode_pairs(&kept, &mut words);
-                offsets.push(words.len() as u32);
+                let matched = pairs.len();
+                pairs.retain(|&pair| live(pair));
+                dead += matched - pairs.len();
+                assert_eq!(lists[t], pairs, "{what}: tile {t}");
             }
         }
-        assert_eq!(buf.offsets, offsets, "{what}: offsets");
-        assert_eq!(buf.words, words, "{what}: words");
         dead
     }
 
     #[test]
     fn pair_buffer_matches_recomputed_pairs() {
         let random = TileMatrix::from_csr(&random_csr(120, 5, 29));
-        let (sa, sb) = staging_stress(40, 301);
-        // Pools of 2 and 3 workers give different chunk lengths, so the
-        // chunk boundaries fall on different tiles.
-        for threads in [2usize, 3] {
+        let mask = TileMatrix::from_csr(&random_csr(120, 7, 30));
+        // Rows 0 and 9 are empty, row 5 heavy, the rest light.
+        let kinds: Vec<u8> = (0..40)
+            .map(|i| match i {
+                0 | 9 => 0,
+                5 => 2,
+                _ => 1,
+            })
+            .collect();
+        let (sa, sb) = row_stress(&kinds, 150);
+        for threads in [1usize, 2, 3] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            for (name, ta, tb) in [("random", &random, &random), ("stress", &sa, &sb)] {
-                for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
-                    let what = format!("{name}/{scheduling:?}/{threads} workers");
+            for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
+                let what = format!("{scheduling:?}/{threads} workers");
+                let cfg = |pair_reuse| {
+                    Config::builder()
+                        .scheduling(scheduling)
+                        .pair_reuse(pair_reuse)
+                        .build()
+                };
+                for (name, ta, tb) in [("random", &random, &random), ("stress", &sa, &sb)] {
                     let run = |pair_reuse| {
-                        let cfg = Config::builder()
-                            .scheduling(scheduling)
-                            .pair_reuse(pair_reuse)
-                            .build();
-                        pool.install(|| multiply(ta, tb, &cfg, &MemTracker::new()).unwrap())
+                        pool.install(|| multiply(ta, tb, &cfg(pair_reuse), &MemTracker::new()))
+                            .unwrap()
                     };
                     let (out, recomputed) = (run(true), run(false));
                     assert_eq!(
                         out.c, recomputed.c,
-                        "{what}: reuse must be bitwise invisible"
+                        "{name}/{what}: reuse must be bitwise invisible"
                     );
-                    let buf = out.pair_buffer.expect("pair reuse on");
-                    assert_per_tile_encoding(ta, tb, &out.c, &buf, &what);
+                    assert_row_lists_match_intersection(ta, tb, &out.c, &format!("{name}/{what}"));
                 }
+                // Under a mask the lists hold only the pairs landing in M's
+                // tiles, and a mask tile the product misses holds none.
+                let masked = |pair_reuse| {
+                    pool.install(|| {
+                        multiply_masked(
+                            &random,
+                            &random,
+                            &mask,
+                            &cfg(pair_reuse),
+                            &MemTracker::new(),
+                        )
+                    })
+                    .unwrap()
+                };
+                assert_eq!(masked(true).c, masked(false).c, "masked/{what}");
+                assert_row_lists_match_intersection(
+                    &random,
+                    &random,
+                    &mask,
+                    &format!("masked/{what}"),
+                );
             }
-            // The stress product really straddles what it is meant to:
-            // many chunks with a ragged last one, escape-coded pairs on
-            // both sides of a boundary, and dead pairs beside live ones in
-            // tiles that all hold entries.
+            // The stress product really straddles what it is meant to: an
+            // empty tile row, a row heavier than a chunk's share in a chunk
+            // of its own, a ragged last chunk, and dead pairs beside live
+            // ones in tiles that all hold entries.
             let out = pool
                 .install(|| multiply(&sa, &sb, &Config::default(), &MemTracker::new()))
                 .unwrap();
-            let buf = out.pair_buffer.as_ref().unwrap();
-            let tiles = out.c.tile_count();
-            assert_eq!(tiles, 40 * 301, "every tile has a live pair");
-            let chunk = step2::staging_chunk_len(tiles, threads);
+            let c = &out.c;
+            assert_eq!(c.tile_count(), 38 * 150, "every tile of a non-empty row");
+            assert!(c.tile_row_range(9).is_empty());
+            let occ = Occupancy::new(&sa, &sb);
+            let (_, pair_ptr) = live_tile_structure(&sa, &sb, &occ);
+            let rows = step2::row_chunk_bounds(&pair_ptr, &c.tile_ptr, threads);
+            let weight = |i: usize| pair_ptr[i] + c.tile_ptr[i];
+            let share = weight(40).div_ceil(threads * 8);
+            assert!(weight(6) - weight(5) > share, "row 5 outweighs a chunk");
             assert!(
-                tiles / chunk >= 8 && tiles % chunk != 0,
-                "{tiles} tiles, chunk {chunk}"
+                rows.windows(2).any(|w| w == [5, 6]),
+                "the heavy row is a chunk of its own: {rows:?}"
             );
-            let escaped = |t: usize| buf.tile_words(t).contains(&step2::PAIR_ESCAPE);
-            assert!((chunk..tiles)
-                .step_by(chunk)
-                .any(|e| escaped(e - 1) && escaped(e)));
-            assert!((0..tiles).all(|t| out.c.tile_nnz_of(t) > 0));
-            let dead = assert_per_tile_encoding(&sa, &sb, &out.c, buf, "stress");
-            assert_eq!(dead, 40 * 100, "one dead pair per `j % 3 == 2` tile");
+            let last = rows[rows.len() - 2];
+            assert!(
+                weight(40) - weight(last) < share,
+                "ragged last chunk: {rows:?}"
+            );
+            assert!((0..c.tile_count()).all(|t| c.tile_nnz_of(t) > 0));
+            let dead = assert_row_lists_match_intersection(&sa, &sb, c, "stress");
+            assert_eq!(dead, 38 * 50, "one dead pair per `j % 3 == 2` tile");
         }
-    }
-
-    #[test]
-    fn pair_reuse_off_returns_no_buffer() {
-        let a = random_csr(64, 4, 5);
-        let ta = TileMatrix::from_csr(&a);
-        let cfg = Config {
-            pair_reuse: false,
-            ..Config::default()
-        };
-        let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
-        assert!(out.pair_buffer.is_none());
     }
 
     #[test]
@@ -1302,7 +1392,6 @@ mod tests {
                     let tracker = MemTracker::new();
                     let out = multiply_masked(&a, &a, &mask, &cfg, &tracker).unwrap();
                     assert_eq!(reference, out.c, "{cfg:?} must agree bitwise");
-                    assert_eq!(out.pair_buffer.is_some(), pair_reuse);
                     assert_eq!(tracker.current_bytes(), 0, "unbalanced for {cfg:?}");
                 }
             }
@@ -1370,16 +1459,16 @@ mod tests {
         assert!(out.c.nnz() > 0);
         assert_eq!(tracker.current_bytes(), baseline, "success credits all");
 
-        // Refuse each charge in turn — inputs, step-2 temporaries, arena
-        // reservation, pair buffer, output arrays — by a budget one byte
-        // short of the level that charge reached.
+        // Refuse each charge in turn — inputs, step-2 temporaries (the
+        // pair lists among them), arena reservation, output arrays — by a
+        // budget one byte short of the level that charge reached.
         let timeline = tracker.timeline();
         let levels: Vec<usize> = timeline
             .windows(2)
             .filter(|w| w[1].current_bytes > w[0].current_bytes)
             .map(|w| w[1].current_bytes)
             .collect();
-        assert!(levels.len() >= 5, "charges: {levels:?}");
+        assert_eq!(levels.len(), 4, "charges: {levels:?}");
         for level in levels {
             let tracker = MemTracker::with_budget(level - 1);
             tracker.on_alloc(baseline).unwrap();

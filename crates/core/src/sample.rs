@@ -74,7 +74,7 @@ pub struct SampleStats {
     /// or the dense capacity.
     pub nnz_hi: u64,
     /// Estimated matched `(A_ik, B_kj)` tile pairs (step 2's output, the
-    /// pair-buffer sizing input).
+    /// pair-list sizing input).
     pub est_pairs: u64,
     /// Estimated non-empty output tiles.
     pub est_tiles_c: u64,

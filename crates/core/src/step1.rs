@@ -14,14 +14,25 @@
 //! final C is allowed to store empty tiles"). The pipeline runs
 //! `live_tile_structure` instead: it gathers `B_kj` into `C_ij`'s tile row
 //! only through a *live* pair `(A_ik, B_kj)`, one whose 16-bit occupancy
-//! words meet (`Occupancy`), so an unmasked `C`'s layout is exactly its
+//! words meet ([`Occupancy`]), so an unmasked `C`'s layout is exactly its
 //! non-empty tiles.
 //! Numeric cancellation is still not considered: a live tile whose values
 //! cancel keeps its stored zeros.
+//!
+//! The gather also counts each tile row's live pairs — one per gathered
+//! candidate — and returns them as a row pointer. Step 2's row pass
+//! ([`crate::step2::row_pass`]) sizes its per-tile pair lists, balances its
+//! row chunks and reserves its scratch from those counts. Under a mask `C`
+//! takes `M`'s tile layout, and `masked_pair_ptr` counts only the live
+//! pairs that land in `M`'s tiles.
 
 use crate::intersect::MatchedPair;
 use rayon::prelude::*;
 use tsg_matrix::{Scalar, TileMatrix, TILE_DIM};
+
+/// Marks a tile column with no tile in the current tile row, in the slot
+/// lookups of [`Occupancy::for_each_live_in`].
+pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// The 16-bit occupancy words of a product's operand tiles, which decide
 /// exactly whether a tile pair contributes to the product.
@@ -32,7 +43,7 @@ use tsg_matrix::{Scalar, TileMatrix, TILE_DIM};
 /// the two words. A *dead* pair (AND zero) adds nothing to any slot, so
 /// dropping it leaves every stored value bitwise unchanged.
 #[derive(Debug)]
-pub(crate) struct Occupancy {
+pub struct Occupancy {
     /// Per tile of `A`: bit `c` set iff local column `c` holds an entry
     /// (the OR of the tile's 16 row masks).
     a_cols: Vec<u16>,
@@ -42,7 +53,7 @@ pub(crate) struct Occupancy {
 
 impl Occupancy {
     /// The occupancy words of `a`'s tiles (columns) and `b`'s (rows).
-    pub(crate) fn new<T: Scalar>(a: &TileMatrix<T>, b: &TileMatrix<T>) -> Self {
+    pub fn new<T: Scalar>(a: &TileMatrix<T>, b: &TileMatrix<T>) -> Self {
         Self {
             a_cols: tile_words(&a.masks, |rows| rows.iter().fold(0, |acc, &m| acc | m)),
             b_rows: tile_words(&b.masks, |rows| {
@@ -53,8 +64,65 @@ impl Occupancy {
 
     /// Whether the pair of `A` tile `a_id` and `B` tile `b_id` is live.
     #[inline]
-    fn live(&self, a_id: usize, b_id: usize) -> bool {
+    pub(crate) fn live(&self, a_id: usize, b_id: usize) -> bool {
         self.a_cols[a_id] & self.b_rows[b_id] != 0
+    }
+
+    /// Calls `f(a_id, b_id, l)` for each live pair `(A_ik, B_kj)` of tile
+    /// row `ti` of `a·b` whose tile column `j` is `c_cols[l]`, in ascending
+    /// `k` — the candidate walk step 1 gathers from, restricted to a row's
+    /// known tile columns (`c_cols`, ascending). `slot(j)` maps a tile
+    /// column to its `l`, or to [`NO_SLOT`] when the row has no tile there.
+    ///
+    /// `A_ik` meets `B`'s tile row `k` by a walk over that row, looking each
+    /// column up in `slot` — or, when the row is much longer than `c_cols`
+    /// (a mask far sparser than the product), by a binary search for each
+    /// of `c_cols` in it. Both yield the same pairs, ascending `k` per tile.
+    #[inline]
+    pub(crate) fn for_each_live_in<T: Scalar>(
+        &self,
+        a: &TileMatrix<T>,
+        b: &TileMatrix<T>,
+        ti: usize,
+        c_cols: &[u32],
+        slot: impl Fn(usize) -> u32,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        for a_id in a.tile_row_range(ti) {
+            let k = a.tile_colidx[a_id] as usize;
+            let a_word = self.a_cols[a_id];
+            let b_tiles = b.tile_ptr[k]..b.tile_ptr[k + 1];
+            let b_cols = &b.tile_colidx[b_tiles.clone()];
+            let log = (usize::BITS - b_cols.len().leading_zeros()) as usize;
+            if c_cols.len() * log < b_cols.len() {
+                let mut lo = 0;
+                for (l, &j) in c_cols.iter().enumerate() {
+                    match b_cols[lo..].binary_search(&j) {
+                        Ok(p) => {
+                            let b_id = b_tiles.start + lo + p;
+                            if a_word & self.b_rows[b_id] != 0 {
+                                f(a_id, b_id, l);
+                            }
+                            lo += p + 1;
+                        }
+                        Err(p) => lo += p,
+                    }
+                    if lo == b_cols.len() {
+                        break;
+                    }
+                }
+            } else {
+                let words = &self.b_rows[b_tiles.clone()];
+                for ((b_id, &j), &b_word) in b_tiles.zip(b_cols).zip(words) {
+                    if a_word & b_word != 0 {
+                        let l = slot(j as usize);
+                        if l != NO_SLOT {
+                            f(a_id, b_id, l as usize);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Drops the dead pairs of one tile's matched-pair lists in place:
@@ -137,17 +205,21 @@ pub fn tile_structure_spgemm(
     b_idx: &[u32],
     b_cols: usize,
 ) -> TilePattern {
-    structure_with(a_rows, a_ptr, a_idx, b_ptr, b_idx, b_cols, None)
+    structure_with(a_rows, a_ptr, a_idx, b_ptr, b_idx, b_cols, None).0
 }
 
 /// The exact tile layout of `C = A·B`: [`tile_structure_spgemm`] gathering
 /// each `B` tile through live pairs only, so every tile it yields holds at
 /// least one entry and every non-empty tile of the product is present.
+///
+/// Also returns the live pairs per tile row as a row pointer (`rows + 1`
+/// entries): tile row `i` of `C` accumulates `ptr[i + 1] - ptr[i]` live
+/// pairs.
 pub(crate) fn live_tile_structure<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
     occupancy: &Occupancy,
-) -> TilePattern {
+) -> (TilePattern, Vec<usize>) {
     structure_with(
         a.tile_m,
         &a.tile_ptr,
@@ -161,7 +233,7 @@ pub(crate) fn live_tile_structure<T: Scalar>(
 
 /// The symbolic tile product, gathering each `B'` tile through each `A'`
 /// tile whose column index matches its row — or, given `occupancy`, only
-/// through the live ones.
+/// through the live ones — and the row pointer of the gathered counts.
 fn structure_with(
     a_rows: usize,
     a_ptr: &[usize],
@@ -170,13 +242,13 @@ fn structure_with(
     b_idx: &[u32],
     b_cols: usize,
     occupancy: Option<&Occupancy>,
-) -> TilePattern {
+) -> (TilePattern, Vec<usize>) {
     // Each task gathers a row's candidates into one reused buffer, then
     // dedups them by sorting (short rows) or through one reused hash table
     // (long rows), and allocates the row at its final length. The path
     // follows the gathered count, not the index-level bound: under live
     // gathering, most candidates of a power-law product never make it in.
-    let rows: Vec<Vec<u32>> = (0..a_rows)
+    let rows: Vec<(Vec<u32>, usize)> = (0..a_rows)
         .into_par_iter()
         .map_init(
             || (Vec::new(), Vec::new()),
@@ -198,31 +270,81 @@ fn structure_with(
                         }
                     }
                 }
-                if gathered.len() <= SORT_PATH_MAX {
+                let count = gathered.len();
+                let row = if count <= SORT_PATH_MAX {
                     gathered.sort_unstable();
                     gathered.dedup();
                     gathered.to_vec()
                 } else {
                     symbolic_row_hash(gathered, table)
-                }
+                };
+                (row, count)
             },
         )
         .collect();
 
     let mut ptr = vec![0usize; a_rows + 1];
-    for (i, r) in rows.iter().enumerate() {
+    let mut pair_ptr = vec![0usize; a_rows + 1];
+    for (i, (r, count)) in rows.iter().enumerate() {
         ptr[i + 1] = ptr[i] + r.len();
+        pair_ptr[i + 1] = pair_ptr[i] + count;
     }
     let mut idx = Vec::with_capacity(ptr[a_rows]);
-    for r in rows {
+    for (r, _) in rows {
         idx.extend_from_slice(&r);
     }
-    TilePattern {
+    let pattern = TilePattern {
         rows: a_rows,
         cols: b_cols,
         ptr,
         idx,
+    };
+    (pattern, pair_ptr)
+}
+
+/// The live pairs per tile row of `a·b` that land in a tile of `pattern`
+/// (a mask's tile layout), as a row pointer like [`live_tile_structure`]'s.
+/// Each task marks its row's tile columns in a bitset over `B`'s tile
+/// columns, walks the row's candidates, and clears the marks again.
+pub(crate) fn masked_pair_ptr<T: Scalar>(
+    a: &TileMatrix<T>,
+    b: &TileMatrix<T>,
+    pattern: &TilePattern,
+    occupancy: &Occupancy,
+) -> Vec<usize> {
+    let counts: Vec<usize> = (0..pattern.rows)
+        .into_par_iter()
+        .map_init(
+            || vec![0u64; b.tile_n.div_ceil(64)],
+            |marks, i| {
+                let cols = pattern.row(i);
+                if cols.is_empty() {
+                    return 0;
+                }
+                for &j in cols {
+                    marks[j as usize / 64] |= 1 << (j % 64);
+                }
+                let marked = |j: usize| {
+                    if marks[j / 64] >> (j % 64) & 1 != 0 {
+                        0
+                    } else {
+                        NO_SLOT
+                    }
+                };
+                let mut count = 0;
+                occupancy.for_each_live_in(a, b, i, cols, marked, |_, _, _| count += 1);
+                for &j in cols {
+                    marks[j as usize / 64] = 0;
+                }
+                count
+            },
+        )
+        .collect();
+    let mut ptr = vec![0usize; counts.len() + 1];
+    for (i, c) in counts.into_iter().enumerate() {
+        ptr[i + 1] = ptr[i] + c;
     }
+    ptr
 }
 
 /// The distinct columns of `gathered`, ascending, through an
@@ -372,9 +494,19 @@ mod tests {
             2,
         );
         assert_eq!(paper.row(0), &[0, 1], "the paper keeps the dead tile");
-        let live = live_tile_structure(&a, &b, &occ);
+        let (live, pair_ptr) = live_tile_structure(&a, &b, &occ);
         assert_eq!(live.row(0), &[0]);
         assert_eq!(live.ptr, vec![0, 1, 1]);
+        assert_eq!(pair_ptr, vec![0, 1, 1], "one live pair, in tile row 0");
+        // A mask holding only the dead pair's tile (0,1) admits no live pair.
+        let mask = TilePattern {
+            rows: 2,
+            cols: 2,
+            ptr: vec![0, 1, 1],
+            idx: vec![1],
+        };
+        assert_eq!(masked_pair_ptr(&a, &b, &mask, &occ), vec![0, 0, 0]);
+        assert_eq!(masked_pair_ptr(&a, &b, &live, &occ), pair_ptr);
 
         let (mut positions, mut pairs) = (vec![(0, 0), (0, 1)], vec![(0, 0), (0, 1)]);
         occ.retain_live(&mut positions, &mut pairs);
@@ -405,13 +537,98 @@ mod tests {
                     .matmul(&tsg_matrix::Dense::from_csr(&b.to_csr()))
                     .to_csr(),
             );
-            let live = live_tile_structure(&a, &b, &Occupancy::new(&a, &b));
+            let occ = Occupancy::new(&a, &b);
+            let (live, pair_ptr) = live_tile_structure(&a, &b, &occ);
             assert_eq!(live.ptr, exact.tile_ptr, "{tiles} tiles, {count} entries");
             assert_eq!(
                 live.idx, exact.tile_colidx,
                 "{tiles} tiles, {count} entries"
             );
+            // Each row's count is its live candidates, and a mask equal to
+            // the live layout keeps every one of them.
+            for i in 0..tiles {
+                let mut live_pairs = 0;
+                for a_id in a.tile_row_range(i) {
+                    let k = a.tile_colidx[a_id] as usize;
+                    live_pairs += b
+                        .tile_row_range(k)
+                        .filter(|&b_id| occ.live(a_id, b_id))
+                        .count();
+                }
+                assert_eq!(pair_ptr[i + 1] - pair_ptr[i], live_pairs, "row {i}");
+            }
+            assert_eq!(masked_pair_ptr(&a, &b, &live, &occ), pair_ptr);
         }
+    }
+
+    #[test]
+    fn restricted_walk_finds_the_same_pairs_by_search_or_by_slot() {
+        let mut state = 1717u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // B's tile rows hold about two thirds of the 24 tile columns, so a
+        // short column list is searched in them rather than walked, and
+        // most searches miss a column before they hit the next. A's entries
+        // sit in local column 0 and B's in local row 0 or 1, so a matched
+        // pair is live unless its B tile holds row 1 only.
+        let n = 24 * TILE_DIM as u64;
+        let mut entries = |count: usize, local_col: bool| -> Vec<(u32, u32)> {
+            (0..count)
+                .map(|_| {
+                    let (r, c) = ((next() % n) as u32, (next() % n) as u32);
+                    let local = (next() % 2) as u32;
+                    match local_col {
+                        true => (r, c / 16 * 16),
+                        false => (r / 16 * 16 + local, c),
+                    }
+                })
+                .collect()
+        };
+        let (a, b) = (
+            tiled(24, &entries(300, true)),
+            tiled(24, &entries(600, false)),
+        );
+        let occ = Occupancy::new(&a, &b);
+        let mut searched = false;
+        for ti in 0..24 {
+            for trial in 0..24u32 {
+                // 1 to 6 columns, clustered or spread by the trial number.
+                let mut c_cols: Vec<u32> = (0..1 + trial % 6)
+                    .map(|i| (ti as u32 + i * (1 + trial % 4) + trial) % 24)
+                    .collect();
+                c_cols.sort_unstable();
+                c_cols.dedup();
+                searched |= a.tile_row_cols(ti).iter().any(|&k| {
+                    let len = b.tile_row_range(k as usize).len();
+                    c_cols.len() * ((usize::BITS - len.leading_zeros()) as usize) < len
+                });
+                let slot = |j: usize| {
+                    c_cols
+                        .binary_search(&(j as u32))
+                        .map_or(NO_SLOT, |l| l as u32)
+                };
+                let mut got = Vec::new();
+                occ.for_each_live_in(&a, &b, ti, &c_cols, slot, |a_id, b_id, l| {
+                    got.push((a_id, b_id, l))
+                });
+                let mut want = Vec::new();
+                for a_id in a.tile_row_range(ti) {
+                    let k = a.tile_colidx[a_id] as usize;
+                    for b_id in b.tile_row_range(k) {
+                        let l = c_cols.binary_search(&b.tile_colidx[b_id]);
+                        if let (true, Ok(l)) = (occ.live(a_id, b_id), l) {
+                            want.push((a_id, b_id, l));
+                        }
+                    }
+                }
+                assert_eq!(got, want, "row {ti}, columns {c_cols:?}");
+            }
+        }
+        assert!(searched, "some column list is searched");
     }
 
     #[test]

@@ -1,199 +1,208 @@
 //! Step 2: per-tile symbolic phase (§3.3, Algorithm 2, Figures 4–5).
 //!
-//! For every tile `C_ij` found by step 1, one task (the paper's warp):
+//! Every tile `C_ij` found by step 1 needs its live pairs `(A_ik, B_kj)`,
+//! those whose occupancy words meet (see [`crate::step1`]): a dead pair
+//! adds nothing to the tile. For each live pair, each nonzero `(r, c)` of
+//! `A_ik` pulls `B_kj`'s row mask `c` and ORs it into `C_ij`'s row mask `r`
+//! (the paper's `AtomicOr` — plain OR here because one task owns the tile),
+//! and the 16 row masks popcount into the tile's local row pointers and its
+//! nonzero count.
 //!
-//! 1. intersects `A`'s tile row `i` with `B`'s tile column `j`
-//!    ([`crate::intersect`]) to find the matched pairs `(A_ik, B_kj)`, and
-//!    keeps the live ones, whose occupancy words meet (see [`crate::step1`]):
-//!    a dead pair adds nothing to the tile;
-//! 2. for each live pair, walks `A_ik`'s nonzeros; a nonzero at local `(r, c)`
-//!    pulls `B_kj`'s row mask `c` and ORs it into `C_ij`'s row mask `r`
-//!    (the paper's `AtomicOr` — plain OR here because one task owns the
-//!    tile);
-//! 3. popcounts the 16 row masks into the tile's local row pointers and its
-//!    nonzero count.
+//! Two ways to find the pairs:
 //!
-//! All state is a few `u16`s on the stack, honouring the paper's bound that
-//! step 2 never allocates global intermediate memory.
+//! * **The paper's per-tile intersection** ([`matched_pairs`],
+//!   [`symbolic_tile`]): one task per tile intersects `A`'s tile row `i`
+//!   with `B`'s tile column `j` ([`crate::intersect`]) and keeps the live
+//!   matches. Step 3 repeats the intersection. This is the
+//!   `pair_reuse = false` reference behind Figure 10.
+//! * **The row pass** ([`row_pass`], the default): one walk per tile row,
+//!   the row-wise formulation KKMEM's symbolic phase uses. It re-walks the
+//!   candidates step 1 gathered from — `A_ik` against `B`'s tile row `k` —
+//!   and finds `C_ij` through a slot table indexed by tile column, so no
+//!   search is needed. It ORs the masks straight into `C`'s window, then
+//!   counting-sorts the row's live pairs into flat per-tile lists that
+//!   step 3 reads as they are. A tile's pairs come out in ascending `k`,
+//!   the order the intersection yields them, so `C` is bitwise identical
+//!   on both paths.
+//!
+//! All per-tile state is a few `u16`s on the stack; the row pass's slot
+//! table and gathered pairs live in the worker's scratch arena.
 
 use crate::intersect::{
     intersect_bitmap, intersect_into, resolve_kind, IntersectionKind, MatchedPair,
 };
+use crate::step1::{Occupancy, NO_SLOT};
 use tsg_matrix::{ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
+use tsg_runtime::Scratch;
 
-/// Escape word of the packed pair encoding: the next four words carry the
-/// absolute `(pos_a, pos_b)` positions (lo/hi halves). Unreachable as a
-/// delta word because deltas are capped below 255 (high byte ≤ 254).
-pub const PAIR_ESCAPE: u16 = u16::MAX;
+/// Most output tiles one per-tile task chunk covers.
+const CHUNK_TILES: usize = 512;
 
-/// Most output tiles one step-2 staging chunk covers.
-const STAGING_CHUNK_TILES: usize = 512;
+/// Task chunks each worker gets at least, so the self-scheduling executor
+/// can still balance a small product.
+const CHUNKS_PER_WORKER: usize = 8;
 
-/// Staging chunks each worker gets at least, so the self-scheduling
-/// executor can still balance a small product.
-const STAGING_CHUNKS_PER_WORKER: usize = 8;
-
-/// Tiles per step-2 staging chunk for a product of `num_tiles` output
-/// tiles on `threads` workers.
+/// Tiles per task chunk of a per-tile pass over a product of `num_tiles`
+/// output tiles on `threads` workers.
 ///
-/// With pair reuse on, each parallel step-2 task appends the packed words
-/// of a contiguous run of tiles to one buffer — the CPU analogue of the
-/// paper's warps writing into on-chip memory — so staging costs a few
-/// allocations per chunk, none per tile. Large products get
-/// `STAGING_CHUNK_TILES`-tile chunks; small ones are cut finer, to at
-/// least 8 chunks per worker.
-pub(crate) fn staging_chunk_len(num_tiles: usize, threads: usize) -> usize {
+/// Each parallel task walks a contiguous run of tiles, so a pass costs a
+/// few allocations per chunk, none per tile. Large products get
+/// `CHUNK_TILES`-tile chunks; small ones are cut finer, to at least 8
+/// chunks per worker.
+pub(crate) fn chunk_len(num_tiles: usize, threads: usize) -> usize {
     num_tiles
-        .div_ceil(threads.max(1) * STAGING_CHUNKS_PER_WORKER)
-        .clamp(1, STAGING_CHUNK_TILES)
+        .div_ceil(threads.max(1) * CHUNKS_PER_WORKER)
+        .clamp(1, CHUNK_TILES)
 }
 
-/// Tile boundaries of the [`staging_chunk_len`] chunks of a per-tile pass:
+/// Tile boundaries of the [`chunk_len`] chunks of a per-tile pass:
 /// `[0, len, 2·len, …, num_tiles]`, the CSR-shaped bounds a parallel pass
 /// splits its output arrays at. Each task then walks its chunk's tiles and
 /// slices each tile's window from the tile offsets, as the paper's warps
 /// find theirs from `tileNnz` — no per-tile table of slices is built.
 pub(crate) fn chunk_bounds(num_tiles: usize, threads: usize) -> Vec<usize> {
-    let len = staging_chunk_len(num_tiles, threads);
+    let len = chunk_len(num_tiles, threads);
     (0..=num_tiles.div_ceil(len))
         .map(|c| (c * len).min(num_tiles))
         .collect()
 }
 
-/// Turns per-tile word counts into [`PairBuffer::offsets`] in place:
-/// `offsets[0]` is 0 and `offsets[t + 1]` holds tile `t`'s word count on
-/// entry, its end offset on exit. Returns the total word count.
-pub(crate) fn scan_word_counts(offsets: &mut [u32]) -> usize {
-    let mut total = 0usize;
-    for o in offsets.iter_mut() {
-        total += *o as usize;
-        *o = total as u32;
+/// Row boundaries of the row pass's task chunks: contiguous runs of whole
+/// tile rows, balanced by weight — live pairs (`pair_ptr`) plus tiles
+/// (`tile_ptr`), both row pointers. A chunk closes once it reaches an even
+/// share of [`CHUNKS_PER_WORKER`] chunks per worker, or before a row that
+/// would take it past the share, so a row heavier than the share makes a
+/// chunk of its own. The last chunk takes what is left.
+pub(crate) fn row_chunk_bounds(
+    pair_ptr: &[usize],
+    tile_ptr: &[usize],
+    threads: usize,
+) -> Vec<usize> {
+    let rows = tile_ptr.len() - 1;
+    let weight = |i: usize| pair_ptr[i] + tile_ptr[i];
+    let share = weight(rows)
+        .div_ceil(threads.max(1) * CHUNKS_PER_WORKER)
+        .max(1);
+    let mut bounds = vec![0];
+    for i in 0..rows {
+        let open = bounds[bounds.len() - 1];
+        if i > open && weight(i + 1) - weight(open) > share {
+            bounds.push(i);
+        }
+        if weight(i + 1) - weight(bounds[bounds.len() - 1]) >= share {
+            bounds.push(i + 1);
+        }
     }
-    total
+    if bounds[bounds.len() - 1] != rows {
+        bounds.push(rows);
+    }
+    bounds
 }
 
-/// The live matched pairs of every output tile, delta-coded into packed
-/// `u16` words: tile `t` owns `words[offsets[t]..offsets[t + 1]]`.
+/// Step 2's row pass over tile row `ti` of `C`, whose tile columns are
+/// `c_cols` (ascending): finds every live pair `(A_ik, B_kj)` with `j` in
+/// `c_cols`, ORs it into the row's masks and groups the pairs per tile.
 ///
-/// Step 2 persists this when [`crate::Config::pair_reuse`] is on, so step 3
-/// reads the lists back instead of re-running the tile-row/tile-column set
-/// intersection (the paper's kernels recompute it; see DESIGN.md §7).
+/// * `masks` is the row's window of `C`'s row masks, 16 per tile of
+///   `c_cols`, zeroed on entry. It leaves holding each tile's symbolic
+///   masks, before any output mask is applied.
+/// * `ends`, one per tile and zeroed on entry, counts each tile's pairs and
+///   leaves holding each tile's end offset within `pairs`.
+/// * `pairs` receives the row's live pairs as flat `(a_tile_id, b_tile_id)`
+///   ids, tile after tile, each tile's in ascending `k` — the order
+///   [`matched_pairs`] yields them. It must hold at least the row's count.
 ///
-/// What is stored are the intersection's *list positions* `(pos_a, pos_b)`,
-/// not flat tile ids: both positions rise strictly within a tile, so
-/// successive pairs delta-code into a single word `(da << 8) | db` whenever
-/// both deltas fit a byte (the overwhelmingly common case — ≈2 bytes per
-/// pair against 8 for the flat form). Rare wide deltas spill to a
-/// [`PAIR_ESCAPE`] word plus four absolute half-words.
-/// [`PairBuffer::decode_tile`] re-derives the flat ids from the tile-row
-/// base and the tile-column id list, exactly as [`matched_pairs`] does.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PairBuffer {
-    /// Per-tile *word* offsets into `words`, length `num_tiles + 1`.
-    pub offsets: Vec<u32>,
-    /// Packed delta words, grouped per output tile.
-    pub words: Vec<u16>,
+/// A candidate's tile is found through `s.slots`, a table over `B`'s tile
+/// columns that the pass sets for `c_cols` and resets before it returns —
+/// or, where `B`'s tile row `k` is far longer than `c_cols` (a mask much
+/// sparser than the product), by searching each of `c_cols` in it. The
+/// pairs are gathered in `s.row_pairs` and then counting-sorted into
+/// place. With both reserved up front a pass allocates nothing. Returns
+/// the number of pairs written.
+#[allow(clippy::too_many_arguments)]
+pub fn row_pass<T: Scalar>(
+    a: &TileMatrix<T>,
+    b: &TileMatrix<T>,
+    occupancy: &Occupancy,
+    ti: usize,
+    c_cols: &[u32],
+    s: &mut Scratch,
+    masks: &mut [u16],
+    ends: &mut [u32],
+    pairs: &mut [(u32, u32)],
+) -> usize {
+    if s.slots.len() < b.tile_n {
+        s.slots.resize(b.tile_n, NO_SLOT);
+    }
+    for (l, &j) in c_cols.iter().enumerate() {
+        s.slots[j as usize] = l as u32;
+    }
+    let (slots, gathered) = (&s.slots, &mut s.row_pairs);
+    gathered.clear();
+    let slot = |j: usize| slots[j];
+    occupancy.for_each_live_in(a, b, ti, c_cols, slot, |a_id, b_id, l| {
+        let a_tile = a.tile(a_id);
+        let b_masks = &b.masks[b_id * TILE_DIM..(b_id + 1) * TILE_DIM];
+        let c_masks = &mut masks[l * TILE_DIM..(l + 1) * TILE_DIM];
+        for (&r, &c) in a_tile.row_idx.iter().zip(a_tile.col_idx) {
+            c_masks[r as usize] |= b_masks[c as usize];
+        }
+        ends[l] += 1;
+        gathered.push((l as u32, a_id as u32, b_id as u32));
+    });
+    for &j in c_cols {
+        s.slots[j as usize] = NO_SLOT;
+    }
+    // Counting sort: the counts become each tile's start, and each placed
+    // pair advances its tile's cursor, which ends on the tile's end.
+    let mut start = 0u32;
+    for e in ends.iter_mut() {
+        let count = *e;
+        *e = start;
+        start += count;
+    }
+    for &(l, a_id, b_id) in &s.row_pairs {
+        let at = &mut ends[l as usize];
+        pairs[*at as usize] = (a_id, b_id);
+        *at += 1;
+    }
+    s.row_pairs.len()
 }
 
-impl PairBuffer {
-    /// Assembles the buffer from step 2's chunk-local staging.
-    ///
-    /// `offsets` are the final per-tile offsets ([`scan_word_counts`]).
-    /// Chunk `c` of `chunks` holds the words of the ascending run of tiles
-    /// one task staged, back to back, so the chunks are simply
-    /// concatenated. Each chunk is freed as soon as it is copied.
-    pub(crate) fn from_staged(offsets: Vec<u32>, chunks: Vec<Vec<u16>>) -> PairBuffer {
-        let total = offsets.last().map_or(0, |&o| o as usize);
-        let mut words = Vec::with_capacity(total);
-        for chunk in chunks {
-            words.extend_from_slice(&chunk);
+/// Every tile's live pairs, grouped as [`row_pass`] groups them, for the
+/// tile layout `c_ptr`/`c_idx` (a row pointer and ascending tile columns,
+/// as in [`TileMatrix::tile_ptr`]/[`TileMatrix::tile_colidx`]) of `a·b`:
+/// one list per tile, in layout order. For tests and ablations — it
+/// allocates per row, where the pipeline writes into its own windows.
+pub fn row_pass_lists<T: Scalar>(
+    a: &TileMatrix<T>,
+    b: &TileMatrix<T>,
+    c_ptr: &[usize],
+    c_idx: &[u32],
+) -> Vec<Vec<(u32, u32)>> {
+    let occupancy = Occupancy::new(a, b);
+    let mut s = Scratch::default();
+    let mut lists = Vec::with_capacity(c_idx.len());
+    for ti in 0..c_ptr.len() - 1 {
+        let cols = &c_idx[c_ptr[ti]..c_ptr[ti + 1]];
+        let candidates = a
+            .tile_row_cols(ti)
+            .iter()
+            .map(|&k| b.tile_row_range(k as usize).len())
+            .sum();
+        let mut masks = vec![0u16; cols.len() * TILE_DIM];
+        let mut ends = vec![0u32; cols.len()];
+        let mut pairs = vec![(0, 0); candidates];
+        row_pass(
+            a, b, &occupancy, ti, cols, &mut s, &mut masks, &mut ends, &mut pairs,
+        );
+        let mut start = 0;
+        for &end in &ends {
+            lists.push(pairs[start..end as usize].to_vec());
+            start = end as usize;
         }
-        debug_assert_eq!(words.len(), total);
-        PairBuffer { offsets, words }
     }
-
-    /// The packed words of output tile `t`.
-    pub fn tile_words(&self, t: usize) -> &[u16] {
-        &self.words[self.offsets[t] as usize..self.offsets[t + 1] as usize]
-    }
-
-    /// Number of output tiles covered.
-    pub fn tile_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Decodes tile `t` back to list positions `(pos_a, pos_b)`.
-    pub fn decode_positions(&self, t: usize, out: &mut Vec<MatchedPair>) {
-        out.clear();
-        decode_words(self.tile_words(t), |pa, pb| out.push((pa, pb)));
-    }
-
-    /// Decodes tile `t` to flat `(a_tile_id, b_tile_id)` pairs (cleared
-    /// first): `a_base` is `a.tile_ptr[ti]` and `b_ids` the tile-id list of
-    /// `B`'s tile column `tj` — the same translation [`matched_pairs`]
-    /// applies.
-    pub fn decode_tile(&self, t: usize, a_base: u32, b_ids: &[u32], out: &mut Vec<(u32, u32)>) {
-        out.clear();
-        decode_words(self.tile_words(t), |pa, pb| {
-            out.push((a_base + pa, b_ids[pb as usize]));
-        });
-    }
-
-    /// Total number of pairs stored across every tile. Escape groups are
-    /// self-delimiting (five words), so a linear walk suffices.
-    pub fn pair_count(&self) -> usize {
-        let mut n = 0usize;
-        let mut i = 0usize;
-        while i < self.words.len() {
-            i += if self.words[i] == PAIR_ESCAPE { 5 } else { 1 };
-            n += 1;
-        }
-        n
-    }
-
-    /// Tracked size of the buffer in bytes.
-    pub fn bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u16>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Appends the packed encoding of one tile's position pairs (strictly
-/// ascending in both components) to `out`.
-pub fn encode_pairs(pairs: &[MatchedPair], out: &mut Vec<u16>) {
-    let (mut prev_a, mut prev_b) = (0u32, 0u32);
-    for &(pa, pb) in pairs {
-        let (da, db) = (pa - prev_a, pb - prev_b);
-        if da < 255 && db < 255 {
-            out.push(((da as u16) << 8) | db as u16);
-        } else {
-            out.push(PAIR_ESCAPE);
-            out.push(pa as u16);
-            out.push((pa >> 16) as u16);
-            out.push(pb as u16);
-            out.push((pb >> 16) as u16);
-        }
-        (prev_a, prev_b) = (pa, pb);
-    }
-}
-
-/// Walks one tile's packed words, yielding each `(pos_a, pos_b)`.
-fn decode_words(words: &[u16], mut emit: impl FnMut(u32, u32)) {
-    let (mut pa, mut pb) = (0u32, 0u32);
-    let mut i = 0usize;
-    while i < words.len() {
-        let w = words[i];
-        if w == PAIR_ESCAPE {
-            pa = words[i + 1] as u32 | (words[i + 2] as u32) << 16;
-            pb = words[i + 3] as u32 | (words[i + 4] as u32) << 16;
-            i += 5;
-        } else {
-            pa += (w >> 8) as u32;
-            pb += (w & 0xFF) as u32;
-            i += 1;
-        }
-        emit(pa, pb);
-    }
+    lists
 }
 
 /// The per-tile symbolic result.
@@ -231,8 +240,7 @@ pub fn matched_pairs<T: Scalar>(
 /// `Adaptive` through the cost model, `Bitmap` degrading to binary search
 /// when the sidecars are absent — and the resolved concrete kind is
 /// returned for the chosen-kernel histogram. `scratch` is left holding the
-/// list-position pairs (what [`encode_pairs`] packs); `pairs` gets the
-/// translated flat tile ids.
+/// list-position pairs; `pairs` gets the translated flat tile ids.
 #[allow(clippy::too_many_arguments)]
 pub fn matched_pairs_with<T: Scalar>(
     a: &TileMatrix<T>,
@@ -477,66 +485,77 @@ mod tests {
     }
 
     #[test]
-    fn packed_pairs_round_trip_with_and_without_escapes() {
-        // Tight deltas, a wide pos_a jump, a wide pos_b jump, and a pair
-        // beyond u16 range — all must survive the escape path.
-        let pairs: Vec<MatchedPair> = vec![
-            (0, 0),
-            (1, 3),
-            (254, 4),   // da = 253: still a single word
-            (510, 5),   // da = 256: escape
-            (511, 300), // db = 295: escape
-            (80_000, 70_000),
-            (80_001, 70_001),
-        ];
-        let mut words = Vec::new();
-        encode_pairs(&pairs, &mut words);
-        // 4 single words + 3 escapes of 5 words each.
-        assert_eq!(words.len(), 4 + 3 * 5);
-        let buf = PairBuffer {
-            offsets: vec![0, words.len() as u32],
-            words,
+    fn row_pass_groups_each_tiles_live_pairs_in_intersection_order() {
+        let mut state = 77u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
         };
-        let mut decoded = vec![(9, 9)];
-        buf.decode_positions(0, &mut decoded);
-        assert_eq!(decoded, pairs);
-        assert_eq!(buf.tile_count(), 1);
-        assert_eq!(buf.bytes(), buf.words.len() * 2 + 2 * 4);
-    }
-
-    #[test]
-    fn decode_tile_translates_like_matched_pairs() {
-        let a = tiled(&[(0, 0), (0, 16), (16, 16)]);
-        let b = tiled(&[(0, 16), (16, 16)]);
+        let mut random = |n: usize, count: usize| {
+            let mut coo = Coo::new(n, n);
+            for _ in 0..count {
+                coo.push((next() % n as u64) as u32, (next() % n as u64) as u32, 1.0);
+            }
+            TileMatrix::<f64>::from_csr(&coo.to_csr())
+        };
+        let (a, b) = (random(320, 1500), random(320, 3000));
+        let occ = Occupancy::new(&a, &b);
         let b_cols = b.col_index();
-        let (mut scratch, mut flat) = (Vec::new(), Vec::new());
-        matched_pairs(
-            &a,
-            &b_cols,
-            0,
-            1,
-            IntersectionKind::BinarySearch,
-            &mut scratch,
-            &mut flat,
-        );
-        // Pack the positions, then decode with the same base/id context.
-        let mut words = Vec::new();
-        encode_pairs(&scratch, &mut words);
-        let buf = PairBuffer {
-            offsets: vec![0, words.len() as u32],
-            words,
-        };
-        let mut decoded = Vec::new();
-        let (_, b_ids) = b_cols.col(1);
-        buf.decode_tile(0, a.tile_ptr[0] as u32, b_ids, &mut decoded);
-        assert_eq!(decoded, flat);
+        let mut s = Scratch::default();
+        let (mut positions, mut want) = (Vec::new(), Vec::new());
+        let mut searched = false;
+        // Every tile column, then every 7th: the row pass must find nothing
+        // for a tile without live pairs and the intersection's live pairs
+        // for every other, whether it walks B's tile rows or, for a row this
+        // much sparser than them, searches them.
+        for (ti, stride) in (0..a.tile_m).flat_map(|ti| [(ti, 1), (ti, 7)]) {
+            let c_cols: Vec<u32> = (0..b.tile_n as u32).step_by(stride).collect();
+            searched |= a.tile_row_cols(ti).iter().any(|&k| {
+                let len = b.tile_row_range(k as usize).len();
+                c_cols.len() * ((usize::BITS - len.leading_zeros()) as usize) < len
+            });
+            let mut masks = vec![0u16; c_cols.len() * TILE_DIM];
+            let mut ends = vec![0u32; c_cols.len()];
+            let mut pairs = vec![(0, 0); a.tile_count() * b.tile_count()];
+            let n = row_pass(
+                &a, &b, &occ, ti, &c_cols, &mut s, &mut masks, &mut ends, &mut pairs,
+            );
+            assert_eq!(n, ends.last().copied().unwrap_or(0) as usize);
+            for (l, &tj) in c_cols.iter().enumerate() {
+                matched_pairs(
+                    &a,
+                    &b_cols,
+                    ti,
+                    tj as usize,
+                    IntersectionKind::BinarySearch,
+                    &mut positions,
+                    &mut want,
+                );
+                want.retain(|&(a_id, b_id)| occ.live(a_id as usize, b_id as usize));
+                let start = if l == 0 { 0 } else { ends[l - 1] as usize };
+                let got = &pairs[start..ends[l] as usize];
+                assert_eq!(got, &want[..], "tile ({ti},{tj}), stride {stride}");
+                let sym = symbolic_tile(&a, &b, &want);
+                assert_eq!(&masks[l * TILE_DIM..(l + 1) * TILE_DIM], &sym.masks);
+            }
+            assert!(s.slots.iter().all(|&slot| slot == NO_SLOT), "slots reset");
+        }
+        assert!(searched, "some sparse row searches B's tile rows");
     }
 
     #[test]
-    fn dense_delta_streams_pack_to_one_word_per_pair() {
-        let pairs: Vec<MatchedPair> = (0..1000u32).map(|i| (i, i)).collect();
-        let mut words = Vec::new();
-        encode_pairs(&pairs, &mut words);
-        assert_eq!(words.len(), pairs.len());
+    fn row_chunks_cover_every_row_and_isolate_heavy_rows() {
+        // Five rows; row 2 holds most of the weight, row 3 none.
+        let tile_ptr = [0usize, 1, 2, 40, 40, 41];
+        let pair_ptr = [0usize, 1, 2, 500, 500, 501];
+        let bounds = row_chunk_bounds(&pair_ptr, &tile_ptr, 2);
+        assert_eq!(bounds.first(), Some(&0));
+        assert_eq!(bounds.last(), Some(&5));
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+        assert!(bounds.contains(&2) && bounds.contains(&3), "{bounds:?}");
+        // No rows: one empty chunk boundary pair.
+        assert_eq!(row_chunk_bounds(&[0], &[0], 3), vec![0]);
     }
 }

@@ -1,14 +1,14 @@
 //! Whole-pipeline allocation audit.
 //!
-//! `arena_steady_state.rs` pins the per-tile hot loop; this file pins what
-//! `multiply_with_pool` as a whole asks of the allocator on a warmed pool,
-//! in allocations and in bytes. Per-multiply buffers (operand indexes,
-//! output arrays, the pair buffer), per-task staging chunks and per-task
-//! slices of the output arrays are expected; anything per *tile* beyond the
-//! product's own arrays is not — staging each tile's packed pairs in its
-//! own `Vec` would cost more than one allocation per output tile, and a
-//! table of per-tile output windows costs 16 bytes per tile per array,
-//! more again each time the parallel executor splits it.
+//! `arena_steady_state.rs` pins the per-tile and per-row hot loops; this
+//! file pins what `multiply_with_pool` as a whole asks of the allocator on
+//! a warmed pool, in allocations and in bytes. Per-multiply buffers (step
+//! 1's rows, output arrays, the pair lists) and per-task slices of the
+//! arrays a phase splits are expected; anything per *tile* beyond the
+//! product's own arrays is not — staging each tile's pairs in its own `Vec`
+//! would cost more than one allocation per output tile, and a table of
+//! per-tile output windows costs 16 bytes per tile per array, more again
+//! each time the parallel executor splits it.
 //!
 //! The counting allocator is process-global, so this binary holds exactly
 //! one test.

@@ -10,8 +10,8 @@
 //! modest output compression factor), which surfaces as an `out_of_memory`
 //! job failure — the engine analogue of the paper's Figure-7 "0.00" bars.
 //! Two step-2/3 terms large enough to matter are modelled explicitly: the
-//! delta-packed matched-pair buffer (~2 bytes per surviving pair) and the
-//! per-worker scratch arenas the pipeline reserves. Arenas are priced from
+//! per-tile pair lists step 2 hands step 3 and the per-worker scratch
+//! arenas the pipeline reserves. Arenas are priced from
 //! the device's thread count (`threads` below), the pool a job runs in, so
 //! an estimate never depends on the thread that computes it.
 //!
@@ -49,7 +49,7 @@ pub struct SampleInfo {
     pub nnz_lo: usize,
     /// Upper edge of the 95% band on nnz(C) — what admission charges for.
     pub nnz_hi: usize,
-    /// Estimated surviving `(A_ik, B_kj)` tile pairs (pair-buffer sizing).
+    /// Estimated surviving `(A_ik, B_kj)` tile pairs (pair-list sizing).
     pub est_pairs: usize,
     /// Estimated non-empty output tiles.
     pub est_tiles_c: usize,
@@ -190,10 +190,12 @@ fn assemble_product(
     // the same per-nonzero constant (outputs are at least as clustered as
     // the estimate assumes).
     //
-    // Pair buffer (pair reuse is the default): each matched tile pair packs
-    // to ~one u16 delta word, and a matched pair covers on the order of
-    // TILE_AREA intermediate products on clustered inputs; the offsets array
-    // adds 4 bytes per output tile (bounded by output nonzeros / TILE_DIM).
+    // Pair lists (pair reuse is the default): a matched pair covers on the
+    // order of TILE_AREA intermediate products on clustered inputs, and the
+    // offsets array adds 4 bytes per output tile (bounded by output nonzeros
+    // / TILE_DIM). The 2 B per pair dates from a packed pair encoding; the
+    // lists now take 8 B per live pair, but this shape-only fallback keeps
+    // its calibrated weights.
     let est_pairs = (products as usize / TILE_AREA).max(1);
     let est_tiles_c = est_nnz_c.div_ceil(TILE_DIM).max(1);
     let pair_bytes = est_pairs * 2 + (est_tiles_c + 1) * 4;
@@ -220,8 +222,9 @@ fn assemble_product(
 /// * per output tile (72 B): the tiled form's per-tile overhead (~60 B of
 ///   `rowPtr`/`mask`/`tileColIdx`/`tileNnz`) plus step-2 mask scratch and
 ///   the per-tile count arrays;
-/// * per surviving pair (10 B): the delta-packed pair buffer plus the
-///   step-1 tile-pair lists.
+/// * per surviving pair (10 B): step 2's per-tile pair lists (8 B per
+///   live pair) plus the step-1 tile-pair lists. The sampler counts every
+///   index-matched pair, about three per live one on power-law inputs.
 const SAMPLED_NNZ_BYTES: usize = 16;
 const SAMPLED_TILE_BYTES: usize = 72;
 const SAMPLED_PAIR_BYTES: usize = 10;

@@ -11,8 +11,8 @@
 //! heap allocations.
 //!
 //! Accounting: [`ScratchPool::reserve`] pre-grows the pool — arena count and
-//! pair-list capacity, sized to the caller's per-tile bound — and charges
-//! the footprint to a [`MemTracker`] (with an `arena.grow` failpoint so
+//! list capacities, sized to bounds the caller derives from its operands
+//! ([`ScratchSizes`]) — and charges the footprint to a [`MemTracker`] (with an `arena.grow` failpoint so
 //! tests can force the charge to fail); [`ScratchPool::bytes`] and
 //! [`ScratchPool::high_water_bytes`] let the caller reconcile any growth
 //! beyond the reservation. The pool never frees scratch between multiplies —
@@ -36,14 +36,19 @@ pub const MASK_ROWS: usize = 16;
 /// fixed-size arrays mirror the paper's shared-memory tile state.
 #[derive(Debug)]
 pub struct Scratch {
-    /// Matched `(pos_a, pos_b)` list-position pairs (step 2 intersection).
+    /// Matched `(pos_a, pos_b)` list-position pairs (the per-tile
+    /// intersection of the paper's step 2).
     pub pos_pairs: Vec<(u32, u32)>,
-    /// Matched `(tile_a, tile_b)` flat tile-id pairs (step 3 input).
+    /// Matched `(tile_a, tile_b)` flat tile-id pairs (the per-tile
+    /// intersection's output, step 3's input on the paper path).
     pub id_pairs: Vec<(u32, u32)>,
-    /// Packed `u16` words (pair-buffer encoding scratch).
-    pub words: Vec<u16>,
-    /// General index scratch (ranks, offsets).
-    pub idx: Vec<u32>,
+    /// Step 2's row pass: per tile column, the position of that column's
+    /// tile within the current tile row, or `u32::MAX`. Every entry is
+    /// `u32::MAX` between rows; a row sets its own columns and resets them.
+    pub slots: Vec<u32>,
+    /// Step 2's row pass: the row's live pairs in walk order, as
+    /// `(tile within the row, tile_a, tile_b)`.
+    pub row_pairs: Vec<(u32, u32, u32)>,
     /// Per-row column bitmasks of the tile under construction.
     pub masks: [u16; MASK_ROWS],
     /// Dense accumulator slots (values are re-zeroed by the numeric kernel).
@@ -55,8 +60,8 @@ impl Default for Scratch {
         Scratch {
             pos_pairs: Vec::new(),
             id_pairs: Vec::new(),
-            words: Vec::new(),
-            idx: Vec::new(),
+            slots: Vec::new(),
+            row_pairs: Vec::new(),
             masks: [0; MASK_ROWS],
             dense: [0.0; DENSE_SLOTS],
         }
@@ -64,12 +69,12 @@ impl Default for Scratch {
 }
 
 impl Scratch {
-    /// Clears lengths (not capacities) and zeroes the masks.
+    /// Clears lengths (not capacities) and zeroes the masks. The slot
+    /// table keeps its length: its entries are reset row by row.
     pub fn reset(&mut self) {
         self.pos_pairs.clear();
         self.id_pairs.clear();
-        self.words.clear();
-        self.idx.clear();
+        self.row_pairs.clear();
         self.masks = [0; MASK_ROWS];
     }
 
@@ -77,30 +82,52 @@ impl Scratch {
     pub fn heap_bytes(&self) -> usize {
         self.pos_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.id_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.words.capacity() * std::mem::size_of::<u16>()
-            + self.idx.capacity() * std::mem::size_of::<u32>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.row_pairs.capacity() * std::mem::size_of::<(u32, u32, u32)>()
     }
 
-    /// Heap bytes [`Self::reserve_pairs`] would add for `pairs`: both pair
-    /// lists grow to exactly `pairs` entries when they hold fewer.
-    fn pair_growth(&self, pairs: usize) -> usize {
-        let short = |v: &Vec<(u32, u32)>| pairs.saturating_sub(v.capacity());
-        (short(&self.pos_pairs) + short(&self.id_pairs)) * std::mem::size_of::<(u32, u32)>()
+    /// Heap bytes [`Self::reserve_for`] would add for `sizes`: each list
+    /// grows to exactly its size when it holds fewer entries.
+    fn growth(&self, sizes: ScratchSizes) -> usize {
+        fn short<E>(v: &Vec<E>, want: usize) -> usize {
+            want.saturating_sub(v.capacity()) * std::mem::size_of::<E>()
+        }
+        short(&self.pos_pairs, sizes.pairs)
+            + short(&self.id_pairs, sizes.pairs)
+            + short(&self.slots, sizes.slots)
+            + short(&self.row_pairs, sizes.row_pairs)
     }
 
-    /// Grows both pair lists to hold `pairs` entries without reallocating.
-    /// An idle arena still holds its last tile's pairs, and `reserve_exact`
-    /// counts from the length, so the lists are cleared first.
-    fn reserve_pairs(&mut self, pairs: usize) {
-        self.pos_pairs.clear();
-        self.id_pairs.clear();
-        self.pos_pairs.reserve_exact(pairs);
-        self.id_pairs.reserve_exact(pairs);
+    /// Grows every list to its size in `sizes` without reallocating later.
+    /// An idle arena still holds its last task's entries, and
+    /// `reserve_exact` counts from the length, so the lists are cleared
+    /// first — all but the slot table, whose length is its state.
+    fn reserve_for(&mut self, sizes: ScratchSizes) {
+        self.reset();
+        self.pos_pairs.reserve_exact(sizes.pairs);
+        self.id_pairs.reserve_exact(sizes.pairs);
+        self.slots
+            .reserve_exact(sizes.slots.saturating_sub(self.slots.len()));
+        self.row_pairs.reserve_exact(sizes.row_pairs);
     }
 
     /// Bytes one `Scratch` occupies regardless of list growth: the struct
     /// itself (inline masks + dense accumulator) boxed on the heap.
     pub const BASE_BYTES: usize = std::mem::size_of::<Scratch>();
+}
+
+/// List capacities every arena of a [`ScratchPool::reserve`] call holds,
+/// each a bound the caller derives from its operands.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScratchSizes {
+    /// Entries of both per-tile intersection lists (`pos_pairs`,
+    /// `id_pairs`): the most pairs one tile can match.
+    pub pairs: usize,
+    /// Entries of the row pass's slot table: `B`'s tile columns.
+    pub slots: usize,
+    /// Entries of the row pass's gathered pairs: the live pairs of the
+    /// heaviest tile row.
+    pub row_pairs: usize,
 }
 
 /// A pool of [`Scratch`] arenas shared by the workers of one (or many
@@ -153,14 +180,14 @@ impl ScratchPool {
     }
 
     /// Ensures at least `count` arenas exist and that every idle arena's
-    /// pair lists hold `pair_cap` entries, charging the pool's *total*
-    /// footprint to `tracker` and returning the charged byte count (the
-    /// caller credits it back when the tracked operation completes).
+    /// lists hold `sizes` entries, charging the pool's *total* footprint to
+    /// `tracker` and returning the charged byte count (the caller credits
+    /// it back when the tracked operation completes).
     ///
-    /// Sizing the lists up front to a per-tile bound the caller derives
-    /// from its operands means no arena grows mid-phase, so the charge —
-    /// and every peak that includes it — depends on the operands alone, not
-    /// on which worker happened to draw the heaviest tile.
+    /// Sizing the lists up front to bounds the caller derives from its
+    /// operands means no arena grows mid-phase, so the charge — and every
+    /// peak that includes it — depends on the operands alone, not on which
+    /// worker happened to draw the heaviest tile or tile row.
     ///
     /// Growth is fallible: the `arena.grow` failpoint (and the tracker's own
     /// budget) can refuse it, in which case nothing is charged and the pool
@@ -169,14 +196,14 @@ impl ScratchPool {
     pub fn reserve(
         &self,
         count: usize,
-        pair_cap: usize,
+        sizes: ScratchSizes,
         tracker: &MemTracker,
     ) -> Result<usize, BudgetExceeded> {
         let mut free = self.free.lock();
         let missing = count.saturating_sub(self.created());
-        let fresh = Scratch::default().pair_growth(pair_cap);
+        let fresh = Scratch::default().growth(sizes);
         let growth = missing * (Scratch::BASE_BYTES + fresh)
-            + free.iter().map(|s| s.pair_growth(pair_cap)).sum::<usize>();
+            + free.iter().map(|s| s.growth(sizes)).sum::<usize>();
         if growth > 0 {
             // Failpoint `arena.grow`: refuse pool growth before any arena is
             // built or charged, mirroring `tracker.alloc` semantics.
@@ -195,11 +222,11 @@ impl ScratchPool {
             let heap = |free: &[Box<Scratch>]| free.iter().map(|s| s.heap_bytes()).sum::<usize>();
             let before = heap(&free);
             for s in free.iter_mut() {
-                s.reserve_pairs(pair_cap);
+                s.reserve_for(sizes);
             }
             for _ in 0..missing {
                 let mut s = Box::<Scratch>::default();
-                s.reserve_pairs(pair_cap);
+                s.reserve_for(sizes);
                 free.push(s);
             }
             self.created.fetch_add(missing, Ordering::Relaxed);
@@ -253,7 +280,12 @@ impl std::ops::DerefMut for ScratchGuard<'_> {
 
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
-        let scratch = self.scratch.take().expect("scratch present until drop");
+        let mut scratch = self.scratch.take().expect("scratch present until drop");
+        // A task that panicked mid-row may leave slots set; an empty table
+        // is refilled (within its capacity) by the next row pass.
+        if std::thread::panicking() {
+            scratch.slots.clear();
+        }
         let grown = scratch.heap_bytes().saturating_sub(self.bytes_at_checkout);
         if grown > 0 {
             self.pool.add_bytes(grown);
@@ -290,7 +322,7 @@ mod tests {
         assert_eq!(pool.bytes(), 0);
         {
             let mut s = pool.checkout();
-            s.idx.reserve_exact(256);
+            s.slots.reserve_exact(256);
         }
         let after_growth = pool.bytes();
         assert!(after_growth >= Scratch::BASE_BYTES + 256 * 4);
@@ -304,7 +336,7 @@ mod tests {
     fn reserve_creates_and_charges() {
         let tracker = MemTracker::new();
         let pool = ScratchPool::new();
-        let charged = pool.reserve(3, 0, &tracker).unwrap();
+        let charged = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
         assert_eq!(pool.created(), 3);
         assert_eq!(charged, 3 * Scratch::BASE_BYTES);
         assert_eq!(tracker.current_bytes(), charged);
@@ -312,9 +344,9 @@ mod tests {
         tracker.on_free(charged);
         {
             let mut s = pool.checkout();
-            s.words.reserve_exact(100);
+            s.row_pairs.reserve_exact(100);
         }
-        let charged2 = pool.reserve(3, 0, &tracker).unwrap();
+        let charged2 = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
         assert_eq!(pool.created(), 3);
         assert_eq!(charged2, pool.bytes());
         assert!(charged2 > charged);
@@ -323,26 +355,40 @@ mod tests {
     }
 
     #[test]
-    fn reserve_presizes_pair_lists_so_checkouts_never_grow() {
+    fn reserve_presizes_lists_so_checkouts_never_grow() {
         let tracker = MemTracker::new();
         let pool = ScratchPool::new();
-        let pair_bytes = 2 * 40 * std::mem::size_of::<(u32, u32)>();
-        let charged = pool.reserve(2, 40, &tracker).unwrap();
-        assert_eq!(charged, 2 * (Scratch::BASE_BYTES + pair_bytes));
+        let sizes = ScratchSizes {
+            pairs: 40,
+            slots: 64,
+            row_pairs: 30,
+        };
+        let list_bytes = 2 * 40 * std::mem::size_of::<(u32, u32)>()
+            + 64 * std::mem::size_of::<u32>()
+            + 30 * std::mem::size_of::<(u32, u32, u32)>();
+        let charged = pool.reserve(2, sizes, &tracker).unwrap();
+        assert_eq!(charged, 2 * (Scratch::BASE_BYTES + list_bytes));
         assert_eq!(pool.bytes(), charged, "the charge is the footprint");
         for _ in 0..2 {
             let mut s = pool.checkout();
             assert!(s.pos_pairs.capacity() >= 40 && s.id_pairs.capacity() >= 40);
             s.pos_pairs.extend((0..40).map(|i| (i, i)));
             s.id_pairs.extend((0..40).map(|i| (i, i)));
+            s.slots.resize(64, u32::MAX);
+            s.row_pairs.extend((0..30).map(|i| (i, i, i)));
         }
         assert_eq!(pool.bytes(), charged, "filling to the bound grows nothing");
         // The same reservation again charges the same total: the charge is
-        // a function of (count, bound), not of what earlier runs drew.
+        // a function of (count, sizes), not of what earlier runs drew.
         tracker.on_free(charged);
-        assert_eq!(pool.reserve(2, 40, &tracker).unwrap(), charged);
+        assert_eq!(pool.reserve(2, sizes, &tracker).unwrap(), charged);
+        let smaller = ScratchSizes {
+            pairs: 10,
+            slots: 8,
+            row_pairs: 1,
+        };
         assert_eq!(
-            pool.reserve(2, 10, &tracker).unwrap(),
+            pool.reserve(2, smaller, &tracker).unwrap(),
             charged,
             "never shrinks"
         );
@@ -354,11 +400,30 @@ mod tests {
     fn reserve_over_budget_fails_cleanly() {
         let tracker = MemTracker::with_budget(1);
         let pool = ScratchPool::new();
-        let err = pool.reserve(2, 16, &tracker).unwrap_err();
+        let sizes = ScratchSizes {
+            pairs: 16,
+            ..ScratchSizes::default()
+        };
+        let err = pool.reserve(2, sizes, &tracker).unwrap_err();
         assert_eq!(err.budget, 1);
         assert_eq!(tracker.current_bytes(), 0);
         assert_eq!(pool.created(), 0);
         assert_eq!(pool.bytes(), 0);
+    }
+
+    #[test]
+    fn a_panicking_task_hands_back_an_empty_slot_table() {
+        let pool = ScratchPool::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut s = pool.checkout();
+            s.slots.resize(8, u32::MAX);
+            s.slots[3] = 0;
+            panic!("mid-row");
+        }));
+        assert!(caught.is_err());
+        let s = pool.checkout();
+        assert!(s.slots.is_empty(), "a half-set table is not handed out");
+        assert!(s.slots.capacity() >= 8, "its capacity is kept");
     }
 
     #[test]
@@ -367,8 +432,8 @@ mod tests {
         let pool = ScratchPool::new();
         (0..64usize).into_par_iter().for_each(|i| {
             let mut s = pool.checkout();
-            s.idx.push(i as u32);
-            assert_eq!(s.idx.len(), 1);
+            s.row_pairs.push((i as u32, 0, 0));
+            assert_eq!(s.row_pairs.len(), 1);
         });
         assert!(pool.created() >= 1);
         // All checked back in.

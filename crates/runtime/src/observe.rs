@@ -42,12 +42,16 @@ pub enum Counter {
     /// Output tiles visited by the per-tile symbolic phase (step 2). Equals
     /// the step-1 structure's nnz — one visit per predicted output tile.
     TilesVisited,
-    /// Matched `(A_ik, B_kj)` tile pairs found by the set intersection,
+    /// Live `(A_ik, B_kj)` tile pairs step 2 found — by the row pass or
+    /// by the per-tile set intersection, the same pairs either way —
     /// summed over all output tiles.
     MatchedPairs,
-    /// Set-intersection lookups issued: for binary search, one per element
-    /// of the shorter tile list; for merge, one per pointer advance bound
-    /// (`|a| + |b|`). A cheap, deterministic proxy for intersection work.
+    /// Candidate tile pairs step 2 tested. On the row pass: for each tile
+    /// row it walks, the length of `B`'s tile row each `A` tile indexes.
+    /// On the per-tile intersection (`pair_reuse = false`): for binary
+    /// search, one per element of the shorter tile list; for merge, one
+    /// per pointer advance bound (`|a| + |b|`), charged again for step 3's
+    /// repeat. A cheap, deterministic proxy for pair-finding work.
     IntersectionProbes,
     /// Step-3 tiles accumulated through the rank-based sparse accumulator.
     SparseAccPicks,
@@ -61,7 +65,8 @@ pub enum Counter {
     /// Output tiles whose intersection resolved to the binary-search kernel
     /// (the chosen-kernel histogram of `IntersectionKind::Adaptive`; fixed
     /// kinds also report here so the three picks always sum to the visited
-    /// tiles).
+    /// tiles). Only the per-tile intersection (`pair_reuse = false`)
+    /// counts; the row pass runs no intersection kernel.
     IsectBinaryPicks,
     /// Output tiles whose intersection resolved to the merge kernel.
     IsectMergePicks,

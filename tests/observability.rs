@@ -1,8 +1,8 @@
 //! Counter-correctness tests for the observability layer: every counter a
 //! [`CollectingRecorder`] aggregates is checked against ground truth the
-//! pipeline computes independently (the step-1 structure, the persisted
-//! pair buffer, the tracker's byte accounting), and a property test pins
-//! down that recording changes nothing about the numerics.
+//! pipeline computes independently (the step-1 structure, the row pass's
+//! per-tile pair lists, the tracker's byte accounting), and a property
+//! test pins down that recording changes nothing about the numerics.
 
 use std::sync::Arc;
 
@@ -66,15 +66,19 @@ fn tiles_visited_equals_the_step1_tile_count() {
 fn matched_pairs_equal_the_persisted_pair_buffer() {
     for (name, ta) in fixtures() {
         let (out, recorder, _ctx) = profiled_square(&ta, Config::default());
-        let buf = out.pair_buffer.as_ref().expect("pair_reuse defaults on");
+        // The per-tile lists the row pass hands step 3, for C's layout.
+        let lists =
+            tilespgemm::core::step2::row_pass_lists(&ta, &ta, &out.c.tile_ptr, &out.c.tile_colidx);
+        let total: usize = lists.iter().map(Vec::len).sum();
         assert_eq!(
             recorder.snapshot().get(Counter::MatchedPairs) as usize,
-            buf.pair_count(),
+            total,
             "{name}: the counter totals exactly the pairs step 2 persisted"
         );
         // The degenerate diagonal makes the bound exact: one pair per tile.
         if name == "identity" {
-            assert_eq!(buf.pair_count(), out.c.tile_count());
+            assert_eq!(total, out.c.tile_count());
+            assert!(lists.iter().all(|l| l.len() == 1));
         }
     }
 }

@@ -27,23 +27,29 @@ fn arb_square(n_max: usize, nnz_max: usize) -> impl Strategy<Value = Csr<f64>> {
     })
 }
 
-/// A product stressing step 2's chunk staging: every tile row of A holds
-/// all 300 inner tiles, each with one entry in local column 0, and B's tile
-/// column `j` picks two inner tiles by `kinds[j]` — 299 list positions
-/// apart (an escape-coded pair), adjacent (plain words), or 299 apart with
-/// the first on a B row A never touches (a phantom pair: matched by index,
-/// dead by occupancy, dropped beside an escape-coded live pair).
-fn staging_stress(rows: usize, kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64>) {
-    const INNER: u32 = 300;
-    let mut a = Coo::new(rows * 16, INNER as usize * 16);
-    for i in 0..rows as u32 {
-        for k in 0..INNER {
+/// A product stressing step 2's row-chunk split: each tile row of A is
+/// empty (kind 0), light (kind 1: inner tiles 0 and 63) or heavy (kind 2:
+/// all 64 inner tiles), with one entry per tile in local column 0. B's tile
+/// column `j` holds two entries picked by `col_kinds[j]` — inner tiles 0 and
+/// 63, adjacent inner tiles 0 and 1, or local row 1 of inner tile 0 (a
+/// phantom pair: matched by index, dead by occupancy) beside 63 — plus an
+/// entry in every inner tile from 2 to 62, which only heavy rows reach, so
+/// a heavy row outweighs a light one ~60 times over.
+fn row_stress(row_kinds: &[u8], col_kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64>) {
+    const INNER: u32 = 64;
+    let mut a = Coo::new(row_kinds.len() * 16, INNER as usize * 16);
+    for (i, &kind) in (0u32..).zip(row_kinds) {
+        let inner: Vec<u32> = match kind {
+            0 => vec![],
+            1 => vec![0, INNER - 1],
+            _ => (0..INNER).collect(),
+        };
+        for k in inner {
             a.push(i * 16, k * 16, 1.0 + (i + k) as f64 * 0.5);
         }
     }
-    let mut b = Coo::new(INNER as usize * 16, kinds.len() * 16);
-    for (j, &kind) in kinds.iter().enumerate() {
-        let j = j as u32;
+    let mut b = Coo::new(INNER as usize * 16, col_kinds.len() * 16);
+    for (j, &kind) in (0u32..).zip(col_kinds) {
         // (inner tile, local row) of the column's two entries.
         let [near, far] = match kind {
             0 => [(0, 0), (INNER - 1, 0)],
@@ -52,6 +58,9 @@ fn staging_stress(rows: usize, kinds: &[u8]) -> (TileMatrix<f64>, TileMatrix<f64
         };
         b.push(near.0 * 16 + near.1, j * 16, 2.0);
         b.push(far.0 * 16 + far.1, j * 16 + 3, -1.0);
+        for k in 2..INNER - 1 {
+            b.push(k * 16, j * 16 + 5, 0.25 * (k % 7) as f64);
+        }
     }
     (
         TileMatrix::from_csr(&a.to_csr()),
@@ -69,18 +78,51 @@ fn live_pair(a: &TileMatrix<f64>, b: &TileMatrix<f64>, (a_id, b_id): (u32, u32))
         .any(|&c| b_masks[c as usize] != 0)
 }
 
-/// Runs `a·b` under every scheduling on a `threads`-worker pool and checks
-/// that the persisted `PairBuffer` is exactly the per-tile `encode_pairs`
-/// concatenation of the live pairs in tile order, and that C is bitwise
-/// the product recomputed without pair reuse.
-fn check_staged_pair_buffer(
+/// Checks that the row pass gives every tile of the layout `c` exactly the
+/// live pairs of the paper's intersection, in its order, and returns how
+/// many tiles have none.
+fn check_row_lists(
     a: &TileMatrix<f64>,
     b: &TileMatrix<f64>,
+    c: &TileMatrix<f64>,
+) -> Result<usize, proptest::test_runner::TestCaseError> {
+    use tilespgemm::core::step2::{matched_pairs, row_pass_lists};
+    use tilespgemm::core::IntersectionKind;
+    let lists = row_pass_lists(a, b, &c.tile_ptr, &c.tile_colidx);
+    prop_assert_eq!(lists.len(), c.tile_count());
+    let b_cols = b.col_index();
+    let (mut positions, mut pairs) = (Vec::new(), Vec::new());
+    let mut without = 0;
+    for ti in 0..c.tile_m {
+        for t in c.tile_row_range(ti) {
+            matched_pairs(
+                a,
+                &b_cols,
+                ti,
+                c.tile_colidx[t] as usize,
+                IntersectionKind::BinarySearch,
+                &mut positions,
+                &mut pairs,
+            );
+            pairs.retain(|&pair| live_pair(a, b, pair));
+            prop_assert_eq!(&lists[t], &pairs, "tile {}", t);
+            without += usize::from(pairs.is_empty());
+        }
+    }
+    Ok(without)
+}
+
+/// Runs `a·b` — under `mask` when given — under every scheduling on a
+/// `threads`-worker pool, and checks that C is bitwise the product
+/// recomputed without pair reuse and that the row pass's lists for C's
+/// layout are the intersection's live pairs.
+fn check_row_chunks(
+    a: &TileMatrix<f64>,
+    b: &TileMatrix<f64>,
+    mask: Option<&TileMatrix<f64>>,
     threads: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    use tilespgemm::core::step2::{encode_pairs, matched_pairs};
-    use tilespgemm::core::{IntersectionKind, Scheduling};
-    let b_cols = b.col_index();
+    use tilespgemm::core::{multiply_masked, Scheduling};
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -91,36 +133,16 @@ fn check_staged_pair_buffer(
                 .scheduling(scheduling)
                 .pair_reuse(pair_reuse)
                 .build();
-            pool.install(|| tilespgemm::core::multiply(a, b, &cfg, &MemTracker::new()).unwrap())
+            let t = MemTracker::new();
+            pool.install(|| match mask {
+                None => tilespgemm::core::multiply(a, b, &cfg, &t),
+                Some(m) => multiply_masked(a, b, m, &cfg, &t),
+            })
+            .unwrap()
         };
         let (out, recomputed) = (run(true), run(false));
         prop_assert_eq!(&out.c, &recomputed.c, "{:?}: C differs", scheduling);
-        let buf = out.pair_buffer.expect("pair reuse on");
-        let (mut positions, mut pairs) = (Vec::new(), Vec::new());
-        let (mut offsets, mut words) = (vec![0u32], Vec::new());
-        for ti in 0..out.c.tile_m {
-            for &tj in out.c.tile_row_cols(ti) {
-                matched_pairs(
-                    a,
-                    &b_cols,
-                    ti,
-                    tj as usize,
-                    IntersectionKind::BinarySearch,
-                    &mut positions,
-                    &mut pairs,
-                );
-                let live: Vec<_> = positions
-                    .iter()
-                    .zip(&pairs)
-                    .filter(|&(_, &pair)| live_pair(a, b, pair))
-                    .map(|(&pos, _)| pos)
-                    .collect();
-                encode_pairs(&live, &mut words);
-                offsets.push(words.len() as u32);
-            }
-        }
-        prop_assert_eq!(&buf.offsets, &offsets, "{:?}: offsets", scheduling);
-        prop_assert_eq!(&buf.words, &words, "{:?}: words", scheduling);
+        check_row_lists(a, b, &out.c)?;
     }
     Ok(())
 }
@@ -222,53 +244,38 @@ proptest! {
     #[test]
     fn pair_buffer_equals_recomputed_matched_pairs(
         a in arb_square(48, 250),
+        mask_seed in 0u64..1000,
         threads in 1usize..4,
     ) {
-        // The compact pair buffer step 2 persists must hold, tile for tile,
-        // exactly the live pairs of a fresh intersection.
+        // The per-tile pair lists the row pass builds for step 3 must hold,
+        // tile for tile and in order, exactly the live pairs of a fresh
+        // intersection: every tile of an unmasked product has one, while a
+        // mask tile the product misses has none.
         let ta = TileMatrix::from_csr(&a);
         let out = tilespgemm::core::multiply(&ta, &ta, &Config::default(), &MemTracker::new())
             .unwrap();
-        let buf = out.pair_buffer.expect("pair_reuse defaults to on");
-        prop_assert_eq!(buf.tile_count(), out.c.tile_count());
-        let b_cols = ta.col_index();
-        let mut scratch = Vec::new();
-        let mut pairs = Vec::new();
-        let mut decoded = Vec::new();
-        for ti in 0..out.c.tile_m {
-            for t in out.c.tile_ptr[ti]..out.c.tile_ptr[ti + 1] {
-                let tj = out.c.tile_colidx[t] as usize;
-                tilespgemm::core::step2::matched_pairs(
-                    &ta,
-                    &b_cols,
-                    ti,
-                    tj,
-                    tilespgemm::core::IntersectionKind::BinarySearch,
-                    &mut scratch,
-                    &mut pairs,
-                );
-                pairs.retain(|&pair| live_pair(&ta, &ta, pair));
-                prop_assert!(!pairs.is_empty(), "tile {} has a live pair", t);
-                let (_, b_ids) = b_cols.col(tj);
-                buf.decode_tile(t, ta.tile_ptr[ti] as u32, b_ids, &mut decoded);
-                prop_assert_eq!(&decoded, &pairs, "tile {}", t);
-            }
-        }
-        // Every scheduling stages the same buffer, at any worker count.
-        check_staged_pair_buffer(&ta, &ta, threads)?;
+        prop_assert_eq!(check_row_lists(&ta, &ta, &out.c)?, 0, "a tile without a live pair");
+        let mask = TileMatrix::from_csr(&tilespgemm::gen::random::erdos_renyi(
+            a.nrows, a.ncols, a.nnz().max(1), mask_seed,
+        ));
+        check_row_lists(&ta, &ta, &mask)?;
+        // Every scheduling builds the same lists, at any worker count.
+        check_row_chunks(&ta, &ta, None, threads)?;
+        check_row_chunks(&ta, &ta, Some(&mask), threads)?;
     }
 
     #[test]
-    fn chunk_staging_survives_escapes_phantoms_and_ragged_chunks(
-        rows in 1usize..24,
-        kinds in proptest::collection::vec(0u8..3, 1..80),
+    fn row_chunks_survive_empty_heavy_and_phantom_rows(
+        row_kinds in proptest::collection::vec(0u8..3, 1..24),
+        col_kinds in proptest::collection::vec(0u8..3, 1..60),
         threads in 1usize..4,
     ) {
-        // Escape-coded, plain and phantom-pair tiles in a random mix,
-        // across enough tiles that the staging chunks hold many tiles each
-        // and their boundaries land on every kind.
-        let (ta, tb) = staging_stress(rows, &kinds);
-        check_staged_pair_buffer(&ta, &tb, threads)?;
+        // Empty, light and heavy tile rows in a random mix, with plain and
+        // phantom pairs across the columns, so row-chunk boundaries land
+        // beside empty rows, rows heavier than a chunk's share make chunks
+        // of their own, and the last chunk is ragged.
+        let (ta, tb) = row_stress(&row_kinds, &col_kinds);
+        check_row_chunks(&ta, &tb, None, threads)?;
     }
 
     #[test]
