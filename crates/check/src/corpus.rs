@@ -95,6 +95,10 @@ pub const CASES: &[CaseSpec] = &[
         name: "dense-blocks",
         summary: "block-diagonal dense 16x16 tiles: compression ~16x, zero variance",
     },
+    CaseSpec {
+        name: "banded-dense",
+        summary: "banded product: >100 dense-accumulator tiles of ~4 pairs, ~2-entry B rows",
+    },
 ];
 
 /// Names of all corpus cases, in sweep order.
@@ -368,6 +372,22 @@ pub fn build(name: &str, seed: u64) -> Option<(Csr<f64>, Csr<f64>)> {
             let a = a.to_csr();
             (a.clone(), a)
         }
+        "banded-dense" => {
+            // The shape of a banded power or chain link at scale: most
+            // output tiles hold more than tnnz = 192 entries, each built
+            // from about 4 pairs whose B rows hold about 2 entries per A
+            // nonzero — the dense kernel's sparsest-operand regime.
+            let banded = |bandwidth, per_row, seed| {
+                GenSpec::Banded {
+                    n: 384,
+                    bandwidth,
+                    per_row,
+                    seed,
+                }
+                .build()
+            };
+            (banded(40, 60, seed), banded(30, 8, seed.wrapping_add(1)))
+        }
         _ => return None,
     })
 }
@@ -400,6 +420,51 @@ mod tests {
             let (_, b) = build(name, 3).unwrap();
             assert_eq!(b.nnz(), nnz, "{name}");
             assert_eq!((b.nrows, b.ncols), (TILE_DIM, TILE_DIM));
+        }
+    }
+
+    /// `banded-dense` keeps the shape it is named for: at least 100 output
+    /// tiles above tnnz = 192, built from about 4 live pairs each, whose B
+    /// rows hold about 2 entries per A nonzero.
+    #[test]
+    fn banded_dense_sends_many_sparse_row_tiles_to_the_dense_kernel() {
+        use tilespgemm_core::{multiply, step2, Config};
+        use tsg_matrix::TileMatrix;
+        use tsg_runtime::MemTracker;
+        for seed in [0, 1] {
+            let (a, b) = build("banded-dense", seed).unwrap();
+            let (a, b) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&b));
+            let c = multiply(&a, &b, &Config::default(), &MemTracker::new())
+                .unwrap()
+                .c;
+            let lists = step2::row_pass_lists(&a, &b, &c.tile_ptr, &c.tile_colidx);
+            let dense: Vec<usize> = (0..c.tile_count())
+                .filter(|&t| c.tile_nnz_of(t) > 192)
+                .collect();
+            let pairs: usize = dense.iter().map(|&t| lists[t].len()).sum();
+            let (mut a_nnz, mut b_entries) = (0usize, 0usize);
+            for &(a_id, b_id) in dense.iter().flat_map(|&t| &lists[t]) {
+                let b_masks = b.tile(b_id as usize).masks;
+                for &k in a.tile(a_id as usize).col_idx {
+                    a_nnz += 1;
+                    b_entries += b_masks[k as usize].count_ones() as usize;
+                }
+            }
+            let per_tile = pairs as f64 / dense.len() as f64;
+            let per_nonzero = b_entries as f64 / a_nnz as f64;
+            assert!(
+                dense.len() >= 100,
+                "seed {seed}: {} dense tiles",
+                dense.len()
+            );
+            assert!(
+                (3.0..=6.0).contains(&per_tile),
+                "seed {seed}: {per_tile:.2} pairs per dense tile"
+            );
+            assert!(
+                (1.5..=2.5).contains(&per_nonzero),
+                "seed {seed}: {per_nonzero:.2} B-row entries per A nonzero"
+            );
         }
     }
 

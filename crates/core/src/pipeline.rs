@@ -282,16 +282,18 @@ pub fn multiply_masked<T: Scalar>(
 /// [`multiply_with`] against a caller-owned [`ScratchPool`], optionally
 /// under a structural `mask` (see [`multiply_masked`]).
 ///
-/// Steps 2 and 3 check a [`Scratch`] arena out of `arena` once per task
+/// The multiply reserves one [`Scratch`] arena per worker from `arena`,
+/// and steps 2 and 3 check one out of that reservation once per task
 /// chunk; after the first multiply warms the pool, the per-tile and
 /// per-row hot paths perform zero heap allocations (DESIGN.md §11). What
 /// the multiply as a whole allocates is per-multiply arrays (the pair
 /// lists among them) and one slice per task run of each array it splits —
 /// fewer than 0.05 allocations per output tile and a bounded number of
-/// host bytes per tile, pinned by `tests/pipeline_alloc_audit.rs`. The pool's
-/// total footprint is charged to `tracker` for the duration of the call
-/// (so `peak_bytes` covers scratch memory) and credited back at the end —
-/// growth observed during the run is reconciled before the peak is read.
+/// host bytes per tile, pinned by `tests/pipeline_alloc_audit.rs`. The
+/// reserved arenas' footprint is charged to `tracker` for the duration of
+/// the call (so `peak_bytes` covers scratch memory) and credited back at
+/// the end — growth observed during the run is reconciled before the peak
+/// is read.
 ///
 /// A mask changes three things (DESIGN.md §13.3): step 1 takes `mask`'s
 /// tile layout instead of the symbolic tile product (and counts only the
@@ -426,10 +428,11 @@ pub fn multiply_with_pool<T: Scalar>(
         return Err(fail(e.into()));
     }
 
-    // Reserve one scratch arena per executor chunk (the same sizing the
-    // `for_each_init` dispatch below uses) and charge the pool's footprint
-    // for the duration of this multiply. A warmed pool re-charges its grown
-    // size, so scratch memory shows up in `peak_bytes` every run.
+    // Reserve one scratch arena per worker — the `for_each_init` dispatch
+    // below checks one out per task chunk, and a worker runs its chunks one
+    // at a time — and charge their footprint for the duration of this
+    // multiply, so scratch memory shows up in `peak_bytes` every run.
+    // Concurrent multiplies on a shared pool each hold their own arenas.
     //
     // Each arena's lists are sized up front to bounds the operands fix. The
     // row pass needs a slot per tile column of B and room for the heaviest
@@ -450,13 +453,14 @@ pub fn multiply_with_pool<T: Scalar>(
             ..ScratchSizes::default()
         },
     };
-    let arena_charged = match arena.reserve(threads * 4, sizes, tracker) {
-        Ok(bytes) => bytes,
+    let scratch = match arena.reserve(threads, sizes, tracker) {
+        Ok(reservation) => reservation,
         Err(e) => {
             tracker.on_free(input_bytes + step2_temp_bytes);
             return Err(fail(e.into()));
         }
     };
+    let arena_charged = scratch.charged();
     // The kernel level is a run constant: resolved once (policy, then the
     // `core.simd_dispatch` failpoint, then hardware detection), so the
     // counter replay below re-derives the same choices.
@@ -510,7 +514,7 @@ pub fn multiply_with_pool<T: Scalar>(
                 .zip(split_mut_by_offsets(&mut pair_lists, &pair_bounds))
                 .enumerate()
                 .for_each_init(
-                    || arena.checkout(),
+                    || scratch.checkout(),
                     |s, (r, ((((masks_r, rowptr_r), counts_r), ends_r), lists_r))| {
                         let (tile_base, pair_base) = (tile_bounds[r], pair_bounds[r]);
                         for i in row_runs[r]..row_runs[r + 1] {
@@ -553,7 +557,7 @@ pub fn multiply_with_pool<T: Scalar>(
                 .zip(split_mut_by_offsets(&mut pair_counts, &runs))
                 .enumerate()
                 .for_each_init(
-                    || arena.checkout(),
+                    || scratch.checkout(),
                     |s, (r, (((masks_r, rowptr_r), counts_r), paircnt_r))| {
                         for (k, t) in (runs[r]..runs[r + 1]).enumerate() {
                             p.live_pairs(a, &occupancy, &c_pattern, t, config.intersection, s);
@@ -693,7 +697,7 @@ pub fn multiply_with_pool<T: Scalar>(
             .zip(vals_runs)
             .enumerate()
             .for_each_init(
-                || arena.checkout(),
+                || scratch.checkout(),
                 |s, (r, ((ri_r, ci_r), vals_r))| {
                     let elem_base = elem_bounds[r];
                     for t in runs[r]..runs[r + 1] {
@@ -760,11 +764,11 @@ pub fn multiply_with_pool<T: Scalar>(
         masks: c_masks,
     };
 
-    // Reconcile arena growth: the reservation charged the pool's footprint
+    // Reconcile arena growth: the reservation charged its arenas' footprint
     // as of step-2 start; any buffer growth during steps 2/3 is charged now
     // so the peak reflects the true scratch high-water mark.
     let arena_total = {
-        let grown = arena.bytes().saturating_sub(arena_charged);
+        let grown = scratch.bytes().saturating_sub(arena_charged);
         if grown > 0 {
             if let Err(e) = tracker.on_alloc(grown) {
                 tracker.on_free(input_bytes + step2_temp_bytes + output_bytes + arena_charged);

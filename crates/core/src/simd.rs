@@ -14,8 +14,8 @@
 //!    paper's sparse/dense accumulator split on the vector kernels, and
 //!    `ForceScalar` pins the scalar reference for ablations and
 //!    differential checks. Tiles the accumulator rule sends dense (above
-//!    `tnnz`) run the dense 16×16 micro-kernel — expanded B rows, masked
-//!    lane adds.
+//!    `tnnz`) run the dense 16×16 micro-kernel — expanded B rows, C's row
+//!    held in registers, blended lane adds.
 //!
 //! **Bitwise identity.** Every path here produces output bit-identical to
 //! the scalar sparse accumulator. Two invariants make that possible: each
@@ -330,10 +330,12 @@ unsafe fn sparse_fast_body<T: Scalar>(
     }
 }
 
-/// Dense 16×16 micro-kernel: B tiles expanded to dense rows, one broadcast
-/// multiply + masked lane add per A nonzero per strip, compressed through
-/// the output masks at the end. Falls back to the scalar dense accumulator
-/// when the level is scalar or the element type has no lane kernel.
+/// Dense 16×16 micro-kernel: each pair's B tile is expanded to dense rows,
+/// and each run of A nonzeros sharing a local row adds into that row of the
+/// 256-slot accumulator, blending every product in through B's row mask. The
+/// accumulator is compressed through the output masks at the end. Falls back
+/// to the scalar dense accumulator when the level is scalar or the element
+/// type has no lane kernel.
 pub fn numeric_tile_dense_simd<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
@@ -396,62 +398,63 @@ unsafe fn dense_tile_avx2(
     vals: &mut [f64],
 ) {
     use std::arch::x86_64::*;
-    // Mask-nibble -> 4-lane blend selector (MSB-set lanes take the new sum).
-    static NIBBLE_BLEND: [[u64; 4]; 16] = {
-        let mut t = [[0u64; 4]; 16];
-        let mut n = 0;
-        while n < 16 {
-            let mut lane = 0;
-            while lane < 4 {
-                if n & (1 << lane) != 0 {
-                    t[n][lane] = u64::MAX;
-                }
-                lane += 1;
-            }
-            n += 1;
-        }
-        t
-    };
     let mut acc = [0f64; TILE_AREA];
     // B-row expansion scratch. Lanes outside the *current* pair's row masks
     // may hold stale values from an earlier pair; they are never selected by
     // the blend, so the buffer is not re-zeroed between pairs.
     let mut bd = [0f64; TILE_AREA];
+    // Per strip `g`, the shifts that move bit `4g + lane` of a broadcast B
+    // row mask into the lane's sign bit, the only bit `vblendvpd` reads: the
+    // blend selectors cost one shift per strip and no branch per nibble.
+    let shifts = [
+        _mm256_setr_epi64x(63, 62, 61, 60),
+        _mm256_setr_epi64x(59, 58, 57, 56),
+        _mm256_setr_epi64x(55, 54, 53, 52),
+        _mm256_setr_epi64x(51, 50, 49, 48),
+    ];
+    let ap = acc.as_mut_ptr();
+    let bp = bd.as_ptr();
     for &(a_id, b_id) in pairs {
         let a_tile = a.tile(a_id as usize);
         let b_tile = b.tile(b_id as usize);
-        for r in 0..TILE_DIM {
-            for kb in b_tile.row_range(r) {
-                bd[r * TILE_DIM + b_tile.col_idx[kb] as usize] = b_tile.vals[kb];
-            }
+        for ((&r, &k), &v) in b_tile.row_idx.iter().zip(b_tile.col_idx).zip(b_tile.vals) {
+            bd[r as usize * TILE_DIM + k as usize] = v;
         }
-        for ((&r, &c), &va) in a_tile
-            .row_idx
-            .iter()
-            .zip(a_tile.col_idx.iter())
-            .zip(a_tile.vals.iter())
-        {
-            let bm = b_tile.masks[c as usize];
-            if bm == 0 {
+        let (a_cols, a_vals) = (a_tile.col_idx, a_tile.vals);
+        for r in 0..TILE_DIM {
+            let run = a_tile.row_range(r);
+            if run.is_empty() {
                 continue;
             }
-            let vav = _mm256_set1_pd(va);
-            let arow = acc.as_mut_ptr().add(r as usize * TILE_DIM);
-            let brow = bd.as_ptr().add(c as usize * TILE_DIM);
-            for g in 0..4 {
-                let nib = ((bm >> (g * 4)) & 0xF) as usize;
-                if nib == 0 {
-                    continue;
+            // C's row `r` stays in four registers for the whole run of A's
+            // row `r`: one load and one store per run, not per nonzero. Each
+            // slot still takes its products in A's stored order.
+            let crow = ap.add(r * TILE_DIM);
+            let mut c = [
+                _mm256_loadu_pd(crow),
+                _mm256_loadu_pd(crow.add(4)),
+                _mm256_loadu_pd(crow.add(8)),
+                _mm256_loadu_pd(crow.add(12)),
+            ];
+            // SAFETY: a well-formed tile's row ranges lie inside its entry
+            // arrays and its local columns are below TILE_DIM.
+            for i in run {
+                let k = *a_cols.get_unchecked(i) as usize;
+                debug_assert!(k < TILE_DIM);
+                let va = _mm256_set1_pd(*a_vals.get_unchecked(i));
+                let bm = _mm256_set1_epi64x(i64::from(*b_tile.masks.get_unchecked(k)));
+                let brow = bp.add(k * TILE_DIM);
+                for (g, cg) in c.iter_mut().enumerate() {
+                    let sel = _mm256_castsi256_pd(_mm256_sllv_epi64(bm, shifts[g]));
+                    // Separate mul then add — never FMA — to match the
+                    // scalar kernel's two-rounding sequence bit for bit.
+                    let sum =
+                        _mm256_add_pd(*cg, _mm256_mul_pd(va, _mm256_loadu_pd(brow.add(g * 4))));
+                    *cg = _mm256_blendv_pd(*cg, sum, sel);
                 }
-                let sel = _mm256_castsi256_pd(_mm256_loadu_si256(
-                    NIBBLE_BLEND[nib].as_ptr() as *const __m256i
-                ));
-                let bv = _mm256_loadu_pd(brow.add(g * 4));
-                let cur = _mm256_loadu_pd(arow.add(g * 4));
-                // Separate mul then add — never FMA — to match the scalar
-                // kernel's two-rounding sequence bit for bit.
-                let sum = _mm256_add_pd(cur, _mm256_mul_pd(vav, bv));
-                _mm256_storeu_pd(arow.add(g * 4), _mm256_blendv_pd(cur, sum, sel));
+            }
+            for (g, cg) in c.iter().enumerate() {
+                _mm256_storeu_pd(crow.add(g * 4), *cg);
             }
         }
     }
@@ -518,43 +521,79 @@ mod tests {
     use crate::step2::symbolic_tile;
     use tsg_matrix::Coo;
 
+    /// Tiles every entry pushed to `coo`, signed zeros included: CSR
+    /// assembly drops zero values, so zeros pass through it as stand-ins.
+    fn tiled_coo(mut coo: Coo<f64>) -> TileMatrix<f64> {
+        const STAND_IN: f64 = 4096.0;
+        for e in &mut coo.entries {
+            assert_ne!(e.2.abs(), STAND_IN, "the stand-in is not a test value");
+            if e.2 == 0.0 {
+                e.2 = STAND_IN.copysign(e.2);
+            }
+        }
+        let mut t = TileMatrix::from_csr(&coo.to_csr());
+        for x in t.vals.iter_mut().filter(|x| x.abs() == STAND_IN) {
+            *x = 0.0f64.copysign(*x);
+        }
+        t
+    }
+
     fn tiled(entries: &[(u32, u32, f64)]) -> TileMatrix<f64> {
         let mut coo = Coo::new(16, 16);
         for &(r, c, v) in entries {
             coo.push(r, c, v);
         }
-        TileMatrix::from_csr(&coo.to_csr())
+        tiled_coo(coo)
     }
 
-    fn assert_all_kernels_bitwise_equal(a: &TileMatrix<f64>, b: &TileMatrix<f64>) {
-        let pairs = [(0u32, 0u32)];
-        let sym = symbolic_tile(a, b, &pairs);
-        let mut reference = vec![0.0f64; sym.nnz];
-        numeric_tile_sparse(a, b, &pairs, &sym.masks, &sym.row_ptr, &mut reference);
-        let level = detected_level();
-        for kernel in [
-            Kernel::SparseScalar,
-            Kernel::DenseScalar,
-            Kernel::SparseSimd,
-            Kernel::DenseSimd,
-        ] {
-            let mut vals = vec![0.0f64; sym.nnz];
-            run_numeric(
-                kernel,
-                level,
-                a,
-                b,
-                &pairs,
-                &sym.masks,
-                &sym.row_ptr,
-                &mut vals,
+    /// Runs `kernel` over one output tile with the given masks.
+    fn run_tile(
+        kernel: Kernel,
+        a: &TileMatrix<f64>,
+        b: &TileMatrix<f64>,
+        pairs: &[(u32, u32)],
+        masks: &[u16; TILE_DIM],
+    ) -> Vec<f64> {
+        let (row_ptr, nnz) = maskops::row_ptr_from_masks(masks);
+        let mut vals = vec![0.0f64; nnz];
+        run_numeric(
+            kernel,
+            detected_level(),
+            a,
+            b,
+            pairs,
+            masks,
+            &row_ptr,
+            &mut vals,
+        );
+        vals
+    }
+
+    fn assert_bitwise_equal(kernel: Kernel, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{kernel:?} diverged from the scalar sparse kernel at entry {i}: {x} vs {y}"
             );
-            let same = vals
-                .iter()
-                .zip(&reference)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "{kernel:?} diverged from the scalar sparse kernel");
         }
+    }
+
+    /// Runs every kernel over the output tile `pairs` feed, checks each
+    /// against the scalar sparse kernel bit for bit, and returns its values.
+    fn assert_all_kernels_bitwise_equal(
+        a: &TileMatrix<f64>,
+        b: &TileMatrix<f64>,
+        pairs: &[(u32, u32)],
+    ) -> Vec<f64> {
+        let masks = symbolic_tile(a, b, pairs).masks;
+        let reference = run_tile(Kernel::SparseScalar, a, b, pairs, &masks);
+        for kernel in [Kernel::DenseScalar, Kernel::SparseSimd, Kernel::DenseSimd] {
+            let vals = run_tile(kernel, a, b, pairs, &masks);
+            assert_bitwise_equal(kernel, &vals, &reference);
+        }
+        reference
     }
 
     #[test]
@@ -569,15 +608,116 @@ mod tests {
             })
             .collect();
         let a = tiled(&entries);
-        assert_all_kernels_bitwise_equal(&a, &a);
+        assert_all_kernels_bitwise_equal(&a, &a, &[(0, 0)]);
     }
 
     #[test]
     fn all_kernels_bitwise_equal_on_sparse_and_signed_zero_tiles() {
         let a = tiled(&[(0, 0, -1.0), (0, 3, 0.0), (7, 7, 1.25e300), (15, 0, -0.5)]);
         let b = tiled(&[(0, 1, 0.0), (3, 1, -0.0), (7, 7, 1.25e300), (0, 15, 2.0)]);
-        assert_all_kernels_bitwise_equal(&a, &b);
-        assert_all_kernels_bitwise_equal(&b, &a);
+        assert_eq!((a.nnz(), b.nnz()), (4, 4), "the zeros are stored");
+        assert_all_kernels_bitwise_equal(&a, &b, &[(0, 0)]);
+        assert_all_kernels_bitwise_equal(&b, &a, &[(0, 0)]);
+    }
+
+    /// One output tile fed by three pairs, so the dense kernels' B-row
+    /// buffer carries lanes from one pair into the next. The first pair's B
+    /// holds NaN, ±inf and −0.0 in rows its A never reads, at lanes the
+    /// second pair's B rows leave uncovered; the third pair's full B row puts
+    /// those lanes in C's masks, so a stale lane that leaked into a sum would
+    /// show. A has an empty row, a one-entry row and a full row; B has rows of
+    /// every popcount from 0 to 16. The products are not dyadic, so a change
+    /// in any slot's addition order shows too.
+    #[test]
+    fn all_kernels_bitwise_equal_across_pairs_with_stale_special_lanes() {
+        let v = |i: u32| f64::from(i * 37 % 101) * 0.173 - 8.0;
+        let mut a = Coo::new(16, 48);
+        let mut b = Coo::new(48, 16);
+        // Pair 0: A reads only B's rows 0..8; B's rows 8..16 hold the
+        // special values at lanes `c..16`, which B1's row `c` leaves stale.
+        for r in 3..16u32 {
+            for j in 0..=r % 4 {
+                a.push(r, (r + 3 * j) % 8, v(r * 16 + j));
+            }
+        }
+        for c in 0..8u32 {
+            for k in (c % 3..16).step_by(3) {
+                b.push(c, k, v(300 + c * 16 + k));
+            }
+        }
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        for c in 8..16u32 {
+            for k in c..16 {
+                b.push(c, k, specials[k as usize % 4]);
+            }
+        }
+        // Pair 1: a full A row, a one-entry A row, and A entries that read
+        // B's rows 8..16, whose row `i` covers lanes `0..i` (popcount i).
+        for k in 0..16u32 {
+            a.push(0, 16 + k, v(600 + k));
+        }
+        a.push(1, 16 + 9, v(640));
+        for r in 3..16u32 {
+            for j in 0..3 {
+                a.push(r, 16 + 8 + (r + j) % 8, v(700 + r * 4 + j));
+            }
+            a.push(r, 16 + r % 8, v(800 + r));
+        }
+        for i in 0..16u32 {
+            for k in 0..i {
+                b.push(16 + i, k, v(900 + i * 16 + k));
+            }
+        }
+        // Pair 2: B's row 15 is full (popcount 16), so every A row that
+        // reads it owns lane 15 in C's masks.
+        for r in 3..16u32 {
+            a.push(r, 32 + 15, v(1200 + r));
+            a.push(r, 32 + 4, v(1300 + r));
+        }
+        for k in 0..16u32 {
+            b.push(32 + 15, k, v(1400 + k));
+        }
+        for k in [1u32, 6, 11] {
+            b.push(32 + 4, k, v(1500 + k));
+        }
+        let (a, b) = (tiled_coo(a), tiled_coo(b));
+        assert_eq!((a.tile_count(), b.tile_count()), (3, 3));
+        for x in specials {
+            let stored = b.tile(0).vals.iter().any(|y| y.to_bits() == x.to_bits());
+            assert!(stored, "{x} is stored in the first pair's B");
+        }
+        let pairs = [(0u32, 0u32), (1, 1), (2, 2)];
+        let reference = assert_all_kernels_bitwise_equal(&a, &b, &pairs);
+        assert!(
+            reference.iter().all(|x| x.is_finite()),
+            "no special value reaches C legitimately"
+        );
+
+        // The same tile under narrower masks, as a mask cut leaves it. Only
+        // the dense kernels run a cut tile (the sparse ones rank-address
+        // through the masks), and each kept slot must read as in the uncut
+        // product.
+        let sym = symbolic_tile(&a, &b, &pairs);
+        let mut cut = sym.masks;
+        for (r, m) in cut.iter_mut().enumerate() {
+            *m &= 0x6db6_u16.rotate_left(r as u32);
+        }
+        assert!(cut != sym.masks);
+        let mut want = Vec::new();
+        let mut at = 0;
+        for (&m, &kept) in sym.masks.iter().zip(&cut) {
+            for k in 0..TILE_DIM {
+                if m & (1 << k) != 0 {
+                    if kept & (1 << k) != 0 {
+                        want.push(reference[at]);
+                    }
+                    at += 1;
+                }
+            }
+        }
+        for kernel in [Kernel::DenseScalar, Kernel::DenseSimd] {
+            assert_bitwise_equal(kernel, &run_tile(kernel, &a, &b, &pairs, &cut), &want);
+        }
     }
 
     #[test]

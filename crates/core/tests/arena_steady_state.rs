@@ -16,7 +16,7 @@ use tilespgemm_core::step2::{matched_pairs_with, row_pass, symbolic_tile};
 use tilespgemm_core::step3::{numeric_tile_dense, numeric_tile_sparse};
 use tilespgemm_core::{multiply, Config, IntersectionKind};
 use tsg_matrix::{Coo, ListBitmaps, TileMatrix, TILE_DIM};
-use tsg_runtime::{MemTracker, Scratch, ScratchPool};
+use tsg_runtime::{MemTracker, Scratch, ScratchPool, ScratchSizes};
 
 struct CountingAlloc;
 
@@ -173,7 +173,10 @@ fn steady_state_hot_path_performs_zero_allocations() {
         vals: vec![0.0; 256],
     };
     let pool = ScratchPool::new();
-    let mut guard = pool.checkout();
+    let reservation = pool
+        .reserve(1, ScratchSizes::default(), &MemTracker::new())
+        .unwrap();
+    let mut guard = reservation.checkout();
     let mut run = |w: &mut RowWindows| {
         hot_pass(
             &a,

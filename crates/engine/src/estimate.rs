@@ -169,9 +169,9 @@ pub fn estimate_product(a: OperandShape, b: OperandShape, threads: usize) -> Job
 }
 
 /// Scratch arenas a job on a device of `threads` workers reserves: the
-/// pipeline takes 4 per worker up front.
+/// pipeline takes one per worker up front.
 fn arena_bytes(threads: usize) -> usize {
-    threads.max(1) * 4 * Scratch::BASE_BYTES
+    threads.max(1) * Scratch::BASE_BYTES
 }
 
 /// Shared byte model downstream of the flop count.

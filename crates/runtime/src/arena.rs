@@ -3,38 +3,40 @@
 //! On the GPU the paper's kernels keep all per-tile working state — matched
 //! pair lists, 16 row bitmasks, a 256-slot accumulator — in registers and
 //! shared memory; nothing is allocated per tile. The CPU port originally
-//! re-created that state with fresh `Vec`s inside each parallel task, which
-//! shows up as ~75 allocation sites on the hot path. A [`ScratchPool`] is
-//! the CPU analogue of shared memory: each worker checks out a [`Scratch`]
-//! once per task chunk, the buffers grow to their high-water size during the
-//! first few tiles, and from then on steady-state execution performs zero
-//! heap allocations.
+//! re-created the growable part of that state (the pair lists) with fresh
+//! `Vec`s inside each parallel task, which shows up as ~75 allocation sites
+//! on the hot path; the fixed-size part lives on the kernels' stacks. A
+//! [`ScratchPool`] is the CPU analogue of shared memory: each worker checks
+//! out a [`Scratch`] once per task chunk, the lists grow to their high-water
+//! size during the first few tiles, and from then on steady-state execution
+//! performs zero heap allocations.
 //!
-//! Accounting: [`ScratchPool::reserve`] pre-grows the pool — arena count and
-//! list capacities, sized to bounds the caller derives from its operands
-//! ([`ScratchSizes`]) — and charges the footprint to a [`MemTracker`] (with an `arena.grow` failpoint so
-//! tests can force the charge to fail); [`ScratchPool::bytes`] and
-//! [`ScratchPool::high_water_bytes`] let the caller reconcile any growth
-//! beyond the reservation. The pool never frees scratch between multiplies —
-//! reuse is the whole point — so the owner credits the tracker when the
-//! operation that charged it completes.
+//! Accounting: [`ScratchPool::reserve`] sets aside one arena per worker of a
+//! running multiply — taken off the free list, created if the list runs
+//! short, and with list capacities sized to bounds the caller derives from
+//! its operands ([`ScratchSizes`]) — and charges their footprint to a
+//! [`MemTracker`] (with an `arena.grow` failpoint so tests can force the
+//! charge to fail). The multiply's workers check out of that
+//! [`ScratchReservation`] only, so concurrent multiplies on one pool each
+//! find their own sized arenas; [`ScratchReservation::bytes`] lets the
+//! caller reconcile any growth beyond the charge. The pool never frees
+//! scratch between multiplies — reuse is the whole point — so the owner
+//! credits the tracker when the operation that charged it completes, and
+//! the reservation hands its arenas back to the pool when it drops.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::tracker::{BudgetExceeded, MemTracker};
 
-/// Number of scalar slots in a dense per-tile accumulator (16 × 16).
-pub const DENSE_SLOTS: usize = 256;
-/// Rows per tile, and therefore mask words per tile.
-pub const MASK_ROWS: usize = 16;
-
-/// Reusable per-worker working state for one in-flight tile task.
+/// Reusable per-worker working state for one in-flight tile task: the
+/// lists whose length depends on the operands. The numeric kernels keep
+/// their fixed-size tile state (row masks, the 256-slot accumulator, the
+/// expanded B rows) on their own stacks.
 ///
 /// The vectors keep their capacity across [`Scratch::reset`], so a warmed
-/// scratch serves any later tile without touching the allocator. The
-/// fixed-size arrays mirror the paper's shared-memory tile state.
-#[derive(Debug)]
+/// scratch serves any later tile without touching the allocator.
+#[derive(Debug, Default)]
 pub struct Scratch {
     /// Matched `(pos_a, pos_b)` list-position pairs (the per-tile
     /// intersection of the paper's step 2).
@@ -49,36 +51,18 @@ pub struct Scratch {
     /// Step 2's row pass: the row's live pairs in walk order, as
     /// `(tile within the row, tile_a, tile_b)`.
     pub row_pairs: Vec<(u32, u32, u32)>,
-    /// Per-row column bitmasks of the tile under construction.
-    pub masks: [u16; MASK_ROWS],
-    /// Dense accumulator slots (values are re-zeroed by the numeric kernel).
-    pub dense: [f64; DENSE_SLOTS],
-}
-
-impl Default for Scratch {
-    fn default() -> Self {
-        Scratch {
-            pos_pairs: Vec::new(),
-            id_pairs: Vec::new(),
-            slots: Vec::new(),
-            row_pairs: Vec::new(),
-            masks: [0; MASK_ROWS],
-            dense: [0.0; DENSE_SLOTS],
-        }
-    }
 }
 
 impl Scratch {
-    /// Clears lengths (not capacities) and zeroes the masks. The slot
-    /// table keeps its length: its entries are reset row by row.
+    /// Clears lengths (not capacities). The slot table keeps its length:
+    /// its entries are reset row by row.
     pub fn reset(&mut self) {
         self.pos_pairs.clear();
         self.id_pairs.clear();
         self.row_pairs.clear();
-        self.masks = [0; MASK_ROWS];
     }
 
-    /// Heap bytes held by the growable buffers (the fixed arrays are inline).
+    /// Heap bytes held by the lists.
     pub fn heap_bytes(&self) -> usize {
         self.pos_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.id_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
@@ -112,8 +96,13 @@ impl Scratch {
     }
 
     /// Bytes one `Scratch` occupies regardless of list growth: the struct
-    /// itself (inline masks + dense accumulator) boxed on the heap.
+    /// itself (four list headers) boxed on the heap.
     pub const BASE_BYTES: usize = std::mem::size_of::<Scratch>();
+
+    /// The whole footprint: the struct plus its lists' heap bytes.
+    fn footprint(&self) -> usize {
+        Self::BASE_BYTES + self.heap_bytes()
+    }
 }
 
 /// List capacities every arena of a [`ScratchPool::reserve`] call holds,
@@ -130,20 +119,24 @@ pub struct ScratchSizes {
     pub row_pairs: usize,
 }
 
-/// A pool of [`Scratch`] arenas shared by the workers of one (or many
-/// successive) multiplies.
+/// Boxed arenas: checkout and checkin move a pointer, and a guard hands out
+/// a stable address while the list it came from reallocates.
+#[allow(clippy::vec_box)]
+type Arenas = Mutex<Vec<Box<Scratch>>>;
+
+/// A pool of [`Scratch`] arenas shared by the workers of one or many
+/// multiplies, successive or concurrent.
 ///
-/// Workers call [`ScratchPool::checkout`] at task-chunk start; the returned
-/// guard hands the scratch back on drop. The pool tracks its total footprint
-/// (`BASE_BYTES` + heap bytes per arena) and a high-water mark so callers
-/// can fold scratch memory into `peak_bytes` reporting.
+/// A multiply takes its workers' arenas out with [`ScratchPool::reserve`]
+/// and its workers check them out of the returned [`ScratchReservation`] at
+/// task-chunk start; each guard hands its scratch back on drop. The pool
+/// tracks its total footprint (`BASE_BYTES` + heap bytes per arena) and a
+/// high-water mark.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    // Boxed so checkout/checkin move a pointer, not the ~2 KB struct, and
-    // the guard hands out a stable address while the free list reallocates.
-    #[allow(clippy::vec_box)]
-    free: Mutex<Vec<Box<Scratch>>>,
-    /// Arenas ever created (free + checked out).
+    /// Idle arenas: neither reserved nor checked out.
+    free: Arenas,
+    /// Arenas ever created (idle, reserved or checked out).
     created: AtomicUsize,
     /// Current total footprint of all arenas, updated at checkout/checkin
     /// boundaries (a checked-out arena's growth is folded in at checkin).
@@ -179,15 +172,17 @@ impl ScratchPool {
         self.high_water.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Ensures at least `count` arenas exist and that every idle arena's
-    /// lists hold `sizes` entries, charging the pool's *total* footprint to
-    /// `tracker` and returning the charged byte count (the caller credits
-    /// it back when the tracked operation completes).
+    /// Sets aside `count` arenas for one running multiply — one per worker
+    /// — with lists holding `sizes` entries, and charges their footprint to
+    /// `tracker` ([`ScratchReservation::charged`]; the caller credits it
+    /// back when the tracked operation completes). Idle arenas are taken
+    /// first and new ones created for the rest, so concurrent multiplies on
+    /// one pool each hold `count` arenas of their own.
     ///
     /// Sizing the lists up front to bounds the caller derives from its
-    /// operands means no arena grows mid-phase, so the charge — and every
-    /// peak that includes it — depends on the operands alone, not on which
-    /// worker happened to draw the heaviest tile or tile row.
+    /// operands means no arena grows mid-phase, so no worker's checkout
+    /// depends on which worker happened to draw the heaviest tile or tile
+    /// row, nor on what another multiply is running.
     ///
     /// Growth is fallible: the `arena.grow` failpoint (and the tracker's own
     /// budget) can refuse it, in which case nothing is charged and the pool
@@ -198,12 +193,13 @@ impl ScratchPool {
         count: usize,
         sizes: ScratchSizes,
         tracker: &MemTracker,
-    ) -> Result<usize, BudgetExceeded> {
+    ) -> Result<ScratchReservation<'_>, BudgetExceeded> {
         let mut free = self.free.lock();
-        let missing = count.saturating_sub(self.created());
-        let fresh = Scratch::default().growth(sizes);
-        let growth = missing * (Scratch::BASE_BYTES + fresh)
-            + free.iter().map(|s| s.growth(sizes)).sum::<usize>();
+        let kept = free.len().saturating_sub(count);
+        let missing = count - (free.len() - kept);
+        let taken = &free[kept..];
+        let growth = missing * (Scratch::BASE_BYTES + Scratch::default().growth(sizes))
+            + taken.iter().map(|s| s.growth(sizes)).sum::<usize>();
         if growth > 0 {
             // Failpoint `arena.grow`: refuse pool growth before any arena is
             // built or charged, mirroring `tracker.alloc` semantics.
@@ -216,53 +212,85 @@ impl ScratchPool {
                 });
             }
         }
-        let charge = self.bytes() + growth;
+        let charge = taken.iter().map(|s| s.footprint()).sum::<usize>() + growth;
         tracker.on_alloc(charge)?;
-        if growth > 0 {
-            let heap = |free: &[Box<Scratch>]| free.iter().map(|s| s.heap_bytes()).sum::<usize>();
-            let before = heap(&free);
-            for s in free.iter_mut() {
-                s.reserve_for(sizes);
-            }
-            for _ in 0..missing {
-                let mut s = Box::<Scratch>::default();
-                s.reserve_for(sizes);
-                free.push(s);
-            }
-            self.created.fetch_add(missing, Ordering::Relaxed);
-            // Record what the allocator actually handed out; any excess
-            // over the predicted charge surfaces in the caller's
-            // end-of-run reconciliation against `bytes()`.
-            self.add_bytes(missing * Scratch::BASE_BYTES + heap(&free) - before);
+        let mut arenas = free.split_off(kept);
+        drop(free);
+        let before: usize = arenas.iter().map(|s| s.footprint()).sum();
+        arenas.extend((0..missing).map(|_| Box::<Scratch>::default()));
+        for s in arenas.iter_mut() {
+            s.reserve_for(sizes);
         }
-        Ok(charge)
+        self.created.fetch_add(missing, Ordering::Relaxed);
+        // Record what the allocator actually handed out; any excess over
+        // the predicted charge surfaces in the caller's end-of-run
+        // reconciliation against `ScratchReservation::bytes`.
+        self.add_bytes(arenas.iter().map(|s| s.footprint()).sum::<usize>() - before);
+        Ok(ScratchReservation {
+            pool: self,
+            arenas: Mutex::new(arenas),
+            charged: charge,
+        })
+    }
+}
+
+/// The arenas [`ScratchPool::reserve`] set aside for one running multiply.
+/// Its workers check out of it; dropping it hands every arena back to the
+/// pool's idle list.
+#[derive(Debug)]
+pub struct ScratchReservation<'p> {
+    pool: &'p ScratchPool,
+    arenas: Arenas,
+    charged: usize,
+}
+
+impl ScratchReservation<'_> {
+    /// Bytes the reservation charged to the tracker: the footprint of its
+    /// arenas once sized.
+    pub fn charged(&self) -> usize {
+        self.charged
     }
 
-    /// Checks out an arena (creating one if the pool is empty), reset and
-    /// ready for use. The guard returns it on drop and folds any buffer
-    /// growth into the pool's footprint accounting.
+    /// Current footprint of the reservation's checked-in arenas — all of
+    /// them once the multiply's parallel phases have joined. Above
+    /// [`Self::charged`] only if a checkout grew an arena past its reserved
+    /// sizes, or found none left and created one.
+    pub fn bytes(&self) -> usize {
+        self.arenas.lock().iter().map(|s| s.footprint()).sum()
+    }
+
+    /// Checks out one of the reservation's arenas (creating one in the pool
+    /// if all are out), reset and ready for use. The guard returns it here
+    /// on drop and folds any buffer growth into the pool's footprint
+    /// accounting.
     pub fn checkout(&self) -> ScratchGuard<'_> {
-        let scratch = self.free.lock().pop().unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            self.add_bytes(Scratch::BASE_BYTES);
+        let scratch = self.arenas.lock().pop().unwrap_or_else(|| {
+            self.pool.created.fetch_add(1, Ordering::Relaxed);
+            self.pool.add_bytes(Scratch::BASE_BYTES);
             Box::default()
         });
         let mut guard = ScratchGuard {
             bytes_at_checkout: scratch.heap_bytes(),
             scratch: Some(scratch),
-            pool: self,
+            owner: self,
         };
         guard.reset();
         guard
     }
 }
 
-/// RAII checkout of a [`Scratch`] from a [`ScratchPool`].
+impl Drop for ScratchReservation<'_> {
+    fn drop(&mut self) {
+        self.pool.free.lock().append(self.arenas.get_mut());
+    }
+}
+
+/// RAII checkout of a [`Scratch`] from a [`ScratchReservation`].
 #[derive(Debug)]
-pub struct ScratchGuard<'p> {
+pub struct ScratchGuard<'r> {
     scratch: Option<Box<Scratch>>,
     bytes_at_checkout: usize,
-    pool: &'p ScratchPool,
+    owner: &'r ScratchReservation<'r>,
 }
 
 impl std::ops::Deref for ScratchGuard<'_> {
@@ -288,9 +316,9 @@ impl Drop for ScratchGuard<'_> {
         }
         let grown = scratch.heap_bytes().saturating_sub(self.bytes_at_checkout);
         if grown > 0 {
-            self.pool.add_bytes(grown);
+            self.owner.pool.add_bytes(grown);
         }
-        self.pool.free.lock().push(scratch);
+        self.owner.arenas.lock().push(scratch);
     }
 }
 
@@ -298,20 +326,28 @@ impl Drop for ScratchGuard<'_> {
 mod tests {
     use super::*;
 
+    /// One arena, reserved without list sizes.
+    fn reserve_one(pool: &ScratchPool) -> ScratchReservation<'_> {
+        pool.reserve(1, ScratchSizes::default(), &MemTracker::new())
+            .unwrap()
+    }
+
     #[test]
     fn checkout_reuses_warmed_arenas() {
         let pool = ScratchPool::new();
+        let r = reserve_one(&pool);
         {
-            let mut s = pool.checkout();
+            let mut s = r.checkout();
             s.pos_pairs.reserve(1024);
-            s.masks[3] = 0xffff;
+            s.row_pairs.push((1, 2, 3));
         }
+        drop(r);
         assert_eq!(pool.created(), 1);
-        let s = pool.checkout();
+        let r = reserve_one(&pool);
+        let s = r.checkout();
         // Same arena back: capacity survives, state is reset.
         assert!(s.pos_pairs.capacity() >= 1024);
-        assert!(s.pos_pairs.is_empty());
-        assert_eq!(s.masks, [0; MASK_ROWS]);
+        assert!(s.pos_pairs.is_empty() && s.row_pairs.is_empty());
         drop(s);
         assert_eq!(pool.created(), 1);
     }
@@ -320,15 +356,17 @@ mod tests {
     fn footprint_tracks_growth_and_high_water() {
         let pool = ScratchPool::new();
         assert_eq!(pool.bytes(), 0);
+        let r = reserve_one(&pool);
         {
-            let mut s = pool.checkout();
+            let mut s = r.checkout();
             s.slots.reserve_exact(256);
         }
         let after_growth = pool.bytes();
         assert!(after_growth >= Scratch::BASE_BYTES + 256 * 4);
         assert_eq!(pool.high_water_bytes(), after_growth);
+        assert_eq!(r.bytes(), after_growth, "the growth is the reservation's");
         // A second checkout of the same arena adds nothing.
-        drop(pool.checkout());
+        drop(r.checkout());
         assert_eq!(pool.bytes(), after_growth);
     }
 
@@ -336,21 +374,24 @@ mod tests {
     fn reserve_creates_and_charges() {
         let tracker = MemTracker::new();
         let pool = ScratchPool::new();
-        let charged = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
+        let r = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
+        let charged = r.charged();
         assert_eq!(pool.created(), 3);
         assert_eq!(charged, 3 * Scratch::BASE_BYTES);
         assert_eq!(tracker.current_bytes(), charged);
-        // A later reserve charges the (possibly grown) total again.
-        tracker.on_free(charged);
         {
-            let mut s = pool.checkout();
+            let mut s = r.checkout();
             s.row_pairs.reserve_exact(100);
         }
-        let charged2 = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
+        drop(r);
+        // A later reserve takes the same arenas back and charges their
+        // grown footprint.
+        tracker.on_free(charged);
+        let r = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
         assert_eq!(pool.created(), 3);
-        assert_eq!(charged2, pool.bytes());
-        assert!(charged2 > charged);
-        tracker.on_free(charged2);
+        assert_eq!(r.charged(), pool.bytes());
+        assert!(r.charged() > charged);
+        tracker.on_free(r.charged());
         assert_eq!(tracker.current_bytes(), 0);
     }
 
@@ -366,29 +407,32 @@ mod tests {
         let list_bytes = 2 * 40 * std::mem::size_of::<(u32, u32)>()
             + 64 * std::mem::size_of::<u32>()
             + 30 * std::mem::size_of::<(u32, u32, u32)>();
-        let charged = pool.reserve(2, sizes, &tracker).unwrap();
+        let r = pool.reserve(2, sizes, &tracker).unwrap();
+        let charged = r.charged();
         assert_eq!(charged, 2 * (Scratch::BASE_BYTES + list_bytes));
         assert_eq!(pool.bytes(), charged, "the charge is the footprint");
         for _ in 0..2 {
-            let mut s = pool.checkout();
+            let mut s = r.checkout();
             assert!(s.pos_pairs.capacity() >= 40 && s.id_pairs.capacity() >= 40);
             s.pos_pairs.extend((0..40).map(|i| (i, i)));
             s.id_pairs.extend((0..40).map(|i| (i, i)));
             s.slots.resize(64, u32::MAX);
             s.row_pairs.extend((0..30).map(|i| (i, i, i)));
         }
-        assert_eq!(pool.bytes(), charged, "filling to the bound grows nothing");
+        assert_eq!(r.bytes(), charged, "filling to the bound grows nothing");
+        drop(r);
+        assert_eq!(pool.bytes(), charged);
         // The same reservation again charges the same total: the charge is
         // a function of (count, sizes), not of what earlier runs drew.
         tracker.on_free(charged);
-        assert_eq!(pool.reserve(2, sizes, &tracker).unwrap(), charged);
+        assert_eq!(pool.reserve(2, sizes, &tracker).unwrap().charged(), charged);
         let smaller = ScratchSizes {
             pairs: 10,
             slots: 8,
             row_pairs: 1,
         };
         assert_eq!(
-            pool.reserve(2, smaller, &tracker).unwrap(),
+            pool.reserve(2, smaller, &tracker).unwrap().charged(),
             charged,
             "never shrinks"
         );
@@ -411,17 +455,58 @@ mod tests {
         assert_eq!(pool.bytes(), 0);
     }
 
+    /// Two multiplies sharing a pool reserve at once, each for two workers
+    /// and with its own sizes, and hold all four arenas checked out at the
+    /// same time: each finds its own sized arenas, and no checkout grows.
+    #[test]
+    fn concurrent_reservations_each_find_their_sized_arenas() {
+        let tracker = MemTracker::new();
+        let pool = ScratchPool::new();
+        let both_reserved = std::sync::Barrier::new(2);
+        let all_out = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for n in [64usize, 512] {
+                let (pool, tracker) = (&pool, &tracker);
+                let (both_reserved, all_out) = (&both_reserved, &all_out);
+                scope.spawn(move || {
+                    let sizes = ScratchSizes {
+                        pairs: n,
+                        slots: n,
+                        row_pairs: n,
+                    };
+                    let r = pool.reserve(2, sizes, tracker).unwrap();
+                    both_reserved.wait();
+                    let mut guards = [r.checkout(), r.checkout()];
+                    all_out.wait();
+                    for s in &mut guards {
+                        s.pos_pairs.extend((0..n as u32).map(|i| (i, i)));
+                        s.id_pairs.extend((0..n as u32).map(|i| (i, i)));
+                        s.slots.resize(n, u32::MAX);
+                        s.row_pairs.extend((0..n as u32).map(|i| (i, i, i)));
+                    }
+                    drop(guards);
+                    assert_eq!(r.bytes(), r.charged(), "a checkout grew at size {n}");
+                    tracker.on_free(r.charged());
+                });
+            }
+        });
+        assert_eq!(pool.created(), 4, "two arenas per running multiply");
+        assert_eq!(pool.free.lock().len(), 4, "every arena handed back");
+        assert_eq!(tracker.current_bytes(), 0);
+    }
+
     #[test]
     fn a_panicking_task_hands_back_an_empty_slot_table() {
         let pool = ScratchPool::new();
+        let r = reserve_one(&pool);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut s = pool.checkout();
+            let mut s = r.checkout();
             s.slots.resize(8, u32::MAX);
             s.slots[3] = 0;
             panic!("mid-row");
         }));
         assert!(caught.is_err());
-        let s = pool.checkout();
+        let s = r.checkout();
         assert!(s.slots.is_empty(), "a half-set table is not handed out");
         assert!(s.slots.capacity() >= 8, "its capacity is kept");
     }
@@ -430,13 +515,16 @@ mod tests {
     fn concurrent_checkouts_get_distinct_arenas() {
         use rayon::prelude::*;
         let pool = ScratchPool::new();
+        let r = reserve_one(&pool);
         (0..64usize).into_par_iter().for_each(|i| {
-            let mut s = pool.checkout();
+            let mut s = r.checkout();
             s.row_pairs.push((i as u32, 0, 0));
             assert_eq!(s.row_pairs.len(), 1);
         });
         assert!(pool.created() >= 1);
-        // All checked back in.
+        // All checked back in, and handed to the pool with the reservation.
+        assert_eq!(r.arenas.lock().len(), pool.created());
+        drop(r);
         assert_eq!(pool.free.lock().len(), pool.created());
     }
 }

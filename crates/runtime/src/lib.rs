@@ -50,7 +50,7 @@ pub mod split;
 pub mod timer;
 pub mod tracker;
 
-pub use arena::{Scratch, ScratchGuard, ScratchPool, ScratchSizes};
+pub use arena::{Scratch, ScratchGuard, ScratchPool, ScratchReservation, ScratchSizes};
 pub use atomicf64::{AtomicF32, AtomicF64};
 pub use binning::{bin_rows_by, Bins};
 pub use device::{pool_for, run_on, Device};
