@@ -10,13 +10,16 @@
 
 #![cfg(feature = "failpoints")]
 
-use tilespgemm_core::{multiply, multiply_csr, multiply_masked, Config};
+use tilespgemm_core::{
+    multiply, multiply_csr, multiply_masked, multiply_with_pool, recycle, Config,
+};
 use tsg_baselines::reference::reference_spgemm;
 use tsg_check::{compare_csr, corpus, ValuePolicy};
 use tsg_engine::{Engine, EngineConfig, JobSpec};
 use tsg_matrix::TileMatrix;
 use tsg_runtime::failpoint;
-use tsg_runtime::MemTracker;
+use tsg_runtime::observe::NullRecorder;
+use tsg_runtime::{MemTracker, ScratchPool};
 
 fn operands() -> (tsg_matrix::Csr<f64>, tsg_matrix::Csr<f64>) {
     corpus::build("dense-tile-row", 0).expect("corpus case exists")
@@ -99,6 +102,49 @@ fn oom_at_every_pipeline_allocation_unwinds_and_recovers() {
     // The CSR entry point, which converts first, recovers the same way.
     let out = multiply_csr(&a, &b, &Config::default(), &MemTracker::new()).expect("recovered");
     compare_csr(&out.to_csr(), &gold, &ValuePolicy::default()).unwrap();
+}
+
+/// Every tracked allocation failed in turn on one shared pool: each failed
+/// multiply hands back every buffer it checked out — the step-2 pair lists
+/// and C's arrays among them — and the pool then serves a multiply that
+/// matches the reference, plain and masked.
+#[test]
+fn oom_hands_every_pooled_buffer_back() {
+    let _x = failpoint::exclusive();
+    let (a, b) = operands();
+    let (ta, tb) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&b));
+    let gold = reference_spgemm(&a, &b);
+    // Keeps every buffer, however small.
+    let pool = ScratchPool::keeping_above(0);
+    for mask in [None, Some(&ta)] {
+        let run = |tracker: &MemTracker| {
+            let cfg = Config::default();
+            multiply_with_pool(&ta, &tb, mask, &cfg, tracker, &NullRecorder, 0, &pool)
+        };
+        failpoint::arm("tracker.alloc", u64::MAX, 1);
+        recycle(run(&MemTracker::new()).expect("clean run").c, &pool);
+        let allocs = failpoint::hits("tracker.alloc");
+        for k in 0..allocs {
+            failpoint::arm("tracker.alloc", k, 1);
+            let tracker = MemTracker::new();
+            run(&tracker).expect_err("armed allocation must fail");
+            assert_eq!(tracker.current_bytes(), 0, "allocation #{k}");
+            assert_eq!(
+                pool.buffer_stats().checked_out_bytes,
+                0,
+                "allocation #{k}: a buffer stayed checked out"
+            );
+        }
+        failpoint::clear("tracker.alloc");
+        let out = run(&MemTracker::new()).expect("recovered");
+        assert_eq!(pool.buffer_stats().checked_out_bytes, 0);
+        let want = match mask {
+            None => gold.clone(),
+            Some(_) => tsg_matrix::ops::hadamard(&gold, &a.map_values(|_| 1.0)),
+        };
+        compare_csr(&out.to_csr(), &want, &ValuePolicy::default()).unwrap();
+    }
+    assert!(pool.buffer_stats().reused > 0, "the pool served later runs");
 }
 
 /// Scratch-arena pool growth refused by the `arena.grow` failpoint: the

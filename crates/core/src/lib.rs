@@ -57,7 +57,7 @@ pub use convert::{timed_csr_to_tile, ConversionTiming};
 pub use intersect::IntersectionKind;
 pub use pipeline::{
     multiply, multiply_csr, multiply_csr_with, multiply_masked, multiply_with, multiply_with_pool,
-    Output,
+    recycle, Output,
 };
 pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};

@@ -58,21 +58,6 @@ impl<T: Scalar> Output<T> {
 /// scale 14 needs ≈0.4 MB).
 const TILE_BITMAP_MAX_BYTES: usize = 8 << 20;
 
-/// Stores to one element of every 4 KiB page of `v`, so a buffer the
-/// allocator mapped fresh (zero pages the kernel has not backed yet) is
-/// resident before the phase that fills it. Each store rewrites the value
-/// already there, through a volatile write: a plain store of a value the
-/// compiler knows to be zero could be elided.
-fn faulted<T: Copy>(mut v: Vec<T>) -> Vec<T> {
-    let step = (4096 / std::mem::size_of::<T>().max(1)).max(1);
-    for x in v.iter_mut().step_by(step) {
-        let value = *x;
-        // SAFETY: `x` is a valid, aligned, exclusive reference.
-        unsafe { std::ptr::write_volatile(x, value) };
-    }
-    v
-}
-
 /// What the paper's per-tile intersection needs beyond the operands
 /// (`pair_reuse = false`): B's column-wise tile index (Algorithm 2's
 /// tileColPtr_B/tileRowidx_B), C's expanded tile-row indices and — when the
@@ -295,6 +280,15 @@ pub fn multiply_masked<T: Scalar>(
 /// the end — growth observed during the run is reconciled before the peak
 /// is read.
 ///
+/// The large per-multiply arrays come from `arena` too
+/// ([`ScratchPool::take`]): C's `row_idx`, `col_idx`, `vals`, `masks` and
+/// `row_ptr`, and step 2's pair lists with their per-tile ends. The step-2
+/// temporaries go back when the call returns, whether it succeeds or
+/// fails; C's go out with the product, lent (counted against the pool's
+/// retention bound) until [`recycle`] hands them back.
+/// Tracker charges stay computed from lengths, so `peak_bytes` does not
+/// depend on what the pool holds.
+///
 /// A mask changes three things (DESIGN.md §13.3): step 1 takes `mask`'s
 /// tile layout instead of the symbolic tile product (and counts only the
 /// live pairs landing in its tiles), step 2 ANDs each tile's symbolic row
@@ -384,21 +378,19 @@ pub fn multiply_with_pool<T: Scalar>(
     // ---- Allocation for step 2 (counted like the paper's cudaMalloc). ----
     // C's row masks and local row pointers, then per path: the row pass's
     // flat pair lists with their per-tile end offsets, or the per-tile
-    // intersection's indexes.
+    // intersection's indexes. The arrays come from the pool, zeroed only
+    // where step 2 reads before it writes: the row pass ORs into the masks
+    // and counts into the ends, and overwrites the row pointers and lists.
     let span = recorder.span_enter(job, "alloc");
     let (paper, mut c_masks, mut c_row_ptr, mut pair_ends, mut pair_lists) =
         breakdown.timed(Step::Alloc, || {
             let paper = (!reuse).then(|| PaperIndex::new(a, b, &c_pattern, config.intersection));
-            let c_masks = vec![0u16; num_tiles * TILE_DIM];
-            let c_row_ptr = vec![0u8; num_tiles * TILE_DIM];
-            let (pair_ends, pair_lists) = if reuse {
-                (
-                    vec![0u32; num_tiles + 1],
-                    faulted(vec![(0u32, 0u32); total_pairs]),
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
+            // Largest first: a miss frees the least recently used idle
+            // buffers, which must not be the ones the next checkout wants.
+            let pair_lists = arena.take(total_pairs, (0u32, 0u32));
+            let c_masks = arena.take_zeroed(num_tiles * TILE_DIM, 0u16);
+            let c_row_ptr = arena.take(num_tiles * TILE_DIM, 0u8);
+            let pair_ends = arena.take_zeroed(if reuse { num_tiles + 1 } else { 0 }, 0u32);
             (paper, c_masks, c_row_ptr, pair_ends, pair_lists)
         });
     recorder.span_exit(span);
@@ -617,17 +609,21 @@ pub fn multiply_with_pool<T: Scalar>(
         0
     };
 
-    // The output arrays come back zeroed straight from the OS for large
-    // products, so their pages would fault in during step 3; touching each
-    // page here keeps that cost in the allocation slice it belongs to.
+    // The output arrays come from the pool unzeroed: step 3 overwrites the
+    // indices, and zeroes a recycled value array's tile windows only where
+    // the tile's kernel adds into them (a fresh one is zero already). A
+    // fresh array is faulted in here, so its page faults land in the
+    // allocation slice rather than in step 3.
     let output_bytes = nnz_c * (2 + std::mem::size_of::<T>()) + (num_tiles + 1) * 8;
     let span = recorder.span_enter(job, "alloc");
     let alloc_res = breakdown.timed(Step::Alloc, || {
         tracker.on_alloc(output_bytes)?;
+        // Values first, as the largest (see the step-2 checkouts).
+        let vals = tracker.timed_alloc(|| arena.take(nnz_c, T::ZERO));
         Ok::<_, SpGemmError>((
-            tracker.timed_alloc(|| faulted(vec![0u8; nnz_c])),
-            tracker.timed_alloc(|| faulted(vec![0u8; nnz_c])),
-            tracker.timed_alloc(|| faulted(vec![T::ZERO; nnz_c])),
+            tracker.timed_alloc(|| arena.take(nnz_c, 0u8)),
+            tracker.timed_alloc(|| arena.take(nnz_c, 0u8)),
+            vals,
         ))
     });
     recorder.span_exit(span);
@@ -638,6 +634,7 @@ pub fn multiply_with_pool<T: Scalar>(
             return Err(fail(e));
         }
     };
+    let stale_vals = !c_vals.is_fresh();
 
     // ---- Step 3: numeric (Algorithm 3). ----
     // The per-tile kernel: the accumulator rule at the run's level, with a
@@ -674,16 +671,14 @@ pub fn multiply_with_pool<T: Scalar>(
                 &s.id_pairs[..]
             }
         };
-        simd::run_numeric(
-            tile_kernel(t, vals_w.len()),
-            simd_level,
-            a,
-            b,
-            pairs,
-            masks,
-            row_ptr,
-            vals_w,
-        );
+        // The sparse accumulators add into the window; the dense ones
+        // overwrite it. A recycled array is zeroed here, with the window
+        // about to be read, rather than in a pass of its own.
+        let kernel = tile_kernel(t, vals_w.len());
+        if stale_vals && matches!(kernel, Kernel::SparseScalar | Kernel::SparseSimd) {
+            vals_w.fill(T::ZERO);
+        }
+        simd::run_numeric(kernel, simd_level, a, b, pairs, masks, row_ptr, vals_w);
     };
     let span = recorder.span_enter(job, "step3");
     breakdown.timed(Step::Step3, || {
@@ -748,7 +743,22 @@ pub fn multiply_with_pool<T: Scalar>(
         recorder.add(Counter::SimdDensePicks, simd_dense);
     }
 
-    // Assemble the output structure.
+    // Reconcile arena growth: the reservation charged its arenas at their
+    // reserved sizes; any list growth during steps 2/3 is charged now so
+    // the peak covers it.
+    let arena_total = {
+        let grown = scratch.grown();
+        if grown > 0 {
+            if let Err(e) = tracker.on_alloc(grown) {
+                tracker.on_free(input_bytes + step2_temp_bytes + output_bytes + arena_charged);
+                return Err(fail(e.into()));
+            }
+        }
+        arena_charged + grown
+    };
+
+    // Assemble the output structure. Its arrays go out lent with it;
+    // [`recycle`] hands them back.
     let c = TileMatrix {
         nrows: a.nrows,
         ncols: b.ncols,
@@ -757,25 +767,11 @@ pub fn multiply_with_pool<T: Scalar>(
         tile_ptr: c_pattern.ptr,
         tile_colidx: c_pattern.idx,
         tile_nnz: c_offsets,
-        row_ptr: c_row_ptr,
-        row_idx: c_row_idx,
-        col_idx: c_col_idx,
-        vals: c_vals,
-        masks: c_masks,
-    };
-
-    // Reconcile arena growth: the reservation charged its arenas' footprint
-    // as of step-2 start; any buffer growth during steps 2/3 is charged now
-    // so the peak reflects the true scratch high-water mark.
-    let arena_total = {
-        let grown = scratch.bytes().saturating_sub(arena_charged);
-        if grown > 0 {
-            if let Err(e) = tracker.on_alloc(grown) {
-                tracker.on_free(input_bytes + step2_temp_bytes + output_bytes + arena_charged);
-                return Err(fail(e.into()));
-            }
-        }
-        arena_charged + grown
+        row_ptr: c_row_ptr.into_vec(),
+        row_idx: c_row_idx.into_vec(),
+        col_idx: c_col_idx.into_vec(),
+        vals: c_vals.into_vec(),
+        masks: c_masks.into_vec(),
     };
     // The multiply only adds charges until here, so its own peak is their
     // sum; whatever else a shared tracker carries is not part of it.
@@ -795,6 +791,19 @@ pub fn multiply_with_pool<T: Scalar>(
         peak_bytes,
         conversion: None,
     })
+}
+
+/// Hands a product nobody reads any more back to `pool`: its entry arrays
+/// (`row_idx`, `col_idx`, `vals`) and per-tile `masks` and `row_ptr` — the
+/// arrays [`multiply_with_pool`] checks out for C — become idle buffers a
+/// later multiply reuses instead of faulting in fresh pages. The pool keeps
+/// them only within its retention bound ([`ScratchPool::give`]).
+pub fn recycle<T: Scalar>(c: TileMatrix<T>, pool: &ScratchPool) {
+    pool.give(c.vals);
+    pool.give(c.row_idx);
+    pool.give(c.col_idx);
+    pool.give(c.masks);
+    pool.give(c.row_ptr);
 }
 
 /// Multiplies CSR operands by converting to tiled form, returning the same
@@ -1257,6 +1266,84 @@ mod tests {
         assert_eq!(pool.created(), created_after_first, "no new arenas");
         assert_eq!(pool.bytes(), warmed_bytes, "no scratch growth in reuse");
         assert_eq!(tracker.current_bytes(), 0);
+    }
+
+    /// Products of other operands, recycled with NaN and ±inf in their
+    /// values, leave a pool whose every buffer holds stale indices, masks,
+    /// row pointers, pair lists and ends. A multiply drawing only on those
+    /// buffers must match a fresh-pool run bit for bit and in `peak_bytes`,
+    /// masked and unmasked, under both schedulings, on both step-2 paths
+    /// and through all four numeric kernels.
+    #[test]
+    fn recycled_buffers_never_reach_the_product() {
+        let ta = TileMatrix::from_csr(&random_csr(120, 5, 81));
+        let tm = TileMatrix::from_csr(&random_csr(120, 7, 82));
+        // Denser than `ta`, so every array their products check out is at
+        // least as long as the target's (and within the 2× reuse window).
+        let others = [83u64, 84].map(|seed| TileMatrix::from_csr(&random_csr(120, 6, seed)));
+        let dense = TileMatrix::from_csr(&random_csr(120, 16, 85));
+        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        let kernels = [
+            (
+                crate::AccumulatorKind::AlwaysSparse,
+                crate::SimdPolicy::ForceScalar,
+            ),
+            (
+                crate::AccumulatorKind::AlwaysSparse,
+                crate::SimdPolicy::Auto,
+            ),
+            (
+                crate::AccumulatorKind::AlwaysDense,
+                crate::SimdPolicy::ForceScalar,
+            ),
+            (crate::AccumulatorKind::AlwaysDense, crate::SimdPolicy::Auto),
+        ];
+        for mask in [None, Some(&tm)] {
+            for scheduling in [crate::Scheduling::PerTile, crate::Scheduling::PerTileRow] {
+                for pair_reuse in [true, false] {
+                    for (accumulator, simd) in kernels {
+                        let cfg = Config {
+                            scheduling,
+                            pair_reuse,
+                            accumulator,
+                            simd,
+                            ..Config::default()
+                        };
+                        let what = format!("masked={} {cfg:?}", mask.is_some());
+                        let run = |pool: &ScratchPool, m: &TileMatrix<f64>| {
+                            let tracker = MemTracker::new();
+                            multiply_with_pool(m, m, mask, &cfg, &tracker, &NullRecorder, 0, pool)
+                                .unwrap()
+                        };
+                        let fresh = run(&ScratchPool::new(), &ta);
+                        // Keeps every buffer, however small. A much denser
+                        // product first raises the retention bound, so the
+                        // pool keeps all that the others hand back.
+                        let pool = ScratchPool::keeping_above(0);
+                        recycle(run(&pool, &dense).c, &pool);
+                        for m in &others {
+                            let mut c = run(&pool, m).c;
+                            for (v, p) in c.vals.iter_mut().zip(poison.iter().cycle()) {
+                                *v = *p;
+                            }
+                            recycle(c, &pool);
+                        }
+                        let before = pool.buffer_stats();
+                        let warm = run(&pool, &ta);
+                        let after = pool.buffer_stats();
+                        assert_eq!(after.fresh, before.fresh, "{what}: a checkout missed");
+                        assert!(after.reused > before.reused, "{what}");
+                        assert_eq!(after.checked_out_bytes, 0, "{what}");
+                        assert_eq!(warm.c, fresh.c, "{what}");
+                        let bits = |c: &TileMatrix<f64>| -> Vec<u64> {
+                            c.vals.iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&warm.c), bits(&fresh.c), "{what}");
+                        assert_eq!(warm.peak_bytes, fresh.peak_bytes, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

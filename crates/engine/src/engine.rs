@@ -36,7 +36,9 @@ use tsg_matrix::{Footprint, TileMatrix};
 use tsg_runtime::observe::{
     est_error_bucket, null_recorder, CollectingRecorder, Counter, MetricsSnapshot, Recorder,
 };
-use tsg_runtime::{device::pool_for, Breakdown, Device, MemTracker, ScratchPool, Step};
+use tsg_runtime::{
+    device::pool_for, Breakdown, BufferStats, Device, MemTracker, ScratchPool, Step,
+};
 
 use crate::estimate::{
     estimate_add, estimate_job, estimate_job_sampled, estimate_product, estimate_tiled_sampled,
@@ -313,6 +315,8 @@ struct TicketInner {
     result: Mutex<Option<JobResult>>,
     cv: Condvar,
     canceled: AtomicBool,
+    /// Set once [`JobTicket::take`] moved the result out.
+    taken: AtomicBool,
 }
 
 /// Handle to a submitted job; `wait` blocks for the result.
@@ -335,21 +339,44 @@ impl std::fmt::Debug for JobTicket {
 impl JobTicket {
     /// Blocks until the job completes, returning its result.
     pub fn wait(&self) -> JobResult {
+        self.when_done(|r| r.clone())
+    }
+
+    /// Blocks until the job completes and moves its result out of the
+    /// ticket, where [`JobTicket::wait`] clones it. The report then holds
+    /// the only handle on its product unless an earlier `wait` cloned one,
+    /// so the product can be registered without a copy or handed back with
+    /// [`Engine::recycle`]. For a ticket's one consumer: a later `wait` or
+    /// `take` on this ticket or a clone of it panics, and `try_result`
+    /// returns `None`.
+    pub fn take(&self) -> JobResult {
+        self.when_done(|r| {
+            self.inner.taken.store(true, Ordering::Relaxed);
+            r.take()
+        })
+    }
+
+    /// Blocks until the result is in, then applies `f` to its slot, which
+    /// `f` finds filled.
+    fn when_done(&self, f: impl FnOnce(&mut Option<JobResult>) -> Option<JobResult>) -> JobResult {
         let mut guard = self
             .inner
             .result
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(r) = guard.as_ref() {
-                return r.clone();
-            }
+        while guard.is_none() {
+            assert!(
+                !self.inner.taken.load(Ordering::Relaxed),
+                "job {}: result already taken",
+                self.job
+            );
             guard = self
                 .inner
                 .cv
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        f(&mut guard).expect("a completed job's result")
     }
 
     /// Non-blocking poll.
@@ -432,6 +459,10 @@ pub struct EngineStats {
     /// High-water footprint of the shared scratch-arena pool (bytes); the
     /// arenas stay warm across jobs, so this is the engine-lifetime peak.
     pub arena_high_water: usize,
+    /// The shared pool's recycled job buffers: checkouts reused and fresh,
+    /// idle bytes, and the high-water mark that bounds what it holds
+    /// (DESIGN.md §11.5).
+    pub buffers: BufferStats,
 }
 
 struct Shared {
@@ -446,7 +477,8 @@ struct Shared {
     recorder: Arc<dyn Recorder>,
     collector: Option<Arc<CollectingRecorder>>,
     /// Reusable scratch arenas shared by every job the workers run; after
-    /// the first few jobs the step-2/3 hot path allocates nothing.
+    /// the first few jobs the step-2/3 hot path allocates nothing. It also
+    /// holds the idle buffers jobs' large arrays are recycled through.
     arena: ScratchPool,
 }
 
@@ -549,8 +581,13 @@ impl Engine {
         // runtime.
         let csr = tiled.to_csr();
         let id = MatrixId(csr.content_hash());
-        self.lock_registry()
-            .insert_with_tiled_hashed(id, csr, tiled)
+        let (id, dedup, unused) = self
+            .lock_registry()
+            .insert_with_tiled_hashed(id, csr, tiled);
+        if let Some(product) = unused {
+            self.recycle(product);
+        }
+        (id, dedup)
     }
 
     /// Registers a pipeline product straight from its tiled form, with no
@@ -563,7 +600,10 @@ impl Engine {
     /// tiles a masked product keeps (mask tiles the product misses) would
     /// otherwise tax every job that takes the handle as an operand, and
     /// would make the content hash depend on which expression produced the
-    /// value.
+    /// value. Compacting moves the entry arrays of a product `tiled` is the
+    /// only handle on, and copies one that someone else still holds.
+    ///
+    /// A product registered already (a dedup) goes to [`Engine::recycle`].
     pub fn register_tiled(&self, tiled: Arc<TileMatrix<f64>>) -> (MatrixId, bool) {
         let compact = if (0..tiled.tile_count()).any(|t| tiled.tile_nnz_of(t) == 0) {
             Arc::new(Arc::unwrap_or_clone(tiled).compact())
@@ -571,7 +611,21 @@ impl Engine {
             tiled
         };
         let id = MatrixId(compact.content_hash());
-        self.lock_registry().insert_tiled_hashed(id, compact)
+        let (id, unused) = self.lock_registry().insert_tiled_hashed(id, compact);
+        let dedup = unused.is_some();
+        if let Some(product) = unused {
+            self.recycle(product);
+        }
+        (id, dedup)
+    }
+
+    /// Hands a product nobody keeps back to the engine's buffer pool, so
+    /// later jobs reuse its arrays instead of faulting in fresh pages
+    /// ([`tilespgemm_core::recycle`]). Only a product `c` is the last
+    /// handle on is recycled; one someone else still holds is just
+    /// dropped.
+    pub fn recycle(&self, c: Arc<TileMatrix<f64>>) {
+        recycle(&self.shared, c);
     }
 
     /// The registered CSR form of `id`. For resident tiled products this
@@ -689,6 +743,7 @@ impl Engine {
             result: Mutex::new(None),
             cv: Condvar::new(),
             canceled: AtomicBool::new(false),
+            taken: AtomicBool::new(false),
         });
         let now = Instant::now();
         let timeout = spec.timeout.or(self.shared.cfg.default_timeout);
@@ -766,6 +821,7 @@ impl Engine {
             memoized_estimates,
             device_bytes_in_use: self.shared.device_tracker.current_bytes(),
             arena_high_water: self.shared.arena.high_water_bytes(),
+            buffers: self.shared.arena.buffer_stats(),
         }
     }
 
@@ -1404,6 +1460,14 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     complete(&job.ticket, result);
 }
 
+/// [`Engine::recycle`]: hands `c` to the shared pool if it is the last
+/// handle on its product.
+fn recycle(shared: &Shared, c: Arc<TileMatrix<f64>>) {
+    if let Ok(c) = Arc::try_unwrap(c) {
+        tilespgemm_core::recycle(c, &shared.arena);
+    }
+}
+
 /// A resolved operand: its tiled form plus whether the conversion cache hit.
 type TiledHit = (Arc<TileMatrix<f64>>, bool);
 
@@ -1504,7 +1568,9 @@ fn run_chain(
                     intermediates.push(mid);
                 }
             }
-            cur = c;
+            // The link this one superseded is recycled when the chain was
+            // its only owner: registration deduplicated or was skipped.
+            recycle(shared, std::mem::replace(&mut cur, c));
         }
         let exec = exec_start.elapsed();
         Ok(JobReport {

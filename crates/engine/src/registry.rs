@@ -212,36 +212,39 @@ impl Registry {
     /// [`Registry::resident_bytes`] rather than the cache budget. It stays
     /// until an explicit [`Registry::remove`] (the protocol's `unload`).
     pub fn insert_tiled(&mut self, tiled: Arc<TileMatrix<f64>>) -> (MatrixId, bool) {
-        self.insert_tiled_hashed(MatrixId(tiled.content_hash()), tiled)
+        let (id, unused) = self.insert_tiled_hashed(MatrixId(tiled.content_hash()), tiled);
+        (id, unused.is_some())
     }
 
     /// [`Registry::insert_tiled`] under an id the caller hashed already.
+    /// On a dedup it hands `tiled` back unused, so the caller can recycle
+    /// a product nobody else holds.
     pub(crate) fn insert_tiled_hashed(
         &mut self,
         id: MatrixId,
         tiled: Arc<TileMatrix<f64>>,
-    ) -> (MatrixId, bool) {
+    ) -> (MatrixId, Option<Arc<TileMatrix<f64>>>) {
         let now = self.tick();
-        let dedup = self.entries.contains_key(&id.0);
-        if !dedup {
-            let bytes = tiled.bytes();
-            let shape = (tiled.nrows, tiled.ncols, tiled.nnz());
-            self.resident_bytes += bytes;
-            self.entries.insert(
-                id.0,
-                Entry {
-                    csr: None,
-                    tiled: Some(tiled),
-                    tiled_bytes: bytes,
-                    shape,
-                    resident: true,
-                    pins: 0,
-                    last_used: now,
-                    estimates: Vec::new(),
-                },
-            );
+        if self.entries.contains_key(&id.0) {
+            return (id, Some(tiled));
         }
-        (id, dedup)
+        let bytes = tiled.bytes();
+        let shape = (tiled.nrows, tiled.ncols, tiled.nnz());
+        self.resident_bytes += bytes;
+        self.entries.insert(
+            id.0,
+            Entry {
+                csr: None,
+                tiled: Some(tiled),
+                tiled_bytes: bytes,
+                shape,
+                resident: true,
+                pins: 0,
+                last_used: now,
+                estimates: Vec::new(),
+            },
+        );
+        (id, None)
     }
 
     /// The registered CSR form.
@@ -495,17 +498,20 @@ impl Registry {
     /// pipeline product being kept as an operand), pre-seeding the cache so
     /// the next multiply touching it skips the conversion entirely. `id` is
     /// the CSR's content hash, computed by the caller outside the lock.
+    /// Returns `(id, deduped)` like [`Registry::insert`], and `tiled` back
+    /// unused when the entry caches a tiled form already.
     pub(crate) fn insert_with_tiled_hashed(
         &mut self,
         id: MatrixId,
         csr: Csr<f64>,
         tiled: Arc<TileMatrix<f64>>,
-    ) -> (MatrixId, bool) {
+    ) -> (MatrixId, bool, Option<Arc<TileMatrix<f64>>>) {
         let (_, dedup) = self.insert_hashed(id, csr);
-        if !self.is_cached(id) {
-            self.install_tiled(id, tiled, false);
+        if self.is_cached(id) {
+            return (id, dedup, Some(tiled));
         }
-        (id, dedup)
+        self.install_tiled(id, tiled, false);
+        (id, dedup, None)
     }
 
     /// Evicts the least-recently-used cached tiled form. Returns `false`

@@ -373,6 +373,63 @@ fn masked_jobs_leave_the_device_tracker_at_zero() {
     engine.shutdown();
 }
 
+/// Two different multiplies submitted at once to one engine with two
+/// workers — one device tracker, one shared pool — each report the peak
+/// their job reaches alone on a fresh engine, with the pool cold and again
+/// once it holds the buffers the first round recycled. The banded square's
+/// values outgrow [`tsg_runtime::ALLOCATOR_MAPS_ABOVE`], so the pool keeps
+/// them.
+#[test]
+fn concurrent_jobs_peaks_equal_their_solo_runs() {
+    let banded = GenSpec::Banded {
+        n: 24_000,
+        bandwidth: 80,
+        per_row: 20,
+        seed: 43,
+    };
+    let ops = [banded.build(), scatter(900, 6, 42)];
+    let solo: Vec<usize> = ops
+        .iter()
+        .map(|m| {
+            let engine = Engine::new(EngineConfig::default());
+            let (id, _) = engine.register(m.clone());
+            engine
+                .multiply_now(JobSpec::multiply(id, id))
+                .unwrap()
+                .peak_bytes
+        })
+        .collect();
+    assert_ne!(solo[0], solo[1], "two different jobs");
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
+    let ids: Vec<_> = ops.iter().map(|m| engine.register(m.clone()).0).collect();
+    for round in ["cold", "warm"] {
+        let tickets: Vec<_> = ids
+            .iter()
+            .map(|&id| engine.submit(JobSpec::multiply(id, id)).unwrap())
+            .collect();
+        for (ticket, &want) in tickets.iter().zip(&solo) {
+            let report = ticket.take().unwrap();
+            if ticket.job == tickets[0].job {
+                let vals = report.c.vals.len() * std::mem::size_of::<f64>();
+                assert!(
+                    vals > tsg_runtime::ALLOCATOR_MAPS_ABOVE,
+                    "{vals} B of values"
+                );
+            }
+            assert!(ticket.try_result().is_none(), "the result moved out");
+            assert_eq!(report.peak_bytes, want, "{round} pool");
+            engine.recycle(report.c);
+        }
+    }
+    let stats = engine.stats();
+    assert!(stats.buffers.reused > 0, "the warm round drew on the pool");
+    assert!(stats.buffers.idle_bytes <= stats.buffers.high_water_bytes);
+    assert_eq!(stats.device_bytes_in_use, 0);
+}
+
 #[test]
 fn full_queue_sheds_with_backpressure() {
     let engine = Engine::new(EngineConfig {

@@ -1,4 +1,6 @@
-//! Per-worker reusable scratch arenas for the step-2/step-3 hot path.
+//! Per-worker reusable scratch arenas for the step-2/step-3 hot path, and
+//! the idle typed buffers every multiply's large arrays are recycled
+//! through.
 //!
 //! On the GPU the paper's kernels keep all per-tile working state — matched
 //! pair lists, 16 row bitmasks, a 256-slot accumulator — in registers and
@@ -23,8 +25,26 @@
 //! scratch between multiplies — reuse is the whole point — so the owner
 //! credits the tracker when the operation that charged it completes, and
 //! the reservation hands its arenas back to the pool when it drops.
+//!
+//! Job buffers: the same pool keeps idle typed `Vec`s, the way KKMEM hands
+//! its SpGEMM work memory out of a reusable pool. [`ScratchPool::take`]
+//! checks out a buffer of the asked length — an idle one of the same type
+//! whose capacity is within 2× of it, else a fresh one faulted in — as a
+//! [`PooledBuf`] that goes back idle when it drops, or leaves the pool lent
+//! with [`PooledBuf::into_vec`] (an output array that goes out with its
+//! product); [`ScratchPool::give`] takes a buffer back. It keeps only
+//! buffers larger than [`ALLOCATOR_MAPS_ABOVE`], the blocks the allocator
+//! maps fresh every time; smaller ones pass through. The pool's idle,
+//! checked-out and lent bytes together never exceed the high-water mark of
+//! the bytes its checked-out and lent buffers were asked for — what the
+//! same multiplies hold at their busiest without a pool — unless the
+//! buffers in use alone do (a reused buffer holds up to twice what it was
+//! asked for), and then none is idle: before a fresh allocation, and
+//! whenever a buffer comes back, the least recently used idle buffers are
+//! freed until they fit. Idle bytes are charged to no tracker.
 
 use parking_lot::Mutex;
+use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::tracker::{BudgetExceeded, MemTracker};
@@ -119,20 +139,31 @@ pub struct ScratchSizes {
     pub row_pairs: usize,
 }
 
+/// The size above which [`ScratchPool::new`] keeps buffers: glibc's
+/// `DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit targets. glibc's dynamic mmap
+/// threshold never rises past it, so a larger block is always a fresh
+/// mapping — faulted in page by page, unmapped on free — while a smaller
+/// one, once the threshold has risen past its size, comes back from
+/// glibc's own free lists already resident. Keeping those too would hold
+/// the same memory twice, once idle here and once free there.
+pub const ALLOCATOR_MAPS_ABOVE: usize = 32 << 20;
+
 /// Boxed arenas: checkout and checkin move a pointer, and a guard hands out
 /// a stable address while the list it came from reallocates.
 #[allow(clippy::vec_box)]
 type Arenas = Mutex<Vec<Box<Scratch>>>;
 
-/// A pool of [`Scratch`] arenas shared by the workers of one or many
-/// multiplies, successive or concurrent.
+/// A pool of [`Scratch`] arenas and idle typed buffers shared by one or
+/// many multiplies, successive or concurrent.
 ///
 /// A multiply takes its workers' arenas out with [`ScratchPool::reserve`]
 /// and its workers check them out of the returned [`ScratchReservation`] at
 /// task-chunk start; each guard hands its scratch back on drop. The pool
-/// tracks its total footprint (`BASE_BYTES` + heap bytes per arena) and a
-/// high-water mark.
-#[derive(Debug, Default)]
+/// tracks the arenas' total footprint (`BASE_BYTES` + heap bytes per
+/// arena) and a high-water mark. Its per-multiply arrays come from
+/// [`ScratchPool::take`] (see the module docs), counted apart from the
+/// arenas in [`ScratchPool::buffer_stats`].
+#[derive(Debug)]
 pub struct ScratchPool {
     /// Idle arenas: neither reserved nor checked out.
     free: Arenas,
@@ -143,12 +174,131 @@ pub struct ScratchPool {
     bytes: AtomicUsize,
     /// High-water mark of [`Self::bytes`].
     high_water: AtomicUsize,
+    /// Idle typed buffers and their bookkeeping.
+    buffers: Mutex<Buffers>,
+    /// Buffers of at most this many bytes pass through.
+    keep_above: usize,
+}
+
+impl Default for ScratchPool {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Counters of a [`ScratchPool`]'s typed buffers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferStats {
+    /// Checkouts of a buffer the pool keeps that an idle one served.
+    pub reused: u64,
+    /// Checkouts of a buffer the pool keeps that allocated a fresh one.
+    pub fresh: u64,
+    /// Bytes of the idle buffers.
+    pub idle_bytes: usize,
+    /// Bytes of the buffers checked out now.
+    pub checked_out_bytes: usize,
+    /// Bytes of the buffers lent out with [`PooledBuf::into_vec`] and not
+    /// given back yet (a buffer given back settles at most what is lent;
+    /// one that is never given back stays counted).
+    pub lent_bytes: usize,
+    /// High-water mark of the bytes checked-out and lent buffers were
+    /// asked for — what the same multiplies hold at once without a pool —
+    /// which bounds idle, checked-out and lent bytes together. (A reused
+    /// buffer may hold up to twice what it was asked for.)
+    pub high_water_bytes: usize,
+}
+
+/// One idle buffer: a boxed `Vec<E>` with its element type and capacity
+/// in bytes.
+struct IdleBuf {
+    buf: Box<dyn Any + Send>,
+    elem: TypeId,
+    bytes: usize,
+    /// Value of [`Buffers::clock`] when the buffer went idle.
+    used: u64,
+}
+
+impl std::fmt::Debug for IdleBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IdleBuf")
+            .field("bytes", &self.bytes)
+            .field("used", &self.used)
+            .finish()
+    }
+}
+
+#[derive(Debug, Default)]
+struct Buffers {
+    idle: Vec<IdleBuf>,
+    /// Ticks once per buffer that goes idle, ordering them by last use.
+    clock: u64,
+    stats: BufferStats,
+    /// Bytes the checked-out buffers were asked for.
+    asked_out: usize,
+    /// Bytes the lent buffers were asked for.
+    asked_lent: usize,
+}
+
+impl Buffers {
+    /// Adds `buf` to the idle buffers, then trims them to the bound. The
+    /// caller drops what comes back after releasing the lock.
+    fn park<E: Copy + Send + 'static>(&mut self, buf: Vec<E>) -> Vec<IdleBuf> {
+        self.clock += 1;
+        let bytes = buf.capacity() * std::mem::size_of::<E>();
+        self.idle.push(IdleBuf {
+            buf: Box::new(buf),
+            elem: TypeId::of::<E>(),
+            bytes,
+            used: self.clock,
+        });
+        self.stats.idle_bytes += bytes;
+        self.trim()
+    }
+
+    /// Records a checkout of `bytes` asked for, held in `held` bytes.
+    fn check_out(&mut self, bytes: usize, held: usize) {
+        self.asked_out += bytes;
+        self.stats.checked_out_bytes += held;
+        let asked = self.asked_out + self.asked_lent;
+        self.stats.high_water_bytes = self.stats.high_water_bytes.max(asked);
+    }
+
+    /// Takes idle buffers out, least recently used first, until idle,
+    /// checked-out and lent bytes fit under the high-water mark, or none is
+    /// idle: reused buffers in use may hold more than was asked of them.
+    fn trim(&mut self) -> Vec<IdleBuf> {
+        let s = &mut self.stats;
+        let mut evicted = Vec::new();
+        while s.idle_bytes > 0
+            && s.idle_bytes + s.checked_out_bytes + s.lent_bytes > s.high_water_bytes
+        {
+            let lru = (0..self.idle.len())
+                .min_by_key(|&i| self.idle[i].used)
+                .expect("idle bytes are held by idle buffers");
+            let b = self.idle.swap_remove(lru);
+            s.idle_bytes -= b.bytes;
+            evicted.push(b);
+        }
+        evicted
+    }
 }
 
 impl ScratchPool {
-    /// An empty pool.
+    /// An empty pool keeping buffers larger than [`ALLOCATOR_MAPS_ABOVE`].
     pub fn new() -> Self {
-        Self::default()
+        Self::keeping_above(ALLOCATOR_MAPS_ABOVE)
+    }
+
+    /// An empty pool keeping buffers larger than `bytes`.
+    pub fn keeping_above(bytes: usize) -> Self {
+        ScratchPool {
+            free: Arenas::default(),
+            created: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
+            high_water: AtomicUsize::new(0),
+            buffers: Mutex::new(Buffers::default()),
+            keep_above: bytes,
+        }
     }
 
     /// Arenas ever created by this pool.
@@ -173,16 +323,19 @@ impl ScratchPool {
     }
 
     /// Sets aside `count` arenas for one running multiply — one per worker
-    /// — with lists holding `sizes` entries, and charges their footprint to
-    /// `tracker` ([`ScratchReservation::charged`]; the caller credits it
-    /// back when the tracked operation completes). Idle arenas are taken
-    /// first and new ones created for the rest, so concurrent multiplies on
-    /// one pool each hold `count` arenas of their own.
+    /// — with lists holding `sizes` entries, and charges `tracker` what
+    /// `count` arenas of those sizes take ([`ScratchReservation::charged`];
+    /// the caller credits it back when the tracked operation completes).
+    /// Idle arenas are taken first and new ones created for the rest, so
+    /// concurrent multiplies on one pool each hold `count` arenas of their
+    /// own.
     ///
     /// Sizing the lists up front to bounds the caller derives from its
     /// operands means no arena grows mid-phase, so no worker's checkout
     /// depends on which worker happened to draw the heaviest tile or tile
-    /// row, nor on what another multiply is running.
+    /// row, nor on what another multiply is running. The charge is computed
+    /// from the sizes, not from the taken arenas' footprint, so it does not
+    /// depend on which earlier multiply warmed them either.
     ///
     /// Growth is fallible: the `arena.grow` failpoint (and the tracker's own
     /// budget) can refuse it, in which case nothing is charged and the pool
@@ -212,7 +365,7 @@ impl ScratchPool {
                 });
             }
         }
-        let charge = taken.iter().map(|s| s.footprint()).sum::<usize>() + growth;
+        let charge = count * (Scratch::BASE_BYTES + Scratch::default().growth(sizes));
         tracker.on_alloc(charge)?;
         let mut arenas = free.split_off(kept);
         drop(free);
@@ -222,15 +375,212 @@ impl ScratchPool {
             s.reserve_for(sizes);
         }
         self.created.fetch_add(missing, Ordering::Relaxed);
-        // Record what the allocator actually handed out; any excess over
-        // the predicted charge surfaces in the caller's end-of-run
-        // reconciliation against `ScratchReservation::bytes`.
-        self.add_bytes(arenas.iter().map(|s| s.footprint()).sum::<usize>() - before);
+        // Record what the allocator actually handed out; any growth past
+        // the reserved sizes surfaces in the caller's end-of-run
+        // reconciliation against `ScratchReservation::grown`.
+        let reserved = arenas.iter().map(|s| s.footprint()).sum::<usize>();
+        self.add_bytes(reserved - before);
         Ok(ScratchReservation {
             pool: self,
             arenas: Mutex::new(arenas),
             charged: charge,
+            reserved,
         })
+    }
+
+    /// Checks out a buffer of `len` elements for an array the caller
+    /// overwrites in full before reading it: a reused buffer holds whatever
+    /// its last user left, a fresh one `zero`s.
+    ///
+    /// A fresh buffer has every page touched, so a buffer the allocator
+    /// maps fresh is resident before the phase that fills it. A buffer the
+    /// pool keeps (see [`Self::keeping_above`]) is served by an idle one of
+    /// the same element type whose capacity is within 2× of `len` (the
+    /// smallest such, the most recently used among equals) if there is one;
+    /// before a fresh one is allocated, the least recently used idle
+    /// buffers are freed until idle and in-use bytes fit under their bound
+    /// (see [`BufferStats::high_water_bytes`]).
+    pub fn take<E: Copy + Send + 'static>(&self, len: usize, zero: E) -> PooledBuf<'_, E> {
+        self.checkout_buf(len, zero, false)
+    }
+
+    /// [`Self::take`] for an array the caller reads before it writes: every
+    /// element is `zero`.
+    pub fn take_zeroed<E: Copy + Send + 'static>(&self, len: usize, zero: E) -> PooledBuf<'_, E> {
+        self.checkout_buf(len, zero, true)
+    }
+
+    fn checkout_buf<E: Copy + Send + 'static>(
+        &self,
+        len: usize,
+        zero: E,
+        zeroed: bool,
+    ) -> PooledBuf<'_, E> {
+        let size = std::mem::size_of::<E>();
+        if len.saturating_mul(size) <= self.keep_above || size == 0 {
+            return PooledBuf {
+                pool: self,
+                buf: if len == 0 {
+                    Vec::new()
+                } else {
+                    faulted(vec![zero; len])
+                },
+                bytes: 0,
+                asked: 0,
+                fresh: true,
+            };
+        }
+        let mut b = self.buffers.lock();
+        let fits = len * size..=len.saturating_mul(2 * size);
+        let hit = (0..b.idle.len())
+            .filter(|&i| b.idle[i].elem == TypeId::of::<E>() && fits.contains(&b.idle[i].bytes))
+            .min_by_key(|&i| (b.idle[i].bytes, std::cmp::Reverse(b.idle[i].used)));
+        if let Some(i) = hit {
+            let idle = b.idle.swap_remove(i);
+            b.stats.idle_bytes -= idle.bytes;
+            b.check_out(len * size, idle.bytes);
+            b.stats.reused += 1;
+            drop(b);
+            let mut buf = *idle
+                .buf
+                .downcast::<Vec<E>>()
+                .expect("an idle buffer holds its recorded element type");
+            if zeroed {
+                buf.clear();
+            }
+            buf.resize(len, zero);
+            return PooledBuf {
+                pool: self,
+                buf,
+                bytes: idle.bytes,
+                asked: len * size,
+                fresh: false,
+            };
+        }
+        let bytes = len * size;
+        b.check_out(bytes, bytes);
+        b.stats.fresh += 1;
+        let evicted = b.trim();
+        drop(b);
+        drop(evicted);
+        PooledBuf {
+            pool: self,
+            buf: faulted(vec![zero; len]),
+            bytes,
+            asked: bytes,
+            fresh: true,
+        }
+    }
+
+    /// Takes back a buffer lent out by [`PooledBuf::into_vec`] — or any
+    /// buffer the pool keeps; it drops others — as idle, settling its bytes
+    /// against the lent counts, then frees idle buffers, least recently
+    /// used first, while idle, checked-out and lent bytes exceed their
+    /// bound (`buf` itself last).
+    pub fn give<E: Copy + Send + 'static>(&self, buf: Vec<E>) {
+        let size = std::mem::size_of::<E>();
+        if buf.capacity() * size <= self.keep_above || size == 0 {
+            return;
+        }
+        let evicted = {
+            let mut b = self.buffers.lock();
+            let (held, asked) = (buf.capacity() * size, buf.len() * size);
+            b.stats.lent_bytes -= held.min(b.stats.lent_bytes);
+            b.asked_lent -= asked.min(b.asked_lent);
+            b.park(buf)
+        };
+        drop(evicted);
+    }
+
+    /// The typed buffers' counters.
+    pub fn buffer_stats(&self) -> BufferStats {
+        self.buffers.lock().stats
+    }
+}
+
+/// Stores to one element of every 4 KiB page of `v`, so a buffer the
+/// allocator mapped fresh (zero pages the kernel has not backed yet) is
+/// resident before the phase that fills it. Each store rewrites the value
+/// already there, through a volatile write: a plain store of a value the
+/// compiler knows to be zero could be elided.
+fn faulted<T: Copy>(mut v: Vec<T>) -> Vec<T> {
+    let step = (4096 / std::mem::size_of::<T>().max(1)).max(1);
+    for x in v.iter_mut().step_by(step) {
+        let value = *x;
+        // SAFETY: `x` is a valid, aligned, exclusive reference.
+        unsafe { std::ptr::write_volatile(x, value) };
+    }
+    v
+}
+
+/// A buffer checked out of a [`ScratchPool`] by [`ScratchPool::take`]. It
+/// derefs to its elements, goes back to the pool's idle buffers when it
+/// drops — a multiply that fails or panics returns what it checked out —
+/// and leaves the pool lent with [`PooledBuf::into_vec`].
+#[derive(Debug)]
+pub struct PooledBuf<'p, E: Copy + Send + 'static> {
+    pool: &'p ScratchPool,
+    buf: Vec<E>,
+    /// Bytes the checkout added to the pool's checked-out count: 0 for a
+    /// buffer the pool does not keep.
+    bytes: usize,
+    /// Bytes the checkout asked for.
+    asked: usize,
+    /// Allocated by the checkout, so every element is the `zero` it was
+    /// given; a reused buffer holds what its last user left.
+    fresh: bool,
+}
+
+impl<E: Copy + Send + 'static> PooledBuf<'_, E> {
+    /// Whether the checkout allocated the buffer, so every element is the
+    /// `zero` it was given. A caller that reads an element of a
+    /// [`ScratchPool::take`] buffer before writing it must clear it when
+    /// this is `false`.
+    pub fn is_fresh(&self) -> bool {
+        self.fresh
+    }
+
+    /// The buffer, moved from the checked-out count to the lent one: it
+    /// stays counted against the pool's bound until someone
+    /// [`ScratchPool::give`]s it back.
+    pub fn into_vec(mut self) -> Vec<E> {
+        if self.bytes > 0 {
+            let b = &mut *self.pool.buffers.lock();
+            b.stats.checked_out_bytes -= self.bytes;
+            b.stats.lent_bytes += self.bytes;
+            b.asked_out -= self.asked;
+            b.asked_lent += self.asked;
+        }
+        self.bytes = 0;
+        std::mem::take(&mut self.buf)
+    }
+}
+
+impl<E: Copy + Send + 'static> std::ops::Deref for PooledBuf<'_, E> {
+    type Target = [E];
+    fn deref(&self) -> &[E] {
+        &self.buf
+    }
+}
+
+impl<E: Copy + Send + 'static> std::ops::DerefMut for PooledBuf<'_, E> {
+    fn deref_mut(&mut self) -> &mut [E] {
+        &mut self.buf
+    }
+}
+
+impl<E: Copy + Send + 'static> Drop for PooledBuf<'_, E> {
+    fn drop(&mut self) {
+        if self.bytes == 0 {
+            return;
+        }
+        let evicted = {
+            let mut b = self.pool.buffers.lock();
+            b.stats.checked_out_bytes -= self.bytes;
+            b.asked_out -= self.asked;
+            b.park(std::mem::take(&mut self.buf))
+        };
+        drop(evicted);
     }
 }
 
@@ -242,21 +592,29 @@ pub struct ScratchReservation<'p> {
     pool: &'p ScratchPool,
     arenas: Arenas,
     charged: usize,
+    /// Footprint of the arenas once sized.
+    reserved: usize,
 }
 
 impl ScratchReservation<'_> {
-    /// Bytes the reservation charged to the tracker: the footprint of its
-    /// arenas once sized.
+    /// Bytes the reservation charged to the tracker: what its arenas take
+    /// at the reserved sizes.
     pub fn charged(&self) -> usize {
         self.charged
     }
 
     /// Current footprint of the reservation's checked-in arenas — all of
-    /// them once the multiply's parallel phases have joined. Above
-    /// [`Self::charged`] only if a checkout grew an arena past its reserved
-    /// sizes, or found none left and created one.
+    /// them once the multiply's parallel phases have joined. Warm arenas
+    /// may hold longer lists than the reserved sizes.
     pub fn bytes(&self) -> usize {
         self.arenas.lock().iter().map(|s| s.footprint()).sum()
+    }
+
+    /// Bytes the arenas grew since they were reserved: nonzero only if a
+    /// checkout grew an arena past its reserved sizes, or found none left
+    /// and created one.
+    pub fn grown(&self) -> usize {
+        self.bytes().saturating_sub(self.reserved)
     }
 
     /// Checks out one of the reservation's arenas (creating one in the pool
@@ -385,12 +743,13 @@ mod tests {
         }
         drop(r);
         // A later reserve takes the same arenas back and charges their
-        // grown footprint.
+        // reserved sizes again, not the footprint they grew to.
         tracker.on_free(charged);
         let r = pool.reserve(3, ScratchSizes::default(), &tracker).unwrap();
         assert_eq!(pool.created(), 3);
-        assert_eq!(r.charged(), pool.bytes());
-        assert!(r.charged() > charged);
+        assert_eq!(r.charged(), charged);
+        assert!(pool.bytes() > charged);
+        assert_eq!(r.grown(), 0, "the growth predates the reservation");
         tracker.on_free(r.charged());
         assert_eq!(tracker.current_bytes(), 0);
     }
@@ -420,6 +779,7 @@ mod tests {
             s.row_pairs.extend((0..30).map(|i| (i, i, i)));
         }
         assert_eq!(r.bytes(), charged, "filling to the bound grows nothing");
+        assert_eq!(r.grown(), 0);
         drop(r);
         assert_eq!(pool.bytes(), charged);
         // The same reservation again charges the same total: the charge is
@@ -431,12 +791,17 @@ mod tests {
             slots: 8,
             row_pairs: 1,
         };
+        let smaller_bytes = 2 * 10 * std::mem::size_of::<(u32, u32)>()
+            + 8 * std::mem::size_of::<u32>()
+            + std::mem::size_of::<(u32, u32, u32)>();
+        let r = pool.reserve(2, smaller, &tracker).unwrap();
         assert_eq!(
-            pool.reserve(2, smaller, &tracker).unwrap().charged(),
-            charged,
-            "never shrinks"
+            r.charged(),
+            2 * (Scratch::BASE_BYTES + smaller_bytes),
+            "charged by its own sizes, not by the longer lists it holds"
         );
-        tracker.on_free(2 * charged);
+        assert_eq!(r.bytes(), charged, "the lists never shrink");
+        tracker.on_free(charged + r.charged());
         assert_eq!(tracker.current_bytes(), 0);
     }
 
@@ -485,7 +850,7 @@ mod tests {
                         s.row_pairs.extend((0..n as u32).map(|i| (i, i, i)));
                     }
                     drop(guards);
-                    assert_eq!(r.bytes(), r.charged(), "a checkout grew at size {n}");
+                    assert_eq!(r.grown(), 0, "a checkout grew at size {n}");
                     tracker.on_free(r.charged());
                 });
             }
@@ -509,6 +874,106 @@ mod tests {
         let s = r.checkout();
         assert!(s.slots.is_empty(), "a half-set table is not handed out");
         assert!(s.slots.capacity() >= 8, "its capacity is kept");
+    }
+
+    #[test]
+    fn take_reuses_an_idle_buffer_within_twice_the_request() {
+        let pool = ScratchPool::keeping_above(0);
+        let first = pool.take(100, 0u32);
+        let ptr = first.as_ptr();
+        drop(first);
+        let again = pool.take(60, 0u32);
+        assert_eq!(again.as_ptr(), ptr, "capacity 100 serves 60");
+        assert_eq!(again.len(), 60);
+        drop(again);
+        assert_ne!(pool.take(40, 0u32).as_ptr(), ptr, "100 is over 2 × 40");
+        assert_ne!(pool.take(120, 0u32).as_ptr(), ptr, "100 cannot hold 120");
+        drop(pool.take(100, 0u16));
+        let s = pool.buffer_stats();
+        assert_eq!((s.reused, s.fresh), (1, 4), "element types do not mix");
+        assert_eq!(s.checked_out_bytes, 0);
+    }
+
+    #[test]
+    fn take_leaves_stale_elements_and_take_zeroed_clears_them() {
+        let pool = ScratchPool::keeping_above(0);
+        let mut b = pool.take(10, 0u32);
+        assert!(b.iter().all(|&x| x == 0), "a fresh buffer holds zeros");
+        b.fill(7);
+        drop(b);
+        assert_eq!(&pool.take(8, 0u32)[..], &[7; 8], "stale elements stay");
+        let mut b = pool.take(10, 0u32);
+        assert_eq!(&b[..8], &[7; 8]);
+        assert_eq!(&b[8..], &[0; 2], "elements past the last length are zero");
+        b.fill(9);
+        drop(b);
+        assert!(pool.take_zeroed(6, 0u32).iter().all(|&x| x == 0));
+        assert_eq!(pool.buffer_stats().reused, 3);
+    }
+
+    #[test]
+    fn idle_bytes_stay_under_the_checked_out_high_water() {
+        let pool = ScratchPool::keeping_above(0);
+        // Two buffers out at once set the bound: 300 bytes.
+        let (a, b) = (pool.take(100, 0u8), pool.take(200, 0u8));
+        let (a_ptr, b_ptr) = (a.as_ptr(), b.as_ptr());
+        drop(a);
+        drop(b);
+        let s = pool.buffer_stats();
+        assert_eq!((s.idle_bytes, s.high_water_bytes), (300, 300));
+        // A miss of 30 bytes makes room by freeing the least recently used
+        // idle buffer, the 100-byte one; the 200-byte one stays.
+        drop(pool.take(30, 0u8));
+        let s = pool.buffer_stats();
+        assert_eq!((s.idle_bytes, s.high_water_bytes), (230, 300));
+        assert_eq!(pool.take(150, 0u8).as_ptr(), b_ptr);
+        let c = pool.take(100, 0u8);
+        assert_ne!(c.as_ptr(), a_ptr, "freed, so allocated afresh");
+        drop(c);
+        assert!(pool.buffer_stats().idle_bytes <= 300);
+    }
+
+    #[test]
+    fn a_buffer_leaves_with_into_vec_and_comes_back_with_give() {
+        let pool = ScratchPool::keeping_above(0);
+        let v = pool.take(64, 0u64).into_vec();
+        let s = pool.buffer_stats();
+        assert_eq!(
+            (s.checked_out_bytes, s.lent_bytes, s.idle_bytes),
+            (0, 512, 0)
+        );
+        assert_eq!(s.high_water_bytes, 512);
+        let ptr = v.as_ptr();
+        pool.give(v);
+        let s = pool.buffer_stats();
+        assert_eq!((s.lent_bytes, s.idle_bytes), (0, 512));
+        assert_eq!(pool.take(40, 0u64).as_ptr(), ptr);
+        // A buffer over the bound is freed as it comes back.
+        pool.give(vec![0u64; 100]);
+        assert_eq!(pool.buffer_stats().idle_bytes, 0);
+        // So is everything once the bound is spent on checkouts.
+        let out = pool.take(64, 0u64);
+        pool.give(vec![0u64; 8]);
+        assert_eq!(pool.buffer_stats().idle_bytes, 0);
+        drop(out);
+        assert_eq!(pool.buffer_stats().idle_bytes, 512);
+    }
+
+    #[test]
+    fn buffers_up_to_the_floor_pass_through() {
+        let pool = ScratchPool::keeping_above(1024);
+        let small = pool.take(128, 0u64);
+        assert_eq!(small.len(), 128);
+        drop(small);
+        pool.give(vec![0u64; 128]);
+        assert_eq!(
+            pool.buffer_stats(),
+            BufferStats::default(),
+            "1 KiB is not kept"
+        );
+        drop(pool.take(129, 0u64));
+        let s = pool.buffer_stats();
+        assert_eq!((s.fresh, s.idle_bytes), (1, 1032));
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! * [`arena`] — per-worker reusable [`Scratch`] arenas (the CPU analogue of
 //!   the paper's shared-memory tile state) so the step-2/3 hot path runs
 //!   allocation-free in steady state, with footprint accounting that feeds
-//!   the tracker.
+//!   the tracker, and the bounded idle buffers each multiply's large arrays
+//!   are recycled through.
 
 pub mod arena;
 pub mod atomicf64;
@@ -50,7 +51,10 @@ pub mod split;
 pub mod timer;
 pub mod tracker;
 
-pub use arena::{Scratch, ScratchGuard, ScratchPool, ScratchReservation, ScratchSizes};
+pub use arena::{
+    BufferStats, PooledBuf, Scratch, ScratchGuard, ScratchPool, ScratchReservation, ScratchSizes,
+    ALLOCATOR_MAPS_ABOVE,
+};
 pub use atomicf64::{AtomicF32, AtomicF64};
 pub use binning::{bin_rows_by, Bins};
 pub use device::{pool_for, run_on, Device};

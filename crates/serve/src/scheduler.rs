@@ -54,6 +54,7 @@ use std::time::{Duration, Instant};
 use tilespgemm_core::Config;
 use tsg_engine::engine::JobTicket;
 use tsg_engine::{Engine, EngineError, JobEstimate, JobReport, JobSpec, MatrixId, OpSpec};
+use tsg_matrix::{Csr, TileMatrix};
 use tsg_runtime::observe::{Counter, QueueGauge, WaitGauge};
 
 /// Serve-level job ids count up from here (engine ticket ids count up from
@@ -229,7 +230,9 @@ pub enum Submission {
 /// handle when the job kept it (or a later batch entry referenced it).
 #[derive(Debug, Clone)]
 pub struct JobDone {
-    /// The engine's completion record.
+    /// The engine's completion record. Its `c` is an empty 0×0 stand-in:
+    /// a kept product lives in the registry under `kept`, and one nobody
+    /// keeps went back to the engine's buffer pool ([`Engine::recycle`]).
     pub report: JobReport,
     /// Content id the product registered under, when kept.
     pub kept: Option<MatrixId>,
@@ -424,6 +427,9 @@ struct Shared {
     next_job: AtomicU64,
     next_session: AtomicU64,
     convert_tx: Mutex<Option<Sender<MatrixId>>>,
+    /// The empty stand-in a completed job's report carries in place of its
+    /// product (see [`JobDone`]).
+    no_product: Arc<TileMatrix<f64>>,
 }
 
 /// The multi-client scheduler. Construction spawns the dispatcher and
@@ -463,6 +469,7 @@ impl Scheduler {
             next_job: AtomicU64::new(SERVE_JOB_BASE),
             next_session: AtomicU64::new(1),
             convert_tx: Mutex::new(Some(tx)),
+            no_product: Arc::new(TileMatrix::from_csr(&Csr::zero(0, 0))),
             cfg,
             engine: Arc::clone(&engine),
         });
@@ -1272,18 +1279,23 @@ fn waiter(
     ticket: &JobTicket,
     sticket: &STicket,
 ) {
-    let result = ticket.wait();
     // Product registration happens before the scheduler lock: it takes the
-    // registry lock internally and must not nest inside `inner`.
-    let serve_result: ServeResult = match result {
-        Ok(report) => {
-            let kept = register.then(|| {
-                if materialize {
-                    shared.engine.register_product(Arc::clone(&report.c)).0
-                } else {
-                    shared.engine.register_tiled(Arc::clone(&report.c)).0
-                }
-            });
+    // registry lock internally and must not nest inside `inner`. The
+    // product is handed over, not shared: registration then moves its
+    // arrays, and one nobody keeps is recycled once the reply is out. The
+    // reply reads only the report's scalars.
+    let mut unkept = None;
+    let serve_result: ServeResult = match ticket.take() {
+        Ok(mut report) => {
+            let product = std::mem::replace(&mut report.c, Arc::clone(&shared.no_product));
+            let kept = if !register {
+                unkept = Some(product);
+                None
+            } else if materialize {
+                Some(shared.engine.register_product(product).0)
+            } else {
+                Some(shared.engine.register_tiled(product).0)
+            };
             Ok(JobDone { report, kept })
         }
         Err(e) => Err(e),
@@ -1322,4 +1334,9 @@ fn waiter(
     drop(inner);
     shared.cv.notify_all();
     complete(sticket, serve_result);
+    // The reply need not wait for this: freeing what the pool does not keep
+    // unmaps it.
+    if let Some(product) = unkept {
+        shared.engine.recycle(product);
+    }
 }

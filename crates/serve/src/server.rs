@@ -194,13 +194,18 @@ fn graceful_exit(scheduler: &Scheduler, drain: Duration) -> bool {
         completed += row.completed;
         failed += row.failed;
     }
+    let pool = scheduler.engine().stats().buffers;
     eprintln!(
         "tsg-serve: final stats: sessions={} dispatched={} completed={completed} \
-         failed={failed} backpressure_hints={} deferred={} drained={drained}",
+         failed={failed} backpressure_hints={} deferred={} drained={drained} \
+         pool_reused={} pool_fresh={} pool_high_water={}",
         s.sessions.len(),
         s.dispatched,
         s.backpressure_hints,
         s.deferred,
+        pool.reused,
+        pool.fresh,
+        pool.high_water_bytes,
     );
     drained
 }

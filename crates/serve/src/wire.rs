@@ -77,7 +77,7 @@ use std::time::Duration;
 
 use tilespgemm_core::{Config, Scheduling};
 use tsg_engine::json::{obj, parse, Value};
-use tsg_engine::{Engine, EngineError, JobReport, MatrixId, OpSpec};
+use tsg_engine::{Engine, EngineError, EngineStats, JobReport, MatrixId, OpSpec};
 use tsg_matrix::Coo;
 use tsg_runtime::observe::Counter;
 use tsg_runtime::{CollectingRecorder, SpanNode};
@@ -368,12 +368,9 @@ impl ServeSession {
         let mut members = vec![
             ("ok", Value::Bool(true)),
             ("profile", self.collector().is_some().into()),
-            (
-                "arena_high_water",
-                self.engine().stats().arena_high_water.into(),
-            ),
-            ("counters", counters_json(self.engine())),
         ];
+        members.extend(memory_json(&self.engine().stats()));
+        members.push(("counters", counters_json(self.engine())));
         if let Some(collector) = self.collector() {
             let jobs = collector
                 .jobs()
@@ -400,7 +397,7 @@ impl ServeSession {
         } else {
             0.0
         };
-        obj([
+        let mut members = vec![
             ("ok", true.into()),
             ("submitted", s.submitted.into()),
             ("admitted", s.admitted.into()),
@@ -424,11 +421,14 @@ impl ServeSession {
             ("cached_bytes", s.cached_bytes.into()),
             ("resident_bytes", s.resident_bytes.into()),
             ("device_bytes_in_use", s.device_bytes_in_use.into()),
-            ("arena_high_water", s.arena_high_water.into()),
+        ];
+        members.extend(memory_json(&s));
+        members.extend([
             ("profile", engine.collector().is_some().into()),
             ("counters", counters_json(engine)),
             ("serve", serve_stats_json(&self.scheduler.stats())),
-        ])
+        ]);
+        obj(members)
     }
 
     fn open_session(&self, req: &Value) -> Result<Value, WireError> {
@@ -927,6 +927,20 @@ fn error_response(code: &str, message: &str, cause: &[String]) -> Value {
         ("ok".to_string(), Value::Bool(false)),
         ("error".to_string(), Value::Obj(members)),
     ])
+}
+
+/// The shared pool's always-on figures: the scratch arenas' high-water
+/// mark, and the recycled job buffers' checkouts (reused and fresh), idle
+/// bytes and retention bound.
+fn memory_json(s: &EngineStats) -> [(&'static str, Value); 5] {
+    let b = &s.buffers;
+    [
+        ("arena_high_water", s.arena_high_water.into()),
+        ("pool_reused", b.reused.into()),
+        ("pool_fresh", b.fresh.into()),
+        ("pool_idle_bytes", b.idle_bytes.into()),
+        ("pool_high_water", b.high_water_bytes.into()),
+    ]
 }
 
 /// The engine's aggregated counter totals, keyed by the counters' stable
