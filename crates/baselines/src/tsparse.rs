@@ -100,7 +100,7 @@ pub fn multiply_tiled(
                     &b_cols,
                     ti,
                     tj,
-                    tilespgemm_core::IntersectionKind::Merge,
+                    tilespgemm_core::intersect::intersect_merge,
                     scratch,
                     pairs,
                 );

@@ -9,7 +9,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tilespgemm_core::{AccumulatorKind, Config, IntersectionKind};
+use tilespgemm_core::{AccumulatorKind, Config};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
 use tsg_runtime::MemTracker;
@@ -61,7 +61,6 @@ fn bench_accumulators(c: &mut Criterion) {
         ] {
             let cfg = Config::builder()
                 .tnnz_threshold(192)
-                .intersection(IntersectionKind::BinarySearch)
                 .accumulator(accumulator)
                 .build();
             group.bench_with_input(BenchmarkId::new(label, regime), operands, |b, (l, r)| {
@@ -72,7 +71,6 @@ fn bench_accumulators(c: &mut Criterion) {
         for tnnz in [64usize, 128, 192, 240] {
             let cfg = Config::builder()
                 .tnnz_threshold(tnnz)
-                .intersection(IntersectionKind::BinarySearch)
                 .accumulator(AccumulatorKind::Adaptive)
                 .build();
             group.bench_with_input(

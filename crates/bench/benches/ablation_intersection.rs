@@ -1,19 +1,15 @@
 //! Ablation of §3.3's set-intersection choice: the paper reports that
 //! binary search (with left-bound narrowing) beats the merge primitive for
-//! matching tile pairs; this bench reproduces the comparison — extended
-//! with the bitmap kernel and the adaptive per-tile selector — both on raw
-//! index lists and end-to-end.
+//! matching tile pairs; this bench reproduces the comparison on raw index
+//! lists. The end-to-end cost of the paper's intersection is the
+//! `pair_reuse=false` rows of `BENCH_pipeline.json`.
 //!
 //! ```text
 //! cargo bench -p tsg-bench --bench ablation_intersection
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tilespgemm_core::intersect::{intersect_bitmap, intersect_into, IntersectionKind};
-use tilespgemm_core::{AccumulatorKind, Config};
-use tsg_gen::suite::GenSpec;
-use tsg_matrix::{ListBitmaps, TileMatrix};
-use tsg_runtime::MemTracker;
+use tilespgemm_core::intersect::{intersect_binary_search, intersect_merge, MatchedPair};
 
 /// Sorted random list of `len` values below `universe`.
 fn sorted_list(len: usize, universe: u32, seed: u64) -> Vec<u32> {
@@ -32,75 +28,37 @@ fn sorted_list(len: usize, universe: u32, seed: u64) -> Vec<u32> {
     v
 }
 
+/// A list kernel, as `step2::matched_pairs` takes it.
+type Kernel = fn(&[u32], &[u32], &mut Vec<MatchedPair>);
+
 fn bench_raw_intersection(c: &mut Criterion) {
     let mut group = c.benchmark_group("intersect_raw");
+    let kernels: [(&str, Kernel); 2] = [
+        ("BinarySearch", intersect_binary_search),
+        ("Merge", intersect_merge),
+    ];
     // Asymmetric lists (the common tile-row vs tile-column case) and
     // symmetric ones.
     for (short, long) in [(8usize, 512usize), (64, 512), (256, 256)] {
         let a = sorted_list(short, 4096, 1);
         let b = sorted_list(long, 4096, 2);
-        for kind in [IntersectionKind::BinarySearch, IntersectionKind::Merge] {
+        for (name, kernel) in kernels {
             group.bench_with_input(
-                BenchmarkId::new(format!("{kind:?}"), format!("{short}x{long}")),
+                BenchmarkId::new(name, format!("{short}x{long}")),
                 &(a.clone(), b.clone()),
                 |bench, (a, b)| {
                     let mut out = Vec::new();
                     bench.iter(|| {
-                        intersect_into(kind, a, b, &mut out);
+                        out.clear();
+                        kernel(a, b, &mut out);
                         out.len()
                     });
                 },
             );
         }
-        // The bitmap kernel consumes pre-built sidecars (amortized over a
-        // whole pipeline run), so only the AND+rank walk is on the clock.
-        let a_map = ListBitmaps::from_csr(&[0, a.len()], &a, 4096);
-        let b_map = ListBitmaps::from_csr(&[0, b.len()], &b, 4096);
-        group.bench_with_input(
-            BenchmarkId::new("Bitmap", format!("{short}x{long}")),
-            &(a_map, b_map),
-            |bench, (a_map, b_map)| {
-                let (aw, ar) = a_map.list(0);
-                let (bw, br) = b_map.list(0);
-                let mut out = Vec::new();
-                bench.iter(|| {
-                    intersect_bitmap(aw, ar, bw, br, &mut out);
-                    out.len()
-                });
-            },
-        );
     }
     group.finish();
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let a = GenSpec::Rmat {
-        scale: 12,
-        edges: 25_000,
-        mild: false,
-        seed: 3,
-    }
-    .build();
-    let ta = TileMatrix::from_csr(&a);
-    let mut group = c.benchmark_group("intersect_end_to_end");
-    group.sample_size(10);
-    for kind in [
-        IntersectionKind::BinarySearch,
-        IntersectionKind::Merge,
-        IntersectionKind::Bitmap,
-        IntersectionKind::Adaptive,
-    ] {
-        let cfg = Config::builder()
-            .tnnz_threshold(192)
-            .intersection(kind)
-            .accumulator(AccumulatorKind::Adaptive)
-            .build();
-        group.bench_function(format!("{kind:?}"), |b| {
-            b.iter(|| tilespgemm_core::multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap());
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_raw_intersection, bench_end_to_end);
+criterion_group!(benches, bench_raw_intersection);
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Criterion counterpart of Figure 10: the TileSpGEMM pipeline end to end
 //! and its individual steps, on a FEM-class matrix — plus a machine-readable
 //! `BENCH_pipeline.json` at the workspace root comparing pair reuse against
-//! the paper's recompute path on an R-MAT/power-law suite, and measuring the
+//! the paper's recompute path on an R-MAT/power-law suite (medians of
+//! [`PIPELINE_RUNS`] runs, with their spread), and measuring the
 //! context-API (`SpGemm` + `NullRecorder`) overhead against the free
 //! function on the same matrices (the `"method":"ctx_overhead"` records).
 //!
@@ -13,68 +14,60 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use tilespgemm_core::step1::tile_structure_spgemm;
 use tilespgemm_core::{Config, SimdPolicy, SpGemm};
+use tsg_bench::{ms, pipeline_medians, PipelineMedians, PIPELINE_RUNS};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
-use tsg_runtime::{Breakdown, MemTracker};
+use tsg_runtime::MemTracker;
 
-/// One measured pipeline configuration, serialized into BENCH_pipeline.json.
-/// Every record runs the default per-tile scheduling; the row keeps its
-/// `"scheduling":"per-tile"` key for `perf_smoke`'s baseline lookup.
+/// One measured pipeline configuration, serialized into BENCH_pipeline.json:
+/// medians of [`PIPELINE_RUNS`] runs after a warm-up, with the wall time's
+/// spread and the host's core count. Every record runs the default per-tile
+/// scheduling; the row keeps its `"scheduling":"per-tile"` key for
+/// `perf_smoke`'s baseline lookup.
 struct Record {
     matrix: &'static str,
     pair_reuse: bool,
-    wall_ms: f64,
-    peak_bytes: usize,
-    breakdown: Breakdown,
-}
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+    m: PipelineMedians,
 }
 
 impl Record {
+    fn measure(ta: &TileMatrix<f64>, matrix: &'static str, pair_reuse: bool) -> Self {
+        let cfg = Config::builder().pair_reuse(pair_reuse).build();
+        Record {
+            matrix,
+            pair_reuse,
+            m: pipeline_medians(ta, &cfg),
+        }
+    }
+
     fn to_json(&self) -> String {
+        let m = &self.m;
+        let [step1, step2, step3, alloc] = m.steps_ms;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         format!(
             concat!(
                 "{{\"matrix\":\"{}\",\"method\":\"tilespgemm\",",
                 "\"scheduling\":\"per-tile\",\"pair_reuse\":{},",
                 "\"wall_ms\":{:.4},\"peak_bytes\":{},",
                 "\"step1_ms\":{:.4},\"step2_ms\":{:.4},",
-                "\"step3_ms\":{:.4},\"alloc_ms\":{:.4}}}"
+                "\"step3_ms\":{:.4},\"alloc_ms\":{:.4},",
+                "\"wall_ms_min\":{:.4},\"wall_ms_max\":{:.4},",
+                "\"runs\":{},\"cores\":{}}}"
             ),
             self.matrix,
             self.pair_reuse,
-            self.wall_ms,
-            self.peak_bytes,
-            ms(self.breakdown.step1),
-            ms(self.breakdown.step2),
-            ms(self.breakdown.step3),
-            ms(self.breakdown.alloc),
+            m.wall_ms,
+            m.peak_bytes,
+            step1,
+            step2,
+            step3,
+            alloc,
+            m.wall_ms_min,
+            m.wall_ms_max,
+            PIPELINE_RUNS,
+            cores,
         )
     }
-}
-
-/// Best-of-`reps` wall time (plus the matching breakdown and peak bytes)
-/// for one configuration, after one warmup run.
-fn measure(ta: &TileMatrix<f64>, matrix: &'static str, pair_reuse: bool, reps: usize) -> Record {
-    let cfg = Config::builder().pair_reuse(pair_reuse).build();
-    tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("warmup multiply");
-    let mut best: Option<Record> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("multiply");
-        let wall_ms = ms(t0.elapsed());
-        if best.as_ref().is_none_or(|b| wall_ms < b.wall_ms) {
-            best = Some(Record {
-                matrix,
-                pair_reuse,
-                wall_ms,
-                peak_bytes: out.peak_bytes,
-                breakdown: out.breakdown,
-            });
-        }
-    }
-    best.expect("reps >= 1")
 }
 
 /// Measures the context API against the free function on one matrix:
@@ -205,7 +198,7 @@ fn emit_bench_json() {
     let mut records = Vec::new();
     for &(name, ref ta) in &mats {
         for pair_reuse in [true, false] {
-            records.push(measure(ta, name, pair_reuse, 5));
+            records.push(Record::measure(ta, name, pair_reuse));
         }
     }
     let mut body: Vec<String> = records
@@ -240,8 +233,15 @@ fn emit_bench_json() {
     println!("wrote {path} ({} records)", records.len());
     for r in &records {
         println!(
-            "  {:<14} reuse={:<5} {:>9.3} ms (peak {} B)",
-            r.matrix, r.pair_reuse, r.wall_ms, r.peak_bytes
+            "  {:<14} reuse={:<5} {:>9.3} ms [{:.3}–{:.3}] (step2 {:.3}, step3 {:.3}; peak {} B)",
+            r.matrix,
+            r.pair_reuse,
+            r.m.wall_ms,
+            r.m.wall_ms_min,
+            r.m.wall_ms_max,
+            r.m.steps_ms[1],
+            r.m.steps_ms[2],
+            r.m.peak_bytes
         );
     }
 }

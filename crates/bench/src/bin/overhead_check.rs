@@ -16,6 +16,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use tilespgemm_core::{Config, SpGemm};
+use tsg_bench::{median, ms};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
 use tsg_runtime::MemTracker;
@@ -25,10 +26,6 @@ const GATE_PCT: f64 = 5.0;
 
 /// Timed pairs per matrix.
 const PAIRS: usize = 21;
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
 
 /// Median overhead of `ctx.multiply` over the free function on one matrix
 /// across `pairs` paired runs, after verifying the two paths produce
@@ -64,8 +61,7 @@ fn overhead_pct(ta: &TileMatrix<f64>, pairs: usize) -> f64 {
             ctx / free
         })
         .collect();
-    ratios.sort_by(f64::total_cmp);
-    (ratios[pairs / 2] - 1.0) * 100.0
+    (median(&mut ratios) - 1.0) * 100.0
 }
 
 fn main() -> ExitCode {

@@ -1,9 +1,11 @@
 //! CI perf-smoke gate for the step-2/step-3 hot path.
 //!
-//! Runs the default pipeline (adaptive intersection, pair reuse, per-tile
+//! Runs the default pipeline (row pass with pair reuse, per-tile
 //! scheduling) on the webbase-like R-MAT matrix `BENCH_pipeline.json` was
-//! measured on, takes the best-of-N step2+step3 time, and fails (exit 1)
-//! when it regresses more than [`GATE_PCT`] over the committed baseline row
+//! measured on, [`PIPELINE_RUNS`] times after a warm-up — the runs behind
+//! each committed row — and takes the median step 2 and the median step 3.
+//! It fails (exit 1) when step2+step3, or step 3 alone, regresses more than
+//! [`GATE_PCT`] over the committed baseline row's medians
 //! (`matrix=webbase-like, scheduling=per-tile, pair_reuse=true`). A fresh
 //! machine-readable record is written to `target/perf_smoke.json` for CI to
 //! upload next to the committed baseline.
@@ -13,25 +15,16 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use tilespgemm_core::Config;
+use tsg_bench::{pipeline_medians, PIPELINE_RUNS};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
-use tsg_runtime::MemTracker;
 
 /// Allowed step2+step3 regression over the committed baseline, in percent.
-/// Wall-clock minima on shared runners still jitter at the several-percent
-/// level, so the gate is looser than the ~0% target.
+/// Medians on shared runners still jitter at the several-percent level, so
+/// the gate is looser than the ~0% target.
 const GATE_PCT: f64 = 10.0;
-
-/// Repetitions; the gate compares per-step minima, which stabilize faster
-/// than whole-run wall times.
-const REPS: usize = 7;
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
 
 /// Extracts `"key":<number>` from a JSON fragment (crude, but the baseline
 /// file is machine-written by `tile_pipeline.rs` with a fixed shape).
@@ -66,20 +59,9 @@ fn main() -> ExitCode {
     }
     .build();
     let ta = TileMatrix::from_csr(&a);
-    let cfg = Config::default();
-    tilespgemm_core::multiply(&ta, &ta, &cfg, &MemTracker::new()).expect("warmup");
-
-    let (mut best2, mut best3, mut best_wall) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut peak_bytes = 0usize;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let out = tilespgemm_core::multiply(&ta, &ta, &cfg, &MemTracker::new()).expect("multiply");
-        best_wall = best_wall.min(ms(t0.elapsed()));
-        best2 = best2.min(ms(out.breakdown.step2));
-        best3 = best3.min(ms(out.breakdown.step3));
-        peak_bytes = out.peak_bytes;
-    }
-    let fresh = best2 + best3;
+    let m = pipeline_medians(&ta, &Config::default());
+    let (step2, step3, wall, peak_bytes) = (m.steps_ms[1], m.steps_ms[2], m.wall_ms, m.peak_bytes);
+    let fresh = step2 + step3;
 
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     let json = std::fs::read_to_string(baseline_path).expect("read committed BENCH_pipeline.json");
@@ -88,16 +70,19 @@ fn main() -> ExitCode {
     let baseline = field(row, "step2_ms").expect("baseline step2_ms") + baseline3;
 
     let delta_pct = (fresh - baseline) / baseline * 100.0;
-    let delta3_pct = (best3 - baseline3) / baseline3 * 100.0;
+    let delta3_pct = (step3 - baseline3) / baseline3 * 100.0;
     println!(
         "perf_smoke: webbase-like step2+step3 {fresh:.1} ms vs baseline {baseline:.1} ms \
          ({delta_pct:+.1}%, gate +{GATE_PCT}%)"
     );
     println!(
-        "perf_smoke: webbase-like step3 alone {best3:.1} ms vs baseline {baseline3:.1} ms \
+        "perf_smoke: webbase-like step3 alone {step3:.1} ms vs baseline {baseline3:.1} ms \
          ({delta3_pct:+.1}%, gate +{GATE_PCT}%)"
     );
-    println!("  step2 {best2:.1} ms | step3 {best3:.1} ms | wall {best_wall:.1} ms | peak {peak_bytes} B");
+    println!(
+        "  medians of {PIPELINE_RUNS} runs: step2 {step2:.1} ms | step3 {step3:.1} ms | \
+         wall {wall:.1} ms | peak {peak_bytes} B"
+    );
 
     let record = format!(
         concat!(
@@ -106,7 +91,7 @@ fn main() -> ExitCode {
             "\"peak_bytes\":{},\"baseline_step23_ms\":{:.4},\"delta_pct\":{:.2},",
             "\"baseline_step3_ms\":{:.4},\"delta3_pct\":{:.2}}}\n"
         ),
-        best2, best3, best_wall, peak_bytes, baseline, delta_pct, baseline3, delta3_pct
+        step2, step3, wall, peak_bytes, baseline, delta_pct, baseline3, delta3_pct
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf_smoke.json");
     if let Some(dir) = std::path::Path::new(out_path).parent() {

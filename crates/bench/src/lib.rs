@@ -24,6 +24,7 @@
 pub mod plot;
 
 use std::time::Duration;
+use tilespgemm_core::Config;
 use tsg_baselines::{MethodKind, PreparedOperands};
 use tsg_gen::DatasetEntry;
 use tsg_matrix::Csr;
@@ -222,6 +223,60 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// Timed runs, after one warm-up, behind each `"method":"tilespgemm"` row
+/// of `BENCH_pipeline.json` and behind `perf_smoke`'s reading of it.
+pub const PIPELINE_RUNS: usize = 9;
+
+/// The median of `values` (the upper middle one of an even count). Sorts
+/// `values` in place; panics on an empty slice.
+pub fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// What [`pipeline_medians`] measures, in ms unless named otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineMedians {
+    /// Median wall time.
+    pub wall_ms: f64,
+    /// Fastest wall time.
+    pub wall_ms_min: f64,
+    /// Slowest wall time.
+    pub wall_ms_max: f64,
+    /// Median step 1, step 2, step 3 and allocation times, each on its own.
+    pub steps_ms: [f64; 4],
+    /// Tracked peak bytes of the last run.
+    pub peak_bytes: usize,
+}
+
+/// Times `a·a` under `config`: one warm-up run, then [`PIPELINE_RUNS`]
+/// timed ones. Both a `BENCH_pipeline.json` row and `perf_smoke` come from
+/// here, so the gate reads the statistic the row records.
+pub fn pipeline_medians(a: &tsg_matrix::TileMatrix<f64>, config: &Config) -> PipelineMedians {
+    let run = || tilespgemm_core::multiply(a, a, config, &MemTracker::new()).expect("multiply");
+    run();
+    let mut walls = Vec::with_capacity(PIPELINE_RUNS);
+    let mut steps: [Vec<f64>; 4] = Default::default();
+    let mut peak_bytes = 0;
+    for _ in 0..PIPELINE_RUNS {
+        let t0 = std::time::Instant::now();
+        let out = run();
+        walls.push(ms(t0.elapsed()));
+        let b = &out.breakdown;
+        for (times, step) in steps.iter_mut().zip([b.step1, b.step2, b.step3, b.alloc]) {
+            times.push(ms(step));
+        }
+        peak_bytes = out.peak_bytes;
+    }
+    PipelineMedians {
+        wall_ms: median(&mut walls),
+        wall_ms_min: walls[0],
+        wall_ms_max: walls[PIPELINE_RUNS - 1],
+        steps_ms: steps.map(|mut times| median(&mut times)),
+        peak_bytes,
+    }
+}
+
 /// Section banner for figure binaries.
 pub fn banner(title: &str) {
     println!();
@@ -231,6 +286,12 @@ pub fn banner(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_takes_the_middle_run() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+    }
 
     #[test]
     fn gflops_basic() {

@@ -6,7 +6,7 @@
 //!
 //! * **Bitwise tier** — the tiled pipeline under every knob that must not
 //!   change a single bit of the output: scheduling × pair-reuse ×
-//!   intersection strategy × recorder. These variants reorder *scheduling*,
+//!   recorder. These variants reorder *scheduling*,
 //!   never the per-tile arithmetic, so their tiled outputs are compared for
 //!   exact equality against the default-config run.
 //! * **Value tier** — knobs and methods that legitimately reorder the float
@@ -25,7 +25,7 @@
 
 use tilespgemm_core::{
     multiply, multiply_csr, multiply_csr_with, multiply_masked, AccumulatorKind, Config,
-    IntersectionKind, Scheduling, SimdPolicy,
+    Scheduling, SimdPolicy,
 };
 use tsg_baselines::reference::reference_spgemm;
 use tsg_baselines::{run_method, MethodKind};
@@ -176,31 +176,23 @@ pub fn check_configs(
     compare_csr(&pivot.to_csr(), &gold, policy).map_err(|m| fail("tile[default]", m))?;
     let mut checked = 1;
 
-    // Bitwise tier: scheduling × pair-reuse × intersection never touch the
-    // per-tile arithmetic order, so the tiled product must be identical.
+    // Bitwise tier: scheduling × pair-reuse never touch the per-tile
+    // arithmetic order, so the tiled product must be identical.
     for scheduling in SCHEDULINGS {
         for pair_reuse in [true, false] {
-            for intersection in [
-                IntersectionKind::BinarySearch,
-                IntersectionKind::Merge,
-                IntersectionKind::Bitmap,
-                IntersectionKind::Adaptive,
-            ] {
-                let variant = format!(
-                    "tile[sched={scheduling:?},reuse={},isect={intersection:?}]",
-                    if pair_reuse { "on" } else { "off" }
-                );
-                let cfg = Config::builder()
-                    .scheduling(scheduling)
-                    .pair_reuse(pair_reuse)
-                    .intersection(intersection)
-                    .build();
-                let out = run_tile(&variant, a, b, &cfg)?;
-                if out.c != pivot.c {
-                    return Err(not_identical(variant, "the default run"));
-                }
-                checked += 1;
+            let variant = format!(
+                "tile[sched={scheduling:?},reuse={}]",
+                if pair_reuse { "on" } else { "off" }
+            );
+            let cfg = Config::builder()
+                .scheduling(scheduling)
+                .pair_reuse(pair_reuse)
+                .build();
+            let out = run_tile(&variant, a, b, &cfg)?;
+            if out.c != pivot.c {
+                return Err(not_identical(variant, "the default run"));
             }
+            checked += 1;
         }
     }
 

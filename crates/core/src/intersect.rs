@@ -3,123 +3,24 @@
 //! For a tile `C_ij`, the tiles of `A`'s tile row `i` and `B`'s tile column
 //! `j` must be matched by index: `A_ik` pairs with `B_kj`. Both index lists
 //! are sorted, so this is sorted-set intersection. The paper evaluates two
-//! strategies and picks binary search; this module adds two more beyond the
-//! paper (DESIGN.md §11):
+//! strategies and picks binary search (DESIGN.md §11):
 //!
 //! * [`intersect_binary_search`] — each element of the *shorter* list is
 //!   binary-searched in the longer one; after a hit, the next search's left
 //!   bound starts just past the hit (the "narrowing" the paper describes
-//!   with its `tilecolidx_A` example).
-//! * [`intersect_merge`] — the classic two-pointer merge, kept as the
-//!   ablation baseline (`ablation_intersection` bench).
-//! * [`intersect_bitmap`] — word-wise AND over the
-//!   [`tsg_matrix::ListBitmaps`] sidecar with `trailing_zeros` iteration;
-//!   list positions are recovered by rank-by-popcount. Cost is independent
-//!   of the list lengths, which makes it the winner on dense tile rows.
-//! * [`IntersectionKind::Adaptive`] — picks one of the three per tile from
-//!   the list lengths and the bitmap width via [`adaptive_choice`].
+//!   with its `tilecolidx_A` example). The paper path's kernel.
+//! * [`intersect_merge`] — the classic two-pointer merge, kept for the
+//!   tSparse baseline and the `ablation_intersection` bench.
 //!
-//! Every kernel emits the same pair list in the same (ascending-value)
-//! order, so the choice is bitwise-invisible in the product — the
-//! `tsg-check` oracle pins this across its whole corpus.
-
-/// Which intersection kernel step 2 and step 3 use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntersectionKind {
-    /// Binary-search the shorter list into the longer one (paper default).
-    BinarySearch,
-    /// Two-pointer merge.
-    Merge,
-    /// Word-wise AND over per-list bitmaps with rank-by-popcount position
-    /// recovery. Falls back to [`Self::BinarySearch`] when the pipeline
-    /// skipped building the sidecar (see `resolve_kind`).
-    Bitmap,
-    /// Per-tile choice among the three concrete kernels by the cost model
-    /// in [`adaptive_choice`].
-    Adaptive,
-}
+//! Both append the same pair list in the same (ascending-value) order, so
+//! the choice is bitwise-invisible in the product.
 
 /// A matched tile pair: positions into the two index lists.
 pub type MatchedPair = (u32, u32);
 
-/// Relative cost of touching one bitmap word versus advancing one list
-/// element: an AND plus a zero test per word, and two popcounts per hit.
-/// Calibrated on the `ablation_intersection` bench; see DESIGN.md §11.
-const BITMAP_WORD_COST: usize = 2;
-
-/// The deterministic per-tile kernel choice for
-/// [`IntersectionKind::Adaptive`]: compares the model costs
-///
-/// * merge — `la + lb` advances,
-/// * binary search — `min` probes of `ceil(log2(max) + 1)` steps,
-/// * bitmap — `words × BITMAP_WORD_COST` (when a sidecar exists),
-///
-/// and returns the cheapest (ties prefer binary search, then merge). A pure
-/// function of `(la, lb, bitmap_words)`, so instrumentation can replay the
-/// choice outside the hot loop.
-pub fn adaptive_choice(la: usize, lb: usize, bitmap_words: Option<usize>) -> IntersectionKind {
-    if la == 0 || lb == 0 {
-        return IntersectionKind::BinarySearch;
-    }
-    let (short, long) = if la <= lb { (la, lb) } else { (lb, la) };
-    let merge = la + lb;
-    let bsearch = short * (usize::BITS - long.leading_zeros()) as usize;
-    let bitmap = bitmap_words.map(|w| w * BITMAP_WORD_COST);
-    if let Some(bitmap) = bitmap {
-        if bitmap < bsearch && bitmap < merge {
-            return IntersectionKind::Bitmap;
-        }
-    }
-    if bsearch <= merge {
-        IntersectionKind::BinarySearch
-    } else {
-        IntersectionKind::Merge
-    }
-}
-
-/// Resolves a configured kind to the concrete kernel for one tile:
-/// [`IntersectionKind::Adaptive`] goes through [`adaptive_choice`], and
-/// [`IntersectionKind::Bitmap`] degrades to binary search when no sidecar
-/// was built (`bitmap_words == None`). Never returns `Adaptive`, and
-/// returns `Bitmap` only when `bitmap_words` is `Some`.
-pub fn resolve_kind(
-    kind: IntersectionKind,
-    la: usize,
-    lb: usize,
-    bitmap_words: Option<usize>,
-) -> IntersectionKind {
-    match kind {
-        IntersectionKind::BinarySearch | IntersectionKind::Merge => kind,
-        IntersectionKind::Bitmap => {
-            if bitmap_words.is_some() {
-                IntersectionKind::Bitmap
-            } else {
-                IntersectionKind::BinarySearch
-            }
-        }
-        IntersectionKind::Adaptive => adaptive_choice(la, lb, bitmap_words),
-    }
-}
-
-/// Intersects `a` and `b` (both strictly ascending), pushing `(pos_a,
-/// pos_b)` pairs for every common value, using the configured kernel.
-///
-/// This list-only entry point has no bitmap sidecar, so
-/// [`IntersectionKind::Bitmap`]/[`IntersectionKind::Adaptive`] resolve to a
-/// list kernel; the pipeline dispatches bitmaps itself through
-/// [`crate::step2::matched_pairs_with`].
-pub fn intersect_into(kind: IntersectionKind, a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
-    out.clear();
-    match resolve_kind(kind, a.len(), b.len(), None) {
-        IntersectionKind::BinarySearch => intersect_binary_search(a, b, out),
-        IntersectionKind::Merge => intersect_merge(a, b, out),
-        IntersectionKind::Bitmap | IntersectionKind::Adaptive => {
-            unreachable!("resolve_kind without a sidecar yields a list kernel")
-        }
-    }
-}
-
-/// Binary-search intersection with left-bound narrowing.
+/// Binary-search intersection with left-bound narrowing: appends `(pos_a,
+/// pos_b)` for every value common to `a` and `b` (both strictly
+/// ascending).
 pub fn intersect_binary_search(a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
     // Search each element of the shorter array within the longer one, as the
     // paper's Algorithm 2 does (lines 6 and 16–17 swap the roles).
@@ -156,7 +57,8 @@ fn search_short_in_long(short: &[u32], long: &[u32], out: &mut Vec<MatchedPair>,
     }
 }
 
-/// Two-pointer merge intersection.
+/// Two-pointer merge intersection: appends the same pairs as
+/// [`intersect_binary_search`], in the same order.
 pub fn intersect_merge(a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
     let (mut p, mut q) = (0usize, 0usize);
     while p < a.len() && q < b.len() {
@@ -172,59 +74,17 @@ pub fn intersect_merge(a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
     }
 }
 
-/// Bitmap intersection over two lists' [`tsg_matrix::ListBitmaps`] rows:
-/// `(a_words, a_rank)` and `(b_words, b_rank)` are the membership words and
-/// exclusive prefix popcounts of the two lists (equal length). Common values
-/// survive the word-wise AND; each survivor's positions in the *lists* are
-/// recovered as `rank[word] + popcount(word_bits_below_it)`. Output order is
-/// ascending by value — identical to the list kernels'.
-pub fn intersect_bitmap(
-    a_words: &[u64],
-    a_rank: &[u32],
-    b_words: &[u64],
-    b_rank: &[u32],
-    out: &mut Vec<MatchedPair>,
-) {
-    out.clear();
-    debug_assert_eq!(a_words.len(), b_words.len());
-    for (w, (&aw, &bw)) in a_words.iter().zip(b_words.iter()).enumerate() {
-        let mut common = aw & bw;
-        if common == 0 {
-            continue;
-        }
-        let (ra, rb) = (a_rank[w], b_rank[w]);
-        while common != 0 {
-            let bit = common.trailing_zeros();
-            out.push((
-                ra + crate::maskops::rank64(aw, bit) as u32,
-                rb + crate::maskops::rank64(bw, bit) as u32,
-            ));
-            common &= common - 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsg_matrix::ListBitmaps;
 
-    fn run(kind: IntersectionKind, a: &[u32], b: &[u32]) -> Vec<MatchedPair> {
+    fn run(
+        kernel: fn(&[u32], &[u32], &mut Vec<MatchedPair>),
+        a: &[u32],
+        b: &[u32],
+    ) -> Vec<MatchedPair> {
         let mut out = Vec::new();
-        intersect_into(kind, a, b, &mut out);
-        out
-    }
-
-    /// Bitmap intersection of two plain lists via a throwaway sidecar.
-    fn run_bitmap(a: &[u32], b: &[u32]) -> Vec<MatchedPair> {
-        let universe = a.iter().chain(b).max().map_or(1, |&m| m as usize + 1);
-        let mut idx = a.to_vec();
-        idx.extend_from_slice(b);
-        let bm = ListBitmaps::from_csr(&[0, a.len(), a.len() + b.len()], &idx, universe);
-        let (aw, ar) = bm.list(0);
-        let (bw, br) = bm.list(1);
-        let mut out = vec![(9u32, 9u32)]; // must be cleared
-        intersect_bitmap(aw, ar, bw, br, &mut out);
+        kernel(a, b, &mut out);
         out
     }
 
@@ -233,16 +93,13 @@ mod tests {
         // Figure 4: tile row A1* has columns {0, 1, 3}, tile column B*2 has
         // rows {1, 3}; the intersection is {1, 3} — pairs A11·B12 and
         // A13·B32.
-        let a = [0u32, 1, 3];
-        let b = [1u32, 3];
-        let pairs = run(IntersectionKind::BinarySearch, &a, &b);
+        let pairs = run(intersect_binary_search, &[0, 1, 3], &[1, 3]);
         // Positions: value 1 sits at a[1]/b[0], value 3 at a[2]/b[1].
         assert_eq!(pairs, vec![(1, 0), (2, 1)]);
-        assert_eq!(run_bitmap(&a, &b), pairs);
     }
 
     #[test]
-    fn all_kernels_agree_on_many_inputs() {
+    fn both_kernels_agree_on_many_inputs() {
         let mut state = 12345u64;
         let mut next = move || {
             state ^= state << 13;
@@ -251,8 +108,7 @@ mod tests {
             state
         };
         for round in 0..200 {
-            // Mix small universes (dense lists, multi-hit words) with wide
-            // ones (sparse bitmaps spanning several words).
+            // Mix small universes (dense lists, many hits) with wide ones.
             let bound = [40u64, 70, 500][round % 3];
             let la = (next() % 20) as usize;
             let lb = (next() % 20) as usize;
@@ -262,11 +118,8 @@ mod tests {
             a.dedup();
             b.sort_unstable();
             b.dedup();
-            let bs = run(IntersectionKind::BinarySearch, &a, &b);
-            let mg = run(IntersectionKind::Merge, &a, &b);
-            let bm = run_bitmap(&a, &b);
-            assert_eq!(bs, mg, "a={a:?} b={b:?}");
-            assert_eq!(bs, bm, "a={a:?} b={b:?}");
+            let bs = run(intersect_binary_search, &a, &b);
+            assert_eq!(bs, run(intersect_merge, &a, &b), "a={a:?} b={b:?}");
             // And every reported pair is a real match.
             for (pa, pb) in bs {
                 assert_eq!(a[pa as usize], b[pb as usize]);
@@ -276,98 +129,36 @@ mod tests {
 
     #[test]
     fn empty_and_disjoint_inputs() {
-        assert!(run(IntersectionKind::BinarySearch, &[], &[1, 2]).is_empty());
-        assert!(run(IntersectionKind::BinarySearch, &[3], &[]).is_empty());
-        assert!(run(IntersectionKind::Merge, &[1, 3, 5], &[0, 2, 4]).is_empty());
-        assert!(run(IntersectionKind::BinarySearch, &[1, 3, 5], &[0, 2, 4]).is_empty());
-        assert!(run_bitmap(&[1, 3, 5], &[0, 2, 4]).is_empty());
+        assert!(run(intersect_binary_search, &[], &[1, 2]).is_empty());
+        assert!(run(intersect_binary_search, &[3], &[]).is_empty());
+        assert!(run(intersect_merge, &[1, 3, 5], &[0, 2, 4]).is_empty());
+        assert!(run(intersect_binary_search, &[1, 3, 5], &[0, 2, 4]).is_empty());
     }
 
     #[test]
     fn identical_lists_match_elementwise() {
         let v: Vec<u32> = (0..50).map(|i| i * 3).collect();
-        let pairs = run(IntersectionKind::BinarySearch, &v, &v);
+        let pairs = run(intersect_binary_search, &v, &v);
         assert_eq!(pairs.len(), 50);
         assert!(pairs
             .iter()
             .enumerate()
             .all(|(i, &(a, b))| a as usize == i && b as usize == i));
-        assert_eq!(run_bitmap(&v, &v), pairs);
     }
 
     #[test]
     fn swapped_roles_report_positions_in_original_order() {
         // a longer than b: the kernel searches b in a but must still report
         // (pos_in_a, pos_in_b).
-        let a = [1u32, 4, 6, 9, 12, 15];
-        let b = [6u32, 15];
-        let pairs = run(IntersectionKind::BinarySearch, &a, &b);
+        let pairs = run(intersect_binary_search, &[1, 4, 6, 9, 12, 15], &[6, 15]);
         assert_eq!(pairs, vec![(2, 0), (5, 1)]);
-        assert_eq!(run_bitmap(&a, &b), pairs);
     }
 
     #[test]
-    fn intersect_into_clears_previous_contents() {
+    fn kernels_append_to_existing_contents() {
         let mut out = vec![(9u32, 9u32)];
-        intersect_into(IntersectionKind::Merge, &[1], &[1], &mut out);
-        assert_eq!(out, vec![(0, 0)]);
-    }
-
-    #[test]
-    fn intersect_into_resolves_sidecar_kinds_to_list_kernels() {
-        let a = [0u32, 2, 5, 9];
-        let b = [2u32, 9, 11];
-        let want = run(IntersectionKind::Merge, &a, &b);
-        assert_eq!(run(IntersectionKind::Bitmap, &a, &b), want);
-        assert_eq!(run(IntersectionKind::Adaptive, &a, &b), want);
-    }
-
-    #[test]
-    fn adaptive_choice_follows_the_cost_model() {
-        // Tiny lists: binary search beats a 16-word bitmap pass.
-        assert_eq!(
-            adaptive_choice(2, 3, Some(16)),
-            IntersectionKind::BinarySearch
-        );
-        // Two long lists: the fixed-cost bitmap wins.
-        assert_eq!(
-            adaptive_choice(200, 300, Some(16)),
-            IntersectionKind::Bitmap
-        );
-        // Comparable long lists without a sidecar: merge beats log-factor
-        // binary search.
-        assert_eq!(adaptive_choice(100, 110, None), IntersectionKind::Merge);
-        // Empty list: trivially binary search (cost 0).
-        assert_eq!(
-            adaptive_choice(0, 50, Some(1)),
-            IntersectionKind::BinarySearch
-        );
-        // Never returns Adaptive, and Bitmap only with a sidecar.
-        for la in 0..40 {
-            for lb in 0..40 {
-                for words in [None, Some(1), Some(8), Some(64)] {
-                    let k = adaptive_choice(la, lb, words);
-                    assert_ne!(k, IntersectionKind::Adaptive);
-                    assert!(words.is_some() || k != IntersectionKind::Bitmap);
-                    assert_eq!(k, resolve_kind(IntersectionKind::Adaptive, la, lb, words));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resolve_kind_degrades_bitmap_without_sidecar() {
-        assert_eq!(
-            resolve_kind(IntersectionKind::Bitmap, 5, 5, None),
-            IntersectionKind::BinarySearch
-        );
-        assert_eq!(
-            resolve_kind(IntersectionKind::Bitmap, 5, 5, Some(4)),
-            IntersectionKind::Bitmap
-        );
-        assert_eq!(
-            resolve_kind(IntersectionKind::Merge, 5, 5, Some(4)),
-            IntersectionKind::Merge
-        );
+        intersect_binary_search(&[1], &[1], &mut out);
+        intersect_merge(&[1], &[1], &mut out);
+        assert_eq!(out, vec![(9, 9), (0, 0), (0, 0)]);
     }
 }

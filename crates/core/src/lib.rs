@@ -54,7 +54,6 @@ pub mod step3;
 pub use add::add;
 pub use context::{SpGemm, SpGemmBuilder};
 pub use convert::{timed_csr_to_tile, ConversionTiming};
-pub use intersect::IntersectionKind;
 pub use pipeline::{
     multiply, multiply_csr, multiply_csr_with, multiply_masked, multiply_with, multiply_with_pool,
     recycle, Output,
@@ -63,8 +62,12 @@ pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};
 pub use step3::AccumulatorKind;
 
-/// Tuning knobs of the algorithm. `Config::default()` is the paper's
-/// configuration; the other variants exist for the ablation benches.
+/// Tuning knobs of the algorithm. `Config::default()` keeps the paper's
+/// values except two bitwise-invisible departures: the row pass
+/// ([`Config::pair_reuse`]) and the SIMD step-3 kernels
+/// ([`Config::simd`]). The other variants exist for the ablation benches;
+/// `pair_reuse(false)` is the paper's algorithm, binary-search
+/// intersection and all.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`Config::default`] or [`Config::builder`], so future knobs are not
@@ -84,14 +87,6 @@ pub struct Config {
     /// Sparse/dense accumulator switch-over: tiles with more stored nonzeros
     /// than this use the dense accumulator. The paper sets 192 (75% of 256).
     pub tnnz_threshold: usize,
-    /// Set-intersection strategy of the paper's per-tile intersection in
-    /// steps 2 and 3, which runs only with [`Config::pair_reuse`] off (the
-    /// default row pass runs no intersection). The paper fixes binary
-    /// search (which it found faster than merging); the default here is
-    /// [`IntersectionKind::Adaptive`], which picks binary search, merge, or
-    /// the bitmap kernel per tile from list lengths and sidecar density.
-    /// Set [`IntersectionKind::BinarySearch`] for the paper-faithful kernel.
-    pub intersection: IntersectionKind,
     /// Accumulator policy for step 3 (paper: adaptive).
     pub accumulator: AccumulatorKind,
     /// Task granularity for steps 2 and 3 (paper: one warp per tile; the
@@ -102,8 +97,9 @@ pub struct Config {
     /// ([`step2::row_pass`]) and hand them to step 3 as flat per-tile
     /// lists, instead of intersecting `A`'s tile row with `B`'s tile column
     /// per tile in step 2 and again in step 3 as the paper's kernels do.
-    /// On by default and bitwise identical; turn off to get the
-    /// paper-faithful per-tile intersection for ablation benches.
+    /// On by default and bitwise identical; turn off to get the paper's
+    /// per-tile binary-search intersection (its Figure-10 reference) for
+    /// ablation benches.
     pub pair_reuse: bool,
     /// Step-3 numeric-kernel policy (see [`crate::simd`]): runtime-detected
     /// vector kernels under `Auto` (default), or the pinned scalar
@@ -115,7 +111,6 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             tnnz_threshold: 192,
-            intersection: IntersectionKind::Adaptive,
             accumulator: AccumulatorKind::Adaptive,
             scheduling: Scheduling::PerTile,
             pair_reuse: true,
@@ -141,12 +136,6 @@ impl ConfigBuilder {
     /// Sets the sparse/dense accumulator switch-over (paper: 192).
     pub fn tnnz_threshold(mut self, v: usize) -> Self {
         self.config.tnnz_threshold = v;
-        self
-    }
-
-    /// Sets the step-2 set-intersection strategy.
-    pub fn intersection(mut self, v: IntersectionKind) -> Self {
-        self.config.intersection = v;
         self
     }
 
@@ -256,15 +245,13 @@ mod tests {
     fn default_config_is_the_papers() {
         let c = Config::default();
         assert_eq!(c.tnnz_threshold, 192);
-        // Two deliberate departures from the paper (DESIGN.md §7, §11):
-        // step 2 finds each tile's pairs by a row pass whose lists step 3
-        // reuses, and the paper path's intersection kernel is chosen
-        // adaptively per tile. Both are bitwise-invisible in the output.
-        assert_eq!(c.intersection, IntersectionKind::Adaptive);
+        // A deliberate departure from the paper (DESIGN.md §7): step 2
+        // finds each tile's pairs by a row pass whose lists step 3 reuses.
+        // It is bitwise-invisible in the output.
         assert_eq!(c.accumulator, AccumulatorKind::Adaptive);
         assert_eq!(c.scheduling, Scheduling::PerTile);
         assert!(c.pair_reuse);
-        // Third bitwise-invisible departure (DESIGN.md §15): the numeric
+        // Second bitwise-invisible departure (DESIGN.md §15): the numeric
         // kernels dispatch to runtime-detected SIMD lanes by default.
         assert_eq!(c.simd, SimdPolicy::Auto);
     }
@@ -279,7 +266,6 @@ mod tests {
         assert!(!cfg.pair_reuse);
         // Everything unset keeps the paper defaults.
         assert_eq!(cfg.tnnz_threshold, 192);
-        assert_eq!(cfg.intersection, IntersectionKind::Adaptive);
         assert_eq!(cfg.accumulator, AccumulatorKind::Adaptive);
         assert_eq!(Config::builder().build(), Config::default());
     }

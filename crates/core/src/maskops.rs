@@ -1,6 +1,6 @@
 //! Shared mask algebra for 16×16 tiles — the single source of truth for the
-//! OR/AND/popcount/rank operations that step 2 (masked or not), step 3 and
-//! the bitmap intersection all build on.
+//! OR/AND/popcount/rank operations that step 2 (masked or not) and step 3
+//! build on.
 //!
 //! Every helper here is pure integer work, so the SIMD variants (dispatched
 //! by [`crate::simd::SimdLevel`]) are exactly identical to the scalar ones —
@@ -17,13 +17,6 @@ use crate::simd::SimdLevel;
 #[inline(always)]
 pub fn rank16(mask: u16, k: u32) -> usize {
     (mask & ((1u16 << k) - 1)).count_ones() as usize
-}
-
-/// Rank of `bit` within a 64-bit bitmap word — the same query the bitmap
-/// intersection kernel uses to recover list positions.
-#[inline(always)]
-pub fn rank64(word: u64, bit: u32) -> usize {
-    (word & ((1u64 << bit) - 1)).count_ones() as usize
 }
 
 /// Local row pointers and nonzero count from a tile's row masks — the
@@ -289,12 +282,6 @@ mod tests {
         assert_eq!(rank16(0b1011, 1), 1);
         assert_eq!(rank16(0b1011, 3), 2);
         assert_eq!(rank16(0xFFFF, 15), 15);
-    }
-
-    #[test]
-    fn rank64_counts_bits_below() {
-        assert_eq!(rank64(0b101, 2), 1);
-        assert_eq!(rank64(u64::MAX, 63), 63);
     }
 
     #[test]

@@ -5,15 +5,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::convert::{timed_csr_to_tile, ConversionTiming};
-use crate::intersect::{resolve_kind, IntersectionKind};
+use crate::intersect::intersect_binary_search;
 use crate::maskops;
 use crate::simd::{self, Kernel};
 use crate::step1::{live_tile_structure, masked_pair_ptr, Occupancy, TilePattern};
-use crate::step2::{self, matched_pairs_with, symbolic_tile};
+use crate::step2::{self, matched_pairs, symbolic_tile};
 use crate::{Config, Scheduling, SpGemmError};
 
 use rayon::prelude::*;
-use tsg_matrix::{Csr, ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
+use tsg_matrix::{Csr, Scalar, TileColIndex, TileMatrix, TILE_DIM};
 use tsg_runtime::arena::Scratch;
 use tsg_runtime::observe::{Counter, NullRecorder, Recorder};
 use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, ScratchPool, ScratchSizes, Step};
@@ -50,55 +50,22 @@ impl<T: Scalar> Output<T> {
     }
 }
 
-/// Footprint cap for the bitmap intersection sidecars: when
-/// [`ListBitmaps::bytes_for`] over both operands exceeds this, the sidecars
-/// are skipped and `Bitmap`/`Adaptive` degrade to the list kernels. The cap
-/// bounds the sidecar to a small fraction of any realistic operand set
-/// while admitting every matrix in the evaluation suite (webbase-like at
-/// scale 14 needs ≈0.4 MB).
-const TILE_BITMAP_MAX_BYTES: usize = 8 << 20;
-
 /// What the paper's per-tile intersection needs beyond the operands
 /// (`pair_reuse = false`): B's column-wise tile index (Algorithm 2's
-/// tileColPtr_B/tileRowidx_B), C's expanded tile-row indices and — when the
-/// intersection kind wants them and the footprint gate admits them — the
-/// bitmap sidecars of A's tile rows and B's tile columns.
+/// tileColPtr_B/tileRowidx_B) and C's expanded tile-row indices.
 struct PaperIndex {
     b_cols: TileColIndex,
-    bitmaps: Option<(ListBitmaps, ListBitmaps)>,
     c_rowidx: Vec<u32>,
 }
 
 impl PaperIndex {
-    fn new<T: Scalar>(
-        a: &TileMatrix<T>,
-        b: &TileMatrix<T>,
-        c: &TilePattern,
-        kind: IntersectionKind,
-    ) -> Self {
-        let b_cols = b.col_index();
-        let bitmaps = match kind {
-            IntersectionKind::Bitmap | IntersectionKind::Adaptive if c.nnz() > 0 => {
-                // Both lists live in the shared universe K = A.tile_n ==
-                // B.tile_m (shapes were checked by the caller).
-                let k = a.tile_n;
-                let est = ListBitmaps::bytes_for(a.tile_m, k) + ListBitmaps::bytes_for(b.tile_n, k);
-                (est <= TILE_BITMAP_MAX_BYTES).then(|| {
-                    (
-                        ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, k),
-                        ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, k),
-                    )
-                })
-            }
-            _ => None,
-        };
+    fn new<T: Scalar>(b: &TileMatrix<T>, c: &TilePattern) -> Self {
         let mut c_rowidx = vec![0u32; c.nnz()];
         for ti in 0..c.rows {
             c_rowidx[c.ptr[ti]..c.ptr[ti + 1]].fill(ti as u32);
         }
         Self {
-            b_cols,
-            bitmaps,
+            b_cols: b.col_index(),
             c_rowidx,
         }
     }
@@ -107,10 +74,6 @@ impl PaperIndex {
     fn bytes(&self) -> usize {
         self.c_rowidx.len() * std::mem::size_of::<u32>()
             + (self.b_cols.colptr.len() + self.b_cols.rowidx.len()) * 8
-            + self
-                .bitmaps
-                .as_ref()
-                .map_or(0, |(am, bm)| am.bytes() + bm.bytes())
     }
 
     /// The most pairs one tile's intersection can match: the shorter of A's
@@ -120,24 +83,22 @@ impl PaperIndex {
         longest(&a.tile_ptr).min(longest(&self.b_cols.colptr))
     }
 
-    /// Intersects for tile `t` of `c` and keeps its live pairs, leaving
-    /// their flat ids in `s.id_pairs`.
+    /// Intersects for tile `t` of `c` by binary search and keeps its live
+    /// pairs, leaving their flat ids in `s.id_pairs`.
     fn live_pairs<T: Scalar>(
         &self,
         a: &TileMatrix<T>,
         occupancy: &Occupancy,
         c: &TilePattern,
         t: usize,
-        kind: IntersectionKind,
         s: &mut Scratch,
     ) {
-        matched_pairs_with(
+        matched_pairs(
             a,
             &self.b_cols,
             self.c_rowidx[t] as usize,
             c.idx[t] as usize,
-            kind,
-            self.bitmaps.as_ref().map(|(am, bm)| (am, bm)),
+            intersect_binary_search,
             &mut s.pos_pairs,
             &mut s.id_pairs,
         );
@@ -146,44 +107,20 @@ impl PaperIndex {
         occupancy.retain_live(&mut s.pos_pairs, &mut s.id_pairs);
     }
 
-    /// Set-intersection lookups one pass over `c_colidx`'s tiles issues,
-    /// plus the chosen-kernel histogram `[binary-search, merge, bitmap]`,
-    /// derived from list lengths alone: binary search probes once per
-    /// element of the shorter tile list; merge advances at most `|a| + |b|`
-    /// times; the bitmap kernel touches its fixed word count. The per-tile
-    /// kernel choice is a pure function of the lengths ([`resolve_kind`]),
-    /// so the histogram can be replayed here, outside the parallel hot
-    /// loops — the counters are a deterministic proxy, not a hardware event
-    /// count.
-    fn stats<T: Scalar>(
-        &self,
-        a: &TileMatrix<T>,
-        c_colidx: &[u32],
-        kind: IntersectionKind,
-    ) -> (u64, [u64; 3]) {
-        let bitmap_words = self.bitmaps.as_ref().map(|(am, _)| am.words_per_list());
-        let mut probes = 0u64;
-        let mut picks = [0u64; 3];
-        for (&ti, &tj) in self.c_rowidx.iter().zip(c_colidx) {
-            let la = a.tile_row_range(ti as usize).len();
-            let lb = self.b_cols.col(tj as usize).0.len();
-            probes += match resolve_kind(kind, la, lb, bitmap_words) {
-                IntersectionKind::BinarySearch => {
-                    picks[0] += 1;
-                    la.min(lb) as u64
-                }
-                IntersectionKind::Merge => {
-                    picks[1] += 1;
-                    (la + lb) as u64
-                }
-                IntersectionKind::Bitmap => {
-                    picks[2] += 1;
-                    bitmap_words.expect("Bitmap only resolves with sidecars") as u64
-                }
-                IntersectionKind::Adaptive => unreachable!("resolve_kind never yields Adaptive"),
-            };
-        }
-        (probes, picks)
+    /// Binary-search probes one pass over `c_colidx`'s tiles issues: one
+    /// per element of the shorter tile list. Derived from list lengths
+    /// outside the parallel hot loops, so the counter is a deterministic
+    /// proxy, not a hardware event count.
+    fn probes<T: Scalar>(&self, a: &TileMatrix<T>, c_colidx: &[u32]) -> u64 {
+        self.c_rowidx
+            .iter()
+            .zip(c_colidx)
+            .map(|(&ti, &tj)| {
+                let la = a.tile_row_range(ti as usize).len();
+                let lb = self.b_cols.col(tj as usize).0.len();
+                la.min(lb) as u64
+            })
+            .sum()
     }
 }
 
@@ -220,8 +157,8 @@ pub fn multiply<T: Scalar>(
 
 /// [`multiply`] with an explicit recorder and job id: phase spans nest under
 /// a `"job"` root span recorded for `job`, and the pipeline's counters
-/// ([`Counter::TilesVisited`], matched pairs, intersection probes, the
-/// chosen-kernel histogram, accumulator picks) flow into the recorder.
+/// ([`Counter::TilesVisited`], matched pairs, intersection probes,
+/// accumulator picks) flow into the recorder.
 ///
 /// All per-tile instrumentation is derived outside the parallel hot loops
 /// from state the pipeline already computes, and is skipped entirely when
@@ -384,7 +321,7 @@ pub fn multiply_with_pool<T: Scalar>(
     let span = recorder.span_enter(job, "alloc");
     let (paper, mut c_masks, mut c_row_ptr, mut pair_ends, mut pair_lists) =
         breakdown.timed(Step::Alloc, || {
-            let paper = (!reuse).then(|| PaperIndex::new(a, b, &c_pattern, config.intersection));
+            let paper = (!reuse).then(|| PaperIndex::new(b, &c_pattern));
             // Largest first: a miss frees the least recently used idle
             // buffers, which must not be the ones the next checkout wants.
             let pair_lists = arena.take(total_pairs, (0u32, 0u32));
@@ -552,7 +489,7 @@ pub fn multiply_with_pool<T: Scalar>(
                     || scratch.checkout(),
                     |s, (r, (((masks_r, rowptr_r), counts_r), paircnt_r))| {
                         for (k, t) in (runs[r]..runs[r + 1]).enumerate() {
-                            p.live_pairs(a, &occupancy, &c_pattern, t, config.intersection, s);
+                            p.live_pairs(a, &occupancy, &c_pattern, t, s);
                             paircnt_r[k] = s.id_pairs.len();
                             let masks_w = &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM];
                             masks_w.copy_from_slice(&symbolic_tile(a, b, &s.id_pairs).masks);
@@ -581,9 +518,8 @@ pub fn multiply_with_pool<T: Scalar>(
     // Step-2 counters, all derived from state the phase already produced:
     // one visit per output tile (== step-1 nnz) and the live-pair total.
     // The probe count is length-derived: the candidates the row pass tests
-    // (`row_pass_probes`), or the per-tile intersection's lookups with the
-    // chosen-kernel histogram (`intersection_stats`), which only the paper
-    // path has.
+    // (`row_pass_probes`), or the per-tile binary searches' lookups
+    // (`PaperIndex::probes`).
     let probes = if enabled {
         recorder.add(Counter::TilesVisited, num_tiles as u64);
         let probes = match &paper {
@@ -596,11 +532,7 @@ pub fn multiply_with_pool<T: Scalar>(
                     Counter::MatchedPairs,
                     pair_counts.iter().map(|&n| n as u64).sum(),
                 );
-                let (probes, picks) = p.stats(a, &c_pattern.idx, config.intersection);
-                recorder.add(Counter::IsectBinaryPicks, picks[0]);
-                recorder.add(Counter::IsectMergePicks, picks[1]);
-                recorder.add(Counter::IsectBitmapPicks, picks[2]);
-                probes
+                p.probes(a, &c_pattern.idx)
             }
         };
         recorder.add(Counter::IntersectionProbes, probes);
@@ -667,7 +599,7 @@ pub fn multiply_with_pool<T: Scalar>(
         let pairs = match &paper {
             None => &pair_lists[pair_ends[t] as usize..pair_ends[t + 1] as usize],
             Some(p) => {
-                p.live_pairs(a, &occupancy, &c_pattern, t, config.intersection, s);
+                p.live_pairs(a, &occupancy, &c_pattern, t, s);
                 &s.id_pairs[..]
             }
         };
@@ -912,31 +844,23 @@ mod tests {
         let reference = multiply_csr(&a, &a, &Config::default(), &MemTracker::new())
             .unwrap()
             .to_csr();
-        for intersection in [
-            crate::IntersectionKind::BinarySearch,
-            crate::IntersectionKind::Merge,
-            crate::IntersectionKind::Bitmap,
-            crate::IntersectionKind::Adaptive,
+        for accumulator in [
+            crate::AccumulatorKind::Adaptive,
+            crate::AccumulatorKind::AlwaysSparse,
+            crate::AccumulatorKind::AlwaysDense,
         ] {
-            for accumulator in [
-                crate::AccumulatorKind::Adaptive,
-                crate::AccumulatorKind::AlwaysSparse,
-                crate::AccumulatorKind::AlwaysDense,
-            ] {
-                for tnnz_threshold in [0, 64, 192, 256] {
-                    let cfg = Config::builder()
-                        .tnnz_threshold(tnnz_threshold)
-                        .intersection(intersection)
-                        .accumulator(accumulator)
-                        .build();
-                    let c = multiply_csr(&a, &a, &cfg, &MemTracker::new())
-                        .unwrap()
-                        .to_csr();
-                    assert!(
-                        c.approx_eq_ignoring_zeros(&reference, 1e-10),
-                        "variant {cfg:?} disagrees"
-                    );
-                }
+            for tnnz_threshold in [0, 64, 192, 256] {
+                let cfg = Config::builder()
+                    .tnnz_threshold(tnnz_threshold)
+                    .accumulator(accumulator)
+                    .build();
+                let c = multiply_csr(&a, &a, &cfg, &MemTracker::new())
+                    .unwrap()
+                    .to_csr();
+                assert!(
+                    c.approx_eq_ignoring_zeros(&reference, 1e-10),
+                    "variant {cfg:?} disagrees"
+                );
             }
         }
     }
@@ -1061,7 +985,7 @@ mod tests {
                     &b_cols,
                     ti,
                     c.tile_colidx[t] as usize,
-                    crate::IntersectionKind::BinarySearch,
+                    crate::intersect::intersect_binary_search,
                     &mut positions,
                     &mut pairs,
                 );
@@ -1183,43 +1107,6 @@ mod tests {
                     tracker.current_bytes(),
                     0,
                     "unbalanced alloc/free for {cfg:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn intersection_kinds_agree_bitwise_on_skewed_input() {
-        use tsg_gen::suite::GenSpec;
-        // All four kinds — including the sidecar-backed bitmap kernel and
-        // the adaptive selector — must produce bit-identical tile matrices:
-        // every kernel emits pairs in ascending A-position order, so even
-        // float accumulation order is the same.
-        let a: Csr<f64> = GenSpec::Rmat {
-            scale: 11,
-            edges: 20_000,
-            mild: false,
-            seed: 41,
-        }
-        .build();
-        let ta = TileMatrix::from_csr(&a);
-        let reference = multiply(&ta, &ta, &Config::default(), &MemTracker::new()).unwrap();
-        for intersection in [
-            crate::IntersectionKind::BinarySearch,
-            crate::IntersectionKind::Merge,
-            crate::IntersectionKind::Bitmap,
-            crate::IntersectionKind::Adaptive,
-        ] {
-            for pair_reuse in [true, false] {
-                let cfg = Config {
-                    intersection,
-                    pair_reuse,
-                    ..Config::default()
-                };
-                let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
-                assert_eq!(
-                    reference.c, out.c,
-                    "{intersection:?}/pair_reuse={pair_reuse} must agree bitwise"
                 );
             }
         }

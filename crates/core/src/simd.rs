@@ -119,8 +119,7 @@ pub fn resolve_level(policy: SimdPolicy) -> SimdLevel {
 
 /// The per-tile kernel choice — a pure function of run-constant facts plus
 /// the tile's nonzero count, so the observability replay re-derives exactly
-/// what the hot loop ran (same contract as the step-2 `resolve_kind`
-/// histogram).
+/// what the hot loop ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Scalar sparse (rank-addressed) accumulator — the reference path.

@@ -12,7 +12,8 @@
 //!
 //! * **The paper's per-tile intersection** ([`matched_pairs`],
 //!   [`symbolic_tile`]): one task per tile intersects `A`'s tile row `i`
-//!   with `B`'s tile column `j` ([`crate::intersect`]) and keeps the live
+//!   with `B`'s tile column `j` by binary search
+//!   ([`crate::intersect::intersect_binary_search`]) and keeps the live
 //!   matches. Step 3 repeats the intersection. This is the
 //!   `pair_reuse = false` reference behind Figure 10.
 //! * **The row pass** ([`row_pass`], the default): one walk per tile row,
@@ -28,11 +29,9 @@
 //! All per-tile state is a few `u16`s on the stack; the row pass's slot
 //! table and gathered pairs live in the worker's scratch arena.
 
-use crate::intersect::{
-    intersect_bitmap, intersect_into, resolve_kind, IntersectionKind, MatchedPair,
-};
+use crate::intersect::MatchedPair;
 use crate::step1::{Occupancy, NO_SLOT};
-use tsg_matrix::{ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
+use tsg_matrix::{Scalar, TileColIndex, TileMatrix, TILE_DIM};
 use tsg_runtime::Scratch;
 
 /// Most output tiles one per-tile task chunk covers.
@@ -217,61 +216,33 @@ pub struct TileSymbolic {
 }
 
 /// Finds the matched `(a_tile_id, b_tile_id)` pairs for output tile
-/// `(ti, tj)`, appending to `pairs` (cleared first).
+/// `(ti, tj)` with the list kernel `intersect` — the paper path passes
+/// [`crate::intersect::intersect_binary_search`], the tSparse baseline
+/// [`crate::intersect::intersect_merge`].
 ///
 /// `a` contributes its tile row `ti`; `b_cols` (the column index of `B`)
-/// contributes its tile column `tj`. Positions returned by the intersection
-/// are translated to flat tile ids.
+/// contributes its tile column `tj`. `scratch` is left holding the
+/// list-position pairs; `pairs` gets them translated to flat tile ids.
+/// Both are cleared first.
 pub fn matched_pairs<T: Scalar>(
     a: &TileMatrix<T>,
     b_cols: &TileColIndex,
     ti: usize,
     tj: usize,
-    kind: IntersectionKind,
+    intersect: fn(&[u32], &[u32], &mut Vec<MatchedPair>),
     scratch: &mut Vec<MatchedPair>,
     pairs: &mut Vec<(u32, u32)>,
 ) {
-    matched_pairs_with(a, b_cols, ti, tj, kind, None, scratch, pairs);
-}
-
-/// [`matched_pairs`] with optional bitmap sidecars: `bitmaps` are the
-/// [`ListBitmaps`] of `A`'s tile rows and `B`'s tile columns (when the
-/// pipeline's footprint gate built them). The kind resolves per tile —
-/// `Adaptive` through the cost model, `Bitmap` degrading to binary search
-/// when the sidecars are absent — and the resolved concrete kind is
-/// returned for the chosen-kernel histogram. `scratch` is left holding the
-/// list-position pairs; `pairs` gets the translated flat tile ids.
-#[allow(clippy::too_many_arguments)]
-pub fn matched_pairs_with<T: Scalar>(
-    a: &TileMatrix<T>,
-    b_cols: &TileColIndex,
-    ti: usize,
-    tj: usize,
-    kind: IntersectionKind,
-    bitmaps: Option<(&ListBitmaps, &ListBitmaps)>,
-    scratch: &mut Vec<MatchedPair>,
-    pairs: &mut Vec<(u32, u32)>,
-) -> IntersectionKind {
     let a_base = a.tile_ptr[ti];
-    let a_cols = a.tile_row_cols(ti);
     let (b_rows, b_ids) = b_cols.col(tj);
-    let words = bitmaps.map(|(am, _)| am.words_per_list());
-    let resolved = resolve_kind(kind, a_cols.len(), b_rows.len(), words);
-    if resolved == IntersectionKind::Bitmap {
-        let (am, bm) = bitmaps.expect("Bitmap only resolves with sidecars present");
-        let (aw, ar) = am.list(ti);
-        let (bw, br) = bm.list(tj);
-        intersect_bitmap(aw, ar, bw, br, scratch);
-    } else {
-        intersect_into(resolved, a_cols, b_rows, scratch);
-    }
+    scratch.clear();
+    intersect(a.tile_row_cols(ti), b_rows, scratch);
     pairs.clear();
     pairs.extend(
         scratch
             .iter()
             .map(|&(pa, pb)| ((a_base + pa as usize) as u32, b_ids[pb as usize])),
     );
-    resolved
 }
 
 /// Computes the symbolic tile `C_ij` from its matched pairs (Figure 5).
@@ -300,6 +271,7 @@ pub fn symbolic_tile<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intersect::{intersect_binary_search, intersect_merge};
     use tsg_matrix::{Coo, Csr};
 
     /// Builds a tiled matrix from triplets on a 32x32 grid (2x2 tiles).
@@ -361,7 +333,7 @@ mod tests {
                     &b_cols,
                     ti,
                     tj,
-                    IntersectionKind::BinarySearch,
+                    intersect_binary_search,
                     &mut scratch,
                     &mut pairs,
                 );
@@ -417,7 +389,7 @@ mod tests {
             &b_cols,
             0,
             1,
-            IntersectionKind::BinarySearch,
+            intersect_binary_search,
             &mut scratch,
             &mut pairs,
         );
@@ -425,62 +397,29 @@ mod tests {
         // First pair: A tile (0,0) id 0 with B tile (0,1) id 0.
         // Second: A tile (0,1) id 1 with B tile (1,1) id 1.
         assert_eq!(pairs, vec![(0, 0), (1, 1)]);
-    }
-
-    #[test]
-    fn matched_pairs_with_bitmap_sidecars_matches_list_kernels() {
-        let a = tiled(&[(0, 0), (0, 16), (16, 16)]);
-        let b = tiled(&[(0, 16), (16, 16)]);
-        let b_cols = b.col_index();
-        // Sidecars over the shared universe K = a.tile_n = b.tile_m = 2.
-        let am = ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, a.tile_n);
-        let bm = ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, b.tile_m);
-        let (mut scratch, mut pairs) = (Vec::new(), Vec::new());
-        for kind in [
-            IntersectionKind::BinarySearch,
-            IntersectionKind::Merge,
-            IntersectionKind::Bitmap,
-            IntersectionKind::Adaptive,
-        ] {
-            for ti in 0..2usize {
-                for tj in 0..2usize {
-                    matched_pairs(
-                        &a,
-                        &b_cols,
-                        ti,
-                        tj,
-                        IntersectionKind::BinarySearch,
-                        &mut scratch,
-                        &mut pairs,
-                    );
-                    let want = pairs.clone();
-                    let resolved = matched_pairs_with(
-                        &a,
-                        &b_cols,
-                        ti,
-                        tj,
-                        kind,
-                        Some((&am, &bm)),
-                        &mut scratch,
-                        &mut pairs,
-                    );
-                    assert_eq!(pairs, want, "{kind:?} tile ({ti},{tj})");
-                    assert_ne!(resolved, IntersectionKind::Adaptive);
-                    // Without sidecars, Bitmap degrades but output is identical.
-                    let degraded = matched_pairs_with(
-                        &a,
-                        &b_cols,
-                        ti,
-                        tj,
-                        kind,
-                        None,
-                        &mut scratch,
-                        &mut pairs,
-                    );
-                    assert_eq!(pairs, want);
-                    assert_ne!(degraded, IntersectionKind::Bitmap);
-                }
-            }
+        // The merge kernel (the tSparse baseline's) clears both buffers and
+        // yields the same ids for every tile.
+        for (ti, tj) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let mut want = Vec::new();
+            matched_pairs(
+                &a,
+                &b_cols,
+                ti,
+                tj,
+                intersect_binary_search,
+                &mut scratch,
+                &mut want,
+            );
+            matched_pairs(
+                &a,
+                &b_cols,
+                ti,
+                tj,
+                intersect_merge,
+                &mut scratch,
+                &mut pairs,
+            );
+            assert_eq!(pairs, want, "tile ({ti},{tj})");
         }
     }
 
@@ -529,7 +468,7 @@ mod tests {
                     &b_cols,
                     ti,
                     tj as usize,
-                    IntersectionKind::BinarySearch,
+                    intersect_binary_search,
                     &mut positions,
                     &mut want,
                 );

@@ -223,7 +223,7 @@ mod tests {
             &b_cols,
             0,
             0,
-            crate::IntersectionKind::BinarySearch,
+            crate::intersect::intersect_binary_search,
             &mut scratch,
             &mut pairs,
         );

@@ -10,12 +10,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use tilespgemm_core::intersect::intersect_binary_search;
 use tilespgemm_core::maskops::row_ptr_from_masks;
 use tilespgemm_core::step1::Occupancy;
-use tilespgemm_core::step2::{matched_pairs_with, row_pass, symbolic_tile};
+use tilespgemm_core::step2::{matched_pairs, row_pass, symbolic_tile};
 use tilespgemm_core::step3::{numeric_tile_dense, numeric_tile_sparse};
-use tilespgemm_core::{multiply, Config, IntersectionKind};
-use tsg_matrix::{Coo, ListBitmaps, TileMatrix, TILE_DIM};
+use tilespgemm_core::{multiply, Config};
+use tsg_matrix::{Coo, TileMatrix, TILE_DIM};
 use tsg_runtime::{MemTracker, Scratch, ScratchPool, ScratchSizes};
 
 struct CountingAlloc;
@@ -90,7 +91,7 @@ fn numeric(
 
 /// One full pass of the hot path over every tile row of the layout `c`:
 /// the row pass and the numeric kernels over its lists, then the paper's
-/// adaptive intersection, symbolic mask-OR and numeric kernels over the
+/// binary-search intersection, symbolic mask-OR and numeric kernels over the
 /// same tiles, using only `s` and the pre-sized windows for storage.
 /// Returns each path's checksum so the work cannot be optimized away.
 #[allow(clippy::too_many_arguments)]
@@ -100,7 +101,6 @@ fn hot_pass(
     c: &TileMatrix<f64>,
     occupancy: &Occupancy,
     b_cols: &tsg_matrix::TileColIndex,
-    bitmaps: (&ListBitmaps, &ListBitmaps),
     s: &mut Scratch,
     w: &mut RowWindows,
     tnnz: usize,
@@ -123,13 +123,12 @@ fn hot_pass(
             start = end as usize;
         }
         for &tj in cols {
-            matched_pairs_with(
+            matched_pairs(
                 a,
                 b_cols,
                 ti,
                 tj as usize,
-                IntersectionKind::Adaptive,
-                Some(bitmaps),
+                intersect_binary_search,
                 &mut s.pos_pairs,
                 &mut s.id_pairs,
             );
@@ -149,8 +148,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
         .c;
     let occupancy = Occupancy::new(&a, &b);
     let b_cols = b.col_index();
-    let a_maps = ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, a.tile_n);
-    let b_maps = ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, b.tile_m);
 
     // Windows for the longest tile row and its most candidates.
     let row_tiles = (0..c.tile_m)
@@ -177,19 +174,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
         .reserve(1, ScratchSizes::default(), &MemTracker::new())
         .unwrap();
     let mut guard = reservation.checkout();
-    let mut run = |w: &mut RowWindows| {
-        hot_pass(
-            &a,
-            &b,
-            &c,
-            &occupancy,
-            &b_cols,
-            (&a_maps, &b_maps),
-            &mut guard,
-            w,
-            192,
-        )
-    };
+    let mut run =
+        |w: &mut RowWindows| hot_pass(&a, &b, &c, &occupancy, &b_cols, &mut guard, w, 192);
 
     // Warm pass: scratch buffers grow to their high-water sizes here.
     let warm = run(&mut w);

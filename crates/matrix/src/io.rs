@@ -81,12 +81,17 @@ pub fn read_matrix_market<T: Scalar, R: BufRead>(reader: R) -> Result<Coo<T>, Fo
         )));
     }
     let (nrows, ncols, declared_nnz) = (dims[0], dims[1], dims[2]);
+    // Coordinates are stored as `u32`, so a wider shape could not be
+    // indexed. The declared entry count is only checked against what the
+    // file holds: sizing a buffer from it would let a three-line file ask
+    // for any amount of memory.
+    if nrows.max(ncols) > u32::MAX as usize {
+        return Err(FormatError::Parse(format!(
+            "size {nrows}x{ncols} exceeds the 32-bit index width"
+        )));
+    }
 
     let mut coo = Coo::new(nrows, ncols);
-    coo.entries.reserve(match symmetry {
-        Symmetry::General => declared_nnz,
-        _ => declared_nnz * 2,
-    });
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(|e| FormatError::Parse(e.to_string()))?;
@@ -233,6 +238,32 @@ mod tests {
         assert!(parse("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n").is_err());
         assert!(parse("%%MatrixMarket matrix array real general\n2 2 1\n").is_err());
         assert!(parse("not a header\n1 1 0\n").is_err());
+    }
+
+    #[test]
+    fn hostile_declared_counts_are_format_errors() {
+        for symmetry in ["general", "symmetric"] {
+            let err = parse(&format!(
+                "%%MatrixMarket matrix coordinate real {symmetry}\n\
+                 2 2 18446744073709551615\n\
+                 1 1 1.0\n"
+            ))
+            .unwrap_err();
+            assert!(err.to_string().contains("declared"), "{symmetry}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_shapes_wider_than_u32_indices() {
+        let err = parse("%%MatrixMarket matrix coordinate real general\n4294967297 1 1\n1 1 1.0\n")
+            .unwrap_err();
+        assert!(err.to_string().contains("32-bit"), "{err}");
+        // The widest shape a `u32` index covers is still read.
+        let coo = parse(
+            "%%MatrixMarket matrix coordinate real general\n4294967295 1 1\n4294967295 1 2.0\n",
+        )
+        .unwrap();
+        assert_eq!(coo.entries, vec![(u32::MAX - 1, 0, 2.0)]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use footprint::Footprint;
-pub use tile::{ListBitmaps, TileColIndex, TileMatrix, TileView, TILE_AREA, TILE_DIM};
+pub use tile::{TileColIndex, TileMatrix, TileView, TILE_AREA, TILE_DIM};
 
 use std::fmt;
 

@@ -27,10 +27,8 @@
 //!   the step-2 symbolic phase (`AtomicOr` in the paper) and the step-3
 //!   sparse accumulator's rank computation.
 
-pub mod bitmap;
 mod build;
 
-pub use bitmap::ListBitmaps;
 pub use build::tile_dims;
 
 use crate::{FormatError, Scalar};

@@ -48,10 +48,10 @@ pub enum Counter {
     MatchedPairs,
     /// Candidate tile pairs step 2 tested. On the row pass: for each tile
     /// row it walks, the length of `B`'s tile row each `A` tile indexes.
-    /// On the per-tile intersection (`pair_reuse = false`): for binary
-    /// search, one per element of the shorter tile list; for merge, one
-    /// per pointer advance bound (`|a| + |b|`), charged again for step 3's
-    /// repeat. A cheap, deterministic proxy for pair-finding work.
+    /// On the per-tile binary-search intersection (`pair_reuse = false`):
+    /// one per element of the shorter of the two tile lists, charged again
+    /// for step 3's repeat. A cheap, deterministic proxy for pair-finding
+    /// work.
     IntersectionProbes,
     /// Step-3 tiles accumulated through the rank-based sparse accumulator.
     SparseAccPicks,
@@ -62,16 +62,6 @@ pub enum Counter {
     BytesAlloc,
     /// Bytes credited back to the device through an attached tracker.
     BytesFreed,
-    /// Output tiles whose intersection resolved to the binary-search kernel
-    /// (the chosen-kernel histogram of `IntersectionKind::Adaptive`; fixed
-    /// kinds also report here so the three picks always sum to the visited
-    /// tiles). Only the per-tile intersection (`pair_reuse = false`)
-    /// counts; the row pass runs no intersection kernel.
-    IsectBinaryPicks,
-    /// Output tiles whose intersection resolved to the merge kernel.
-    IsectMergePicks,
-    /// Output tiles whose intersection resolved to the bitmap kernel.
-    IsectBitmapPicks,
     /// Completed jobs whose measured peak was ≤ ¼ of the admission estimate
     /// (log₂(peak/est) ≤ −2: the estimator over-predicted by 4× or more).
     EstErrLeQuarter,
@@ -131,7 +121,7 @@ pub enum Counter {
 
 /// Number of counter slots. Kept in sync with [`Counter`]; new counters are
 /// appended (the enum is `#[non_exhaustive]`).
-pub const COUNTER_COUNT: usize = 28;
+pub const COUNTER_COUNT: usize = 25;
 
 /// Every counter, in slot order, with its snake_case wire name.
 pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
@@ -142,9 +132,6 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::DenseAccPicks, "dense_acc_picks"),
     (Counter::BytesAlloc, "bytes_alloc"),
     (Counter::BytesFreed, "bytes_freed"),
-    (Counter::IsectBinaryPicks, "isect_binary_picks"),
-    (Counter::IsectMergePicks, "isect_merge_picks"),
-    (Counter::IsectBitmapPicks, "isect_bitmap_picks"),
     (Counter::EstErrLeQuarter, "est_err_le_quarter"),
     (Counter::EstErrHalf, "est_err_half"),
     (Counter::EstErrWithin2x, "est_err_within_2x"),

@@ -467,6 +467,37 @@ fn hostile_input_stays_on_protocol_and_never_kills_the_loop() {
     assert!(status.success());
 }
 
+/// A Matrix Market file whose size line declares 10^12 entries is an
+/// `io_error`, and the server answers the next request: the reader sizes
+/// nothing from a count it has not read.
+#[test]
+fn hostile_matrix_market_header_is_an_io_error_not_an_abort() {
+    struct TempFile(std::path::PathBuf);
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+    let file =
+        TempFile(std::env::temp_dir().join(format!("tsg-hostile-{}.mtx", std::process::id())));
+    std::fs::write(
+        &file.0,
+        "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1.0\n",
+    )
+    .expect("temporary .mtx written");
+    let mut serve = Serve::spawn(&[]);
+    let reply = serve.request(&format!(r#"{{"op":"load","path":"{}"}}"#, file.0.display()));
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    let code = reply.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Value::as_str), Some("io_error"), "{reply}");
+    let stats = serve.request_ok(r#"{"op":"stats"}"#);
+    assert_eq!(
+        stats.get("device_bytes_in_use").and_then(Value::as_u64),
+        Some(0),
+        "{stats}"
+    );
+}
+
 #[test]
 fn power_longer_than_the_session_queue_is_refused_before_it_allocates() {
     let mut serve = Serve::spawn(&["--session-depth", "8"]);

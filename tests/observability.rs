@@ -95,18 +95,58 @@ fn accumulator_picks_partition_the_output_tiles() {
             out.c.tile_count(),
             "{name}: sparse + dense picks cover each tile exactly once"
         );
-        // Under the adaptive default the bitmap kernel's cost proxy (its
-        // fixed word count) may undercut the match count, so the classic
-        // probe bound is pinned on the paper-faithful kernel.
-        let bsearch = Config::builder()
-            .intersection(tilespgemm::core::IntersectionKind::BinarySearch)
-            .build();
-        let (_, recorder, _ctx) = profiled_square(&ta, bsearch);
-        let snap = recorder.snapshot();
-        assert!(
-            snap.get(Counter::IntersectionProbes) >= snap.get(Counter::MatchedPairs),
-            "{name}: every match costs at least one probe"
-        );
+    }
+}
+
+#[test]
+fn intersection_probes_are_exact_on_both_step2_paths() {
+    for (name, ta) in fixtures() {
+        let b_cols = ta.col_index();
+        let a_row = |i: usize| ta.tile_row_range(i).len() as u64;
+        let b_col = |j: usize| b_cols.col(j).0.len() as u64;
+        // The paper path binary-searches the shorter of A's tile row and
+        // B's tile column for each tile of C, in step 2 and again in step 3.
+        let paper_probes = |c: &TileMatrix<f64>| {
+            let per_pass: u64 = (0..c.tile_m)
+                .flat_map(|i| c.tile_row_cols(i).iter().map(move |&j| (i, j as usize)))
+                .map(|(i, j)| a_row(i).min(b_col(j)))
+                .sum();
+            2 * per_pass
+        };
+        let probes = |config: Config, mask: Option<&TileMatrix<f64>>| {
+            let recorder = CollectingRecorder::new();
+            let out = tilespgemm::core::multiply_with_pool(
+                &ta,
+                &ta,
+                mask,
+                &config,
+                &MemTracker::new(),
+                &recorder,
+                1,
+                &tilespgemm::runtime::ScratchPool::new(),
+            )
+            .expect("multiply");
+            (out.c, recorder.snapshot().get(Counter::IntersectionProbes))
+        };
+
+        // The row pass tests, for each non-empty tile row `i` of C, every
+        // tile of B's tile row `k` for each of A's tiles `k` in row `i`.
+        let (c, got) = probes(Config::default(), None);
+        let want: u64 = (0..c.tile_m)
+            .filter(|&i| !c.tile_row_range(i).is_empty())
+            .flat_map(|i| ta.tile_row_cols(i))
+            .map(|&k| ta.tile_row_range(k as usize).len() as u64)
+            .sum();
+        assert_eq!(got, want, "{name}: row pass");
+
+        let paper = Config::builder().pair_reuse(false).build();
+        let (c, got) = probes(paper, None);
+        assert_eq!(got, paper_probes(&c), "{name}: paper path");
+        // Under a mask C takes the mask's tile layout, and the paper path
+        // intersects for each of its tiles.
+        let (c, got) = probes(paper, Some(&ta));
+        assert_eq!(c.tile_ptr, ta.tile_ptr, "{name}: the mask's layout");
+        assert_eq!(got, paper_probes(&c), "{name}: masked paper path");
     }
 }
 

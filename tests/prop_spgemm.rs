@@ -86,8 +86,8 @@ fn check_row_lists(
     b: &TileMatrix<f64>,
     c: &TileMatrix<f64>,
 ) -> Result<usize, proptest::test_runner::TestCaseError> {
+    use tilespgemm::core::intersect::intersect_binary_search;
     use tilespgemm::core::step2::{matched_pairs, row_pass_lists};
-    use tilespgemm::core::IntersectionKind;
     let lists = row_pass_lists(a, b, &c.tile_ptr, &c.tile_colidx);
     prop_assert_eq!(lists.len(), c.tile_count());
     let b_cols = b.col_index();
@@ -100,7 +100,7 @@ fn check_row_lists(
                 &b_cols,
                 ti,
                 c.tile_colidx[t] as usize,
-                IntersectionKind::BinarySearch,
+                intersect_binary_search,
                 &mut positions,
                 &mut pairs,
             );
