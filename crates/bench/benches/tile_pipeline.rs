@@ -1,20 +1,21 @@
 //! Criterion counterpart of Figure 10: the TileSpGEMM pipeline end to end
 //! and its individual steps, on a FEM-class matrix — plus a machine-readable
 //! `BENCH_pipeline.json` at the workspace root comparing pair reuse against
-//! the paper's recompute path on an R-MAT/power-law suite (medians of
-//! [`PIPELINE_RUNS`] runs, with their spread), and measuring the
-//! context-API (`SpGemm` + `NullRecorder`) overhead against the free
-//! function on the same matrices (the `"method":"ctx_overhead"` records).
+//! the paper's recompute path on an R-MAT/power-law suite and the scalar
+//! step-3 kernels against the vector ones (medians of [`PIPELINE_RUNS`]
+//! runs, with their spread), and measuring the context-API (`SpGemm` +
+//! `NullRecorder`) overhead against the free function on the same matrices
+//! (the `"method":"ctx_overhead"` records, the median of
+//! [`OVERHEAD_PAIRS`] paired ratios that `overhead_check` gates on).
 //!
 //! ```text
 //! cargo bench -p tsg-bench --bench tile_pipeline
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Instant;
 use tilespgemm_core::step1::tile_structure_spgemm;
-use tilespgemm_core::{Config, SimdPolicy, SpGemm};
-use tsg_bench::{ms, pipeline_medians, PipelineMedians, PIPELINE_RUNS};
+use tilespgemm_core::{Config, SimdPolicy};
+use tsg_bench::{overhead_pct, pipeline_medians, PipelineMedians, OVERHEAD_PAIRS, PIPELINE_RUNS};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
 use tsg_runtime::MemTracker;
@@ -70,91 +71,54 @@ impl Record {
     }
 }
 
-/// Measures the context API against the free function on one matrix:
-/// best-of-`reps` wall time for each path, the relative overhead, and a
-/// bitwise-identity check on the two products. The context runs the default
-/// `NullRecorder`, so any gap is pure API plumbing (the virtual span calls);
-/// the acceptance bar is ≤2%, enforced at >5% by the `overhead_check` bin
-/// (best-of-N still jitters at the ±percent level on shared CI hardware).
-fn overhead_record(ta: &TileMatrix<f64>, matrix: &'static str, reps: usize) -> String {
-    let cfg = Config::default();
-    let ctx = SpGemm::new();
-    // Warm both paths, and pin down that the context changes nothing about
-    // the result.
-    let free = tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("warmup");
-    let through_ctx = ctx.multiply(ta, ta).expect("warmup");
-    assert_eq!(
-        free.c, through_ctx.c,
-        "context path must be bitwise-identical to the free function"
-    );
-    let mut best_free = f64::INFINITY;
-    let mut best_ctx = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("multiply");
-        best_free = best_free.min(ms(t0.elapsed()));
-        let t1 = Instant::now();
-        ctx.multiply(ta, ta).expect("multiply");
-        best_ctx = best_ctx.min(ms(t1.elapsed()));
-    }
-    let overhead_pct = (best_ctx - best_free) / best_free * 100.0;
-    println!(
-        "  {matrix:<14} ctx {best_ctx:>9.3} ms vs free {best_free:>9.3} ms ({overhead_pct:+.2}%)"
-    );
+/// The context API's overhead over the free function on one matrix
+/// ([`overhead_pct`]). The context runs the default `NullRecorder`, so
+/// any gap is pure API plumbing (the virtual span calls); the acceptance
+/// bar is ≤2%, and `overhead_check` gates the same statistic at 5%.
+fn overhead_record(ta: &TileMatrix<f64>, matrix: &'static str) -> String {
+    let pct = overhead_pct(ta);
+    println!("  {matrix:<14} ctx vs free {pct:+.2}% (median of {OVERHEAD_PAIRS} pairs)");
     format!(
         concat!(
             "{{\"matrix\":\"{}\",\"method\":\"ctx_overhead\",",
-            "\"free_ms\":{:.4},\"ctx_null_ms\":{:.4},\"overhead_pct\":{:.3}}}"
+            "\"overhead_pct\":{:.3},\"pairs\":{}}}"
         ),
-        matrix, best_free, best_ctx, overhead_pct
+        matrix, pct, OVERHEAD_PAIRS
     )
 }
 
-/// The step-3 kernel ablation ladder (DESIGN.md §15): forced-scalar and the
-/// `Auto` vector dispatch. One record per rung; best-of-`reps` after a
-/// warmup, with a bitwise-identity check against the scalar rung (the
-/// ladder's core contract). Deliberately carries no `scheduling` /
-/// `pair_reuse` keys so `perf_smoke`'s line-based baseline lookup never
-/// matches an ablation row.
+/// One rung of the step-3 kernel ablation ladder (DESIGN.md §15):
+/// forced-scalar or the `Auto` vector dispatch, timed like a
+/// `"method":"tilespgemm"` row ([`pipeline_medians`]) after a
+/// bitwise-identity check against the scalar rung (the ladder's core
+/// contract). Deliberately carries no `scheduling` / `pair_reuse` keys so
+/// `perf_smoke`'s line-based baseline lookup never matches an ablation row.
 fn simd_ablation_record(
     ta: &TileMatrix<f64>,
     matrix: &'static str,
     kernel: &'static str,
     policy: SimdPolicy,
     scalar_c: &TileMatrix<f64>,
-    reps: usize,
 ) -> String {
     let cfg = Config::builder().simd(policy).build();
-    let warm = tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("warmup");
+    let check = tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("multiply");
     assert_eq!(
-        warm.c, *scalar_c,
+        check.c, *scalar_c,
         "{matrix}/{kernel}: ablation rung must stay bitwise-identical to scalar"
     );
-    let mut best_wall = f64::INFINITY;
-    let mut best = warm.breakdown;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).expect("multiply");
-        let wall = ms(t0.elapsed());
-        if wall < best_wall {
-            best_wall = wall;
-            best = out.breakdown;
-        }
-    }
+    let m = pipeline_medians(ta, &cfg);
+    let [_, step2, step3, _] = m.steps_ms;
     println!(
-        "  {matrix:<14} kernel={kernel:<11} {best_wall:>9.3} ms (step3 {:>8.3} ms)",
-        ms(best.step3)
+        "  {matrix:<14} kernel={kernel:<11} {:>9.3} ms [{:.3}–{:.3}] (step3 {step3:>8.3} ms)",
+        m.wall_ms, m.wall_ms_min, m.wall_ms_max
     );
     format!(
         concat!(
             "{{\"matrix\":\"{}\",\"method\":\"simd_ablation\",\"kernel\":\"{}\",",
-            "\"wall_ms\":{:.4},\"step2_ms\":{:.4},\"step3_ms\":{:.4}}}"
+            "\"wall_ms\":{:.4},\"step2_ms\":{:.4},\"step3_ms\":{:.4},",
+            "\"wall_ms_min\":{:.4},\"wall_ms_max\":{:.4},\"runs\":{}}}"
         ),
-        matrix,
-        kernel,
-        best_wall,
-        ms(best.step2),
-        ms(best.step3),
+        matrix, kernel, m.wall_ms, step2, step3, m.wall_ms_min, m.wall_ms_max, PIPELINE_RUNS,
     )
 }
 
@@ -206,7 +170,7 @@ fn emit_bench_json() {
         .map(|r| format!("  {}", r.to_json()))
         .collect();
     for &(name, ref ta) in &mats {
-        body.push(format!("  {}", overhead_record(ta, name, 7)));
+        body.push(format!("  {}", overhead_record(ta, name)));
     }
     // Kernel ablation on the two power-law matrices, where step 3 dominates.
     for &(name, ref ta) in &mats {
@@ -223,7 +187,7 @@ fn emit_bench_json() {
         ] {
             body.push(format!(
                 "  {}",
-                simd_ablation_record(ta, name, kernel, policy, &scalar_c, 7)
+                simd_ablation_record(ta, name, kernel, policy, &scalar_c)
             ));
         }
     }

@@ -22,13 +22,14 @@
 //! counters), and a representative per-job span tree (the engine runs
 //! with `profile: true`).
 //!
-//! A second section exercises the op-expression API on a fresh engine: a
-//! chained `A·B·C` job and an `A^6` power job whose intermediates stay
-//! resident tiled handles (zero conversions, zero CSR derivations)
-//! against the v2-client round-trip baseline (materialize each
-//! intermediate to CSR, re-register, reconvert), and a masked triangle
-//! count `A·A⟨A⟩` against the full product followed by a client-side
-//! Hadamard.
+//! A second section exercises the op expressions on a fresh engine: a
+//! `chain` request `A·B·C` and a `power` request `A^6`, served through a
+//! scheduler session as the `expr` workload sends them, whose
+//! intermediates stay resident tiled handles (zero conversions, zero CSR
+//! derivations) against the v2-client round-trip baseline (materialize
+//! each intermediate to CSR, re-register, reconvert), and a masked
+//! triangle count `A·A⟨A⟩` against the full product followed by a
+//! client-side Hadamard.
 //!
 //! ```text
 //! cargo run --release -p tsg-bench --bin engine_bench
@@ -37,11 +38,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tsg_engine::json::{obj, Value};
+use tsg_engine::json::{obj, parse, Value};
 use tsg_engine::{Engine, EngineConfig, MatrixId};
 use tsg_gen::suite::GenSpec;
 use tsg_runtime::{Breakdown, Device, SpanNode};
-use tsg_serve::{SchedConfig, Scheduler, ServeTicket, Submission, SubmitSpec};
+use tsg_serve::{SchedConfig, Scheduler, ServeSession, ServeTicket, Submission, SubmitSpec};
 
 /// Outcome row for one submitted job.
 struct JobRow {
@@ -100,6 +101,93 @@ fn row_to_json(r: &JobRow) -> Value {
         ("sampled", Value::Bool(r.sampled)),
         ("nnz_c", r.nnz_c.into()),
     ])
+}
+
+/// A served expression row: the best wall time of its requests, the last
+/// reply, and the CSR→tiled conversions and tiled→CSR derivations the
+/// registry counted across every run.
+struct Served {
+    best_ms: f64,
+    reply: Value,
+    conversions: u64,
+    derivations: u64,
+}
+
+impl Served {
+    fn new() -> Self {
+        Served {
+            best_ms: f64::MAX,
+            reply: Value::Null,
+            conversions: 0,
+            derivations: 0,
+        }
+    }
+
+    /// Sends `line` through `client`, timing it, and returns the reply.
+    fn add(&mut self, client: &ServeSession, line: &str) -> &Value {
+        let registry = || client.scheduler().engine().stats().registry;
+        let before = registry();
+        let t0 = Instant::now();
+        let (reply, _) = client.handle_line(line);
+        self.best_ms = self.best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let after = registry();
+        self.conversions += after.conversions - before.conversions;
+        self.derivations += after.csr_derivations - before.csr_derivations;
+        self.reply = parse(&reply).expect("replies are JSON");
+        assert_eq!(
+            self.reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{line}: {reply}"
+        );
+        &self.reply
+    }
+
+    fn num(&self, key: &str) -> u64 {
+        self.reply.get(key).and_then(Value::as_u64).expect(key)
+    }
+
+    fn intermediates(&self) -> u64 {
+        let handles = self.reply.get("intermediates").and_then(Value::as_arr);
+        handles.expect("intermediates").len() as u64
+    }
+
+    fn to_json(&self, workload: &str, roundtrip_ms: f64) -> Value {
+        obj([
+            ("workload", workload.into()),
+            ("chain_ms", Value::Num(self.best_ms)),
+            ("roundtrip_ms", Value::Num(roundtrip_ms)),
+            ("speedup", Value::Num(roundtrip_ms / self.best_ms)),
+            ("links", self.num("links").into()),
+            ("intermediates", self.intermediates().into()),
+            ("link_conversions", self.conversions.into()),
+            ("csr_derivations", self.derivations.into()),
+            ("nnz_c", self.num("nnz_c").into()),
+        ])
+    }
+
+    /// `links` links whose intermediates all came back as resident
+    /// handles, with nothing converted or derived, faster than the round
+    /// trip.
+    fn check(&self, what: &str, links: u64, roundtrip_ms: f64) {
+        assert_eq!(self.num("links"), links, "{what}: links");
+        assert_eq!(
+            self.intermediates(),
+            links - 1,
+            "{what}: every non-final intermediate comes back as a handle"
+        );
+        assert_eq!(
+            (self.conversions, self.derivations),
+            (0, 0),
+            "{what}: pre-warmed links convert nothing and never materialize \
+             an intermediate CSR"
+        );
+        assert!(
+            self.best_ms < roundtrip_ms,
+            "{what}: handle-to-handle chaining beats the CSR round trip \
+             ({:.2}ms vs {roundtrip_ms:.2}ms)",
+            self.best_ms
+        );
+    }
 }
 
 fn spans_to_json(nodes: &[SpanNode]) -> Value {
@@ -283,10 +371,16 @@ fn main() {
 
     // ---- Op-expression workloads ------------------------------------
     // A fresh engine (default budget, no profiler) so the registry
-    // counters below measure only these jobs. Banded operands are the
-    // regime chaining targets: multiplies are cheap relative to the fat
+    // counters below measure only these jobs. Chains and powers are served
+    // requests, run as the `expr` workload runs them: one scheduler session
+    // lowers each into linked multiplies. Banded operands are the regime
+    // chaining targets: multiplies are cheap relative to the fat
     // intermediates a round-tripping client keeps materializing.
-    let expr = Engine::new(EngineConfig::default());
+    let expr = Arc::new(Engine::new(EngineConfig::default()));
+    let client = ServeSession::new(Arc::new(Scheduler::new(
+        Arc::clone(&expr),
+        SchedConfig::default(),
+    )));
     let n2 = 120_000;
     let band = |seed| GenSpec::Banded {
         n: n2,
@@ -307,26 +401,19 @@ fn main() {
         expr.convert(id).expect("pre-warm tiled operands");
     }
 
-    // Chained A·B·C (one job, the intermediate held as a resident tiled
-    // handle — no conversions, no CSR derivations) against the round-trip
-    // baseline a v2 client had to run: materialize the intermediate to
-    // CSR, re-register it, reconvert for the next hop, drop the throwaway
-    // registration. The two paths interleave in one loop so machine drift
-    // hits both equally; best of 5 each.
-    let mut chain_ms = f64::MAX;
-    let mut chain = None;
-    let mut chain_derivations = 0;
+    // Served A·B·C (the intermediate held as a resident tiled handle — no
+    // conversions, no CSR derivations) against the round-trip baseline a
+    // v2 client had to run: materialize the intermediate to CSR,
+    // re-register it, reconvert for the next hop, drop the throwaway
+    // registration. Both share the registry and the buffer pool, so the
+    // two paths interleave in one loop and machine drift hits both
+    // equally; best of 5 each.
+    let chain_line = |keep: &str| format!(r#"{{"op":"chain","ids":["{xa}","{xb}","{xc}"]{keep}}}"#);
+    let mut chain = Served::new();
     let mut roundtrip_ms = f64::MAX;
     let mut roundtrip = None;
     for _ in 0..5 {
-        let before = expr.stats().registry.csr_derivations;
-        let t0 = Instant::now();
-        let r = expr
-            .multiply_now(tsg_engine::JobSpec::chain([xa, xb, xc]))
-            .expect("chained job runs");
-        chain_ms = chain_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        chain_derivations += expr.stats().registry.csr_derivations - before;
-        chain = Some(r);
+        chain.add(&client, &chain_line(""));
 
         let t0 = Instant::now();
         let ab = expr
@@ -340,31 +427,34 @@ fn main() {
         roundtrip = Some(r);
         expr.unregister(ab_id).expect("intermediate was registered");
     }
-    let chain = chain.expect("five chain runs");
     let roundtrip = roundtrip.expect("five round-trip runs");
+    // One more chain, kept, whose product is checked against the round
+    // trip's; its CSR is derived only after the timed runs.
+    let kept = Served::new()
+        .add(&client, &chain_line(r#","keep":true"#))
+        .get("c")
+        .and_then(Value::as_str)
+        .and_then(|c| c.parse().ok())
+        .expect("a kept chain returns its handle");
     assert!(
-        chain
-            .c
-            .to_csr()
+        expr.csr(kept)
+            .expect("kept chain product")
             .drop_numeric_zeros()
             .approx_eq_ignoring_zeros(&roundtrip.c.to_csr().drop_numeric_zeros(), 1e-9),
-        "chained and round-tripped products agree"
+        "served and round-tripped products agree"
     );
 
-    // A^6 as one Power job (five links, four resident intermediates)
+    // A^6 as one served power (five links, four resident intermediates)
     // against the v2 client's repeated square-and-re-register loop. The
     // longer the chain, the more materializations the expression saves.
-    const POWER_K: u32 = 6;
-    let mut power_ms = f64::MAX;
-    let mut power = None;
+    const POWER_K: u64 = 6;
+    let mut power = Served::new();
     let mut power_rt_ms = f64::MAX;
     for _ in 0..3 {
-        let t0 = Instant::now();
-        let r = expr
-            .multiply_now(tsg_engine::JobSpec::power(xa, POWER_K))
-            .expect("power job runs");
-        power_ms = power_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        power = Some(r);
+        power.add(
+            &client,
+            &format!(r#"{{"op":"power","a":"{xa}","k":{POWER_K}}}"#),
+        );
 
         let t0 = Instant::now();
         let mut cur = xa;
@@ -382,7 +472,6 @@ fn main() {
             let _ = expr.unregister(id);
         }
     }
-    let power = power.expect("three power runs");
 
     // Masked triangle count A·A⟨A⟩ vs the full product plus a client-side
     // Hadamard with the adjacency pattern. Best of 3 each.
@@ -411,13 +500,15 @@ fn main() {
         triangles_baseline = tsg_matrix::ops::sum_all(&had) / 6.0;
     }
     let triangles = tsg_matrix::ops::sum_all(&masked.c.to_csr()) / 6.0;
-    expr.shutdown();
+    client.scheduler().shutdown(Duration::from_secs(30));
     println!(
-        "chained A*B*C: {chain_ms:.2}ms handle-to-handle vs {roundtrip_ms:.2}ms round-trip \
-         ({:.2}x); A^{POWER_K}: {power_ms:.2}ms vs {power_rt_ms:.2}ms ({:.2}x); \
+        "chained A*B*C: {:.2}ms served vs {roundtrip_ms:.2}ms round-trip ({:.2}x); \
+         A^{POWER_K}: {:.2}ms vs {power_rt_ms:.2}ms ({:.2}x); \
          triangles {triangles:.0}: masked {masked_ms:.2}ms vs full+hadamard {full_ms:.2}ms",
-        roundtrip_ms / chain_ms,
-        power_rt_ms / power_ms
+        chain.best_ms,
+        roundtrip_ms / chain.best_ms,
+        power.best_ms,
+        power_rt_ms / power.best_ms
     );
 
     let lookups = s.registry.cache_hits + s.registry.cache_misses;
@@ -495,31 +586,9 @@ fn main() {
         ("serve", tsg_serve::wire::serve_stats_json(&serve)),
         (
             "chained",
-            obj([
-                ("workload", "banded-8x6(120k): A * B * C".into()),
-                ("chain_ms", Value::Num(chain_ms)),
-                ("roundtrip_ms", Value::Num(roundtrip_ms)),
-                ("speedup", Value::Num(roundtrip_ms / chain_ms)),
-                ("links", u64::from(chain.links).into()),
-                ("intermediates", (chain.intermediates.len() as u64).into()),
-                ("link_conversions", u64::from(chain.conversions).into()),
-                ("csr_derivations", chain_derivations.into()),
-                ("nnz_c", chain.nnz_c.into()),
-            ]),
+            chain.to_json("banded-8x6(120k): A * B * C", roundtrip_ms),
         ),
-        (
-            "power",
-            obj([
-                ("workload", "banded-8x6(120k): A^6".into()),
-                ("chain_ms", Value::Num(power_ms)),
-                ("roundtrip_ms", Value::Num(power_rt_ms)),
-                ("speedup", Value::Num(power_rt_ms / power_ms)),
-                ("links", u64::from(power.links).into()),
-                ("intermediates", (power.intermediates.len() as u64).into()),
-                ("link_conversions", u64::from(power.conversions).into()),
-                ("nnz_c", power.nnz_c.into()),
-            ]),
-        ),
+        ("power", power.to_json("banded-8x6(120k): A^6", power_rt_ms)),
         (
             "triangle",
             obj([
@@ -602,36 +671,8 @@ fn main() {
             >= metrics.get(tsg_runtime::Counter::BytesFreed),
         "alloc bytes dominate freed bytes"
     );
-    assert_eq!(chain.links, 2, "A*B*C folds as two links");
-    assert_eq!(
-        chain.intermediates.len(),
-        1,
-        "the single intermediate comes back as a registry handle"
-    );
-    assert_eq!(
-        chain.conversions, 0,
-        "pre-warmed chain converts nothing — intermediates stay tiled"
-    );
-    assert_eq!(
-        chain_derivations, 0,
-        "the chained path never materializes an intermediate CSR"
-    );
-    assert!(
-        chain_ms < roundtrip_ms,
-        "handle-to-handle chaining beats the CSR round-trip \
-         ({chain_ms:.2}ms vs {roundtrip_ms:.2}ms)"
-    );
-    assert_eq!(power.links, POWER_K - 1, "A^6 folds as five links");
-    assert_eq!(
-        power.intermediates.len(),
-        POWER_K as usize - 2,
-        "every non-final power intermediate comes back as a handle"
-    );
-    assert!(
-        power_ms < power_rt_ms,
-        "the power chain beats square-and-re-register \
-         ({power_ms:.2}ms vs {power_rt_ms:.2}ms)"
-    );
+    chain.check("A*B*C", 2, roundtrip_ms);
+    power.check("A^6", POWER_K - 1, power_rt_ms);
     assert!(
         (triangles - triangles_baseline).abs() <= 1e-6 * triangles.abs().max(1.0),
         "masked and full-then-Hadamard triangle counts agree \

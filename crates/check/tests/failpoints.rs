@@ -297,47 +297,6 @@ fn resolve_race_fails_job_but_not_the_worker() {
     engine.shutdown();
 }
 
-/// The registry refuses to take a chain's intermediate product (the
-/// resident registration fails at `engine.chain_register`): graceful
-/// degradation, not failure — the chain still completes with the right
-/// final product, only the intermediate handle is missing from the
-/// report, and a disarmed rerun publishes it again.
-#[test]
-fn chain_intermediate_registration_failure_degrades_gracefully() {
-    let _x = failpoint::exclusive();
-    let engine = Engine::new(EngineConfig::default());
-    let (a, b) = operands();
-    let gold = reference_spgemm(&reference_spgemm(&a, &b), &b);
-    let (ida, _) = engine.register(a);
-    let (idb, _) = engine.register(b);
-
-    failpoint::arm("engine.chain_register", 0, 1);
-    let report = engine
-        .multiply_now(JobSpec::chain([ida, idb, idb]))
-        .expect("chain survives a refused intermediate registration");
-    assert!(failpoint::hits("engine.chain_register") >= 1);
-    assert_eq!(report.links, 2);
-    assert!(
-        report.intermediates.is_empty(),
-        "the refused intermediate must not be reported as a handle"
-    );
-    compare_csr(
-        &report.c.to_csr().drop_numeric_zeros(),
-        &gold,
-        &ValuePolicy::default(),
-    )
-    .unwrap();
-    assert_eq!(engine.device_tracker().current_bytes(), 0);
-
-    // Disarmed, the same chain publishes its intermediate again.
-    failpoint::clear("engine.chain_register");
-    let report = engine
-        .multiply_now(JobSpec::chain([ida, idb, idb]))
-        .unwrap();
-    assert_eq!(report.intermediates.len(), 1);
-    engine.shutdown();
-}
-
 /// The sampled admission estimator "fails" (`engine.estimate_sample`): the
 /// estimate must fall back to the constant-compression upper bound and the
 /// job must still be *admitted* — degraded estimation may widen the

@@ -97,9 +97,11 @@ impl Default for EngineConfig {
 ///
 /// This is the expression layer of the engine: GraphBLAS-style workloads —
 /// triangle counting `C⟨A⟩ = A·A`, Galerkin triple products `R·A·P`, Markov
-/// clustering's `A^k` — are sequences of products, and an `OpSpec` lets one
-/// job carry the whole sequence so intermediates stay in the tiled format
-/// instead of round-tripping through CSR between submissions.
+/// clustering's `A^k` — are sequences of products. [`Engine::submit`] runs
+/// the single-product ops; a `Chain` or `Power` is estimate-only
+/// ([`Engine::estimate_op`]). `tsg-serve` runs one as a batch of linked
+/// multiplies whose intermediates stay resident tiled handles, so no link
+/// round-trips through CSR.
 ///
 /// `#[non_exhaustive]`: build specs through the [`JobSpec`] constructors
 /// (`JobSpec::multiply(a, b).mask(m)` and friends) and match with a wildcard
@@ -138,20 +140,17 @@ pub enum OpSpec {
         /// Right operand.
         b: MatrixId,
     },
-    /// `C = M₁·M₂·…·Mₙ` — a left-associated chain of products. Each
-    /// intermediate stays tiled and feeds the next link directly; it is
-    /// also registered as a resident product handle (unless registration
-    /// degrades gracefully under memory pressure), reported in
-    /// [`JobReport::intermediates`]. An optional mask applies to the final
-    /// link only.
+    /// `C = M₁·M₂·…·Mₙ` — a left-associated chain of products, estimated
+    /// link by link; [`Engine::submit`] refuses it with `invalid_op`. An
+    /// optional mask applies to the final link only.
     Chain {
         /// The operands, in multiplication order (at least two).
         operands: Vec<MatrixId>,
         /// Mask for the final link; shape must match the chain's output.
         mask: Option<MatrixId>,
     },
-    /// `C = A^k` — matrix power, `k ≥ 2`. Sugar for a chain of `k` copies
-    /// of `a`; executes through the same chain path.
+    /// `C = A^k` — matrix power, `k ≥ 2`, estimated as the chain of `k`
+    /// copies of `a` and, like a chain, refused by [`Engine::submit`].
     Power {
         /// The (square) operand.
         a: MatrixId,
@@ -224,7 +223,7 @@ impl JobSpec {
         Self::of(OpSpec::Add { alpha, a, beta, b })
     }
 
-    /// A left-associated chain `C = M₁·M₂·…·Mₙ`.
+    /// A left-associated chain `C = M₁·M₂·…·Mₙ`, to estimate.
     pub fn chain(operands: impl Into<Vec<MatrixId>>) -> Self {
         Self::of(OpSpec::Chain {
             operands: operands.into(),
@@ -232,7 +231,7 @@ impl JobSpec {
         })
     }
 
-    /// `C = A^k`.
+    /// `C = A^k`, to estimate.
     pub fn power(a: MatrixId, k: u32) -> Self {
         Self::of(OpSpec::Power { a, k, mask: None })
     }
@@ -295,17 +294,8 @@ pub struct JobReport {
     pub conversions: u32,
     /// The cost prediction admission control admitted the job under.
     pub estimate: JobEstimate,
-    /// Per-step wall times of the multiply (Figure 10's slices); chains
-    /// accumulate every link's slices.
+    /// Per-step wall times of the multiply (Figure 10's slices).
     pub breakdown: Breakdown,
-    /// Multiply links executed: 1 for a (masked) multiply, 0 for an add,
-    /// `n − 1` for a chain of `n` operands.
-    pub links: u32,
-    /// Resident handles of chain intermediates registered along the way
-    /// (empty for non-chain ops, or when registration degraded under
-    /// memory pressure). Each can be used as an operand of a later job
-    /// without any CSR round-trip; release with `Engine::unregister`.
-    pub intermediates: Vec<MatrixId>,
 }
 
 /// Terminal state of a job.
@@ -395,9 +385,47 @@ impl JobTicket {
     }
 }
 
+/// What a worker runs: the ops [`Engine::submit`] admits.
+enum Work {
+    /// `a·b`, masked when `mask` is set.
+    Multiply {
+        a: MatrixId,
+        b: MatrixId,
+        mask: Option<MatrixId>,
+    },
+    /// `alpha·a + beta·b`.
+    Add {
+        alpha: f64,
+        a: MatrixId,
+        beta: f64,
+        b: MatrixId,
+    },
+}
+
+impl Work {
+    /// The work `op` names; a chain or power is estimate-only.
+    fn of(op: &OpSpec) -> Result<Self, EngineError> {
+        Ok(match *op {
+            OpSpec::Multiply { a, b } => Work::Multiply { a, b, mask: None },
+            OpSpec::MaskedMultiply { a, b, mask } => Work::Multiply {
+                a,
+                b,
+                mask: Some(mask),
+            },
+            OpSpec::Add { alpha, a, beta, b } => Work::Add { alpha, a, beta, b },
+            OpSpec::Chain { .. } | OpSpec::Power { .. } => {
+                return Err(EngineError::InvalidOp(
+                    "chains and powers are estimate-only; submit their links",
+                ))
+            }
+        })
+    }
+}
+
 struct QueuedJob {
     id: u64,
-    spec: JobSpec,
+    work: Work,
+    config: Option<Config>,
     estimate: JobEstimate,
     enqueued: Instant,
     deadline: Option<Instant>,
@@ -625,7 +653,9 @@ impl Engine {
     /// handle on is recycled; one someone else still holds is just
     /// dropped.
     pub fn recycle(&self, c: Arc<TileMatrix<f64>>) {
-        recycle(&self.shared, c);
+        if let Ok(c) = Arc::try_unwrap(c) {
+            tilespgemm_core::recycle(c, &self.shared.arena);
+        }
     }
 
     /// The registered CSR form of `id`. For resident tiled products this
@@ -697,11 +727,12 @@ impl Engine {
         Ok(estimate_spec(&inputs, op, product, threads))
     }
 
-    /// Submits a job. Admission control runs synchronously: unknown
-    /// operands, mismatched shapes, over-budget estimates, a full queue,
-    /// and a shut-down engine all fail here with a typed error. A spec
-    /// carrying [`JobSpec::admitted`] skips the estimate and the budget
-    /// check, but not the operand and shape checks.
+    /// Submits a job. Admission control runs synchronously: a chain or
+    /// power (`invalid_op`: they are estimate-only), unknown operands,
+    /// mismatched shapes, over-budget estimates, a full queue, and a
+    /// shut-down engine all fail here with a typed error. A spec carrying
+    /// [`JobSpec::admitted`] skips the estimate and the budget check, but
+    /// not the operand and shape checks.
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, EngineError> {
         // Every arrival counts, including the ones admission turns away;
         // `admitted` below is the accepted subset.
@@ -709,6 +740,7 @@ impl Engine {
             .counters
             .submitted
             .fetch_add(1, Ordering::Relaxed);
+        let work = Work::of(&spec.op)?;
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return Err(EngineError::ShuttingDown);
         }
@@ -749,7 +781,8 @@ impl Engine {
         let timeout = spec.timeout.or(self.shared.cfg.default_timeout);
         let job = QueuedJob {
             id,
-            spec,
+            work,
+            config: spec.config,
             estimate,
             enqueued: now,
             deadline: timeout.map(|t| now + t),
@@ -1268,58 +1301,54 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         recorder.span_exit(span);
         out
     };
-    let config = job.spec.config.unwrap_or(shared.cfg.base_config);
-    let result = match &job.spec.op {
-        OpSpec::Multiply { a, b } | OpSpec::MaskedMultiply { a, b, .. } => {
-            resolve(*a).and_then(|(ta, hit_a)| {
-                let (tb, hit_b) = resolve(*b)?;
-                let (mut cache_hits, mut conversions) = (
-                    u32::from(hit_a) + u32::from(hit_b),
-                    u32::from(!hit_a) + u32::from(!hit_b),
-                );
-                let tm = match &job.spec.op {
-                    OpSpec::MaskedMultiply { mask, .. } => {
-                        let (tm, hit_m) = resolve(*mask)?;
-                        cache_hits += u32::from(hit_m);
-                        conversions += u32::from(!hit_m);
-                        Some(tm)
-                    }
-                    _ => None,
-                };
-                let out = pool_for(&shared.cfg.device)
-                    .install(|| {
-                        multiply_with_pool(
-                            &ta,
-                            &tb,
-                            tm.as_deref(),
-                            &config,
-                            &shared.device_tracker,
-                            recorder,
-                            job.id,
-                            &shared.arena,
-                        )
-                    })
-                    .map_err(EngineError::SpGemm)?;
-                let exec = exec_start.elapsed();
-                Ok(JobReport {
-                    job: job.id,
-                    nnz_c: out.c.nnz(),
-                    tiles_c: out.c.tile_count(),
-                    c: Arc::new(out.c),
-                    queue_wait,
-                    exec,
-                    peak_bytes: out.peak_bytes,
-                    cache_hits,
-                    conversions,
-                    estimate: job.estimate,
-                    breakdown: out.breakdown,
-                    links: 1,
-                    intermediates: Vec::new(),
+    let config = job.config.unwrap_or(shared.cfg.base_config);
+    let result = match job.work {
+        Work::Multiply { a, b, mask } => resolve(a).and_then(|(ta, hit_a)| {
+            let (tb, hit_b) = resolve(b)?;
+            let (mut cache_hits, mut conversions) = (
+                u32::from(hit_a) + u32::from(hit_b),
+                u32::from(!hit_a) + u32::from(!hit_b),
+            );
+            let tm = match mask {
+                Some(mask) => {
+                    let (tm, hit_m) = resolve(mask)?;
+                    cache_hits += u32::from(hit_m);
+                    conversions += u32::from(!hit_m);
+                    Some(tm)
+                }
+                None => None,
+            };
+            let out = pool_for(&shared.cfg.device)
+                .install(|| {
+                    multiply_with_pool(
+                        &ta,
+                        &tb,
+                        tm.as_deref(),
+                        &config,
+                        &shared.device_tracker,
+                        recorder,
+                        job.id,
+                        &shared.arena,
+                    )
                 })
+                .map_err(EngineError::SpGemm)?;
+            let exec = exec_start.elapsed();
+            Ok(JobReport {
+                job: job.id,
+                nnz_c: out.c.nnz(),
+                tiles_c: out.c.tile_count(),
+                c: Arc::new(out.c),
+                queue_wait,
+                exec,
+                peak_bytes: out.peak_bytes,
+                cache_hits,
+                conversions,
+                estimate: job.estimate,
+                breakdown: out.breakdown,
             })
-        }
-        OpSpec::Add { alpha, a, beta, b } => resolve(*a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(*b)?;
+        }),
+        Work::Add { alpha, a, beta, b } => resolve(a).and_then(|(ta, hit_a)| {
+            let (tb, hit_b) = resolve(b)?;
             if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
                 // `core::add` asserts on shape; surface the typed error
                 // instead (submit already validated against the registry,
@@ -1341,9 +1370,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             let mut breakdown = Breakdown::default();
             let span = recorder.span_enter(job.id, "job");
             let c = pool_for(&shared.cfg.device).install(|| {
-                breakdown.timed(Step::Step3, || {
-                    tilespgemm_core::add(*alpha, &ta, *beta, &tb)
-                })
+                breakdown.timed(Step::Step3, || tilespgemm_core::add(alpha, &ta, beta, &tb))
             });
             recorder.span_exit(span);
             let c_bytes = c.bytes();
@@ -1366,33 +1393,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 conversions: u32::from(!hit_a) + u32::from(!hit_b),
                 estimate: job.estimate,
                 breakdown,
-                links: 0,
-                intermediates: Vec::new(),
             })
         }),
-        OpSpec::Chain { operands, mask } => run_chain(
-            shared,
-            &job,
-            &resolve,
-            operands[0],
-            operands[1..].iter().copied(),
-            *mask,
-            &config,
-            exec_start,
-            queue_wait,
-        ),
-        // Submit checked `k >= 2`, so the power has at least one link.
-        OpSpec::Power { a, k, mask } => run_chain(
-            shared,
-            &job,
-            &resolve,
-            *a,
-            std::iter::repeat_n(*a, *k as usize - 1),
-            *mask,
-            &config,
-            exec_start,
-            queue_wait,
-        ),
     };
     shared
         .counters
@@ -1405,15 +1407,13 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             // band did actual peak bytes land in relative to the admission
             // estimate?
             //
-            // Multiply-shaped jobs tick: plain multiplies run on the
-            // sampled/exact-flops model, and masked multiplies now prune
-            // that same model through the mask (`mask_pruned`), so both are
-            // like-for-like with the histogram. Add and chain jobs still
-            // run on unrelated heuristic baselines and skip the tick.
-            if matches!(
-                job.spec.op,
-                OpSpec::Multiply { .. } | OpSpec::MaskedMultiply { .. }
-            ) {
+            // Multiply jobs tick: plain multiplies run on the sampled/
+            // exact-flops model, and masked multiplies prune that same
+            // model through the mask (`mask_pruned`), so both are
+            // like-for-like with the histogram. Add jobs run on an
+            // unrelated heuristic baseline and skip the tick.
+            let multiply = matches!(job.work, Work::Multiply { .. });
+            if multiply {
                 recorder.add(
                     est_error_bucket(report.estimate.est_bytes, report.peak_bytes),
                     1,
@@ -1422,7 +1422,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             // Sampled-estimator provenance: how many completed jobs carried
             // a sampled band, how many tile rows those samples measured,
             // how often the "sample" was in fact the full population, and
-            // how many multiply-shaped jobs fell back to the constant model
+            // how many multiply jobs fell back to the constant model
             // (sampling disabled, failpoint, or shape-only operands).
             match job.estimate.sample {
                 Some(s) => {
@@ -1432,24 +1432,10 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                         recorder.add(Counter::EstSampleExact, 1);
                     }
                 }
-                None => {
-                    if matches!(
-                        job.spec.op,
-                        OpSpec::Multiply { .. } | OpSpec::MaskedMultiply { .. }
-                    ) {
-                        recorder.add(Counter::EstSampleFallback, 1);
-                    }
-                }
+                None if multiply => recorder.add(Counter::EstSampleFallback, 1),
+                None => {}
             }
-            if matches!(job.spec.op, OpSpec::Chain { .. } | OpSpec::Power { .. }) {
-                recorder.add(Counter::ChainLinks, u64::from(report.links));
-            }
-            if matches!(
-                job.spec.op,
-                OpSpec::MaskedMultiply { .. }
-                    | OpSpec::Chain { mask: Some(_), .. }
-                    | OpSpec::Power { mask: Some(_), .. }
-            ) {
+            if matches!(job.work, Work::Multiply { mask: Some(_), .. }) {
                 recorder.add(Counter::MaskedJobs, 1);
             }
         }
@@ -1458,143 +1444,4 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         }
     };
     complete(&job.ticket, result);
-}
-
-/// [`Engine::recycle`]: hands `c` to the shared pool if it is the last
-/// handle on its product.
-fn recycle(shared: &Shared, c: Arc<TileMatrix<f64>>) {
-    if let Ok(c) = Arc::try_unwrap(c) {
-        tilespgemm_core::recycle(c, &shared.arena);
-    }
-}
-
-/// A resolved operand: its tiled form plus whether the conversion cache hit.
-type TiledHit = (Arc<TileMatrix<f64>>, bool);
-
-/// Executes a left-associated chain of multiplies, keeping every
-/// intermediate in the tiled format: link `i`'s product feeds link `i+1`
-/// directly as an `Arc`, and is also registered as a resident product
-/// handle (no CSR is derived — see [`Registry::insert_tiled`]). The mask,
-/// if any, applies to the final link only.
-///
-/// All named operands are pinned in the registry for the duration, so
-/// concurrent cache pressure cannot evict a tiled form between links.
-#[allow(clippy::too_many_arguments)]
-fn run_chain(
-    shared: &Shared,
-    job: &QueuedJob,
-    resolve: &dyn Fn(MatrixId) -> Result<TiledHit, EngineError>,
-    first: MatrixId,
-    rights: impl ExactSizeIterator<Item = MatrixId>,
-    mask: Option<MatrixId>,
-    config: &Config,
-    exec_start: Instant,
-    queue_wait: Duration,
-) -> JobResult {
-    let recorder = &*shared.recorder;
-    let links = rights.len();
-    let pinned = job.spec.op.operands();
-    {
-        let mut reg = shared
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for &id in &pinned {
-            reg.pin(id);
-        }
-    }
-    let result = (|| {
-        let (mut cur, hit0) = resolve(first)?;
-        let mut cache_hits = u32::from(hit0);
-        let mut conversions = u32::from(!hit0);
-        let tm = match mask {
-            Some(m) => {
-                let (t, hit) = resolve(m)?;
-                cache_hits += u32::from(hit);
-                conversions += u32::from(!hit);
-                Some(t)
-            }
-            None => None,
-        };
-        let mut breakdown = Breakdown::default();
-        let mut peak = 0usize;
-        let mut intermediates = Vec::new();
-        let last = links - 1;
-        for (i, bid) in rights.enumerate() {
-            let (tb, hit) = resolve(bid)?;
-            cache_hits += u32::from(hit);
-            conversions += u32::from(!hit);
-            let mask = if i == last { tm.as_deref() } else { None };
-            let out = pool_for(&shared.cfg.device)
-                .install(|| {
-                    multiply_with_pool(
-                        &cur,
-                        &tb,
-                        mask,
-                        config,
-                        &shared.device_tracker,
-                        recorder,
-                        job.id,
-                        &shared.arena,
-                    )
-                })
-                .map_err(EngineError::SpGemm)?;
-            breakdown.step1 += out.breakdown.step1;
-            breakdown.step2 += out.breakdown.step2;
-            breakdown.step3 += out.breakdown.step3;
-            breakdown.alloc += out.breakdown.alloc;
-            peak = peak.max(out.peak_bytes);
-            // Only a masked link can carry zero-entry tiles (the mask tiles
-            // the product misses). Compacting drops them and moves the
-            // entry arrays; an unmasked link comes back untouched.
-            let c = Arc::new(out.c.compact());
-            if i != last {
-                // Failpoint `engine.chain_register`: the resident
-                // registration is refused (the registry cannot take the
-                // allocation). Graceful degradation: the intermediate
-                // lives on as this job's local `Arc`, the chain continues,
-                // only the handle is missing from the report.
-                #[cfg(feature = "failpoints")]
-                let skip = tsg_runtime::failpoint::should_fail("engine.chain_register");
-                #[cfg(not(feature = "failpoints"))]
-                let skip = false;
-                if !skip {
-                    let id = MatrixId(c.content_hash());
-                    let (mid, _) = shared
-                        .registry
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert_tiled_hashed(id, Arc::clone(&c));
-                    intermediates.push(mid);
-                }
-            }
-            // The link this one superseded is recycled when the chain was
-            // its only owner: registration deduplicated or was skipped.
-            recycle(shared, std::mem::replace(&mut cur, c));
-        }
-        let exec = exec_start.elapsed();
-        Ok(JobReport {
-            job: job.id,
-            nnz_c: cur.nnz(),
-            tiles_c: cur.tile_count(),
-            c: cur,
-            queue_wait,
-            exec,
-            peak_bytes: peak,
-            cache_hits,
-            conversions,
-            estimate: job.estimate,
-            breakdown,
-            links: links as u32,
-            intermediates,
-        })
-    })();
-    let mut reg = shared
-        .registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    for &id in &pinned {
-        reg.unpin(id);
-    }
-    result
 }

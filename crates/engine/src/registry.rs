@@ -22,8 +22,10 @@
 //!   a client asks for it ([`RegistryStats::csr_derivations`] counts those —
 //!   a chained multiply that stays tiled keeps the counter at zero).
 //!
-//! In-flight chains [`Registry::pin`] their operands so concurrent cache
-//! pressure cannot evict a tiled form between two links of the same job.
+//! Nothing is pinned: a job holds its resolved operands as `Arc`s, so an
+//! eviction never disturbs a running job. A served chain runs one job per
+//! link, so an operand evicted between links is converted again; its
+//! intermediates are resident entries, which eviction never takes.
 //!
 //! Each entry also memoizes the sampled estimates of the products it was
 //! the left operand of (DESIGN §14.5). A sampled estimate is a
@@ -121,8 +123,6 @@ struct Entry {
     /// Tiled-primary entry: the tiled form is authoritative, never
     /// LRU-evicted, and accounted outside the cache budget.
     resident: bool,
-    /// In-flight pin count; pinned entries are skipped by LRU eviction.
-    pins: u32,
     last_used: u64,
     /// Sampled estimates of products with this entry on the left, oldest
     /// first, at most [`ESTIMATE_MEMO_PER_OPERAND`].
@@ -195,7 +195,6 @@ impl Registry {
                     tiled_bytes: 0,
                     shape,
                     resident: false,
-                    pins: 0,
                     last_used: now,
                     estimates: Vec::new(),
                 },
@@ -239,7 +238,6 @@ impl Registry {
                 tiled_bytes: bytes,
                 shape,
                 resident: true,
-                pins: 0,
                 last_used: now,
                 estimates: Vec::new(),
             },
@@ -373,24 +371,6 @@ impl Registry {
         self.entries.values().map(|e| e.estimates.len()).sum()
     }
 
-    /// Pins `id`: while the pin count is non-zero, LRU eviction skips the
-    /// entry's tiled form. The engine pins every operand of a chain for the
-    /// duration of the job, so cache pressure from concurrent jobs cannot
-    /// force a re-conversion between links. Unknown ids are ignored (the
-    /// operand check happens at submit).
-    pub fn pin(&mut self, id: MatrixId) {
-        if let Some(e) = self.entries.get_mut(&id.0) {
-            e.pins += 1;
-        }
-    }
-
-    /// Releases one pin on `id` (saturating; unknown ids are ignored).
-    pub fn unpin(&mut self, id: MatrixId) {
-        if let Some(e) = self.entries.get_mut(&id.0) {
-            e.pins = e.pins.saturating_sub(1);
-        }
-    }
-
     /// Whether `id`'s tiled form is currently cached.
     pub fn is_cached(&self, id: MatrixId) -> bool {
         self.entries.get(&id.0).is_some_and(|e| e.tiled.is_some())
@@ -516,13 +496,12 @@ impl Registry {
 
     /// Evicts the least-recently-used cached tiled form. Returns `false`
     /// when nothing was evictable. Resident entries (tiled-primary — the
-    /// tiled form is the data) and pinned entries (an in-flight chain holds
-    /// them) are never victims.
+    /// tiled form is the data) are never victims.
     fn evict_lru(&mut self) -> bool {
         let victim = self
             .entries
             .iter()
-            .filter(|(_, e)| e.tiled.is_some() && !e.resident && e.pins == 0)
+            .filter(|(_, e)| e.tiled.is_some() && !e.resident)
             .min_by_key(|(_, e)| e.last_used)
             .map(|(&k, _)| k);
         match victim {
@@ -744,30 +723,6 @@ mod tests {
         r.remove(id).unwrap();
         assert_eq!(r.resident_bytes(), 0);
         assert!(r.tiled(id).is_err());
-    }
-
-    #[test]
-    fn pinned_entries_survive_lru_pressure() {
-        let mut probe = Registry::new(usize::MAX);
-        let (pa, _) = probe.insert(small(1));
-        let (ta, _) = probe.tiled(pa).unwrap();
-        // Budget fits exactly one cached tiled form.
-        let mut r = Registry::new(ta.bytes() + 8);
-        let (a, _) = r.insert(small(1));
-        let (b, _) = r.insert(small(2));
-        r.tiled(a).unwrap();
-        r.pin(a);
-        // b cannot displace the pinned a: it is served uncached instead.
-        let (_, hit) = r.tiled(b).unwrap();
-        assert!(!hit);
-        assert!(r.is_cached(a));
-        assert!(!r.is_cached(b));
-        assert_eq!(r.stats().uncached_conversions, 1);
-        // Unpinning restores normal LRU behaviour.
-        r.unpin(a);
-        r.tiled(b).unwrap();
-        assert!(!r.is_cached(a));
-        assert!(r.is_cached(b));
     }
 
     #[test]

@@ -564,6 +564,25 @@ fn power_estimates_fold_their_links_without_materializing_them() {
     assert_eq!(huge.est_nnz_c, long.est_nnz_c);
 }
 
+/// Chains and powers are estimate-only: `submit` refuses them with
+/// `invalid_op` before anything is queued or charged, while `estimate_op`
+/// still answers for the same specs.
+#[test]
+fn chains_and_powers_are_refused_at_submit_but_still_estimated() {
+    let engine = Engine::new(EngineConfig::default());
+    let (a, _) = engine.register(scatter(512, 6, 9));
+    let (mask, _) = engine.register(scatter(512, 3, 10));
+    let specs = [JobSpec::chain([a, a, a]), JobSpec::power(a, 3).mask(mask)];
+    for (submitted, spec) in (1..).zip(specs) {
+        assert!(engine.estimate_op(&spec.op).unwrap().flops > 0, "{spec:?}");
+        assert_eq!(engine.submit(spec).unwrap_err().code(), "invalid_op");
+        let s = engine.stats();
+        assert_eq!((s.submitted, s.admitted), (submitted, 0));
+        assert_eq!(s.queue_depth, 0);
+        assert_eq!(s.device_bytes_in_use, 0);
+    }
+}
+
 /// A memoized estimate is the estimate a fresh engine computes: for a plain
 /// and a masked multiply, a power, and a chain, all of which memoize their
 /// (first) product.

@@ -89,13 +89,13 @@ pub enum Counter {
     /// Jobs that arrived as members of a `multiply_many` batch.
     ServeBatchJobs,
     /// Multiply links of chain and power expressions (a chain of `n`
-    /// operands has `n - 1` links; plain multiplies have none). An engine
-    /// `Chain`/`Power` job adds its links when it completes; `tsg-serve`,
-    /// which lowers `chain`/`power` requests to batches of linked
-    /// multiplies, adds a batch's links when it queues the batch.
+    /// operands has `n - 1` links; plain multiplies have none). `tsg-serve`
+    /// runs `chain`/`power` requests as batches of linked multiplies and
+    /// adds a batch's links when it queues the batch; the engine runs no
+    /// chains of its own.
     ChainLinks,
-    /// Masked-multiply jobs completed (`MaskedMultiply`, or a chain whose
-    /// final link carried a mask).
+    /// Masked-multiply jobs completed (`MaskedMultiply`; a served chain's
+    /// masked final link is one).
     MaskedJobs,
     /// Completed jobs whose admission estimate came from the sampled
     /// symbolic pass (an `est_sample_*` band was attached).

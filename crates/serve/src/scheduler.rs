@@ -64,8 +64,8 @@ pub const SERVE_JOB_BASE: u64 = 1 << 32;
 /// Scheduler construction parameters.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Default bounded depth of each session's queue (a session may
-    /// override it at open time).
+    /// Bounded depth of each session's queue. A session may ask for a
+    /// shallower queue at open time, never a deeper one.
     pub session_queue_depth: usize,
     /// How long a submission that finds its queue full is held waiting for
     /// space before it is answered with a [`BackpressureHint`].
@@ -506,8 +506,9 @@ impl Scheduler {
         &self.shared.engine
     }
 
-    /// Opens a session with fairness `weight` (must be finite and positive)
-    /// and an optional queue-depth override, returning its id.
+    /// Opens a session with fairness `weight` (anything but a finite
+    /// positive weight becomes 1) and an optional queue depth, capped at
+    /// [`SchedConfig::session_queue_depth`], returning its id.
     pub fn open_session(
         &self,
         name: &str,
@@ -526,6 +527,7 @@ impl Scheduler {
         } else {
             1.0
         };
+        let max_depth = self.shared.cfg.session_queue_depth;
         let mut inner = self.lock();
         if inner.draining {
             return Err(SubmitError::Draining);
@@ -543,7 +545,7 @@ impl Scheduler {
             SessionState {
                 name: name.to_string(),
                 weight,
-                depth: depth.unwrap_or(self.shared.cfg.session_queue_depth).max(1),
+                depth: depth.map_or(max_depth, |d| d.min(max_depth)).max(1),
                 queue: VecDeque::new(),
                 vtime,
                 enqueued: 0,
@@ -698,13 +700,14 @@ impl Scheduler {
         Ok(Submission::Queued(tickets))
     }
 
-    /// The queue depth of an open session — the longest batch it can ever
-    /// admit.
-    pub fn session_depth(&self, session: u64) -> Result<usize, SubmitError> {
+    /// The fairness weight and queue depth an open session runs under, as
+    /// [`Scheduler::open_session`] applied them. The depth is the longest
+    /// batch the session can ever admit.
+    pub fn session_limits(&self, session: u64) -> Result<(f64, usize), SubmitError> {
         self.lock()
             .sessions
             .get(&session)
-            .map(|s| s.depth)
+            .map(|s| (s.weight, s.depth))
             .ok_or(SubmitError::UnknownSession(session))
     }
 

@@ -18,7 +18,7 @@
 //! | `{"op":"convert","id":"m…"}` | `{"ok":true,"id":"m…","tiles":..,"tiled_bytes":..,"cache_hit":false}` |
 //! | `{"op":"estimate","a":"m…","b":"m…"[,"mask":"m…"]}` | `{"ok":true,"flops":..,"est_nnz_c":..,"est_bytes":..}`, plus the sampled band when sampled |
 //! | `{"op":"estimate","ids":["m…","m…","m…"]}` | the same for a chain |
-//! | `{"op":"open_session","name":"etl","weight":2,"depth":8}` | `{"ok":true,"session":1,"weight":2}` |
+//! | `{"op":"open_session","name":"etl","weight":2,"depth":4}` | `{"ok":true,"session":1,"weight":2,"depth":4}`: the weight and depth applied (a depth is capped at the server's `--session-depth`, a weight that is not finite and positive becomes 1) |
 //! | `{"op":"multiply","a":"m…","b":"m…"[,"keep":true]}` | `{"ok":true,"job":4294967296,"nnz_c":..,"queue_wait_ms":..,"exec_ms":..,"step1_ms":..,…}`, plus `"c":"m…"` when kept |
 //! | `{"op":"multiply",…,"mask":"m…"}` | the masked product `(A·B) ∘ mask`, mask pushed into step 2 |
 //! | `{"op":"multiply",…}` (queue full) | `{"ok":false,"error":{"code":"backpressure",…},"retry_after_ms":N,"queue_position":P}` |
@@ -437,13 +437,15 @@ impl ServeSession {
         let depth = req
             .get("depth")
             .and_then(Value::as_u64)
-            .map(|d| d.max(1) as usize);
+            .map(|d| usize::try_from(d).unwrap_or(usize::MAX));
         let id = self.scheduler.open_session(name, weight, depth)?;
         *self.lock_session() = Some(id);
+        let (weight, depth) = self.scheduler.session_limits(id)?;
         Ok(obj([
             ("ok", true.into()),
             ("session", id.into()),
             ("weight", weight.into()),
+            ("depth", depth.into()),
         ]))
     }
 
@@ -543,9 +545,9 @@ impl ServeSession {
         // `k` copies of `a` lower to `k − 1` linked jobs in one batch; a
         // batch longer than the session queue can never be admitted, so
         // refuse it before allocating the operand list.
-        let depth = self
+        let (_, depth) = self
             .session_id()
-            .and_then(|s| self.scheduler.session_depth(s))?;
+            .and_then(|s| self.scheduler.session_limits(s))?;
         if k - 1 > depth as u64 {
             return Err(SubmitError::BatchTooLarge {
                 len: usize::try_from(k - 1).unwrap_or(usize::MAX),
@@ -1129,6 +1131,7 @@ mod tests {
         let st = ok(&s, r#"{"op":"stats"}"#);
         assert_eq!(num(&st, "csr_derivations"), derivations);
         assert!(num(&st, "resident_bytes") > 0);
+        assert_eq!(num(&st, "device_bytes_in_use"), 0);
 
         // The kept tiled handle is a first-class operand: square it, still
         // without deriving its CSR.
@@ -1141,6 +1144,15 @@ mod tests {
             num(&ok(&s, r#"{"op":"stats"}"#), "csr_derivations"),
             derivations
         );
+
+        // The chain's product is the reference A³ entry for entry (small
+        // integers, so exactly).
+        let dense = |h: &str| {
+            let csr = s.engine().csr(h.parse().unwrap()).unwrap();
+            tsg_matrix::Dense::from_csr(&csr)
+        };
+        let a = dense(&id);
+        assert_eq!(dense(&kept).max_abs_diff(&a.matmul(&a).matmul(&a)), 0.0);
     }
 
     #[test]

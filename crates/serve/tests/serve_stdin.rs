@@ -535,6 +535,42 @@ fn power_longer_than_the_session_queue_is_refused_before_it_allocates() {
 }
 
 #[test]
+fn a_client_cannot_deepen_its_session_queue() {
+    // Server default session depth: 8.
+    let mut serve = Serve::spawn(&[]);
+    let loaded = serve.request_ok(
+        r#"{"op":"load","rows":2,"cols":2,"triplets":[[0,0,1.0],[0,1,2.0],[1,1,3.0]]}"#,
+    );
+    let id = loaded
+        .get("id")
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    // The reply names the weight and depth the scheduler applied, and the
+    // depth bounds `power` before it allocates: 19 links do not fit 8.
+    for open in [
+        r#"{"op":"open_session","weight":-3,"depth":100}"#,
+        r#"{"op":"open_session","depth":9007199254740992}"#,
+    ] {
+        let opened = serve.request_ok(open);
+        assert_eq!(opened.get("weight").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(opened.get("depth").and_then(Value::as_u64), Some(8));
+        let err = serve.request(&format!(r#"{{"op":"power","a":"{id}","k":20}}"#));
+        assert_eq!(
+            err.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_str),
+            Some("bad_request"),
+            "{open}: {err}"
+        );
+    }
+    // A shallower queue is the client's to ask for.
+    let opened = serve.request_ok(r#"{"op":"open_session","weight":2,"depth":3}"#);
+    assert_eq!(opened.get("weight").and_then(Value::as_f64), Some(2.0));
+    assert_eq!(opened.get("depth").and_then(Value::as_u64), Some(3));
+}
+
+#[test]
 fn budget_flag_still_bounds_memory_under_deferred_admission() {
     // 1 MiB budget: fem-00's square can never fit. The scheduler no longer
     // rejects it up front (deferred admission runs it solo once the device

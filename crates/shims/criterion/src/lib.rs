@@ -5,7 +5,8 @@
 //! `bench_function`, `bench_with_input`, `Bencher::iter`, `BenchmarkId`,
 //! `Throughput`, and the `criterion_group!`/`criterion_main!` macros. Each
 //! benchmark runs one warm-up iteration and `sample_size` timed iterations,
-//! then prints min/mean/max wall time in a single line per benchmark.
+//! then prints min/mean/max wall time in a single line per benchmark, each
+//! to four significant digits in the unit its magnitude calls for.
 
 use std::time::{Duration, Instant};
 
@@ -106,12 +107,36 @@ fn report(group: &str, id: &str, throughput: Option<Throughput>, times: &[Durati
         None => String::new(),
     };
     println!(
-        "{group}/{id}: [{:.4} ms {:.4} ms {:.4} ms] ({} samples){rate}",
-        min.as_secs_f64() * 1e3,
-        mean.as_secs_f64() * 1e3,
-        max.as_secs_f64() * 1e3,
+        "{group}/{id}: [{} {} {}] ({} samples){rate}",
+        format_duration(*min),
+        format_duration(mean),
+        format_duration(*max),
         times.len(),
     );
+}
+
+/// `d` to four significant digits, in ns, µs, ms or s by magnitude.
+fn format_duration(d: Duration) -> String {
+    let mut value = d.as_secs_f64() * 1e9;
+    for unit in ["ns", "µs", "ms"] {
+        // Anything from 999.95 up rounds to 1000 at four digits.
+        if value < 999.95 {
+            return four_digits(value, unit);
+        }
+        value /= 1e3;
+    }
+    four_digits(value, "s")
+}
+
+fn four_digits(value: f64, unit: &str) -> String {
+    let decimals = if value >= 99.995 {
+        1
+    } else if value >= 9.9995 {
+        2
+    } else {
+        3
+    };
+    format!("{value:.decimals$} {unit}")
 }
 
 /// A named set of related benchmarks sharing sample-count and throughput
@@ -239,6 +264,20 @@ mod tests {
     #[test]
     fn group_macro_runs_targets() {
         benches();
+    }
+
+    #[test]
+    fn durations_print_four_digits_in_the_unit_of_their_magnitude() {
+        let f = |ns| format_duration(Duration::from_nanos(ns));
+        assert_eq!(f(0), "0.000 ns");
+        assert_eq!(f(312), "312.0 ns");
+        assert_eq!(f(612), "612.0 ns");
+        assert_eq!(f(1_234), "1.234 µs");
+        assert_eq!(f(12_346), "12.35 µs");
+        assert_eq!(f(123_456), "123.5 µs");
+        assert_eq!(f(999_960), "1.000 ms");
+        assert_eq!(f(7_654_321), "7.654 ms");
+        assert_eq!(f(2_500_000_000), "2.500 s");
     }
 
     #[test]
