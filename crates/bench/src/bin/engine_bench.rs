@@ -1,22 +1,24 @@
 //! Service-level benchmark of the serving stack (`tsg-serve` over
-//! `tsg-engine`): a mixed 20-job burst fired through a scheduler session at
-//! an engine with a deliberately constrained device budget and queue depth.
+//! `tsg-engine`): a mixed 20-job burst fired through a scheduler session
+//! with two workers at an engine with a deliberately constrained device
+//! budget.
 //!
 //! The burst is the same shape the engine-only bench used to shed most of:
-//! under the scheduler nothing is dropped. A full session queue answers
-//! with a backpressure hint (the bench resubmits, as a client would). The
-//! big `DxD` product — whose old constant-compression estimate overflowed
-//! the budget and forced deferred-solo admission — is now admitted
-//! directly: the sampled symbolic estimator measures its compression and
-//! its band-upper bound fits. Deferred admission stays wired in as the
+//! under the scheduler nothing is dropped. It arrives faster than two
+//! workers drain it, so the session queue fills and answers with
+//! backpressure hints (the bench resubmits, as a client would). The big
+//! `DxD` product — whose old constant-compression estimate overflowed the
+//! budget and forced deferred-solo admission — is now admitted directly:
+//! the sampled symbolic estimator measures its compression and its
+//! band-upper bound fits. Deferred admission stays wired in as the
 //! backstop but this burst never trips it. The headline is therefore
-//! throughput (`jobs_per_s`) at a zero shed rate and zero deferrals.
+//! throughput (`jobs_per_s`) with every job completed and zero deferrals.
 //!
 //! Writes `BENCH_engine.json` at the workspace root: per-job queue wait,
 //! execution wall time, per-step breakdown, cache hits/conversions, the
-//! engine's final statistics (cache hit rate, evictions, shed/rejected
-//! counts — both zero by construction), the scheduler's statistics
-//! (hints, deferrals, queue high-water), the observability counter totals
+//! engine's final statistics (completed and failed jobs, cache hit rate,
+//! evictions), the scheduler's statistics (jobs started, hints, deferrals,
+//! queue high-water, per-session rows), the observability counter totals
 //! (including the `est_err_*` estimator-accuracy buckets, one tick per
 //! completed multiply — plain or masked — and the `est_sample_*` sampler
 //! counters), and a representative per-job span tree (the engine runs
@@ -27,7 +29,9 @@
 //! scheduler session as the `expr` workload sends them, whose
 //! intermediates stay resident tiled handles (zero conversions, zero CSR
 //! derivations) against the v2-client round-trip baseline (materialize
-//! each intermediate to CSR, re-register, reconvert), and a masked
+//! each intermediate to CSR, re-register, reconvert), each timed in
+//! [`EXPR_PAIRS`] back-to-back pairs that alternate which side runs first
+//! and reported as the median of the per-pair speedups; and a masked
 //! triangle count `A·A⟨A⟩` against the full product followed by a
 //! client-side Hadamard.
 //!
@@ -38,8 +42,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tsg_bench::median;
 use tsg_engine::json::{obj, parse, Value};
-use tsg_engine::{Engine, EngineConfig, MatrixId};
+use tsg_engine::{Engine, EngineConfig, JobReport, JobSpec, MatrixId, OpSpec};
 use tsg_gen::suite::GenSpec;
 use tsg_runtime::{Breakdown, Device, SpanNode};
 use tsg_serve::{SchedConfig, Scheduler, ServeSession, ServeTicket, Submission, SubmitSpec};
@@ -103,11 +108,15 @@ fn row_to_json(r: &JobRow) -> Value {
     ])
 }
 
-/// A served expression row: the best wall time of its requests, the last
-/// reply, and the CSR→tiled conversions and tiled→CSR derivations the
-/// registry counted across every run.
+/// Back-to-back pairs each served expression row is timed in against its
+/// round trip.
+const EXPR_PAIRS: usize = 9;
+
+/// A served expression row: the `(served, round trip)` wall times of each
+/// pair in ms, the last reply, and the CSR→tiled conversions and tiled→CSR
+/// derivations the registry counted across every served run.
 struct Served {
-    best_ms: f64,
+    pairs: Vec<(f64, f64)>,
     reply: Value,
     conversions: u64,
     derivations: u64,
@@ -116,20 +125,20 @@ struct Served {
 impl Served {
     fn new() -> Self {
         Served {
-            best_ms: f64::MAX,
+            pairs: Vec::new(),
             reply: Value::Null,
             conversions: 0,
             derivations: 0,
         }
     }
 
-    /// Sends `line` through `client`, timing it, and returns the reply.
-    fn add(&mut self, client: &ServeSession, line: &str) -> &Value {
+    /// Sends `line` through `client` and returns its wall time in ms.
+    fn send(&mut self, client: &ServeSession, line: &str) -> f64 {
         let registry = || client.scheduler().engine().stats().registry;
         let before = registry();
         let t0 = Instant::now();
         let (reply, _) = client.handle_line(line);
-        self.best_ms = self.best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let wall_ms = ms_since(t0);
         let after = registry();
         self.conversions += after.conversions - before.conversions;
         self.derivations += after.csr_derivations - before.csr_derivations;
@@ -139,7 +148,34 @@ impl Served {
             Some(true),
             "{line}: {reply}"
         );
-        &self.reply
+        wall_ms
+    }
+
+    /// Times `line` against `roundtrip` in [`EXPR_PAIRS`] back-to-back
+    /// pairs, alternating which side runs first, so a pair's two runs see
+    /// the same host state.
+    fn pair(&mut self, client: &ServeSession, line: &str, mut roundtrip: impl FnMut() -> f64) {
+        for i in 0..EXPR_PAIRS {
+            let pair = if i % 2 == 0 {
+                let served = self.send(client, line);
+                (served, roundtrip())
+            } else {
+                let rt = roundtrip();
+                (self.send(client, line), rt)
+            };
+            self.pairs.push(pair);
+        }
+    }
+
+    /// The median over the pairs of `f(served, round trip)`.
+    fn median(&self, f: impl Fn(f64, f64) -> f64) -> f64 {
+        let mut values: Vec<f64> = self.pairs.iter().map(|&(s, r)| f(s, r)).collect();
+        median(&mut values)
+    }
+
+    /// The median of the per-pair round-trip / served ratios.
+    fn speedup(&self) -> f64 {
+        self.median(|served, rt| rt / served)
     }
 
     fn num(&self, key: &str) -> u64 {
@@ -151,12 +187,13 @@ impl Served {
         handles.expect("intermediates").len() as u64
     }
 
-    fn to_json(&self, workload: &str, roundtrip_ms: f64) -> Value {
+    fn to_json(&self, workload: &str) -> Value {
         obj([
             ("workload", workload.into()),
-            ("chain_ms", Value::Num(self.best_ms)),
-            ("roundtrip_ms", Value::Num(roundtrip_ms)),
-            ("speedup", Value::Num(roundtrip_ms / self.best_ms)),
+            ("chain_ms", Value::Num(self.median(|served, _| served))),
+            ("roundtrip_ms", Value::Num(self.median(|_, rt| rt))),
+            ("speedup", Value::Num(self.speedup())),
+            ("pairs", self.pairs.len().into()),
             ("links", self.num("links").into()),
             ("intermediates", self.intermediates().into()),
             ("link_conversions", self.conversions.into()),
@@ -167,8 +204,8 @@ impl Served {
 
     /// `links` links whose intermediates all came back as resident
     /// handles, with nothing converted or derived, faster than the round
-    /// trip.
-    fn check(&self, what: &str, links: u64, roundtrip_ms: f64) {
+    /// trip in the median pair.
+    fn check(&self, what: &str, links: u64) {
         assert_eq!(self.num("links"), links, "{what}: links");
         assert_eq!(
             self.intermediates(),
@@ -182,12 +219,23 @@ impl Served {
              an intermediate CSR"
         );
         assert!(
-            self.best_ms < roundtrip_ms,
+            self.speedup() > 1.0,
             "{what}: handle-to-handle chaining beats the CSR round trip \
-             ({:.2}ms vs {roundtrip_ms:.2}ms)",
-            self.best_ms
+             (median pair speedup {:.2}x)",
+            self.speedup()
         );
     }
+}
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Runs `op` on `engine` alone, as an in-process client without a
+/// scheduler does: under the engine's own estimate.
+fn run_alone(engine: &Engine, op: &OpSpec) -> JobReport {
+    let estimate = engine.estimate_op(op).expect("registered operands");
+    engine.run(0, op, estimate).expect("the product runs")
 }
 
 fn spans_to_json(nodes: &[SpanNode]) -> Value {
@@ -209,22 +257,24 @@ fn main() {
     // A 3060-class device with its budget squeezed to the point where the
     // old constant-compression estimate of the largest product overflowed
     // it (the deferred-admission case). The sampled estimator's band-upper
-    // bound fits, so the same job now admits directly; a shallow engine
-    // queue still overflows the burst into the session queue so the
+    // bound fits, so the same job now admits directly; two workers drain
+    // the burst slower than it arrives, so the session queue fills and the
     // backpressure path fires.
     let mut device = Device::rtx3060_sim();
     device.mem_budget = 80 << 20;
     let cfg = EngineConfig {
         cache_bytes: 8 << 20,
         device,
-        workers: 2,
-        queue_depth: 5,
-        default_timeout: None,
-        base_config: Default::default(),
         profile: true,
         sample_rate: tilespgemm_core::sample::DEFAULT_SAMPLE_RATE,
     };
-    let sched = Scheduler::new(Arc::new(Engine::new(cfg)), SchedConfig::default());
+    let sched = Scheduler::new(
+        Arc::new(Engine::new(cfg)),
+        SchedConfig {
+            workers: 2,
+            ..SchedConfig::default()
+        },
+    );
     let engine = Arc::clone(sched.engine());
     let sid = sched
         .open_session("bench", 1.0, Some(8))
@@ -312,9 +362,9 @@ fn main() {
                 rows.push(JobRow {
                     label,
                     outcome: "completed".to_string(),
-                    queue_wait_ms: r.queue_wait.as_secs_f64() * 1e3,
+                    queue_wait_ms: done.queue_wait.as_secs_f64() * 1e3,
                     exec_ms: r.exec.as_secs_f64() * 1e3,
-                    wall_ms: (r.queue_wait + r.exec).as_secs_f64() * 1e3,
+                    wall_ms: (done.queue_wait + r.exec).as_secs_f64() * 1e3,
                     cache_hits: u64::from(r.cache_hits),
                     conversions: u64::from(r.conversions),
                     peak_bytes: r.peak_bytes,
@@ -406,32 +456,28 @@ fn main() {
     // v2 client had to run: materialize the intermediate to CSR,
     // re-register it, reconvert for the next hop, drop the throwaway
     // registration. Both share the registry and the buffer pool, so the
-    // two paths interleave in one loop and machine drift hits both
-    // equally; best of 5 each.
+    // two paths run in back-to-back pairs and machine drift hits both
+    // equally.
     let chain_line = |keep: &str| format!(r#"{{"op":"chain","ids":["{xa}","{xb}","{xc}"]{keep}}}"#);
     let mut chain = Served::new();
-    let mut roundtrip_ms = f64::MAX;
     let mut roundtrip = None;
-    for _ in 0..5 {
-        chain.add(&client, &chain_line(""));
-
+    chain.pair(&client, &chain_line(""), || {
         let t0 = Instant::now();
-        let ab = expr
-            .multiply_now(tsg_engine::JobSpec::multiply(xa, xb))
-            .expect("first hop");
+        let ab = run_alone(&expr, &JobSpec::multiply(xa, xb).op);
         let (ab_id, _) = expr.register(ab.c.to_csr());
-        let r = expr
-            .multiply_now(tsg_engine::JobSpec::multiply(ab_id, xc))
-            .expect("second hop");
-        roundtrip_ms = roundtrip_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let r = run_alone(&expr, &JobSpec::multiply(ab_id, xc).op);
+        let wall_ms = ms_since(t0);
         roundtrip = Some(r);
         expr.unregister(ab_id).expect("intermediate was registered");
-    }
-    let roundtrip = roundtrip.expect("five round-trip runs");
+        wall_ms
+    });
+    let roundtrip = roundtrip.expect("paired round-trip runs");
     // One more chain, kept, whose product is checked against the round
     // trip's; its CSR is derived only after the timed runs.
-    let kept = Served::new()
-        .add(&client, &chain_line(r#","keep":true"#))
+    let mut kept = Served::new();
+    kept.send(&client, &chain_line(r#","keep":true"#));
+    let kept = kept
+        .reply
         .get("c")
         .and_then(Value::as_str)
         .and_then(|c| c.parse().ok())
@@ -449,29 +495,23 @@ fn main() {
     // longer the chain, the more materializations the expression saves.
     const POWER_K: u64 = 6;
     let mut power = Served::new();
-    let mut power_rt_ms = f64::MAX;
-    for _ in 0..3 {
-        power.add(
-            &client,
-            &format!(r#"{{"op":"power","a":"{xa}","k":{POWER_K}}}"#),
-        );
-
+    let power_line = format!(r#"{{"op":"power","a":"{xa}","k":{POWER_K}}}"#);
+    power.pair(&client, &power_line, || {
         let t0 = Instant::now();
         let mut cur = xa;
         let mut throwaway = Vec::new();
         for _ in 0..POWER_K - 1 {
-            let hop = expr
-                .multiply_now(tsg_engine::JobSpec::multiply(cur, xa))
-                .expect("power hop runs");
+            let hop = run_alone(&expr, &JobSpec::multiply(cur, xa).op);
             let (id, _) = expr.register(hop.c.to_csr());
             throwaway.push(id);
             cur = id;
         }
-        power_rt_ms = power_rt_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let wall_ms = ms_since(t0);
         for id in throwaway {
             let _ = expr.unregister(id);
         }
-    }
+        wall_ms
+    });
 
     // Masked triangle count A·A⟨A⟩ vs the full product plus a client-side
     // Hadamard with the adjacency pattern. Best of 3 each.
@@ -479,10 +519,8 @@ fn main() {
     let mut masked = None;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let r = expr
-            .multiply_now(tsg_engine::JobSpec::multiply(xm, xm).mask(xm))
-            .expect("masked multiply runs");
-        masked_ms = masked_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let r = run_alone(&expr, &JobSpec::multiply(xm, xm).mask(xm).op);
+        masked_ms = masked_ms.min(ms_since(t0));
         masked = Some(r);
     }
     let masked = masked.expect("three masked runs");
@@ -491,24 +529,24 @@ fn main() {
     let mut triangles_baseline = 0.0f64;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let r = expr
-            .multiply_now(tsg_engine::JobSpec::multiply(xm, xm))
-            .expect("full multiply runs");
+        let r = run_alone(&expr, &JobSpec::multiply(xm, xm).op);
         let had = tsg_matrix::ops::hadamard(&r.c.to_csr(), &adj);
-        full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        full_ms = full_ms.min(ms_since(t0));
         full_nnz = r.nnz_c;
         triangles_baseline = tsg_matrix::ops::sum_all(&had) / 6.0;
     }
     let triangles = tsg_matrix::ops::sum_all(&masked.c.to_csr()) / 6.0;
     client.scheduler().shutdown(Duration::from_secs(30));
     println!(
-        "chained A*B*C: {:.2}ms served vs {roundtrip_ms:.2}ms round-trip ({:.2}x); \
-         A^{POWER_K}: {:.2}ms vs {power_rt_ms:.2}ms ({:.2}x); \
+        "chained A*B*C: {:.2}ms served vs {:.2}ms round-trip ({:.2}x); \
+         A^{POWER_K}: {:.2}ms vs {:.2}ms ({:.2}x) (medians of {EXPR_PAIRS} pairs); \
          triangles {triangles:.0}: masked {masked_ms:.2}ms vs full+hadamard {full_ms:.2}ms",
-        chain.best_ms,
-        roundtrip_ms / chain.best_ms,
-        power.best_ms,
-        power_rt_ms / power.best_ms
+        chain.median(|served, _| served),
+        chain.median(|_, rt| rt),
+        chain.speedup(),
+        power.median(|served, _| served),
+        power.median(|_, rt| rt),
+        power.speedup(),
     );
 
     let lookups = s.registry.cache_hits + s.registry.cache_misses;
@@ -519,11 +557,6 @@ fn main() {
     };
     let completed = rows.iter().filter(|r| r.outcome == "completed").count();
     let jobs_per_s = completed as f64 / wall.as_secs_f64();
-    let shed_rate = if s.submitted > 0 {
-        s.shed as f64 / s.submitted as f64
-    } else {
-        0.0
-    };
     let est_err_total: u64 = metrics
         .iter()
         .filter(|(_, name, _)| name.starts_with("est_err_"))
@@ -531,12 +564,9 @@ fn main() {
         .sum();
     println!(
         "{} jobs in {:.2}s: {completed} completed ({jobs_per_s:.2} jobs/s), \
-         {} rejected, {} shed (shed rate {shed_rate:.2}), {hints} hints, \
-         {} deferred; cache hit rate {:.2}",
+         {hints} hints, {} deferred; cache hit rate {:.2}",
         rows.len(),
         wall.as_secs_f64(),
-        s.rejected,
-        s.shed,
         serve.deferred,
         hit_rate
     );
@@ -549,29 +579,18 @@ fn main() {
                 ("budget_bytes", engine.device().mem_budget.into()),
                 ("cache_bytes", (8usize << 20).into()),
                 ("workers", 2u64.into()),
-                ("queue_depth", 5u64.into()),
                 ("session_depth", 8u64.into()),
                 ("jobs_submitted", 20u64.into()),
             ]),
         ),
         ("jobs_per_s", Value::Num(jobs_per_s)),
         ("wall_s", Value::Num(wall.as_secs_f64())),
-        ("shed_rate", Value::Num(shed_rate)),
         ("jobs", Value::Arr(rows.iter().map(row_to_json).collect())),
         (
             "stats",
             obj([
-                ("submitted", s.submitted.into()),
-                ("admitted", s.admitted.into()),
                 ("completed", s.completed.into()),
                 ("failed", s.failed.into()),
-                ("rejected", s.rejected.into()),
-                ("shed", s.shed.into()),
-                ("timed_out", s.timed_out.into()),
-                (
-                    "queue_wait_ms_total",
-                    Value::Num(s.queue_wait_total.as_secs_f64() * 1e3),
-                ),
                 (
                     "exec_ms_total",
                     Value::Num(s.exec_total.as_secs_f64() * 1e3),
@@ -584,11 +603,8 @@ fn main() {
             ]),
         ),
         ("serve", tsg_serve::wire::serve_stats_json(&serve)),
-        (
-            "chained",
-            chain.to_json("banded-8x6(120k): A * B * C", roundtrip_ms),
-        ),
-        ("power", power.to_json("banded-8x6(120k): A^6", power_rt_ms)),
+        ("chained", chain.to_json("banded-8x6(120k): A * B * C")),
+        ("power", power.to_json("banded-8x6(120k): A^6")),
         (
             "triangle",
             obj([
@@ -622,10 +638,17 @@ fn main() {
         "reservation-gated admission completes the whole burst the engine \
          used to shed"
     );
-    assert_eq!(s.shed, 0, "backpressure replaced queue-full shedding");
     assert_eq!(
-        s.rejected, 0,
-        "deferred admission replaced up-front rejection"
+        serve.dispatched, s.completed,
+        "every job the scheduler started completed"
+    );
+    assert!(
+        serve.sessions.iter().all(|row| row.failed == 0),
+        "no session has a failed job"
+    );
+    assert!(
+        hints > 0,
+        "the burst outruns two workers and rides backpressure hints"
     );
     assert_eq!(
         serve.deferred, 0,
@@ -671,8 +694,8 @@ fn main() {
             >= metrics.get(tsg_runtime::Counter::BytesFreed),
         "alloc bytes dominate freed bytes"
     );
-    chain.check("A*B*C", 2, roundtrip_ms);
-    power.check("A^6", POWER_K - 1, power_rt_ms);
+    chain.check("A*B*C", 2);
+    power.check("A^6", POWER_K - 1);
     assert!(
         (triangles - triangles_baseline).abs() <= 1e-6 * triangles.abs().max(1.0),
         "masked and full-then-Hadamard triangle counts agree \

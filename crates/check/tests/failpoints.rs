@@ -15,7 +15,7 @@ use tilespgemm_core::{
 };
 use tsg_baselines::reference::reference_spgemm;
 use tsg_check::{compare_csr, corpus, ValuePolicy};
-use tsg_engine::{Engine, EngineConfig, JobSpec};
+use tsg_engine::{Engine, EngineConfig, JobResult, JobSpec};
 use tsg_matrix::TileMatrix;
 use tsg_runtime::failpoint;
 use tsg_runtime::observe::NullRecorder;
@@ -23,6 +23,12 @@ use tsg_runtime::{MemTracker, ScratchPool};
 
 fn operands() -> (tsg_matrix::Csr<f64>, tsg_matrix::Csr<f64>) {
     corpus::build("dense-tile-row", 0).expect("corpus case exists")
+}
+
+/// Runs `spec` on `engine` under the engine's own estimate, as job 1.
+fn run(engine: &Engine, spec: JobSpec) -> JobResult {
+    let estimate = engine.estimate_op(&spec.op)?;
+    engine.run(1, &spec.op, estimate)
 }
 
 /// Every tracked allocation of the pipeline, failed one at a time: the
@@ -192,18 +198,14 @@ fn engine_job_survives_device_oom() {
     engine.convert(idb).unwrap();
 
     failpoint::arm("tracker.alloc", 0, 1);
-    let err = engine
-        .multiply_now(JobSpec::multiply(ida, idb))
-        .expect_err("armed job must fail");
+    let err = run(&engine, JobSpec::multiply(ida, idb)).expect_err("armed job must fail");
     assert_eq!(err.code(), "out_of_memory");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
     assert_eq!(engine.stats().failed, 1);
 
-    let report = engine
-        .multiply_now(JobSpec::multiply(ida, idb))
-        .expect("engine keeps serving after a failed job");
+    let report =
+        run(&engine, JobSpec::multiply(ida, idb)).expect("engine keeps serving after a failed job");
     assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// The cache refuses to account a conversion: the registry serves it
@@ -220,9 +222,8 @@ fn cache_alloc_failure_falls_back_to_uncached_conversion() {
     assert!(!hit, "conversion served fresh, not from cache");
     assert_eq!(engine.stats().registry.uncached_conversions, 1);
 
-    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
+    let report = run(&engine, JobSpec::multiply(id, id)).unwrap();
     assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// Every cached conversion vanishes between admission and resolve (the
@@ -239,7 +240,7 @@ fn eviction_race_reconverts_and_completes() {
     engine.convert(idb).unwrap();
 
     failpoint::arm("registry.evict_all", 0, 1);
-    let report = engine.multiply_now(JobSpec::multiply(ida, idb)).unwrap();
+    let report = run(&engine, JobSpec::multiply(ida, idb)).unwrap();
     let stats = engine.stats();
     assert!(
         stats.registry.evictions >= 2,
@@ -251,33 +252,11 @@ fn eviction_race_reconverts_and_completes() {
         &ValuePolicy::default(),
     )
     .unwrap();
-    engine.shutdown();
-}
-
-/// Backpressure shedding: a full queue rejects with the stable
-/// `queue_full` code, counts the shed, and the next submission sails.
-#[test]
-fn queue_full_sheds_and_recovers() {
-    let _x = failpoint::exclusive();
-    let engine = Engine::new(EngineConfig::default());
-    let (a, _) = operands();
-    let (id, _) = engine.register(a);
-
-    failpoint::arm("engine.queue_full", 0, 1);
-    let err = engine
-        .submit(JobSpec::multiply(id, id))
-        .expect_err("armed submission is shed");
-    assert_eq!(err.code(), "queue_full");
-    assert_eq!(engine.stats().shed, 1);
-
-    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
-    assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// An operand disappearing between admission and execution (the
-/// unregister race): the job fails with `unknown_matrix`, the worker loop
-/// survives, and the engine completes the next job.
+/// unregister race): the job fails with `unknown_matrix`, and the engine
+/// completes the next job.
 #[test]
 fn resolve_race_fails_job_but_not_the_worker() {
     let _x = failpoint::exclusive();
@@ -286,15 +265,12 @@ fn resolve_race_fails_job_but_not_the_worker() {
     let (id, _) = engine.register(a);
 
     failpoint::arm("engine.resolve", 0, 1);
-    let err = engine
-        .multiply_now(JobSpec::multiply(id, id))
-        .expect_err("armed resolve must fail");
+    let err = run(&engine, JobSpec::multiply(id, id)).expect_err("armed resolve must fail");
     assert_eq!(err.code(), "unknown_matrix");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
 
-    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
+    let report = run(&engine, JobSpec::multiply(id, id)).unwrap();
     assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// The sampled admission estimator "fails" (`engine.estimate_sample`): the
@@ -324,13 +300,12 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
         "both paths count exact flops from the CSR forms"
     );
 
-    // Armed again for the submit path: the job is admitted under the
-    // fallback estimate and completes. Degraded estimation must never
-    // reject a job the default budget admits.
+    // Armed again for a job: it runs under the fallback estimate and
+    // completes. Degraded estimation must never fail a job the default
+    // budget holds.
     failpoint::arm("engine.estimate_sample", 0, 1);
-    let report = engine
-        .multiply_now(JobSpec::multiply(ida, idb))
-        .expect("job admitted and completed on the fallback estimate");
+    let report = run(&engine, JobSpec::multiply(ida, idb))
+        .expect("job run and completed on the fallback estimate");
     assert!(report.nnz_c > 0);
     assert!(report.estimate.sample.is_none());
     failpoint::clear("engine.estimate_sample");
@@ -338,7 +313,6 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
     // Disarmed, sampling resumes.
     let again = engine.estimate(ida, idb).expect("estimate");
     assert!(again.sample.is_some());
-    engine.shutdown();
 }
 
 /// `engine.estimate_sample` on a warm memo: the armed estimate is still the
@@ -369,7 +343,6 @@ fn estimate_sample_failure_bypasses_a_warm_memo_without_storing_the_fallback() {
     assert_eq!(again, sampled);
     assert_eq!(engine.stats().registry.estimate_hits, 1);
     assert_eq!(engine.stats().registry.estimate_misses, 1);
-    engine.shutdown();
 }
 
 /// The `core.simd_dispatch` failpoint forces the whole multiply down the

@@ -1,34 +1,25 @@
-//! The resident engine: admission-controlled job queue + worker executor.
+//! The resident engine: a matrix registry, an admission estimator and a
+//! synchronous job runner.
 //!
 //! One [`Engine`] owns a simulated [`Device`], a shared [`MemTracker`]
 //! enforcing the device budget across *all* in-flight products (PR 1's
 //! tracker only ever guarded one), a [`Registry`] of loaded matrices with
-//! cached tiled conversions, and a pool of worker threads executing multiply
-//! jobs on the memoized per-device Rayon pool
-//! ([`tsg_runtime::device::pool_for`]).
+//! cached tiled conversions, and the scratch pool every job draws its
+//! arenas and large buffers from.
 //!
-//! Job lifecycle:
-//!
-//! 1. [`Engine::submit`] — admission control. Unknown operands, a cost
-//!    prediction ([`crate::estimate`]) exceeding the device budget, or a
-//!    full queue reject the job *synchronously* with a typed error, so
-//!    callers get explicit backpressure instead of unbounded queueing.
-//! 2. A worker pops the job (FIFO), checks cancellation and the queue-wait
-//!    deadline, resolves both operands through the registry (cache hit or
-//!    conversion), and runs the tiled pipeline on the device pool under the
-//!    shared tracker.
-//! 3. The result — a [`JobReport`] or an [`EngineError`] — is published on
-//!    the job's [`JobTicket`]; [`JobTicket::wait`] blocks until then.
-//!
-//! Timeouts bound *queue wait*, not execution: a job popped after its
-//! deadline completes as `timed_out` without running. A running multiply is
-//! not interruptible (matching the kernels it models); cancellation is
-//! therefore only honoured while a job is still queued.
+//! The engine keeps no queue and starts no thread. A caller costs a job
+//! with [`Engine::estimate_op`] and runs it with [`Engine::run`], on its own
+//! thread and under its own job id: `run` resolves the operands through the
+//! registry (cache hit or conversion) and runs the tiled pipeline inside
+//! the memoized per-device Rayon pool ([`tsg_runtime::device::pool_for`])
+//! under the shared tracker. Queueing, fairness, deadlines, cancellation
+//! and admission against free memory belong to the caller; `tsg-serve`'s
+//! scheduler is the caller that runs many jobs at once. A running multiply
+//! is not interruptible (matching the kernels it models).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tilespgemm_core::{multiply_with_pool, Config, SpGemmError};
@@ -53,16 +44,8 @@ pub struct EngineConfig {
     /// The simulated device jobs execute on; its `mem_budget` is the shared
     /// in-flight budget.
     pub device: Device,
-    /// Worker threads executing jobs (each installs the device pool).
-    pub workers: usize,
-    /// Maximum queued (not yet running) jobs before submissions are shed.
-    pub queue_depth: usize,
     /// Byte budget for cached tiled conversions in the registry.
     pub cache_bytes: usize,
-    /// Deadline applied to jobs that do not carry their own timeout.
-    pub default_timeout: Option<Duration>,
-    /// Pipeline configuration jobs run with unless they override it.
-    pub base_config: Config,
     /// Record per-job span trees and counters into a
     /// [`CollectingRecorder`], retrievable through [`Engine::collector`] and
     /// the JSON protocol's `stats`/`profile` verbs. Off by default, which
@@ -83,10 +66,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_bytes: device.mem_budget / 2,
             device,
-            workers: 1,
-            queue_depth: 32,
-            default_timeout: None,
-            base_config: Config::default(),
             profile: false,
             sample_rate: tilespgemm_core::sample::DEFAULT_SAMPLE_RATE,
         }
@@ -97,7 +76,7 @@ impl Default for EngineConfig {
 ///
 /// This is the expression layer of the engine: GraphBLAS-style workloads —
 /// triangle counting `C⟨A⟩ = A·A`, Galerkin triple products `R·A·P`, Markov
-/// clustering's `A^k` — are sequences of products. [`Engine::submit`] runs
+/// clustering's `A^k` — are sequences of products. [`Engine::run`] runs
 /// the single-product ops; a `Chain` or `Power` is estimate-only
 /// ([`Engine::estimate_op`]). `tsg-serve` runs one as a batch of linked
 /// multiplies whose intermediates stay resident tiled handles, so no link
@@ -141,7 +120,7 @@ pub enum OpSpec {
         b: MatrixId,
     },
     /// `C = M₁·M₂·…·Mₙ` — a left-associated chain of products, estimated
-    /// link by link; [`Engine::submit`] refuses it with `invalid_op`. An
+    /// link by link; [`Engine::run`] refuses it with `invalid_op`. An
     /// optional mask applies to the final link only.
     Chain {
         /// The operands, in multiplication order (at least two).
@@ -150,7 +129,7 @@ pub enum OpSpec {
         mask: Option<MatrixId>,
     },
     /// `C = A^k` — matrix power, `k ≥ 2`, estimated as the chain of `k`
-    /// copies of `a` and, like a chain, refused by [`Engine::submit`].
+    /// copies of `a` and, like a chain, refused by [`Engine::run`].
     Power {
         /// The (square) operand.
         a: MatrixId,
@@ -183,57 +162,43 @@ impl OpSpec {
     }
 }
 
-/// One job request: an [`OpSpec`] expression plus scheduling knobs.
+/// Builds an [`OpSpec`] expression: `JobSpec::multiply(a, b).mask(m).op`.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The operation to evaluate.
     pub op: OpSpec,
-    /// Pipeline configuration override; `None` uses the engine's base.
-    pub config: Option<Config>,
-    /// Queue-wait deadline override; `None` uses the engine default.
-    pub timeout: Option<Duration>,
-    /// Already admitted under this estimate. Set by schedulers that run
-    /// their own admission: [`Engine::submit`] still checks the operands
-    /// and shapes, but does not sample again and skips the
-    /// estimate-vs-budget rejection (deferred admission dispatches a parked
-    /// job solo once resident memory frees, accepting that the mid-flight
-    /// tracker is the backstop if the estimate was still too optimistic).
-    /// The job reports this estimate as [`JobReport::estimate`].
-    pub admitted: Option<JobEstimate>,
 }
 
 impl JobSpec {
-    /// A job running an arbitrary op expression with engine defaults.
-    pub fn of(op: OpSpec) -> Self {
-        JobSpec {
-            op,
-            config: None,
-            timeout: None,
-            admitted: None,
-        }
-    }
-
     /// `C = A·B`.
     pub fn multiply(a: MatrixId, b: MatrixId) -> Self {
-        Self::of(OpSpec::Multiply { a, b })
+        JobSpec {
+            op: OpSpec::Multiply { a, b },
+        }
     }
 
     /// `C = alpha·A + beta·B`.
     pub fn add(alpha: f64, a: MatrixId, beta: f64, b: MatrixId) -> Self {
-        Self::of(OpSpec::Add { alpha, a, beta, b })
+        JobSpec {
+            op: OpSpec::Add { alpha, a, beta, b },
+        }
     }
 
     /// A left-associated chain `C = M₁·M₂·…·Mₙ`, to estimate.
     pub fn chain(operands: impl Into<Vec<MatrixId>>) -> Self {
-        Self::of(OpSpec::Chain {
-            operands: operands.into(),
-            mask: None,
-        })
+        JobSpec {
+            op: OpSpec::Chain {
+                operands: operands.into(),
+                mask: None,
+            },
+        }
     }
 
     /// `C = A^k`, to estimate.
     pub fn power(a: MatrixId, k: u32) -> Self {
-        Self::of(OpSpec::Power { a, k, mask: None })
+        JobSpec {
+            op: OpSpec::Power { a, k, mask: None },
+        }
     }
 
     /// Applies a mask: a plain multiply becomes a [`OpSpec::MaskedMultiply`];
@@ -257,24 +222,12 @@ impl JobSpec {
         };
         self
     }
-
-    /// Overrides the pipeline configuration.
-    pub fn config(mut self, config: Config) -> Self {
-        self.config = Some(config);
-        self
-    }
-
-    /// Overrides the queue-wait deadline.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
 }
 
 /// Completion record of a successful job.
 #[derive(Debug, Clone)]
 pub struct JobReport {
-    /// Engine-assigned job id.
+    /// The caller's job id, which the job's span tree is recorded under.
     pub job: u64,
     /// The product, in tiled form.
     pub c: Arc<TileMatrix<f64>>,
@@ -282,8 +235,6 @@ pub struct JobReport {
     pub nnz_c: usize,
     /// Output tile count.
     pub tiles_c: usize,
-    /// Time spent queued before a worker picked the job up.
-    pub queue_wait: Duration,
     /// Execution wall time (operand resolution + multiply).
     pub exec: Duration,
     /// Peak tracked device bytes during the multiply.
@@ -292,7 +243,7 @@ pub struct JobReport {
     pub cache_hits: u32,
     /// CSR→tiled conversions this job had to perform (0..=2).
     pub conversions: u32,
-    /// The cost prediction admission control admitted the job under.
+    /// The cost prediction the caller admitted the job under.
     pub estimate: JobEstimate,
     /// Per-step wall times of the multiply (Figure 10's slices).
     pub breakdown: Breakdown,
@@ -301,91 +252,7 @@ pub struct JobReport {
 /// Terminal state of a job.
 pub type JobResult = Result<JobReport, EngineError>;
 
-struct TicketInner {
-    result: Mutex<Option<JobResult>>,
-    cv: Condvar,
-    canceled: AtomicBool,
-    /// Set once [`JobTicket::take`] moved the result out.
-    taken: AtomicBool,
-}
-
-/// Handle to a submitted job; `wait` blocks for the result.
-#[derive(Clone)]
-pub struct JobTicket {
-    /// Engine-assigned job id.
-    pub job: u64,
-    inner: Arc<TicketInner>,
-}
-
-impl std::fmt::Debug for JobTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobTicket")
-            .field("job", &self.job)
-            .field("done", &self.try_result().is_some())
-            .finish()
-    }
-}
-
-impl JobTicket {
-    /// Blocks until the job completes, returning its result.
-    pub fn wait(&self) -> JobResult {
-        self.when_done(|r| r.clone())
-    }
-
-    /// Blocks until the job completes and moves its result out of the
-    /// ticket, where [`JobTicket::wait`] clones it. The report then holds
-    /// the only handle on its product unless an earlier `wait` cloned one,
-    /// so the product can be registered without a copy or handed back with
-    /// [`Engine::recycle`]. For a ticket's one consumer: a later `wait` or
-    /// `take` on this ticket or a clone of it panics, and `try_result`
-    /// returns `None`.
-    pub fn take(&self) -> JobResult {
-        self.when_done(|r| {
-            self.inner.taken.store(true, Ordering::Relaxed);
-            r.take()
-        })
-    }
-
-    /// Blocks until the result is in, then applies `f` to its slot, which
-    /// `f` finds filled.
-    fn when_done(&self, f: impl FnOnce(&mut Option<JobResult>) -> Option<JobResult>) -> JobResult {
-        let mut guard = self
-            .inner
-            .result
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while guard.is_none() {
-            assert!(
-                !self.inner.taken.load(Ordering::Relaxed),
-                "job {}: result already taken",
-                self.job
-            );
-            guard = self
-                .inner
-                .cv
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        f(&mut guard).expect("a completed job's result")
-    }
-
-    /// Non-blocking poll.
-    pub fn try_result(&self) -> Option<JobResult> {
-        self.inner
-            .result
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Requests cancellation. Only honoured while the job is still queued;
-    /// a job already running completes normally.
-    pub fn cancel(&self) {
-        self.inner.canceled.store(true, Ordering::Relaxed);
-    }
-}
-
-/// What a worker runs: the ops [`Engine::submit`] admits.
+/// What [`Engine::run`] runs: the ops that are not estimate-only.
 enum Work {
     /// `a·b`, masked when `mask` is set.
     Multiply {
@@ -415,64 +282,30 @@ impl Work {
             OpSpec::Add { alpha, a, beta, b } => Work::Add { alpha, a, beta, b },
             OpSpec::Chain { .. } | OpSpec::Power { .. } => {
                 return Err(EngineError::InvalidOp(
-                    "chains and powers are estimate-only; submit their links",
+                    "chains and powers are estimate-only; run their links",
                 ))
             }
         })
     }
 }
 
-struct QueuedJob {
-    id: u64,
-    work: Work,
-    config: Option<Config>,
-    estimate: JobEstimate,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-    ticket: Arc<TicketInner>,
-}
-
 #[derive(Default)]
 struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    canceled: AtomicU64,
-    timed_out: AtomicU64,
-    queue_wait_micros: AtomicU64,
     exec_micros: AtomicU64,
 }
 
 /// Snapshot of engine-level statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Every submission that arrived, whether or not it was admitted —
-    /// rejected, shed, and shut-down arrivals all count, so the shed rate
-    /// is `(submitted - admitted) / submitted` from stats alone.
-    pub submitted: u64,
-    /// Submissions accepted into the queue.
-    pub admitted: u64,
     /// Jobs that finished with a product.
     pub completed: u64,
-    /// Jobs that ran and failed (OOM, shape mismatch).
+    /// Jobs [`Engine::run`] returned an error for (OOM, shape mismatch,
+    /// an unloaded operand, an estimate-only op).
     pub failed: u64,
-    /// Submissions rejected by admission control (estimate over budget).
-    pub rejected: u64,
-    /// Submissions shed because the queue was full.
-    pub shed: u64,
-    /// Jobs canceled while queued.
-    pub canceled: u64,
-    /// Jobs whose queue wait exceeded their deadline.
-    pub timed_out: u64,
-    /// Sum of queue waits over completed/failed/timed-out jobs.
-    pub queue_wait_total: Duration,
     /// Sum of execution times over completed/failed jobs.
     pub exec_total: Duration,
-    /// Jobs currently queued.
-    pub queue_depth: usize,
     /// Registry counters (conversions, hits, evictions).
     pub registry: RegistryStats,
     /// Bytes currently cached by the registry.
@@ -493,32 +326,24 @@ pub struct EngineStats {
     pub buffers: BufferStats,
 }
 
-struct Shared {
+/// The resident SpGEMM service engine. See the module docs: it holds the
+/// registry and the shared device state, and runs each job on its caller's
+/// thread.
+pub struct Engine {
     cfg: EngineConfig,
     device_tracker: MemTracker,
     registry: Mutex<Registry>,
-    queue: Mutex<VecDeque<QueuedJob>>,
-    queue_cv: Condvar,
-    shutdown: AtomicBool,
     counters: Counters,
-    next_job: AtomicU64,
     recorder: Arc<dyn Recorder>,
     collector: Option<Arc<CollectingRecorder>>,
-    /// Reusable scratch arenas shared by every job the workers run; after
-    /// the first few jobs the step-2/3 hot path allocates nothing. It also
-    /// holds the idle buffers jobs' large arrays are recycled through.
+    /// Reusable scratch arenas shared by every job; after the first few
+    /// jobs the step-2/3 hot path allocates nothing. It also holds the idle
+    /// buffers jobs' large arrays are recycled through.
     arena: ScratchPool,
 }
 
-/// The resident SpGEMM service engine. See the module docs for the job
-/// lifecycle; construction spawns the worker threads, drop joins them.
-pub struct Engine {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
 impl Engine {
-    /// Builds an engine and starts its workers.
+    /// Builds an engine.
     pub fn new(cfg: EngineConfig) -> Self {
         let collector = cfg.profile.then(|| Arc::new(CollectingRecorder::new()));
         let recorder: Arc<dyn Recorder> = match &collector {
@@ -531,31 +356,14 @@ impl Engine {
         device_tracker.set_recorder(Some(Arc::clone(&recorder)));
         let registry = Registry::new(cfg.cache_bytes);
         registry.set_recorder(Arc::clone(&recorder));
-        let shared = Arc::new(Shared {
+        Engine {
             device_tracker,
             registry: Mutex::new(registry),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             counters: Counters::default(),
-            next_job: AtomicU64::new(1),
             recorder,
             collector,
             arena: ScratchPool::new(),
             cfg,
-        });
-        let workers = (0..shared.cfg.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("tsg-engine-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning engine worker")
-            })
-            .collect();
-        Engine {
-            shared,
-            workers: Mutex::new(workers),
         }
     }
 
@@ -579,19 +387,27 @@ impl Engine {
     /// Forces (or looks up) the tiled conversion of `id`; returns the tile
     /// count, cached byte size, and whether it was a cache hit.
     pub fn convert(&self, id: MatrixId) -> Result<(usize, usize, bool), EngineError> {
-        use tsg_matrix::Footprint;
         let (t, hit) = self.resolve_tiled(id)?;
         Ok((t.tile_count(), t.bytes(), hit))
     }
 
     /// The tiled form of `id`, converting on a cache miss *outside* the
     /// registry lock. The boolean is `true` on a cache hit. This is what
-    /// workers use to resolve operands, and what a conversion-prefetch
+    /// [`Engine::run`] resolves operands with, and what a conversion-prefetch
     /// thread calls to warm job N+1's operands while job N computes: the
     /// registry mutex is only held for the lookup and the install, so a
     /// running conversion never blocks concurrent resolves.
     pub fn resolve_tiled(&self, id: MatrixId) -> Result<(Arc<TileMatrix<f64>>, bool), EngineError> {
-        resolve_tiled(&self.shared, id)
+        let lookup = self.lock_registry().begin_tiled(id)?;
+        match lookup {
+            TiledLookup::Cached(t) => Ok((t, true)),
+            TiledLookup::Convert(csr) => {
+                let tiled = Arc::new(TileMatrix::from_csr(&csr));
+                self.lock_registry()
+                    .install_tiled(id, Arc::clone(&tiled), true);
+                Ok((tiled, false))
+            }
+        }
     }
 
     /// Registers a pipeline product as an operand: derives its CSR form,
@@ -654,7 +470,7 @@ impl Engine {
     /// dropped.
     pub fn recycle(&self, c: Arc<TileMatrix<f64>>) {
         if let Ok(c) = Arc::try_unwrap(c) {
-            tilespgemm_core::recycle(c, &self.shared.arena);
+            tilespgemm_core::recycle(c, &self.arena);
         }
     }
 
@@ -687,11 +503,12 @@ impl Engine {
         self.estimate_op(&OpSpec::Multiply { a, b })
     }
 
-    /// Predicts the cost of an op expression without running it. Shape
-    /// errors (incompatible operands, a mask that does not match the
-    /// output) surface here exactly as they would at submit. Estimation
-    /// never materializes a CSR: operands whose CSR form is absent are
-    /// estimated structurally from their registered shape.
+    /// Predicts the cost of an op expression without running it: the
+    /// estimate a caller admits a job under and hands to [`Engine::run`].
+    /// Shape errors (incompatible operands, a mask that does not match the
+    /// output) surface here exactly as they would when the job runs.
+    /// Estimation never materializes a CSR: operands whose CSR form is
+    /// absent are estimated structurally from their registered shape.
     ///
     /// The op's product (a chain's or power's first link) is estimated once
     /// per operand pair: its sampled estimate is memoized in the registry,
@@ -701,11 +518,11 @@ impl Engine {
     /// after it is released, and its result is stored under a second short
     /// lock. Memoized or not, the estimate is bit-identical.
     pub fn estimate_op(&self, op: &OpSpec) -> Result<JobEstimate, EngineError> {
-        let cfg = &self.shared.cfg;
+        let cfg = &self.cfg;
         // Failpoint `engine.estimate_sample`: the sampled symbolic pass
         // "fails" and estimation falls back to the constant-compression
         // upper bound — the degraded mode a job must survive (admitted or
-        // deferred, never wrongly rejected for lack of a sample). The
+        // deferred, never wrongly refused for lack of a sample). The
         // fallback neither reads nor fills the memo.
         #[cfg(feature = "failpoints")]
         let sample_rate = if tsg_runtime::failpoint::should_fail("engine.estimate_sample") {
@@ -727,106 +544,71 @@ impl Engine {
         Ok(estimate_spec(&inputs, op, product, threads))
     }
 
-    /// Submits a job. Admission control runs synchronously: a chain or
-    /// power (`invalid_op`: they are estimate-only), unknown operands,
-    /// mismatched shapes, over-budget estimates, a full queue, and a
-    /// shut-down engine all fail here with a typed error. A spec carrying
-    /// [`JobSpec::admitted`] skips the estimate and the budget check, but
-    /// not the operand and shape checks.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, EngineError> {
-        // Every arrival counts, including the ones admission turns away;
-        // `admitted` below is the accepted subset.
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        let work = Work::of(&spec.op)?;
-        if self.shared.shutdown.load(Ordering::Relaxed) {
-            return Err(EngineError::ShuttingDown);
+    /// Runs one `Multiply`, `MaskedMultiply` or `Add` job on the calling
+    /// thread, inside the device pool, and returns its report. `job` is the
+    /// caller's id for it: the report and the job's span tree carry it.
+    /// `estimate` is the cost prediction the caller admitted the job under
+    /// (from [`Engine::estimate_op`]); it is reported verbatim, never
+    /// sampled again and never checked against the budget, so a job the
+    /// caller admits past its estimate runs with the shared tracker as the
+    /// backstop.
+    ///
+    /// A chain or power fails with `invalid_op` (they are estimate-only),
+    /// an operand that is not registered by now with `unknown_matrix`, and
+    /// operands whose shapes do not fit with `shape_mismatch`.
+    pub fn run(&self, job: u64, op: &OpSpec, estimate: JobEstimate) -> JobResult {
+        let start = Instant::now();
+        let result = Work::of(op).and_then(|work| self.execute(job, &work, estimate, start));
+        self.counters
+            .exec_micros
+            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        let Ok(report) = &result else {
+            self.counters.failed.fetch_add(1, Ordering::Relaxed);
+            return result;
+        };
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        let recorder = &*self.recorder;
+        // Pin the estimator's accuracy per completed job: which log2 band
+        // did actual peak bytes land in relative to the admission estimate?
+        //
+        // Multiply jobs tick: plain multiplies run on the sampled/exact-flops
+        // model, and masked multiplies prune that same model through the
+        // mask (`mask_pruned`), so both are like-for-like with the
+        // histogram. Add jobs run on an unrelated heuristic baseline and
+        // skip the tick.
+        let (multiply, masked) = match op {
+            OpSpec::Multiply { .. } => (true, false),
+            OpSpec::MaskedMultiply { .. } => (true, true),
+            _ => (false, false),
+        };
+        if multiply {
+            recorder.add(est_error_bucket(estimate.est_bytes, report.peak_bytes), 1);
         }
-        let estimate = match spec.admitted {
-            Some(estimate) => {
-                let reg = self.lock_registry();
-                let shape_of = |id| {
-                    let (nrows, ncols, nnz) = reg.shape(id)?;
-                    Ok(OperandShape { nrows, ncols, nnz })
-                };
-                check_op(&shape_of, &spec.op)?;
-                estimate
-            }
-            None => {
-                let estimate = self.estimate_op(&spec.op)?;
-                let budget = self.shared.cfg.device.mem_budget;
-                if estimate.est_bytes > budget {
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(EngineError::EstimateExceedsBudget {
-                        est_bytes: estimate.est_bytes,
-                        budget,
-                    });
+        // Sampled-estimator provenance: how many completed jobs carried a
+        // sampled band, how many tile rows those samples measured, how
+        // often the "sample" was in fact the full population, and how many
+        // multiply jobs fell back to the constant model (sampling disabled,
+        // failpoint, or shape-only operands).
+        match estimate.sample {
+            Some(s) => {
+                recorder.add(Counter::EstSampleJobs, 1);
+                recorder.add(Counter::EstSampleRows, u64::from(s.sampled_tile_rows));
+                if s.exact {
+                    recorder.add(Counter::EstSampleExact, 1);
                 }
-                estimate
             }
-        };
-        let id = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
-        let ticket_inner = Arc::new(TicketInner {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-            canceled: AtomicBool::new(false),
-            taken: AtomicBool::new(false),
-        });
-        let now = Instant::now();
-        let timeout = spec.timeout.or(self.shared.cfg.default_timeout);
-        let job = QueuedJob {
-            id,
-            work,
-            config: spec.config,
-            estimate,
-            enqueued: now,
-            deadline: timeout.map(|t| now + t),
-            ticket: Arc::clone(&ticket_inner),
-        };
-        // Failpoint `engine.queue_full`: sheds this submission as if the
-        // queue were at capacity, letting backpressure tests run without
-        // actually saturating workers.
-        #[cfg(feature = "failpoints")]
-        if tsg_runtime::failpoint::should_fail("engine.queue_full") {
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(EngineError::QueueFull {
-                depth: self.shared.cfg.queue_depth,
-            });
+            None if multiply => recorder.add(Counter::EstSampleFallback, 1),
+            None => {}
         }
-        {
-            let mut q = self.lock_queue();
-            if q.len() >= self.shared.cfg.queue_depth {
-                self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::QueueFull {
-                    depth: self.shared.cfg.queue_depth,
-                });
-            }
-            q.push_back(job);
+        if masked {
+            recorder.add(Counter::MaskedJobs, 1);
         }
-        self.shared
-            .counters
-            .admitted
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.queue_cv.notify_one();
-        Ok(JobTicket {
-            job: id,
-            inner: ticket_inner,
-        })
-    }
-
-    /// Submit-and-wait convenience.
-    pub fn multiply_now(&self, spec: JobSpec) -> JobResult {
-        self.submit(spec)?.wait()
+        result
     }
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        let c = &self.shared.counters;
+        let c = &self.counters;
         let (registry, cached_bytes, resident_bytes, memoized_estimates) = {
             let reg = self.lock_registry();
             (
@@ -837,141 +619,166 @@ impl Engine {
             )
         };
         EngineStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
             failed: c.failed.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            canceled: c.canceled.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            queue_wait_total: Duration::from_micros(c.queue_wait_micros.load(Ordering::Relaxed)),
             exec_total: Duration::from_micros(c.exec_micros.load(Ordering::Relaxed)),
-            queue_depth: self.lock_queue().len(),
             registry,
             cached_bytes,
             resident_bytes,
             memoized_estimates,
-            device_bytes_in_use: self.shared.device_tracker.current_bytes(),
-            arena_high_water: self.shared.arena.high_water_bytes(),
-            buffers: self.shared.arena.buffer_stats(),
+            device_bytes_in_use: self.device_tracker.current_bytes(),
+            arena_high_water: self.arena.high_water_bytes(),
+            buffers: self.arena.buffer_stats(),
         }
     }
 
     /// The engine's device.
     pub fn device(&self) -> &Device {
-        &self.shared.cfg.device
+        &self.cfg.device
     }
 
     /// The engine's construction parameters.
     pub fn config(&self) -> &EngineConfig {
-        &self.shared.cfg
+        &self.cfg
     }
 
     /// The shared device-budget tracker (in-flight bytes across all jobs).
     pub fn device_tracker(&self) -> &MemTracker {
-        &self.shared.device_tracker
+        &self.device_tracker
     }
 
     /// The recorder jobs report into — a [`CollectingRecorder`] when the
     /// engine was built with [`EngineConfig::profile`], the null fast path
     /// otherwise.
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.shared.recorder
+        &self.recorder
     }
 
     /// The collecting recorder, when profiling is on. This is where per-job
     /// span trees live ([`CollectingRecorder::span_tree`]).
     pub fn collector(&self) -> Option<&Arc<CollectingRecorder>> {
-        self.shared.collector.as_ref()
+        self.collector.as_ref()
     }
 
     /// Aggregated observability counters across all jobs so far. All zeros
     /// unless the engine is profiling.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.recorder.snapshot()
-    }
-
-    /// Stops accepting jobs, drains the queue, and joins the workers.
-    /// Queued jobs still execute; call this for a graceful stop.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.queue_cv.notify_all();
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        for w in workers.drain(..) {
-            let _ = w.join();
-        }
+        self.recorder.snapshot()
     }
 
     fn lock_registry(&self) -> std::sync::MutexGuard<'_, Registry> {
-        self.shared
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<QueuedJob>> {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn complete(ticket: &TicketInner, result: JobResult) {
-    *ticket.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-    ticket.cv.notify_all();
-}
-
-/// Two-phase operand resolution: lock for the lookup, convert unlocked,
-/// lock again to install. See [`Engine::resolve_tiled`].
-fn resolve_tiled(
-    shared: &Shared,
-    id: MatrixId,
-) -> Result<(Arc<TileMatrix<f64>>, bool), EngineError> {
-    let lookup = shared
-        .registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .begin_tiled(id)?;
-    match lookup {
-        TiledLookup::Cached(t) => Ok((t, true)),
-        TiledLookup::Convert(csr) => {
-            let tiled = Arc::new(TileMatrix::from_csr(&csr));
-            shared
-                .registry
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .install_tiled(id, Arc::clone(&tiled), true);
-            Ok((tiled, false))
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                q = shared
-                    .queue_cv
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
+    /// The body of [`Engine::run`]: resolves the operands and runs `work`.
+    fn execute(&self, job: u64, work: &Work, estimate: JobEstimate, start: Instant) -> JobResult {
+        let recorder = &*self.recorder;
+        // Operand resolution gets its own span per operand (a sibling of the
+        // multiply's "job" root), so a profile shows conversion stalls next
+        // to the pipeline phases.
+        let resolve = |id| {
+            // Failpoint `engine.resolve`: the operand disappears between
+            // admission (which saw it) and execution — the unregister/
+            // eviction race. The job must fail with the stable
+            // `unknown_matrix` code and leave the engine serving.
+            #[cfg(feature = "failpoints")]
+            if tsg_runtime::failpoint::should_fail("engine.resolve") {
+                return Err(EngineError::UnknownMatrix(id));
             }
+            let span = recorder.span_enter(job, "resolve");
+            let out = self.resolve_tiled(id);
+            recorder.span_exit(span);
+            out
         };
-        run_job(shared, job);
+        match *work {
+            Work::Multiply { a, b, mask } => {
+                let (ta, hit_a) = resolve(a)?;
+                let (tb, hit_b) = resolve(b)?;
+                let (mut cache_hits, mut conversions) = (
+                    u32::from(hit_a) + u32::from(hit_b),
+                    u32::from(!hit_a) + u32::from(!hit_b),
+                );
+                let tm = match mask {
+                    Some(mask) => {
+                        let (tm, hit_m) = resolve(mask)?;
+                        cache_hits += u32::from(hit_m);
+                        conversions += u32::from(!hit_m);
+                        Some(tm)
+                    }
+                    None => None,
+                };
+                let out = pool_for(&self.cfg.device)
+                    .install(|| {
+                        multiply_with_pool(
+                            &ta,
+                            &tb,
+                            tm.as_deref(),
+                            &Config::default(),
+                            &self.device_tracker,
+                            recorder,
+                            job,
+                            &self.arena,
+                        )
+                    })
+                    .map_err(EngineError::SpGemm)?;
+                Ok(JobReport {
+                    job,
+                    nnz_c: out.c.nnz(),
+                    tiles_c: out.c.tile_count(),
+                    c: Arc::new(out.c),
+                    exec: start.elapsed(),
+                    peak_bytes: out.peak_bytes,
+                    cache_hits,
+                    conversions,
+                    estimate,
+                    breakdown: out.breakdown,
+                })
+            }
+            Work::Add { alpha, a, beta, b } => {
+                let (ta, hit_a) = resolve(a)?;
+                let (tb, hit_b) = resolve(b)?;
+                if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
+                    // `core::add` asserts on shape; surface the typed error
+                    // instead.
+                    return Err(EngineError::SpGemm(SpGemmError::ShapeMismatch {
+                        a: (ta.nrows, ta.ncols),
+                        b: (tb.nrows, tb.ncols),
+                    }));
+                }
+                // The add kernel has no tracker of its own; account its
+                // operands and output against the device budget here so an
+                // add respects the same backstop as the multiplies.
+                let input_bytes = ta.bytes() + tb.bytes();
+                self.device_tracker
+                    .on_alloc(input_bytes)
+                    .map_err(|e| EngineError::SpGemm(e.into()))?;
+                let mut breakdown = Breakdown::default();
+                let span = recorder.span_enter(job, "job");
+                let c = pool_for(&self.cfg.device).install(|| {
+                    breakdown.timed(Step::Step3, || tilespgemm_core::add(alpha, &ta, beta, &tb))
+                });
+                recorder.span_exit(span);
+                let c_bytes = c.bytes();
+                let out_alloc = self.device_tracker.on_alloc(c_bytes);
+                self.device_tracker.on_free(input_bytes);
+                match out_alloc {
+                    Ok(()) => self.device_tracker.on_free(c_bytes),
+                    Err(e) => return Err(EngineError::SpGemm(e.into())),
+                }
+                Ok(JobReport {
+                    job,
+                    nnz_c: c.nnz(),
+                    tiles_c: c.tile_count(),
+                    c: Arc::new(c),
+                    exec: start.elapsed(),
+                    peak_bytes: input_bytes + c_bytes,
+                    cache_hits: u32::from(hit_a) + u32::from(hit_b),
+                    conversions: u32::from(!hit_a) + u32::from(!hit_b),
+                    estimate,
+                    breakdown,
+                })
+            }
+        }
     }
 }
 
@@ -985,9 +792,8 @@ fn shape_err(a: OperandShape, b: OperandShape) -> EngineError {
 
 /// Checks an op expression against its operands' shapes: every handle is
 /// registered, every link's inner dimensions agree, and a mask matches the
-/// output. These are exactly the errors estimation can raise, in the same
-/// order, so a job admitted under an earlier estimate fails at submit with
-/// the code the estimate would have produced.
+/// output. Estimation raises exactly these errors, in this order, before it
+/// looks at any memo.
 fn check_op(
     shape_of: &dyn Fn(MatrixId) -> Result<OperandShape, EngineError>,
     op: &OpSpec,
@@ -1263,185 +1069,4 @@ fn fold_chain(
         // overstate what was measured.
         sample: None,
     }
-}
-
-fn run_job(shared: &Shared, job: QueuedJob) {
-    let queue_wait = job.enqueued.elapsed();
-    shared
-        .counters
-        .queue_wait_micros
-        .fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
-    if job.ticket.canceled.load(Ordering::Relaxed) {
-        shared.counters.canceled.fetch_add(1, Ordering::Relaxed);
-        complete(&job.ticket, Err(EngineError::Canceled));
-        return;
-    }
-    if job.deadline.is_some_and(|d| Instant::now() > d) {
-        shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-        complete(&job.ticket, Err(EngineError::TimedOut));
-        return;
-    }
-
-    let exec_start = Instant::now();
-    let recorder = &*shared.recorder;
-    // Operand resolution gets its own span per operand (a sibling of the
-    // multiply's "job" root), so a profile shows conversion stalls next to
-    // the pipeline phases.
-    let resolve = |id| {
-        // Failpoint `engine.resolve`: the operand disappears between
-        // admission (which saw it) and execution — the unregister/eviction
-        // race. The job must fail with the stable `unknown_matrix` code and
-        // leave the worker loop alive.
-        #[cfg(feature = "failpoints")]
-        if tsg_runtime::failpoint::should_fail("engine.resolve") {
-            return Err(EngineError::UnknownMatrix(id));
-        }
-        let span = recorder.span_enter(job.id, "resolve");
-        let out = resolve_tiled(shared, id);
-        recorder.span_exit(span);
-        out
-    };
-    let config = job.config.unwrap_or(shared.cfg.base_config);
-    let result = match job.work {
-        Work::Multiply { a, b, mask } => resolve(a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(b)?;
-            let (mut cache_hits, mut conversions) = (
-                u32::from(hit_a) + u32::from(hit_b),
-                u32::from(!hit_a) + u32::from(!hit_b),
-            );
-            let tm = match mask {
-                Some(mask) => {
-                    let (tm, hit_m) = resolve(mask)?;
-                    cache_hits += u32::from(hit_m);
-                    conversions += u32::from(!hit_m);
-                    Some(tm)
-                }
-                None => None,
-            };
-            let out = pool_for(&shared.cfg.device)
-                .install(|| {
-                    multiply_with_pool(
-                        &ta,
-                        &tb,
-                        tm.as_deref(),
-                        &config,
-                        &shared.device_tracker,
-                        recorder,
-                        job.id,
-                        &shared.arena,
-                    )
-                })
-                .map_err(EngineError::SpGemm)?;
-            let exec = exec_start.elapsed();
-            Ok(JobReport {
-                job: job.id,
-                nnz_c: out.c.nnz(),
-                tiles_c: out.c.tile_count(),
-                c: Arc::new(out.c),
-                queue_wait,
-                exec,
-                peak_bytes: out.peak_bytes,
-                cache_hits,
-                conversions,
-                estimate: job.estimate,
-                breakdown: out.breakdown,
-            })
-        }),
-        Work::Add { alpha, a, beta, b } => resolve(a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(b)?;
-            if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
-                // `core::add` asserts on shape; surface the typed error
-                // instead (submit already validated against the registry,
-                // but operands can be swapped under us between admission
-                // and execution).
-                return Err(EngineError::SpGemm(SpGemmError::ShapeMismatch {
-                    a: (ta.nrows, ta.ncols),
-                    b: (tb.nrows, tb.ncols),
-                }));
-            }
-            // The add kernel has no tracker of its own; account its
-            // operands and output against the device budget here so an add
-            // respects the same admission backstop as the multiplies.
-            let input_bytes = ta.bytes() + tb.bytes();
-            shared
-                .device_tracker
-                .on_alloc(input_bytes)
-                .map_err(|e| EngineError::SpGemm(e.into()))?;
-            let mut breakdown = Breakdown::default();
-            let span = recorder.span_enter(job.id, "job");
-            let c = pool_for(&shared.cfg.device).install(|| {
-                breakdown.timed(Step::Step3, || tilespgemm_core::add(alpha, &ta, beta, &tb))
-            });
-            recorder.span_exit(span);
-            let c_bytes = c.bytes();
-            let out_alloc = shared.device_tracker.on_alloc(c_bytes);
-            shared.device_tracker.on_free(input_bytes);
-            match out_alloc {
-                Ok(()) => shared.device_tracker.on_free(c_bytes),
-                Err(e) => return Err(EngineError::SpGemm(e.into())),
-            }
-            let exec = exec_start.elapsed();
-            Ok(JobReport {
-                job: job.id,
-                nnz_c: c.nnz(),
-                tiles_c: c.tile_count(),
-                c: Arc::new(c),
-                queue_wait,
-                exec,
-                peak_bytes: input_bytes + c_bytes,
-                cache_hits: u32::from(hit_a) + u32::from(hit_b),
-                conversions: u32::from(!hit_a) + u32::from(!hit_b),
-                estimate: job.estimate,
-                breakdown,
-            })
-        }),
-    };
-    shared
-        .counters
-        .exec_micros
-        .fetch_add(exec_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-    match &result {
-        Ok(report) => {
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            // Pin the estimator's accuracy per completed job: which log2
-            // band did actual peak bytes land in relative to the admission
-            // estimate?
-            //
-            // Multiply jobs tick: plain multiplies run on the sampled/
-            // exact-flops model, and masked multiplies prune that same
-            // model through the mask (`mask_pruned`), so both are
-            // like-for-like with the histogram. Add jobs run on an
-            // unrelated heuristic baseline and skip the tick.
-            let multiply = matches!(job.work, Work::Multiply { .. });
-            if multiply {
-                recorder.add(
-                    est_error_bucket(report.estimate.est_bytes, report.peak_bytes),
-                    1,
-                );
-            }
-            // Sampled-estimator provenance: how many completed jobs carried
-            // a sampled band, how many tile rows those samples measured,
-            // how often the "sample" was in fact the full population, and
-            // how many multiply jobs fell back to the constant model
-            // (sampling disabled, failpoint, or shape-only operands).
-            match job.estimate.sample {
-                Some(s) => {
-                    recorder.add(Counter::EstSampleJobs, 1);
-                    recorder.add(Counter::EstSampleRows, u64::from(s.sampled_tile_rows));
-                    if s.exact {
-                        recorder.add(Counter::EstSampleExact, 1);
-                    }
-                }
-                None if multiply => recorder.add(Counter::EstSampleFallback, 1),
-                None => {}
-            }
-            if matches!(job.work, Work::Multiply { mask: Some(_), .. }) {
-                recorder.add(Counter::MaskedJobs, 1);
-            }
-        }
-        Err(_) => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    complete(&job.ticket, result);
 }

@@ -7,28 +7,31 @@
 //! content-addressed [`registry::Registry`] (so the expensive CSR→tiled
 //! conversion — several single-product runtimes, per the paper's Figure 12 —
 //! is paid once and amortized, Ocean-style, across repeated products),
-//! admission-controls multiply jobs against the device memory budget using a
-//! spECK-style cost prediction ([`estimate`]), executes them on worker
-//! threads over the memoized per-device Rayon pool, and reports
-//! service-level statistics (queue wait, cache hit rate, evictions, shed
-//! jobs).
+//! costs jobs against the device memory budget with a spECK-style
+//! prediction ([`estimate`]), runs each job on its caller's thread over the
+//! memoized per-device Rayon pool, and reports service-level statistics
+//! (completions, cache hit rate, evictions, the shared pool's figures).
 //!
-//! The engine is a typed Rust API: [`Engine::register`], [`Engine::submit`]
-//! with a [`JobSpec`], [`Engine::stats`]. Its one JSON front end is the
-//! `tsg-serve` crate's request handler, which the `tsg-serve` binary serves
-//! over stdin/stdout or TCP and the `tile_spgemm client` subcommand drives
-//! from scripts; [`json`] is the dependency-free JSON value type that front
-//! end and the serving benchmark share.
+//! The engine is a typed Rust API: [`Engine::register`],
+//! [`Engine::estimate_op`] and [`Engine::run`] on the [`OpSpec`] a
+//! [`JobSpec`] builds, [`Engine::stats`]. It keeps no queue: the `tsg-serve`
+//! crate's scheduler queues jobs and runs them through it, and that crate's
+//! request handler is the one JSON front end, which the `tsg-serve` binary
+//! serves over stdin/stdout or TCP and the `tile_spgemm client` subcommand
+//! drives from scripts; [`json`] is the dependency-free JSON value type that
+//! front end and the serving benchmark share.
 //!
 //! ```
 //! use tsg_engine::{Engine, EngineConfig, JobSpec};
 //!
 //! let engine = Engine::new(EngineConfig::default());
 //! let (id, _) = engine.register(tsg_matrix::Csr::<f64>::identity(64));
-//! let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
+//! let op = JobSpec::multiply(id, id).op;
+//! let estimate = engine.estimate_op(&op).unwrap();
+//! let report = engine.run(1, &op, estimate).unwrap();
 //! assert_eq!(report.nnz_c, 64);
 //! // The second product of the same operands reuses the cached conversion.
-//! let again = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
+//! let again = engine.run(2, &op, estimate).unwrap();
 //! assert_eq!(again.cache_hits, 2);
 //! ```
 
@@ -37,9 +40,7 @@ pub mod estimate;
 pub mod json;
 pub mod registry;
 
-pub use engine::{
-    Engine, EngineConfig, EngineStats, JobReport, JobResult, JobSpec, JobTicket, OpSpec,
-};
+pub use engine::{Engine, EngineConfig, EngineStats, JobReport, JobResult, JobSpec, OpSpec};
 pub use estimate::{estimate_job, JobEstimate};
 pub use registry::{MatrixId, Registry, RegistryStats, TiledLookup};
 
@@ -48,7 +49,7 @@ use tilespgemm_core::SpGemmError;
 /// Errors surfaced by the engine layer.
 ///
 /// `#[non_exhaustive]`: front ends must keep a wildcard arm, so new
-/// admission or execution failures are not semver breaks.
+/// scheduling or execution failures are not semver breaks.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -56,23 +57,12 @@ pub enum EngineError {
     UnknownMatrix(MatrixId),
     /// The multiply pipeline failed (out of memory, shape mismatch).
     SpGemm(SpGemmError),
-    /// Admission control predicted the job cannot fit the device budget.
-    EstimateExceedsBudget {
-        /// Predicted peak bytes for the job.
-        est_bytes: usize,
-        /// The device budget it exceeds.
-        budget: usize,
-    },
-    /// The job queue is at its configured depth; retry later (backpressure).
-    QueueFull {
-        /// The configured queue depth.
-        depth: usize,
-    },
     /// The job's queue wait exceeded its deadline; it was never run.
     TimedOut,
     /// The job was canceled while queued.
     Canceled,
-    /// The engine is shutting down and no longer accepts jobs.
+    /// The server is draining: it accepts no new jobs, and a job still
+    /// queued at the drain deadline never runs.
     ShuttingDown,
     /// A batch job's dependency (an earlier entry it referenced) failed, so
     /// this job can never have its operands.
@@ -91,8 +81,6 @@ impl EngineError {
         match self {
             EngineError::UnknownMatrix(_) => "unknown_matrix",
             EngineError::SpGemm(e) => e.code(),
-            EngineError::EstimateExceedsBudget { .. } => "estimate_exceeds_budget",
-            EngineError::QueueFull { .. } => "queue_full",
             EngineError::TimedOut => "timed_out",
             EngineError::Canceled => "canceled",
             EngineError::ShuttingDown => "shutting_down",
@@ -107,16 +95,9 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::UnknownMatrix(id) => write!(f, "matrix {id} is not registered"),
             EngineError::SpGemm(_) => write!(f, "multiply failed"),
-            EngineError::EstimateExceedsBudget { est_bytes, budget } => write!(
-                f,
-                "estimated footprint {est_bytes} B exceeds device budget {budget} B"
-            ),
-            EngineError::QueueFull { depth } => {
-                write!(f, "job queue full (depth {depth}); retry later")
-            }
             EngineError::TimedOut => write!(f, "queue-wait deadline exceeded before execution"),
             EngineError::Canceled => write!(f, "job canceled while queued"),
-            EngineError::ShuttingDown => write!(f, "engine is shutting down"),
+            EngineError::ShuttingDown => write!(f, "the server is shutting down"),
             EngineError::DependencyFailed { dep } => {
                 write!(f, "dependency job {dep} failed; operands unavailable")
             }
@@ -147,8 +128,8 @@ mod tests {
     #[test]
     fn error_codes_are_stable_and_sources_chain() {
         use std::error::Error;
-        let e = EngineError::QueueFull { depth: 8 };
-        assert_eq!(e.code(), "queue_full");
+        let e = EngineError::TimedOut;
+        assert_eq!(e.code(), "timed_out");
         assert!(e.source().is_none());
 
         let inner = SpGemmError::ShapeMismatch {

@@ -1,11 +1,9 @@
-//! Engine-level behaviour: admission control (up-front rejection and
-//! mid-flight budget trips), registry caching across jobs, backpressure,
-//! cancellation, and timeouts.
-
-use std::time::Duration;
+//! Engine-level behaviour: jobs run under the caller's estimate with the
+//! tracker as the backstop (mid-flight budget trips), registry caching
+//! across jobs, the estimator's counters, and the estimate memo.
 
 use tilespgemm_core::{multiply, Config, SpGemmError};
-use tsg_engine::{Engine, EngineConfig, EngineError, JobSpec};
+use tsg_engine::{Engine, EngineConfig, EngineError, JobResult, JobSpec};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::{Csr, TileMatrix};
 use tsg_runtime::{Device, MemTracker};
@@ -27,41 +25,28 @@ fn scatter(n: usize, per_row: usize, seed: u64) -> Csr<f64> {
     GenSpec::Scatter { n, per_row, seed }.build()
 }
 
+/// Runs `spec` as a caller without a scheduler does: under the engine's own
+/// estimate, as job 1.
+fn run(engine: &Engine, spec: JobSpec) -> JobResult {
+    let estimate = engine.estimate_op(&spec.op)?;
+    engine.run(1, &spec.op, estimate)
+}
+
+/// Admission against the budget is the caller's: the engine runs a job
+/// whatever its estimate, and the shared tracker is the backstop. A product
+/// far over a 1 KiB budget fails with `out_of_memory` and leaves nothing
+/// charged.
 #[test]
-fn over_budget_estimate_is_rejected_up_front() {
-    // A budget far below any real product's estimate.
+fn an_over_budget_job_runs_and_the_tracker_stops_it() {
     let engine = engine_with_budget(1 << 10);
     let (id, _) = engine.register(scatter(512, 8, 1));
-    let est = engine.estimate(id, id).unwrap();
-    assert!(est.est_bytes > engine.device().mem_budget);
+    assert!(engine.estimate(id, id).unwrap().est_bytes > engine.device().mem_budget);
 
-    let err = engine.submit(JobSpec::multiply(id, id)).unwrap_err();
-    match err {
-        EngineError::EstimateExceedsBudget { est_bytes, budget } => {
-            assert_eq!(est_bytes, est.est_bytes);
-            assert_eq!(budget, 1 << 10);
-        }
-        other => panic!("expected EstimateExceedsBudget, got {other:?}"),
-    }
-    let s = engine.stats();
-    assert_eq!(s.rejected, 1);
-    // The arrival still counts — shed rate is (submitted - admitted) /
-    // submitted from stats alone — but nothing was admitted.
-    assert_eq!(s.submitted, 1);
-    assert_eq!(s.admitted, 0);
-    // Nothing ran, so nothing was ever charged to the device.
-    assert_eq!(s.device_bytes_in_use, 0);
-
-    // An over-budget spec can still be force-admitted by a scheduler doing
-    // its own deferred admission; the mid-flight tracker stays the backstop.
-    let mut solo = JobSpec::multiply(id, id);
-    solo.admitted = Some(est);
-    let err = engine.multiply_now(solo).unwrap_err();
+    let err = run(&engine, JobSpec::multiply(id, id)).unwrap_err();
     assert_eq!(err.code(), "out_of_memory");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
     let s = engine.stats();
-    assert_eq!(s.submitted, 2);
-    assert_eq!(s.admitted, 1);
+    assert_eq!((s.completed, s.failed), (0, 1));
 }
 
 #[test]
@@ -86,8 +71,7 @@ fn mid_flight_budget_trip_fails_the_job_and_frees_back_to_zero() {
     let unconstrained = engine_with_budget(usize::MAX);
     let (id, _) = unconstrained.register(a.clone());
     let est = unconstrained.estimate(id, id).unwrap();
-    let peak = unconstrained
-        .multiply_now(JobSpec::multiply(id, id))
+    let peak = run(&unconstrained, JobSpec::multiply(id, id))
         .unwrap()
         .peak_bytes;
     assert!(
@@ -100,7 +84,7 @@ fn mid_flight_budget_trip_fails_the_job_and_frees_back_to_zero() {
     let budget = est.est_bytes + (peak - est.est_bytes) / 4;
     let engine = engine_with_budget(budget);
     let (id, _) = engine.register(a);
-    let err = engine.multiply_now(JobSpec::multiply(id, id)).unwrap_err();
+    let err = run(&engine, JobSpec::multiply(id, id)).unwrap_err();
     match &err {
         EngineError::SpGemm(SpGemmError::OutOfMemory(trip)) => {
             assert_eq!(err.code(), "out_of_memory");
@@ -118,10 +102,7 @@ fn mid_flight_budget_trip_fails_the_job_and_frees_back_to_zero() {
     // The engine stays serviceable: a small product still completes.
     let (tiny, _) = engine.register(Csr::<f64>::identity(64));
     assert_eq!(
-        engine
-            .multiply_now(JobSpec::multiply(tiny, tiny))
-            .unwrap()
-            .nnz_c,
+        run(&engine, JobSpec::multiply(tiny, tiny)).unwrap().nnz_c,
         64
     );
 }
@@ -134,9 +115,9 @@ fn repeated_multiplies_convert_once_and_match_direct_multiply() {
     let (ia, _) = engine.register(a.clone());
     let (ib, _) = engine.register(b.clone());
 
-    let first = engine.multiply_now(JobSpec::multiply(ia, ib)).unwrap();
-    let second = engine.multiply_now(JobSpec::multiply(ia, ib)).unwrap();
-    let third = engine.multiply_now(JobSpec::multiply(ia, ib)).unwrap();
+    let first = run(&engine, JobSpec::multiply(ia, ib)).unwrap();
+    let second = run(&engine, JobSpec::multiply(ia, ib)).unwrap();
+    let third = run(&engine, JobSpec::multiply(ia, ib)).unwrap();
 
     // Exactly one conversion per operand, all on the first job.
     assert_eq!(first.conversions, 2);
@@ -165,13 +146,13 @@ fn repeated_multiplies_convert_once_and_match_direct_multiply() {
 fn kept_products_register_with_preseeded_conversion() {
     let engine = Engine::new(EngineConfig::default());
     let (ia, _) = engine.register(scatter(256, 4, 2));
-    let r = engine.multiply_now(JobSpec::multiply(ia, ia)).unwrap();
+    let r = run(&engine, JobSpec::multiply(ia, ia)).unwrap();
 
     let (ic, dedup) = engine.register_product(std::sync::Arc::clone(&r.c));
     assert!(!dedup);
     // The cache was pre-seeded with the product itself, so using it as an
     // operand costs no conversion (ia is already cached from the first job).
-    let r2 = engine.multiply_now(JobSpec::multiply(ic, ia)).unwrap();
+    let r2 = run(&engine, JobSpec::multiply(ic, ia)).unwrap();
     assert_eq!(r2.conversions, 0);
     assert_eq!(r2.cache_hits, 2);
     // Content-addressed: re-registering the product — through either path —
@@ -191,7 +172,7 @@ fn completed_jobs_populate_the_estimator_error_counters() {
         ..EngineConfig::default()
     });
     let (id, _) = engine.register(scatter(512, 8, 21));
-    let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
+    let report = run(&engine, JobSpec::multiply(id, id)).unwrap();
 
     // Exactly one completed job → exactly one est-error observation, in the
     // bucket the report's own numbers map to.
@@ -213,7 +194,6 @@ fn completed_jobs_populate_the_estimator_error_counters() {
 /// and none fell back to the constant model.
 #[test]
 fn masked_multiplies_tick_est_err_and_sample_counters() {
-    use tsg_engine::OpSpec;
     let engine = Engine::new(EngineConfig {
         profile: true,
         ..EngineConfig::default()
@@ -221,18 +201,9 @@ fn masked_multiplies_tick_est_err_and_sample_counters() {
     let (id, _) = engine.register(scatter(512, 8, 21));
     let (mask, _) = engine.register(scatter(512, 2, 4));
 
-    let plain = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
-    let masked = engine
-        .multiply_now(JobSpec::of(OpSpec::MaskedMultiply { a: id, b: id, mask }))
-        .unwrap();
-    engine
-        .multiply_now(JobSpec::of(OpSpec::Add {
-            a: id,
-            b: id,
-            alpha: 1.0,
-            beta: 1.0,
-        }))
-        .unwrap();
+    let plain = run(&engine, JobSpec::multiply(id, id)).unwrap();
+    let masked = run(&engine, JobSpec::multiply(id, id).mask(mask)).unwrap();
+    run(&engine, JobSpec::add(1.0, id, 1.0, id)).unwrap();
 
     let m = engine.metrics();
     let est_err_total: u64 = tsg_runtime::observe::EST_ERR_BUCKETS
@@ -263,7 +234,6 @@ fn masked_multiplies_tick_est_err_and_sample_counters() {
 /// (C takes the mask's tile layout).
 #[test]
 fn masked_jobs_report_pipeline_spans_and_counters() {
-    use tsg_engine::OpSpec;
     use tsg_runtime::Counter;
     let engine = Engine::new(EngineConfig {
         profile: true,
@@ -273,9 +243,7 @@ fn masked_jobs_report_pipeline_spans_and_counters() {
     let mask_tiles = TileMatrix::from_csr(&mask).tile_count();
     let (id, _) = engine.register(scatter(512, 8, 21));
     let (mask, _) = engine.register(mask);
-    let report = engine
-        .multiply_now(JobSpec::of(OpSpec::MaskedMultiply { a: id, b: id, mask }))
-        .unwrap();
+    let report = run(&engine, JobSpec::multiply(id, id).mask(mask)).unwrap();
     let trees = engine
         .collector()
         .expect("profiled engine")
@@ -299,7 +267,6 @@ fn masked_jobs_report_pipeline_spans_and_counters() {
 /// estimate stays at or above the job's peak on a fresh tracker.
 #[test]
 fn masked_estimates_cover_the_job_peak() {
-    use tsg_engine::OpSpec;
     let fem = |nodes, spread, seed| {
         GenSpec::Fem {
             nodes,
@@ -336,9 +303,7 @@ fn masked_estimates_cover_the_job_peak() {
             let engine = Engine::new(EngineConfig::default());
             let (a, _) = engine.register(a);
             let (mask, _) = engine.register(mask);
-            let report = engine
-                .multiply_now(JobSpec::of(OpSpec::MaskedMultiply { a, b: a, mask }))
-                .unwrap();
+            let report = run(&engine, JobSpec::multiply(a, a).mask(mask)).unwrap();
             assert!(
                 report.estimate.est_bytes >= report.peak_bytes,
                 "{name}/{seed}: estimate {} below the peak {}",
@@ -349,36 +314,27 @@ fn masked_estimates_cover_the_job_peak() {
     }
 }
 
-/// Masked multiplies credit everything they charge: once a batch of them
-/// has drained, the shared device tracker is back at zero.
+/// Masked multiplies credit everything they charge: after six of them the
+/// shared device tracker is back at zero.
 #[test]
 fn masked_jobs_leave_the_device_tracker_at_zero() {
-    use tsg_engine::OpSpec;
     let engine = Engine::new(EngineConfig::default());
     let (id, _) = engine.register(scatter(512, 8, 41));
     let (mask, _) = engine.register(scatter(512, 2, 42));
-    let tickets: Vec<_> = (0..6)
-        .map(|_| {
-            engine
-                .submit(JobSpec::of(OpSpec::MaskedMultiply { a: id, b: id, mask }))
-                .unwrap()
-        })
-        .collect();
-    for t in tickets {
-        assert!(t.wait().unwrap().nnz_c > 0);
+    for _ in 0..6 {
+        let report = run(&engine, JobSpec::multiply(id, id).mask(mask)).unwrap();
+        assert!(report.nnz_c > 0);
     }
     let s = engine.stats();
     assert_eq!(s.completed, 6);
     assert_eq!(s.device_bytes_in_use, 0, "masked jobs must not leak");
-    engine.shutdown();
 }
 
-/// Two different multiplies submitted at once to one engine with two
-/// workers — one device tracker, one shared pool — each report the peak
-/// their job reaches alone on a fresh engine, with the pool cold and again
-/// once it holds the buffers the first round recycled. The banded square's
-/// values outgrow [`tsg_runtime::ALLOCATOR_MAPS_ABOVE`], so the pool keeps
-/// them.
+/// Two different multiplies run at once on two threads of one engine —
+/// one device tracker, one shared pool — each report the peak their job
+/// reaches alone on a fresh engine, with the pool cold and again once it
+/// holds the buffers the first round recycled. The banded square's values
+/// outgrow [`tsg_runtime::ALLOCATOR_MAPS_ABOVE`], so the pool keeps them.
 #[test]
 fn concurrent_jobs_peaks_equal_their_solo_runs() {
     let banded = GenSpec::Banded {
@@ -393,33 +349,28 @@ fn concurrent_jobs_peaks_equal_their_solo_runs() {
         .map(|m| {
             let engine = Engine::new(EngineConfig::default());
             let (id, _) = engine.register(m.clone());
-            engine
-                .multiply_now(JobSpec::multiply(id, id))
-                .unwrap()
-                .peak_bytes
+            run(&engine, JobSpec::multiply(id, id)).unwrap().peak_bytes
         })
         .collect();
     assert_ne!(solo[0], solo[1], "two different jobs");
-    let engine = Engine::new(EngineConfig {
-        workers: 2,
-        ..EngineConfig::default()
-    });
+    let engine = &Engine::new(EngineConfig::default());
     let ids: Vec<_> = ops.iter().map(|m| engine.register(m.clone()).0).collect();
     for round in ["cold", "warm"] {
-        let tickets: Vec<_> = ids
-            .iter()
-            .map(|&id| engine.submit(JobSpec::multiply(id, id)).unwrap())
-            .collect();
-        for (ticket, &want) in tickets.iter().zip(&solo) {
-            let report = ticket.take().unwrap();
-            if ticket.job == tickets[0].job {
+        let reports: Vec<_> = std::thread::scope(|scope| {
+            let running: Vec<_> = ids
+                .iter()
+                .map(|&id| scope.spawn(move || run(engine, JobSpec::multiply(id, id)).unwrap()))
+                .collect();
+            running.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (i, (report, &want)) in reports.into_iter().zip(&solo).enumerate() {
+            if i == 0 {
                 let vals = report.c.vals.len() * std::mem::size_of::<f64>();
                 assert!(
                     vals > tsg_runtime::ALLOCATOR_MAPS_ABOVE,
                     "{vals} B of values"
                 );
             }
-            assert!(ticket.try_result().is_none(), "the result moved out");
             assert_eq!(report.peak_bytes, want, "{round} pool");
             engine.recycle(report.c);
         }
@@ -431,107 +382,46 @@ fn concurrent_jobs_peaks_equal_their_solo_runs() {
 }
 
 #[test]
-fn full_queue_sheds_with_backpressure() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 2,
-        ..EngineConfig::default()
-    });
-    // A product slow enough to hold the single worker while the queue fills.
-    let (big, _) = engine.register(scatter(4096, 12, 3));
-    let (tiny, _) = engine.register(Csr::<f64>::identity(64));
-
-    let mut tickets = vec![engine.submit(JobSpec::multiply(big, big)).unwrap()];
-    let mut shed = 0;
-    // Keep submitting until backpressure appears; the queue holds 2, so at
-    // most 3 submissions can be in flight before one is shed.
-    for _ in 0..16 {
-        match engine.submit(JobSpec::multiply(tiny, tiny)) {
-            Ok(t) => tickets.push(t),
-            Err(EngineError::QueueFull { depth }) => {
-                assert_eq!(depth, 2);
-                shed += 1;
-                break;
-            }
-            Err(other) => panic!("unexpected submit error {other:?}"),
-        }
-    }
-    assert_eq!(shed, 1, "a depth-2 queue must shed a fast burst");
-    assert_eq!(engine.stats().shed, 1);
-    // Everything admitted still completes; nothing deadlocks.
-    for t in tickets {
-        t.wait().unwrap();
-    }
-}
-
-#[test]
-fn queued_jobs_can_be_canceled_but_not_running_ones() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    });
-    let (big, _) = engine.register(scatter(4096, 12, 5));
-    let (tiny, _) = engine.register(Csr::<f64>::identity(64));
-
-    // The worker picks this up immediately; cancel arrives too late.
-    let running = engine.submit(JobSpec::multiply(big, big)).unwrap();
-    // This one waits behind it; cancel lands while it is still queued.
-    let queued = engine.submit(JobSpec::multiply(tiny, tiny)).unwrap();
-    queued.cancel();
-
-    assert_eq!(queued.wait().unwrap_err(), EngineError::Canceled);
-    // A cancel after completion is a no-op; the result stands.
-    running.cancel();
-    assert!(running.wait().is_ok());
-    let s = engine.stats();
-    assert_eq!(s.canceled, 1);
-    assert_eq!(s.completed, 1);
-}
-
-#[test]
 fn admitted_estimates_are_reported_verbatim_and_operands_still_checked() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    });
-    let (big, _) = engine.register(scatter(4096, 12, 7));
+    let engine = Engine::new(EngineConfig::default());
     let (a, _) = engine.register(scatter(256, 5, 8));
 
-    // A scheduler that already estimated the job hands the estimate over:
-    // the engine neither samples again nor second-guesses it, and the
-    // report carries it unchanged.
+    // A caller that already estimated the job hands the estimate over: the
+    // engine neither samples again nor second-guesses it, and the report
+    // carries it unchanged, under the caller's job id.
     let mut handed = engine.estimate(a, a).unwrap();
     handed.est_bytes += 12_345;
     handed.sample = None;
-    let mut spec = JobSpec::multiply(a, a);
-    spec.admitted = Some(handed);
-    let report = engine.multiply_now(spec).unwrap();
+    let op = JobSpec::multiply(a, a).op;
+    let report = engine.run(7, &op, handed).unwrap();
     assert_eq!(report.estimate, handed);
+    assert_eq!(report.job, 7);
 
-    // Operands and shapes are still checked at submit.
+    // Operands and shapes are still checked when the job runs, with the
+    // code the estimate gives.
     let (wide, _) = engine.register(Csr::<f64>::zero(8, 9));
-    let mut mismatched = JobSpec::multiply(wide, wide);
-    mismatched.admitted = Some(handed);
+    let mismatched = JobSpec::multiply(wide, wide).op;
     assert_eq!(
-        engine.submit(mismatched).unwrap_err().code(),
-        engine
-            .submit(JobSpec::multiply(wide, wide))
-            .unwrap_err()
-            .code()
+        engine.run(8, &mismatched, handed).unwrap_err().code(),
+        engine.estimate_op(&mismatched).unwrap_err().code()
     );
 
-    // An operand unloaded between submit and execution fails the job with
-    // `unknown_matrix`, exactly as without a handed estimate.
-    let running = engine.submit(JobSpec::multiply(big, big)).unwrap();
-    let mut queued = JobSpec::multiply(a, a);
-    queued.admitted = Some(handed);
-    let queued = engine.submit(queued).unwrap();
+    // An operand unloaded between the estimate and the run (while the job
+    // waited in its caller's queue) fails the job with `unknown_matrix`,
+    // exactly as estimating it again would.
+    let estimate = engine.estimate_op(&op).unwrap();
     engine.unregister(a).unwrap();
-    assert_eq!(queued.wait().unwrap_err().code(), "unknown_matrix");
-    assert!(running.wait().is_ok());
-    let mut gone = JobSpec::multiply(a, a);
-    gone.admitted = Some(handed);
-    assert_eq!(engine.submit(gone).unwrap_err().code(), "unknown_matrix");
+    assert_eq!(
+        engine.run(9, &op, estimate).unwrap_err().code(),
+        "unknown_matrix"
+    );
+    assert_eq!(
+        engine.estimate_op(&op).unwrap_err().code(),
+        "unknown_matrix"
+    );
+    let s = engine.stats();
+    assert_eq!((s.completed, s.failed), (1, 2));
+    assert_eq!(s.device_bytes_in_use, 0);
 }
 
 #[test]
@@ -564,21 +454,22 @@ fn power_estimates_fold_their_links_without_materializing_them() {
     assert_eq!(huge.est_nnz_c, long.est_nnz_c);
 }
 
-/// Chains and powers are estimate-only: `submit` refuses them with
-/// `invalid_op` before anything is queued or charged, while `estimate_op`
-/// still answers for the same specs.
+/// Chains and powers are estimate-only: `run` refuses them with
+/// `invalid_op` before anything is charged, while `estimate_op` still
+/// answers for the same specs.
 #[test]
-fn chains_and_powers_are_refused_at_submit_but_still_estimated() {
+fn chains_and_powers_are_refused_by_run_but_still_estimated() {
     let engine = Engine::new(EngineConfig::default());
     let (a, _) = engine.register(scatter(512, 6, 9));
     let (mask, _) = engine.register(scatter(512, 3, 10));
     let specs = [JobSpec::chain([a, a, a]), JobSpec::power(a, 3).mask(mask)];
-    for (submitted, spec) in (1..).zip(specs) {
-        assert!(engine.estimate_op(&spec.op).unwrap().flops > 0, "{spec:?}");
-        assert_eq!(engine.submit(spec).unwrap_err().code(), "invalid_op");
+    for (refused, spec) in (1..).zip(specs) {
+        let estimate = engine.estimate_op(&spec.op).unwrap();
+        assert!(estimate.flops > 0, "{spec:?}");
+        let err = engine.run(1, &spec.op, estimate).unwrap_err();
+        assert_eq!(err.code(), "invalid_op");
         let s = engine.stats();
-        assert_eq!((s.submitted, s.admitted), (submitted, 0));
-        assert_eq!(s.queue_depth, 0);
+        assert_eq!((s.completed, s.failed), (0, refused));
         assert_eq!(s.device_bytes_in_use, 0);
     }
 }
@@ -727,7 +618,7 @@ fn warm_memo_jobs_still_tick_the_estimator_counters() {
     let (id, _) = engine.register(scatter(512, 8, 81));
     let warm = engine.estimate(id, id).unwrap();
     for _ in 0..3 {
-        let report = engine.multiply_now(JobSpec::multiply(id, id)).unwrap();
+        let report = run(&engine, JobSpec::multiply(id, id)).unwrap();
         assert_eq!(report.estimate, warm);
     }
     assert_eq!(engine.stats().registry.estimate_hits, 3);
@@ -755,44 +646,4 @@ fn estimates_do_not_depend_on_the_calling_thread() {
     let outside = estimate();
     let inside = tsg_runtime::device::run_on(&Device::new("four", 4, 1 << 30), estimate);
     assert_eq!(inside, outside);
-}
-
-#[test]
-fn queue_wait_deadline_times_out_stale_jobs() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    });
-    let (big, _) = engine.register(scatter(4096, 12, 6));
-    let (tiny, _) = engine.register(Csr::<f64>::identity(64));
-
-    let running = engine.submit(JobSpec::multiply(big, big)).unwrap();
-    let mut stale = JobSpec::multiply(tiny, tiny);
-    stale.timeout = Some(Duration::ZERO); // expires the instant it queues
-    let stale = engine.submit(stale).unwrap();
-
-    assert_eq!(stale.wait().unwrap_err(), EngineError::TimedOut);
-    assert!(running.wait().is_ok());
-    assert_eq!(engine.stats().timed_out, 1);
-}
-
-#[test]
-fn shutdown_drains_queued_jobs_then_refuses_new_ones() {
-    let engine = Engine::new(EngineConfig {
-        workers: 2,
-        ..EngineConfig::default()
-    });
-    let (id, _) = engine.register(scatter(512, 4, 8));
-    let tickets: Vec<_> = (0..6)
-        .map(|_| engine.submit(JobSpec::multiply(id, id)).unwrap())
-        .collect();
-    engine.shutdown();
-    // Graceful: everything admitted before shutdown still completed.
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    assert_eq!(
-        engine.submit(JobSpec::multiply(id, id)).unwrap_err(),
-        EngineError::ShuttingDown
-    );
 }

@@ -1,8 +1,10 @@
 //! Weighted-fair, backpressure-first job scheduler over the resident engine.
 //!
-//! The engine's own queue sheds: a full queue or an over-budget estimate
-//! rejects the submission, and under a burst that is dropped work. This
-//! scheduler replaces shedding with *backpressure* and *deferral*:
+//! The scheduler holds the server's one job queue and runs its own jobs:
+//! [`SchedConfig::workers`] runner threads each take the job the fair pick
+//! names, run it on the engine ([`Engine::run`], on the runner's own
+//! thread) and complete its ticket. A job waits in its session queue and
+//! nowhere else, so the weighted-fair pick decides the order jobs run in.
 //!
 //! * Every client holds a [session](Scheduler::open_session) with its own
 //!   bounded FIFO queue and a fairness weight. A submission that finds the
@@ -15,20 +17,18 @@
 //!   `1/weight`, and the runnable session with the smallest tag goes next.
 //!   A bulk batch in one session therefore cannot starve another session's
 //!   interactive jobs — dispatches interleave in weight proportion.
-//! * `estimate_exceeds_budget` becomes *deferred admission*: a job whose
-//!   predicted footprint does not fit the memory currently free
-//!   (`budget − in-flight bytes`) parks at the head of the dispatch order;
-//!   completions drain memory and re-evaluate it, and once the device is
-//!   idle it dispatches solo (bypassing the engine's static check with
-//!   [`JobSpec::admitted`]) with the mid-flight tracker as the backstop.
-//!   Dispatch is memory-ordered: while the fair-queue head is parked
-//!   nothing overtakes it, so deferral cannot become starvation.
+//! * Admission is *deferred*, never a rejection: a job whose predicted
+//!   footprint does not fit the memory currently free (`budget − in-flight
+//!   bytes`) parks at the head of the dispatch order; completions drain
+//!   memory and re-evaluate it, and once the device is idle it runs solo,
+//!   with the mid-flight tracker as the backstop. Dispatch is
+//!   memory-ordered: while the fair-queue head is parked nothing overtakes
+//!   it, so deferral cannot become starvation.
 //! * Each job is estimated exactly once, and never under a lock: jobs whose
 //!   operands are all handles on the submitting thread before it takes the
-//!   scheduler lock, `$k` jobs by the dispatcher once their operand exists,
-//!   with the scheduler lock dropped around the sampler. The engine admits
-//!   the job under that estimate ([`JobSpec::admitted`]) without sampling
-//!   again.
+//!   scheduler lock, `$k` jobs by a runner once their operand exists, with
+//!   the scheduler lock dropped around the sampler. The engine runs the job
+//!   under that estimate without sampling again.
 //! * Batches ([`Scheduler::submit`] with several [`SubmitSpec`]s) may
 //!   reference earlier entries' products as operands ([`Operand::Ref`],
 //!   `$k` on the wire). Referenced products are registered on completion
@@ -39,10 +39,14 @@
 //!   conversion thread ([`Engine::resolve_tiled`] converts outside the
 //!   registry lock), so job N+1's CSR→tiled conversion runs while job N
 //!   computes.
+//! * Deadlines and cancellation act on queued jobs: a head whose
+//!   [`SubmitSpec::timeout`] has passed completes as `timed_out` without
+//!   running, and [`Scheduler::cancel`] takes a job out of its queue. A
+//!   running job is not interruptible.
 //!
-//! Serve-level job ids live at [`SERVE_JOB_BASE`] and above, apart from
-//! the engine's own ticket ids, so a job id on the wire always names a
-//! scheduler job.
+//! Serve-level job ids live at [`SERVE_JOB_BASE`] and above. The engine
+//! runs each job under its serve id, so a reply's job id also names the
+//! job's span tree.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
@@ -51,14 +55,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tilespgemm_core::Config;
-use tsg_engine::engine::JobTicket;
-use tsg_engine::{Engine, EngineError, JobEstimate, JobReport, JobSpec, MatrixId, OpSpec};
+use tsg_engine::{Engine, EngineError, JobEstimate, JobReport, MatrixId, OpSpec};
 use tsg_matrix::{Csr, TileMatrix};
 use tsg_runtime::observe::{Counter, QueueGauge, WaitGauge};
 
-/// Serve-level job ids count up from here (engine ticket ids count up from
-/// 1), so a scheduler job id is never mistaken for an engine ticket id.
+/// Serve-level job ids count up from here, clear of the small ids
+/// in-process callers of [`Engine::run`] tend to pick.
 pub const SERVE_JOB_BASE: u64 = 1 << 32;
 
 /// Scheduler construction parameters.
@@ -70,9 +72,9 @@ pub struct SchedConfig {
     /// How long a submission that finds its queue full is held waiting for
     /// space before it is answered with a [`BackpressureHint`].
     pub backpressure_wait: Duration,
-    /// Warm the next runnable job's operand conversions on the conversion
-    /// thread while the current job computes.
-    pub prefetch: bool,
+    /// Runner threads, each running one job at a time on the engine: the
+    /// most jobs in flight at once.
+    pub workers: usize,
 }
 
 impl Default for SchedConfig {
@@ -80,7 +82,7 @@ impl Default for SchedConfig {
         SchedConfig {
             session_queue_depth: 8,
             backpressure_wait: Duration::from_millis(25),
-            prefetch: true,
+            workers: 1,
         }
     }
 }
@@ -111,11 +113,10 @@ pub struct SubmitSpec {
     pub mask: Option<Operand>,
     /// `Some((alpha, beta))` makes the job the sum `alpha·a + beta·b`
     /// instead of a product. A sum has no product to mask, so it ignores
-    /// `mask`, as [`JobSpec::mask`] does.
+    /// `mask`, as [`tsg_engine::JobSpec::mask`] does.
     pub add: Option<(f64, f64)>,
-    /// Pipeline configuration override; `None` uses the engine's base.
-    pub config: Option<Config>,
-    /// Total queue-wait deadline (scheduler and engine queues combined).
+    /// Queue-wait deadline: a job still queued this long after it was
+    /// enqueued completes as `timed_out` without running.
     pub timeout: Option<Duration>,
     /// Register the product as an operand and report its handle.
     pub keep: bool,
@@ -135,7 +136,6 @@ impl SubmitSpec {
             b: Operand::Id(b),
             mask: None,
             add: None,
-            config: None,
             timeout: None,
             keep: false,
             materialize: true,
@@ -226,14 +226,17 @@ pub enum Submission {
     Backpressure(BackpressureHint),
 }
 
-/// Completed job payload: the engine's report plus the registered product
-/// handle when the job kept it (or a later batch entry referenced it).
+/// Completed job payload: the engine's report, the job's wait in its
+/// session queue, and the registered product handle when the job kept it
+/// (or a later batch entry referenced it).
 #[derive(Debug, Clone)]
 pub struct JobDone {
     /// The engine's completion record. Its `c` is an empty 0×0 stand-in:
     /// a kept product lives in the registry under `kept`, and one nobody
     /// keeps went back to the engine's buffer pool ([`Engine::recycle`]).
     pub report: JobReport,
+    /// Time from enqueue to the start of the job's run.
+    pub queue_wait: Duration,
     /// Content id the product registered under, when kept.
     pub kept: Option<MatrixId>,
 }
@@ -312,9 +315,12 @@ struct QueuedSJob {
     /// not double-count.
     deferred_marked: bool,
     /// The job's one admission estimate, taken outside every lock: at
-    /// submit for handle-only jobs, by the dispatcher otherwise. An error
-    /// (an operand unloaded, a shape mismatch) fails the job at the head.
+    /// submit for handle-only jobs, by a runner otherwise. An error (an
+    /// operand unloaded, a shape mismatch) fails the job at the head.
     estimate: Option<Result<JobEstimate, EngineError>>,
+    /// Set while a runner estimates the job with the lock released, so no
+    /// other runner samples it too.
+    estimating: bool,
     ticket: Arc<STicket>,
 }
 
@@ -376,9 +382,9 @@ pub struct SchedulerStats {
     pub deferred: u64,
     /// Jobs submitted as part of a multi-entry batch.
     pub batch_jobs: u64,
-    /// Jobs handed to the engine so far.
+    /// Jobs started so far.
     pub dispatched: u64,
-    /// Jobs currently executing (or queued) inside the engine.
+    /// Jobs running right now, at most [`SchedConfig::workers`].
     pub in_flight: usize,
     /// Execution-time EWMA feeding `retry_after` hints.
     pub exec_ewma: Duration,
@@ -398,8 +404,6 @@ struct Inner {
     /// concurrent jobs from growing past the budget mid-flight), while the
     /// tracked term covers allocations that outlive or exceed a reservation.
     reserved_bytes: usize,
-    /// Serve job id → engine ticket, for cancellation of dispatched jobs.
-    running: HashMap<u64, JobTicket>,
     /// `(batch id, entry index)` → registered product, or the failed job's
     /// id when the entry can never produce one.
     batch_products: HashMap<(u64, usize), Result<MatrixId, u64>>,
@@ -410,8 +414,8 @@ struct Inner {
     hints: u64,
     batch_jobs: u64,
     /// Job admitted solo past the free-memory check: while it runs nothing
-    /// else may dispatch (or prefetch), or the combined peaks could blow
-    /// the budget mid-flight.
+    /// else may start (or prefetch), or the combined peaks could blow the
+    /// budget mid-flight.
     exclusive_job: Option<u64>,
     draining: bool,
     stopped: bool,
@@ -432,17 +436,17 @@ struct Shared {
     no_product: Arc<TileMatrix<f64>>,
 }
 
-/// The multi-client scheduler. Construction spawns the dispatcher and
+/// The multi-client scheduler. Construction spawns the runner and
 /// conversion threads; [`Scheduler::shutdown`] (or drop) drains and joins
 /// them.
 pub struct Scheduler {
     shared: Arc<Shared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    runners: Mutex<Vec<JoinHandle<()>>>,
     converter: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Builds a scheduler over `engine` and starts its dispatcher.
+    /// Builds a scheduler over `engine` and starts its runners.
     pub fn new(engine: Arc<Engine>, cfg: SchedConfig) -> Self {
         let (tx, rx) = mpsc::channel::<MatrixId>();
         let shared = Arc::new(Shared {
@@ -452,7 +456,6 @@ impl Scheduler {
                 vclock: 0.0,
                 in_flight: 0,
                 reserved_bytes: 0,
-                running: HashMap::new(),
                 batch_products: HashMap::new(),
                 dispatch_log: Vec::new(),
                 exec_ewma: Duration::ZERO,
@@ -473,13 +476,15 @@ impl Scheduler {
             cfg,
             engine: Arc::clone(&engine),
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("tsg-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(&shared))
-                .expect("spawning dispatcher")
-        };
+        let runners = (0..shared.cfg.workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("tsg-serve-run-{i}"))
+                    .spawn(move || runner_loop(&shared))
+                    .expect("spawning runner")
+            })
+            .collect();
         let converter = {
             let engine = Arc::clone(&engine);
             std::thread::Builder::new()
@@ -487,7 +492,7 @@ impl Scheduler {
                 .spawn(move || {
                     // Warm conversions until the sender side is dropped at
                     // shutdown. Errors (unloaded matrix) are fine — the
-                    // dispatch path re-resolves authoritatively.
+                    // job's run re-resolves authoritatively.
                     while let Ok(id) = rx.recv() {
                         let _ = engine.resolve_tiled(id);
                     }
@@ -496,12 +501,12 @@ impl Scheduler {
         };
         Scheduler {
             shared,
-            dispatcher: Mutex::new(Some(dispatcher)),
+            runners: Mutex::new(runners),
             converter: Mutex::new(Some(converter)),
         }
     }
 
-    /// The engine jobs dispatch into.
+    /// The engine jobs run on.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.shared.engine
     }
@@ -585,8 +590,8 @@ impl Scheduler {
                 }
             }
         }
-        // Sample before taking any lock. A failed estimate is left for the
-        // dispatcher to retry, so an operand loaded in the meantime still
+        // Sample before taking any lock. A failed estimate is left for a
+        // runner to retry, so an operand loaded in the meantime still
         // counts.
         let estimates: Vec<Option<JobEstimate>> = specs
             .iter()
@@ -628,7 +633,7 @@ impl Scheduler {
             if skip_hold || now >= deadline || inner.draining {
                 let backlog = sess.queue.len();
                 let hint = BackpressureHint {
-                    retry_after: retry_after(&inner, self.shared.engine.config(), backlog),
+                    retry_after: retry_after(&inner, self.shared.cfg.workers, backlog),
                     queue_position: backlog,
                 };
                 let sess = inner.sessions.get_mut(&session).expect("session exists");
@@ -682,6 +687,7 @@ impl Scheduler {
                 enqueued: now,
                 deferred_marked: false,
                 estimate: estimate.map(Ok),
+                estimating: false,
                 ticket,
             });
             sess.enqueued += 1;
@@ -722,9 +728,10 @@ impl Scheduler {
         }
     }
 
-    /// Cancels a job. Queued jobs complete as `canceled`; a job already
-    /// handed to the engine is canceled there (honoured only while it is
-    /// still in the engine queue). Returns whether the id was known.
+    /// Cancels a queued job: it leaves its session queue and completes as
+    /// `canceled`. Returns `true` only when it removed the job from a
+    /// queue; a job already running (or finished, or unknown) is left
+    /// alone.
     pub fn cancel(&self, job: u64) -> bool {
         let mut inner = self.lock();
         let sids: Vec<u64> = inner.sessions.keys().copied().collect();
@@ -744,10 +751,6 @@ impl Scheduler {
             complete(&j.ticket, Err(EngineError::Canceled));
             drop(inner);
             self.shared.cv.notify_all();
-            return true;
-        }
-        if let Some(t) = inner.running.get(&job) {
-            t.cancel();
             return true;
         }
         false
@@ -819,8 +822,8 @@ impl Scheduler {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         };
-        // Past the deadline: fail whatever is still queued (in-flight jobs
-        // are not interruptible; their waiters finish on their own).
+        // Past the deadline: fail whatever is still queued (running jobs are
+        // not interruptible; their runners finish them).
         let sids: Vec<u64> = inner.session_order.clone();
         for sid in sids {
             let Some(sess) = inner.sessions.get_mut(&sid) else {
@@ -844,8 +847,8 @@ impl Scheduler {
         drained
     }
 
-    /// Drains (with `deadline`), joins the scheduler threads, and shuts the
-    /// engine down. Idempotent.
+    /// Drains (with `deadline`) and joins the scheduler threads, which
+    /// waits for every running job. Idempotent.
     pub fn shutdown(&self, deadline: Duration) -> bool {
         let drained = self.drain(deadline);
         // Closing the channel ends the conversion thread.
@@ -854,12 +857,9 @@ impl Scheduler {
             .convert_tx
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = None;
-        if let Some(h) = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
+        let runners =
+            std::mem::take(&mut *self.runners.lock().unwrap_or_else(PoisonError::into_inner));
+        for h in runners {
             let _ = h.join();
         }
         if let Some(h) = self
@@ -870,7 +870,6 @@ impl Scheduler {
         {
             let _ = h.join();
         }
-        self.shared.engine.shutdown();
         drained
     }
 
@@ -889,15 +888,14 @@ impl Drop for Scheduler {
 }
 
 /// `retry_after` for a backpressure hint: the backlog's expected service
-/// time under the execution EWMA, spread over the engine's workers.
-fn retry_after(inner: &Inner, cfg: &tsg_engine::EngineConfig, backlog: usize) -> Duration {
+/// time under the execution EWMA, spread over the runners.
+fn retry_after(inner: &Inner, workers: usize, backlog: usize) -> Duration {
     let ewma = if inner.exec_ewma.is_zero() {
         Duration::from_millis(10)
     } else {
         inner.exec_ewma
     };
-    let workers = cfg.workers.max(1) as u32;
-    (ewma * backlog.max(1) as u32 / workers).max(Duration::from_millis(1))
+    (ewma * backlog.max(1) as u32 / workers.max(1) as u32).max(Duration::from_millis(1))
 }
 
 /// Resolution of one operand at dispatch time.
@@ -925,12 +923,12 @@ fn resolve_operand(inner: &Inner, job: &QueuedSJob, op: Operand) -> Resolved {
     }
 }
 
-/// What the dispatcher decided while scanning the queues.
+/// What a runner decided while scanning the queues.
 enum Scan {
-    /// Dispatch this session's head under `estimate`, reserving its bytes
-    /// of the budget until it completes; `exclusive` marks a job whose
-    /// estimate exceeds the whole budget (the deferred-admission backstop),
-    /// which must then run alone.
+    /// Run this session's head under `estimate`, reserving its bytes of the
+    /// budget until it completes; `exclusive` marks a job whose estimate
+    /// exceeds the whole budget (the deferred-admission backstop), which
+    /// must then run alone.
     Dispatch {
         sid: u64,
         estimate: JobEstimate,
@@ -944,7 +942,24 @@ enum Scan {
     Wait,
 }
 
-fn dispatcher_loop(shared: &Arc<Shared>) {
+/// A job a runner took off its session queue, with everything its run and
+/// its completion need.
+struct Running {
+    sid: u64,
+    id: u64,
+    op: OpSpec,
+    estimate: JobEstimate,
+    queue_wait: Duration,
+    batch: Option<u64>,
+    batch_index: usize,
+    register: bool,
+    materialize: bool,
+    ticket: Arc<STicket>,
+}
+
+/// One runner thread: scan the queues under `inner`, take the fair head,
+/// run it with `inner` released, complete it — until the scheduler stops.
+fn runner_loop(shared: &Arc<Shared>) {
     let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
         if inner.stopped {
@@ -956,9 +971,11 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
                 estimate,
                 exclusive,
             } => {
-                dispatch(shared, &mut inner, sid, estimate, exclusive);
+                let job = dispatch(shared, &mut inner, sid, estimate, exclusive);
                 drop(inner);
+                // The head left its queue: a held submission may fit now.
                 shared.cv.notify_all();
+                run(shared, job);
                 inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
             }
             Scan::Estimate { sid, job, op } => {
@@ -989,10 +1006,9 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
 /// One pass over the session queues: fail heads that can never run, then
 /// pick the weighted-fair runnable head and check it against free memory.
 fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
-    // The engine never sheds as long as in-flight stays within its queue
-    // depth (workers drain the queue faster than it fills from here).
-    let max_inflight = shared.engine.config().queue_depth.max(1);
-    if inner.in_flight >= max_inflight || inner.exclusive_job.is_some() {
+    // A runner only scans while it runs nothing, so the runners cap the jobs
+    // in flight; a solo job holds the device alone.
+    if inner.exclusive_job.is_some() {
         return Scan::Wait;
     }
     // Terminal heads first: expired deadlines and broken dependencies are
@@ -1064,8 +1080,7 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
     // Memory-ordered admission: the fair head dispatches only into memory
     // known to be free. While it waits, nothing overtakes it — completions
     // free memory, the queue drains, and once the device is idle the job
-    // goes solo (admitted past the engine's budget check), so deferral
-    // cannot starve.
+    // goes solo, so deferral cannot starve.
     let head = inner.sessions[&sid].queue.front().expect("head exists");
     let (Resolved::Ready(a), Resolved::Ready(b)) = (
         resolve_operand(inner, head, head.spec.a),
@@ -1088,13 +1103,14 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
     // whose estimate fell back to the constant model).
     let estimate = match head.estimate {
         Some(Ok(e)) => e,
+        // Another runner is estimating the fair head; nothing overtakes it.
+        _ if head.estimating => return Scan::Wait,
         // Failed estimates were completed inline above.
         _ => {
-            return Scan::Estimate {
-                sid,
-                job: head.id,
-                op: op_spec(head.spec.add, a, b, mask),
-            }
+            let (job, op) = (head.id, op_spec(head.spec.add, a, b, mask));
+            let sess = inner.sessions.get_mut(&sid).expect("session exists");
+            sess.queue.front_mut().expect("head exists").estimating = true;
+            return Scan::Estimate { sid, job, op };
         }
     };
     let est_bytes = estimate.est_bytes;
@@ -1139,98 +1155,55 @@ fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
     }
 }
 
-/// Pops `sid`'s head, advances the fair clock, and hands the job to the
-/// engine; a waiter thread collects the result.
+/// Pops `sid`'s head, advances the fair clock, and reserves the job's
+/// estimate; the caller runs the job once `inner` is released.
 fn dispatch(
     shared: &Arc<Shared>,
     inner: &mut Inner,
     sid: u64,
     estimate: JobEstimate,
     exclusive: bool,
-) {
-    let est_bytes = estimate.est_bytes;
+) -> Running {
     let sess = inner.sessions.get_mut(&sid).expect("session exists");
     let job = sess.queue.pop_front().expect("head exists");
     let start = sess.vtime.max(inner.vclock);
     sess.vtime = start + 1.0 / sess.weight;
     inner.vclock = start;
     shared.queue_gauge.sub(1);
-    shared.wait_gauge.record(job.enqueued.elapsed());
-    let (Resolved::Ready(a), Resolved::Ready(b)) = (
-        resolve_operand(inner, &job, job.spec.a),
-        resolve_operand(inner, &job, job.spec.b),
-    ) else {
-        unreachable!("scan only dispatches runnable heads")
+    let queue_wait = job.enqueued.elapsed();
+    shared.wait_gauge.record(queue_wait);
+    let ready = |op| match resolve_operand(inner, &job, op) {
+        Resolved::Ready(id) => id,
+        _ => unreachable!("scan only dispatches runnable heads"),
     };
-    let mask = job
-        .spec
-        .mask
-        .map(|op| match resolve_operand(inner, &job, op) {
-            Resolved::Ready(id) => id,
-            _ => unreachable!("scan only dispatches runnable heads"),
-        });
-    let mut spec = JobSpec::of(op_spec(job.spec.add, a, b, mask));
-    spec.config = job.spec.config;
-    spec.timeout = job
-        .spec
-        .timeout
-        .map(|t| t.saturating_sub(job.enqueued.elapsed()));
-    // The scheduler already admitted the job against *free* memory (or
-    // decided it must run solo); the engine's whole-budget check would
-    // re-reject est > budget jobs the deferral path exists to serve, and
-    // sampling again would only repeat this estimate.
-    spec.admitted = Some(estimate);
-    match shared.engine.submit(spec) {
-        Ok(ticket) => {
-            inner.in_flight += 1;
-            inner.reserved_bytes += est_bytes;
-            if exclusive {
-                inner.exclusive_job = Some(job.id);
-            }
-            inner.running.insert(job.id, ticket.clone());
-            inner.dispatch_log.push((sid, job.id));
-            let shared_w = Arc::clone(shared);
-            let register = job.register;
-            let materialize = job.spec.materialize;
-            let batch = job.batch;
-            let batch_index = job.batch_index;
-            let sticket = Arc::clone(&job.ticket);
-            let job_id = job.id;
-            std::thread::Builder::new()
-                .name(format!("tsg-serve-wait-{job_id}"))
-                .spawn(move || {
-                    waiter(
-                        &shared_w,
-                        sid,
-                        job_id,
-                        est_bytes,
-                        batch,
-                        batch_index,
-                        register,
-                        materialize,
-                        &ticket,
-                        &sticket,
-                    );
-                })
-                .expect("spawning waiter");
-            // Prefetching converts operands on the device — not while an
-            // over-budget job needs every byte of it.
-            if shared.cfg.prefetch && !exclusive {
-                prefetch_next(shared, inner);
-            }
-        }
-        Err(e) => {
-            let sess = inner.sessions.get_mut(&sid).expect("session exists");
-            sess.failed += 1;
-            if job.register {
-                if let Some(b) = job.batch {
-                    inner
-                        .batch_products
-                        .insert((b, job.batch_index), Err(job.id));
-                }
-            }
-            complete(&job.ticket, Err(e));
-        }
+    let op = op_spec(
+        job.spec.add,
+        ready(job.spec.a),
+        ready(job.spec.b),
+        job.spec.mask.map(ready),
+    );
+    inner.in_flight += 1;
+    inner.reserved_bytes += estimate.est_bytes;
+    if exclusive {
+        inner.exclusive_job = Some(job.id);
+    }
+    inner.dispatch_log.push((sid, job.id));
+    // Prefetching converts operands on the device — not while an
+    // over-budget job needs every byte of it.
+    if !exclusive {
+        prefetch_next(shared, inner);
+    }
+    Running {
+        sid,
+        id: job.id,
+        op,
+        estimate,
+        queue_wait,
+        batch: job.batch,
+        batch_index: job.batch_index,
+        register: job.register,
+        materialize: job.spec.materialize,
+        ticket: job.ticket,
     }
 }
 
@@ -1267,60 +1240,51 @@ fn prefetch_next(shared: &Arc<Shared>, inner: &Inner) {
     }
 }
 
-/// Blocks on the engine ticket, registers kept products, and updates the
-/// scheduler's accounting.
-#[allow(clippy::too_many_arguments)]
-fn waiter(
-    shared: &Arc<Shared>,
-    sid: u64,
-    job_id: u64,
-    est_bytes: usize,
-    batch: Option<u64>,
-    batch_index: usize,
-    register: bool,
-    materialize: bool,
-    ticket: &JobTicket,
-    sticket: &STicket,
-) {
+/// Runs `job` on the engine, registers a kept product, and updates the
+/// scheduler's accounting before completing the job's ticket.
+fn run(shared: &Shared, job: Running) {
     // Product registration happens before the scheduler lock: it takes the
     // registry lock internally and must not nest inside `inner`. The
     // product is handed over, not shared: registration then moves its
     // arrays, and one nobody keeps is recycled once the reply is out. The
     // reply reads only the report's scalars.
     let mut unkept = None;
-    let serve_result: ServeResult = match ticket.take() {
-        Ok(mut report) => {
+    let result: ServeResult = shared
+        .engine
+        .run(job.id, &job.op, job.estimate)
+        .map(|mut report| {
             let product = std::mem::replace(&mut report.c, Arc::clone(&shared.no_product));
-            let kept = if !register {
+            let kept = if !job.register {
                 unkept = Some(product);
                 None
-            } else if materialize {
+            } else if job.materialize {
                 Some(shared.engine.register_product(product).0)
             } else {
                 Some(shared.engine.register_tiled(product).0)
             };
-            Ok(JobDone { report, kept })
-        }
-        Err(e) => Err(e),
-    };
+            JobDone {
+                report,
+                queue_wait: job.queue_wait,
+                kept,
+            }
+        });
     let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
     inner.in_flight -= 1;
-    inner.reserved_bytes = inner.reserved_bytes.saturating_sub(est_bytes);
-    if inner.exclusive_job == Some(job_id) {
+    inner.reserved_bytes = inner.reserved_bytes.saturating_sub(job.estimate.est_bytes);
+    if inner.exclusive_job == Some(job.id) {
         inner.exclusive_job = None;
     }
-    inner.running.remove(&job_id);
-    if register {
-        if let Some(b) = batch {
-            let entry = match &serve_result {
+    if job.register {
+        if let Some(b) = job.batch {
+            let entry = match &result {
                 Ok(done) => Ok(done.kept.expect("registered products carry their id")),
-                Err(_) => Err(job_id),
+                Err(_) => Err(job.id),
             };
-            inner.batch_products.insert((b, batch_index), entry);
+            inner.batch_products.insert((b, job.batch_index), entry);
         }
     }
-    if let Some(sess) = inner.sessions.get_mut(&sid) {
-        match &serve_result {
+    if let Some(sess) = inner.sessions.get_mut(&job.sid) {
+        match &result {
             Ok(done) => {
                 sess.completed += 1;
                 // EWMA of execution time feeds retry_after hints.
@@ -1336,7 +1300,7 @@ fn waiter(
     }
     drop(inner);
     shared.cv.notify_all();
-    complete(sticket, serve_result);
+    complete(&job.ticket, result);
     // The reply need not wait for this: freeing what the pool does not keep
     // unmaps it.
     if let Some(product) = unkept {

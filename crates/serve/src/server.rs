@@ -26,7 +26,7 @@ use crate::wire::{Control, ServeSession};
 pub struct ServeOpts {
     /// The engine below the scheduler.
     pub engine: EngineConfig,
-    /// The scheduler's session/backpressure knobs.
+    /// The scheduler's runner, session and backpressure knobs.
     pub sched: SchedConfig,
     /// Listen address; `None` serves stdin/stdout.
     pub tcp: Option<String>,
@@ -48,9 +48,9 @@ impl Default for ServeOpts {
 fn die(msg: &str) -> ! {
     eprintln!("tsg-serve: {msg}");
     eprintln!(
-        "usage: tsg-serve [--device 0|1] [--workers N] [--queue-depth N] \
-         [--cache-mb N] [--budget-mb N] [--timeout-ms N] [--profile] \
-         [--session-depth N] [--drain-ms N] [--tcp ADDR]"
+        "usage: tsg-serve [--device 0|1] [--workers N] [--cache-mb N] \
+         [--budget-mb N] [--profile] [--session-depth N] [--drain-ms N] \
+         [--tcp ADDR]"
     );
     std::process::exit(2);
 }
@@ -74,14 +74,9 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> ServeOpts {
                 };
             }
             "--workers" => {
-                opts.engine.workers = value("--workers")
+                opts.sched.workers = value("--workers")
                     .parse()
                     .unwrap_or_else(|_| die("--workers wants an integer"));
-            }
-            "--queue-depth" => {
-                opts.engine.queue_depth = value("--queue-depth")
-                    .parse()
-                    .unwrap_or_else(|_| die("--queue-depth wants an integer"));
             }
             "--cache-mb" => {
                 let mb: usize = value("--cache-mb")
@@ -94,12 +89,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> ServeOpts {
                     .parse()
                     .unwrap_or_else(|_| die("--budget-mb wants an integer"));
                 opts.engine.device.mem_budget = mb << 20;
-            }
-            "--timeout-ms" => {
-                let ms: u64 = value("--timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| die("--timeout-ms wants an integer"));
-                opts.engine.default_timeout = Some(Duration::from_millis(ms));
             }
             "--session-depth" => {
                 opts.sched.session_queue_depth = value("--session-depth")
@@ -220,13 +209,12 @@ pub fn run(opts: ServeOpts) -> ExitCode {
         drain,
     } = opts;
     eprintln!(
-        "tsg-serve: device {} ({} threads, {} MiB budget), {} workers, queue depth {}, \
+        "tsg-serve: device {} ({} threads, {} MiB budget), {} workers, \
          cache {} MiB, session depth {}{}",
         cfg.device.name,
         cfg.device.threads,
         cfg.device.mem_budget >> 20,
-        cfg.workers,
-        cfg.queue_depth,
+        sched.workers,
         cfg.cache_bytes >> 20,
         sched.session_queue_depth,
         if cfg.profile { ", profiling" } else { "" },

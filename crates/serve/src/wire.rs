@@ -29,9 +29,9 @@
 //! | `{"op":"chain","ids":["m…","m…","m…"]}` | the final link's reply plus `"links"` and `"intermediates":["m…"]` |
 //! | `{"op":"power","a":"m…","k":3}` | as `chain` with `k` copies of `a` |
 //! | `{"op":"wait","job":N}` | the job's reply |
-//! | `{"op":"cancel","job":N}` | `{"ok":true,"job":N,"canceled":true}` |
-//! | `{"op":"stats"}` | `{"ok":true,"submitted":..,"cache_hit_rate":..,"counters":{…},…,"serve":{…}}` |
-//! | `{"op":"profile"}` | `{"ok":true,"profile":true,"counters":{…},"jobs":[{"job":1,"spans":[…]}]}` |
+//! | `{"op":"cancel","job":N}` | `{"ok":true,"job":N,"canceled":true}` when the job was still queued (it then completes as `canceled`); a job already running runs to completion and the answer is `false` |
+//! | `{"op":"stats"}` | `{"ok":true,"completed":..,"cache_hit_rate":..,"counters":{…},…,"serve":{…}}`; `serve` and its per-session rows carry the job queue's figures |
+//! | `{"op":"profile"}` | `{"ok":true,"profile":true,"counters":{…},"jobs":[{"job":4294967296,"spans":[…]}]}`, one entry per job under its reply's `job` id |
 //! | `{"op":"evict"}` / `{"op":"evict","id":"m…"}` | `{"ok":true,"evicted":n}` |
 //! | `{"op":"unload","id":"m…"}` | `{"ok":true,"id":"m…","unloaded":true}` — later references are `unknown_matrix` |
 //! | `{"op":"shutdown"}` | `{"ok":true,"bye":true}`; the transport drains |
@@ -41,15 +41,16 @@
 //!
 //! Every job verb (`multiply`, `add`, `multiply_many`, `chain`, `power`)
 //! runs through the [`Scheduler`]: weighted-fair dispatch, reservation
-//! admission, deferral, and backpressure instead of `queue_full` — a full
+//! admission, deferral, and backpressure instead of shedding — a full
 //! session queue holds the submission briefly and then answers with the
 //! structured `backpressure` hint above; the client resubmits, nothing is
 //! dropped. Job ids are the scheduler's (≥ [`SERVE_JOB_BASE`](crate::SERVE_JOB_BASE)), and `wait`
 //! and `cancel` accept only the ids of this session's own `"async"` jobs.
-//! Job verbs take optional `"scheduling"` (`"per-tile"` or
-//! `"per-tile-row"`), `"pair_reuse"` and `"timeout_ms"` overrides, and
-//! `"keep":true` registers the product: handles are content hashes, so
-//! equal `"c"` values prove bitwise-identical products. With
+//! A reply's `queue_wait_ms` is the job's time from enqueue to the start
+//! of its run. Job verbs take an optional `"timeout_ms"`: a job still
+//! queued that long after it was enqueued completes as `timed_out` without
+//! running. `"keep":true` registers the product: handles are content
+//! hashes, so equal `"c"` values prove bitwise-identical products. With
 //! `"materialize":false` a kept product registers from its tiled form (a
 //! resident handle whose CSR is derived only if a later consumer needs
 //! it); `multiply` defaults to `true`, `add`/`chain`/`power` to `false`.
@@ -75,16 +76,15 @@ use std::error::Error as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use tilespgemm_core::{Config, Scheduling};
 use tsg_engine::json::{obj, parse, Value};
-use tsg_engine::{Engine, EngineError, EngineStats, JobReport, MatrixId, OpSpec};
+use tsg_engine::{Engine, EngineError, EngineStats, MatrixId, OpSpec};
 use tsg_matrix::Coo;
 use tsg_runtime::observe::Counter;
 use tsg_runtime::{CollectingRecorder, SpanNode};
 
 use crate::scheduler::{
-    op_spec, BackpressureHint, Operand, Scheduler, SchedulerStats, ServeTicket, Submission,
-    SubmitError, SubmitSpec,
+    op_spec, BackpressureHint, JobDone, Operand, Scheduler, SchedulerStats, ServeTicket,
+    Submission, SubmitError, SubmitSpec,
 };
 
 /// The protocol version this build speaks. Every reply carries it as
@@ -399,16 +399,8 @@ impl ServeSession {
         };
         let mut members = vec![
             ("ok", true.into()),
-            ("submitted", s.submitted.into()),
-            ("admitted", s.admitted.into()),
             ("completed", s.completed.into()),
             ("failed", s.failed.into()),
-            ("rejected", s.rejected.into()),
-            ("shed", s.shed.into()),
-            ("canceled", s.canceled.into()),
-            ("timed_out", s.timed_out.into()),
-            ("queue_depth", s.queue_depth.into()),
-            ("queue_wait_ms_total", ms(s.queue_wait_total)),
             ("exec_ms_total", ms(s.exec_total)),
             ("conversions", s.registry.conversions.into()),
             ("cache_hits", s.registry.cache_hits.into()),
@@ -574,7 +566,7 @@ impl ServeSession {
             ));
         }
         let mask = opt_handle(req, "mask")?;
-        let (config, timeout) = parse_overrides(req)?;
+        let timeout = parse_timeout(req);
         let keep = req.get("keep").and_then(Value::as_bool) == Some(true);
         let materialize = req
             .get("materialize")
@@ -595,7 +587,6 @@ impl ServeSession {
                     None
                 },
                 add: None,
-                config,
                 timeout,
                 keep: j == last && keep,
                 materialize: j == last && materialize,
@@ -661,13 +652,7 @@ impl ServeSession {
     /// Waits for a scheduled job and renders its reply under its serve id,
     /// with `"c"` when the product was kept.
     fn render(&self, ticket: &ServeTicket) -> Result<Value, WireError> {
-        let done = ticket.wait()?;
-        Ok(report_response(
-            ticket.job,
-            &done.report,
-            self.collector(),
-            done.kept,
-        ))
+        Ok(report_response(&ticket.wait()?, self.collector()))
     }
 
     fn collector(&self) -> Option<&CollectingRecorder> {
@@ -698,8 +683,8 @@ fn unknown_job() -> WireError {
 }
 
 /// Parses one job spec: operands (`"m…"` ids or `"$k"` batch refs, `"mask"`
-/// included), the engine overrides, and `keep`/`materialize`, the latter
-/// defaulting to `default_materialize`.
+/// included), the deadline, and `keep`/`materialize`, the latter defaulting
+/// to `default_materialize`.
 fn parse_spec(req: &Value, default_materialize: bool) -> Result<SubmitSpec, WireError> {
     let a = parse_operand(req, "a")?;
     let b = parse_operand(req, "b")?;
@@ -707,14 +692,12 @@ fn parse_spec(req: &Value, default_materialize: bool) -> Result<SubmitSpec, Wire
         Some(_) => Some(parse_operand(req, "mask")?),
         None => None,
     };
-    let (config, timeout) = parse_overrides(req)?;
     Ok(SubmitSpec {
         a,
         b,
         mask,
         add: None,
-        config,
-        timeout,
+        timeout: parse_timeout(req),
         keep: req.get("keep").and_then(Value::as_bool) == Some(true),
         materialize: req
             .get("materialize")
@@ -723,26 +706,11 @@ fn parse_spec(req: &Value, default_materialize: bool) -> Result<SubmitSpec, Wire
     })
 }
 
-/// The engine overrides shared by every job verb.
-fn parse_overrides(req: &Value) -> Result<(Option<Config>, Option<Duration>), WireError> {
-    let mut config: Option<Config> = None;
-    if let Some(s) = req.get("scheduling").and_then(Value::as_str) {
-        let scheduling = match s {
-            "per-tile" => Scheduling::PerTile,
-            "per-tile-row" => Scheduling::PerTileRow,
-            _ => return Err(WireError::bad("unknown scheduling")),
-        };
-        config.get_or_insert_with(Config::default).scheduling = scheduling;
-    }
-    if let Some(p) = req.get("pair_reuse").and_then(Value::as_bool) {
-        config.get_or_insert_with(Config::default).pair_reuse = p;
-    }
-    Ok((
-        config,
-        req.get("timeout_ms")
-            .and_then(Value::as_u64)
-            .map(Duration::from_millis),
-    ))
+/// The `"timeout_ms"` queue-wait deadline every job verb takes.
+fn parse_timeout(req: &Value) -> Option<Duration> {
+    req.get("timeout_ms")
+        .and_then(Value::as_u64)
+        .map(Duration::from_millis)
 }
 
 /// The `"ids"` array of a chain: matrix handles only.
@@ -973,21 +941,17 @@ fn spans_json(nodes: &[SpanNode]) -> Value {
     )
 }
 
-/// Renders a completed job as the reply of serve job `job`, with the
-/// engine job's span tree when a collector is profiling and the registered
-/// product handle when the request kept it.
-fn report_response(
-    job: u64,
-    r: &JobReport,
-    collector: Option<&CollectingRecorder>,
-    kept: Option<MatrixId>,
-) -> Value {
+/// Renders a completed job as its reply, with its span tree when a
+/// collector is profiling and the registered product handle when the
+/// request kept it.
+fn report_response(done: &JobDone, collector: Option<&CollectingRecorder>) -> Value {
+    let r = &done.report;
     let mut members = vec![
         ("ok", Value::Bool(true)),
-        ("job", job.into()),
+        ("job", r.job.into()),
         ("nnz_c", r.nnz_c.into()),
         ("tiles_c", r.tiles_c.into()),
-        ("queue_wait_ms", ms(r.queue_wait)),
+        ("queue_wait_ms", ms(done.queue_wait)),
         ("exec_ms", ms(r.exec)),
         ("step1_ms", ms(r.breakdown.step1)),
         ("step2_ms", ms(r.breakdown.step2)),
@@ -999,7 +963,7 @@ fn report_response(
         ("est_bytes", r.estimate.est_bytes.into()),
         ("flops", r.estimate.flops.into()),
     ];
-    if let Some(id) = kept {
+    if let Some(id) = done.kept {
         members.push(("c", id.to_string().into()));
     }
     if let Some(collector) = collector {
@@ -1204,7 +1168,8 @@ mod tests {
         );
         assert_eq!(code(&v), "bad_request", "{v}");
         // Refused before submission, and the session keeps serving.
-        assert_eq!(num(&ok(&s, r#"{"op":"stats"}"#), "submitted"), 0);
+        let serve = ok(&s, r#"{"op":"stats"}"#).get("serve").cloned().unwrap();
+        assert_eq!(num(&serve, "dispatched"), 0);
         let sum = ok(&s, &format!(r#"{{"op":"add","a":"{id}","b":"{id}"}}"#));
         assert_eq!(num(&sum, "nnz_c"), 4);
     }
@@ -1284,10 +1249,7 @@ mod tests {
 
     #[test]
     fn cancel_is_confined_to_the_callers_own_jobs() {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        }));
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
         let scheduler = Arc::new(Scheduler::new(engine, SchedConfig::default()));
         let a = ServeSession::new(Arc::clone(&scheduler));
         let b = ServeSession::new(scheduler);

@@ -7,7 +7,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
 
 use tsg_engine::json::{parse, Value};
@@ -146,14 +145,7 @@ fn sequential_round_trips_do_not_stall_on_delayed_acks() {
 
 #[test]
 fn mid_batch_disconnect_leaves_the_server_healthy() {
-    let server = Server::spawn(&[
-        "--tcp",
-        "127.0.0.1:0",
-        "--workers",
-        "1",
-        "--queue-depth",
-        "2",
-    ]);
+    let server = Server::spawn(&["--tcp", "127.0.0.1:0", "--workers", "1"]);
 
     // Client 1 opens a session, fires an async multiply_many batch, and
     // vanishes without reading a single response — then a second rude
@@ -183,7 +175,7 @@ fn mid_batch_disconnect_leaves_the_server_healthy() {
     }
 
     // The server must still be serving, and the orphaned batch must have
-    // run to completion rather than wedging the dispatcher. The deadline is
+    // run to completion rather than wedging the scheduler. The deadline is
     // wall-clock: 200 polls used to take ~23 s only because every stats
     // round trip stalled ~88 ms on delayed ACKs.
     let mut probe = Client::connect(&server.addr);
@@ -209,16 +201,14 @@ fn mid_batch_disconnect_leaves_the_server_healthy() {
 
 #[test]
 fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
-    // Small queues + one worker manufacture real contention: the clients'
-    // bursts overlap, interleave under weighted-fair dispatch, and at least
-    // one of them rides through backpressure hints.
+    // Small session queues + one worker manufacture real contention: the
+    // clients' bursts overlap, interleave under weighted-fair dispatch, and
+    // at least one of them rides through backpressure hints.
     let server = Server::spawn(&[
         "--tcp",
         "127.0.0.1:0",
         "--workers",
         "1",
-        "--queue-depth",
-        "2",
         "--session-depth",
         "2",
     ]);
@@ -228,21 +218,23 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
     // equal handle IS a bitwise-identical product.
     let gold = {
         let engine = Engine::new(EngineConfig::default());
+        let product = |a, b| {
+            let op = JobSpec::multiply(a, b).op;
+            let estimate = engine.estimate_op(&op).unwrap();
+            let report = engine.run(1, &op, estimate).unwrap();
+            engine.register_product(report.c).0
+        };
         let mut chains = Vec::new();
         for name in ["scatter-00", "cluster-00"] {
             let csr = tsg_gen::suite::by_name(name)
                 .expect("known dataset")
                 .build();
             let (m, _) = engine.register(csr);
-            let r1 = engine.multiply_now(JobSpec::multiply(m, m)).unwrap();
-            let (p1, _) = engine.register_product(Arc::clone(&r1.c));
-            let r2 = engine.multiply_now(JobSpec::multiply(p1, p1)).unwrap();
-            let (p2, _) = engine.register_product(Arc::clone(&r2.c));
-            let r3 = engine.multiply_now(JobSpec::multiply(p2, m)).unwrap();
-            let (p3, _) = engine.register_product(Arc::clone(&r3.c));
+            let p1 = product(m, m);
+            let p2 = product(p1, p1);
+            let p3 = product(p2, m);
             chains.push(vec![p1.to_string(), p2.to_string(), p3.to_string()]);
         }
-        engine.shutdown();
         chains
     };
 
@@ -329,14 +321,13 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
         }
     }
 
-    // Nothing was dropped anywhere: every arrival was admitted (engine) and
-    // every session job completed (scheduler).
-    assert_eq!(stats.get("shed").and_then(Value::as_u64), Some(0));
-    assert_eq!(
-        stats.get("submitted").and_then(Value::as_u64),
-        stats.get("admitted").and_then(Value::as_u64)
-    );
+    // Nothing was dropped anywhere: every job the scheduler started
+    // completed, and every session job completed.
     let serve_stats = stats.get("serve").unwrap();
+    assert_eq!(
+        serve_stats.get("dispatched").and_then(Value::as_u64),
+        stats.get("completed").and_then(Value::as_u64)
+    );
     assert!(
         serve_stats
             .get("backpressure_hints")

@@ -22,11 +22,7 @@ use tsg_serve::{
 };
 
 fn scheduler() -> Scheduler {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 1,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new(EngineConfig::default());
     Scheduler::new(Arc::new(engine), SchedConfig::default())
 }
 

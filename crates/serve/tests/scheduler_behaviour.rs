@@ -1,16 +1,19 @@
 //! Scheduler behaviour: weighted-fair interleaving, backpressure instead of
-//! shedding, deferred admission, batch dependencies, cancellation, drain.
+//! shedding, deferred admission, batch dependencies, deadlines,
+//! cancellation, drain.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use tsg_engine::{Engine, EngineConfig, EngineError};
+use tsg_engine::json::{parse, Value};
+use tsg_engine::{Engine, EngineConfig, EngineError, JobSpec, MatrixId};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::Csr;
 use tsg_runtime::observe::{Counter, MetricsSnapshot, Recorder, SpanId};
 use tsg_runtime::Device;
 use tsg_serve::{
-    Operand, SchedConfig, Scheduler, Submission, SubmitError, SubmitSpec, SERVE_JOB_BASE,
+    Operand, SchedConfig, Scheduler, ServeSession, ServeTicket, Submission, SubmitError,
+    SubmitSpec, SERVE_JOB_BASE,
 };
 
 fn banded(n: usize, bandwidth: usize, per_row: usize) -> Csr<f64> {
@@ -23,24 +26,42 @@ fn banded(n: usize, bandwidth: usize, per_row: usize) -> Csr<f64> {
     .build()
 }
 
-/// A serial-dispatch scheduler: one worker, engine queue depth 1, so the
-/// dispatch log is a deterministic total order.
+/// A scheduler at the default configuration, whose one worker makes the
+/// dispatch log a deterministic total order.
 fn serial_scheduler(budget: usize) -> Scheduler {
     let mut device = Device::rtx3090_sim();
     device.mem_budget = budget;
     let engine = Engine::new(EngineConfig {
         device,
-        workers: 1,
-        queue_depth: 1,
         ..EngineConfig::default()
     });
     Scheduler::new(Arc::new(engine), SchedConfig::default())
 }
 
-fn wait_all(tickets: &[tsg_serve::ServeTicket]) {
+fn wait_all(tickets: &[ServeTicket]) {
     for t in tickets {
         t.wait().unwrap();
     }
+}
+
+/// Queues `specs` on session `sid`, which must have room for them.
+fn queued(sched: &Scheduler, sid: u64, specs: Vec<SubmitSpec>) -> Vec<ServeTicket> {
+    match sched.submit(sid, specs).unwrap() {
+        Submission::Queued(tickets) => tickets,
+        Submission::Backpressure(_) => panic!("the session queue has room"),
+    }
+}
+
+/// `a · b` on the engine alone, as an in-process caller runs it.
+fn run_alone(engine: &Engine, a: MatrixId, b: MatrixId) -> tsg_engine::JobReport {
+    let op = JobSpec::multiply(a, b).op;
+    let estimate = engine.estimate_op(&op).unwrap();
+    engine.run(1, &op, estimate).unwrap()
+}
+
+/// One request line through `client`, its reply parsed.
+fn wire(client: &ServeSession, line: &str) -> Value {
+    parse(&client.handle_line(line).0).expect("replies are JSON")
 }
 
 #[test]
@@ -158,6 +179,16 @@ impl Gate {
         self.state.lock().unwrap().1 = true;
         self.cv.notify_all();
     }
+
+    /// A closed gate on `sched`'s device tracker.
+    fn on(sched: &Scheduler) -> Arc<Gate> {
+        let gate = Arc::new(Gate::default());
+        sched
+            .engine()
+            .device_tracker()
+            .set_recorder(Some(Arc::clone(&gate) as Arc<dyn Recorder>));
+        gate
+    }
 }
 
 impl Recorder for Gate {
@@ -192,8 +223,6 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     device.mem_budget = usize::MAX;
     let engine = Engine::new(EngineConfig {
         device,
-        workers: 1,
-        queue_depth: 1,
         ..EngineConfig::default()
     });
     let sched = Scheduler::new(
@@ -208,11 +237,7 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     let (small, _) = sched.engine().register(Csr::<f64>::identity(64));
     // The blocker parks on its first device charge until the gate opens, so
     // it pins the only worker whatever the machine's speed.
-    let gate = Arc::new(Gate::default());
-    sched
-        .engine()
-        .device_tracker()
-        .set_recorder(Some(Arc::clone(&gate) as Arc<dyn Recorder>));
+    let gate = Gate::on(&sched);
 
     let Submission::Queued(head) = sched
         .submit(sid, vec![SubmitSpec::new(blocker, blocker)])
@@ -220,8 +245,8 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     else {
         panic!("empty queue must accept")
     };
-    // Once the blocker is parked on the engine's worker it has left the
-    // session queue for the engine, so the depth-1 queue is empty again.
+    // Once the blocker is parked on the worker it has left the session
+    // queue, so the depth-1 queue is empty again.
     gate.wait_until_parked();
     assert_eq!(sched.stats().in_flight, 1);
     let Submission::Queued(second) = sched
@@ -231,8 +256,7 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
         panic!("the emptied queue must accept one job")
     };
     // The queue (depth 1) is full and the blocker pins the worker: this
-    // submission is held briefly, then answered with a hint — not dropped,
-    // not an engine queue_full.
+    // submission is held briefly, then answered with a hint — not dropped.
     let Submission::Backpressure(hint) = sched
         .submit(sid, vec![SubmitSpec::new(small, small)])
         .unwrap()
@@ -257,33 +281,36 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
         panic!("the drained queue must accept the retry")
     };
     wait_all(&third);
-    assert_eq!(sched.engine().stats().shed, 0, "the engine never sheds");
+    let row = &sched.stats().sessions[0];
+    assert_eq!((row.completed, row.failed), (3, 0), "every queued job ran");
 }
 
 #[test]
 fn over_budget_estimate_defers_and_then_completes() {
     // banded-4096's *fallback* estimate over-predicts its real peak ~2.2x:
-    // with the budget between them, the seed engine rejects the job up
-    // front (estimate_exceeds_budget) — the scheduler instead defers it
-    // until the device is idle and runs it solo, where it fits. Sampling is
-    // disabled here on purpose: the sampled estimator is accurate enough
-    // that this product admits directly, and this test pins the
-    // deferred-admission *backstop* — the path a pessimistic (fallback)
+    // with the budget between them the scheduler defers the job until the
+    // device is idle and runs it solo, where it fits, instead of refusing
+    // it. Sampling is disabled here on purpose: the sampled estimator is
+    // accurate enough that this product admits directly, and this test pins
+    // the deferred-admission *backstop* — the path a pessimistic (fallback)
     // estimate takes.
     let budget = 4 << 20;
     let mut device = Device::rtx3090_sim();
     device.mem_budget = budget;
-    // Engine queue depth 2: the dispatcher is allowed a second in-flight
-    // job, so it actually *evaluates* the big head while the small job
-    // runs — and parks it on memory instead.
     let engine = Engine::new(EngineConfig {
         device,
-        workers: 1,
-        queue_depth: 2,
         sample_rate: 0.0,
         ..EngineConfig::default()
     });
-    let sched = Scheduler::new(Arc::new(engine), SchedConfig::default());
+    // Two workers: the second one *evaluates* the big head while the small
+    // job runs — and parks it on memory instead.
+    let sched = Scheduler::new(
+        Arc::new(engine),
+        SchedConfig {
+            workers: 2,
+            ..SchedConfig::default()
+        },
+    );
     let sid = sched.open_session("deferred", 1.0, None).unwrap();
     let (small_m, _) = sched.engine().register(banded(2048, 24, 12));
     let (big_m, _) = sched.engine().register(banded(4096, 16, 8));
@@ -321,10 +348,114 @@ fn over_budget_estimate_defers_and_then_completes() {
 
     let stats = sched.stats();
     assert!(stats.deferred >= 1, "the big job waited for memory");
-    let engine_stats = sched.engine().stats();
-    assert_eq!(engine_stats.rejected, 0, "no up-front estimate rejection");
-    assert_eq!(engine_stats.shed, 0);
-    assert_eq!(engine_stats.completed, 2);
+    assert_eq!(sched.engine().stats().completed, 2);
+}
+
+/// At the default configuration (one worker) a job waits in its session
+/// queue and nowhere else, so the weighted-fair pick decides what runs
+/// next: one job a second session queues behind another session's backlog
+/// of six runs right after the job in flight.
+#[test]
+fn a_late_session_overtakes_a_backlog_at_the_default_configuration() {
+    let sched = serial_scheduler(usize::MAX);
+    let a = sched.open_session("backlog", 1.0, None).unwrap();
+    let b = sched.open_session("late", 1.0, None).unwrap();
+    let (blocker, _) = sched.engine().register(banded(2048, 24, 12));
+    let (small, _) = sched.engine().register(Csr::<f64>::identity(64));
+    let gate = Gate::on(&sched);
+    let head = queued(&sched, a, vec![SubmitSpec::new(blocker, blocker)]);
+    gate.wait_until_parked();
+    let backlog: Vec<_> = (0..6)
+        .flat_map(|_| queued(&sched, a, vec![SubmitSpec::new(small, small)]))
+        .collect();
+    // Time enough for a second waiting room, were there one, to take A's
+    // backlog in ahead of B.
+    std::thread::sleep(Duration::from_millis(50));
+    let late = queued(&sched, b, vec![SubmitSpec::new(small, small)]);
+    gate.open();
+    wait_all(&head);
+    wait_all(&backlog);
+    wait_all(&late);
+
+    let log = sched.dispatch_log();
+    assert_eq!(log.len(), 8);
+    assert_eq!(log[1], (b, late[0].job), "dispatch log {log:?}");
+}
+
+/// A job's `timeout` bounds its wait in the session queue: queued behind a
+/// parked blocker past its deadline, it completes as `timed_out` without
+/// running, its session counts it as failed, and nothing stays charged to
+/// the device. The wire's `"timeout_ms"` is the same deadline.
+#[test]
+fn a_job_queued_past_its_timeout_completes_as_timed_out() {
+    let sched = Arc::new(serial_scheduler(usize::MAX));
+    let sid = sched.open_session("deadline", 1.0, None).unwrap();
+    let (blocker, _) = sched.engine().register(banded(2048, 24, 12));
+    let (small, _) = sched.engine().register(Csr::<f64>::identity(64));
+    let gate = Gate::on(&sched);
+    let head = queued(&sched, sid, vec![SubmitSpec::new(blocker, blocker)]);
+    gate.wait_until_parked();
+    let stale = SubmitSpec {
+        timeout: Some(Duration::from_millis(10)),
+        ..SubmitSpec::new(small, small)
+    };
+    let stale = queued(&sched, sid, vec![stale]);
+    let client = ServeSession::new(Arc::clone(&sched));
+    let over_wire = wire(
+        &client,
+        &format!(r#"{{"op":"multiply","a":"{small}","b":"{small}","timeout_ms":10,"async":true}}"#),
+    );
+    let job = over_wire
+        .get("job")
+        .and_then(Value::as_u64)
+        .expect("job id");
+    std::thread::sleep(Duration::from_millis(30));
+    gate.open();
+
+    wait_all(&head);
+    assert_eq!(stale[0].wait().unwrap_err(), EngineError::TimedOut);
+    let v = wire(&client, &format!(r#"{{"op":"wait","job":{job}}}"#));
+    let code = v.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Value::as_str), Some("timed_out"), "{v}");
+    let stats = sched.stats();
+    let (own, implicit) = (&stats.sessions[0], &stats.sessions[1]);
+    assert_eq!((own.completed, own.failed), (1, 1));
+    assert_eq!((implicit.completed, implicit.failed), (0, 1));
+    assert_eq!(stats.dispatched, 1, "only the blocker ran");
+    assert_eq!(sched.engine().stats().device_bytes_in_use, 0);
+}
+
+/// `cancel` answers `true` only for a job it took out of a queue: a job
+/// that is already running answers `false`, runs on, and its `wait`
+/// returns the product.
+#[test]
+fn canceling_a_running_job_answers_false_and_the_job_completes() {
+    let sched = Arc::new(serial_scheduler(usize::MAX));
+    let (blocker, _) = sched.engine().register(banded(2048, 24, 12));
+    let gate = Gate::on(&sched);
+    let client = ServeSession::new(Arc::clone(&sched));
+    let reply = wire(
+        &client,
+        &format!(r#"{{"op":"multiply","a":"{blocker}","b":"{blocker}","async":true}}"#),
+    );
+    let job = reply.get("job").and_then(Value::as_u64).expect("job id");
+    gate.wait_until_parked();
+    let v = wire(&client, &format!(r#"{{"op":"cancel","job":{job}}}"#));
+    assert_eq!(
+        v.get("canceled").and_then(Value::as_bool),
+        Some(false),
+        "{v}"
+    );
+    gate.open();
+    let done = wire(&client, &format!(r#"{{"op":"wait","job":{job}}}"#));
+    assert_eq!(
+        done.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{done}"
+    );
+    assert!(done.get("nnz_c").and_then(Value::as_u64).unwrap() > 0);
+    let row = &sched.stats().sessions[0];
+    assert_eq!((row.completed, row.canceled), (1, 0));
 }
 
 #[test]
@@ -342,17 +473,11 @@ fn batch_refs_chain_products_and_failures_poison_dependents() {
     // Gold: the same chain A², A⁴, A⁸ step by step. Content-hash ids make
     // the comparison exact — equal ids are bitwise-identical products.
     let engine = sched.engine();
-    let r1 = engine
-        .multiply_now(tsg_engine::JobSpec::multiply(ia, ia))
-        .unwrap();
+    let r1 = run_alone(engine, ia, ia);
     let (gold1, _) = engine.register_product(Arc::clone(&r1.c));
-    let r2 = engine
-        .multiply_now(tsg_engine::JobSpec::multiply(gold1, gold1))
-        .unwrap();
+    let r2 = run_alone(engine, gold1, gold1);
     let (gold2, _) = engine.register_product(Arc::clone(&r2.c));
-    let r3 = engine
-        .multiply_now(tsg_engine::JobSpec::multiply(gold2, gold2))
-        .unwrap();
+    let r3 = run_alone(engine, gold2, gold2);
     let (gold3, _) = engine.register_product(Arc::clone(&r3.c));
 
     let mut chain = vec![

@@ -56,7 +56,7 @@ impl Drop for Serve {
 
 #[test]
 fn load_convert_multiply_stats_over_stdin() {
-    let mut serve = Serve::spawn(&["--workers", "2", "--queue-depth", "8"]);
+    let mut serve = Serve::spawn(&["--workers", "2"]);
 
     let loaded = serve.request_ok(r#"{"op":"load","gen":"fem-00"}"#);
     let id = loaded
@@ -89,11 +89,13 @@ fn load_convert_multiply_stats_over_stdin() {
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(1));
     assert_eq!(stats.get("conversions").and_then(Value::as_u64), Some(1));
     assert!(stats.get("cached_bytes").and_then(Value::as_u64).unwrap() > 0);
-    // Arrivals are fully accounted: everything submitted was admitted.
-    assert_eq!(stats.get("submitted").and_then(Value::as_u64), Some(1));
-    assert_eq!(stats.get("admitted").and_then(Value::as_u64), Some(1));
-    // The engine's statistics carry the serving layer's view as "serve".
+    // The engine's statistics carry the serving layer's view as "serve":
+    // the one job queued ran.
     let serve_stats = stats.get("serve").expect("serve member");
+    assert_eq!(
+        serve_stats.get("dispatched").and_then(Value::as_u64),
+        Some(1)
+    );
     let sessions = serve_stats
         .get("sessions")
         .and_then(Value::as_arr)
@@ -269,7 +271,7 @@ fn sessions_batches_and_kept_products_over_stdin() {
 
 #[test]
 fn profiled_burst_reports_spans_and_counters_over_stdin() {
-    let mut serve = Serve::spawn(&["--profile", "--workers", "2", "--queue-depth", "32"]);
+    let mut serve = Serve::spawn(&["--profile", "--workers", "2"]);
     let loaded = serve.request_ok(r#"{"op":"load","gen":"fem-00"}"#);
     let id = loaded
         .get("id")
@@ -279,8 +281,10 @@ fn profiled_burst_reports_spans_and_counters_over_stdin() {
 
     // A 20-job burst: every reply carries the per-step breakdown and the
     // job's span tree, whose "job" root nests the pipeline phases.
+    let mut reply_jobs = Vec::new();
     for round in 0..20 {
         let m = serve.request_ok(&format!(r#"{{"op":"multiply","a":"{id}","b":"{id}"}}"#));
+        reply_jobs.push(m.get("job").and_then(Value::as_u64).expect("job id"));
         assert!(
             m.get("step3_ms").and_then(Value::as_f64).is_some(),
             "round {round} missing breakdown"
@@ -342,10 +346,17 @@ fn profiled_burst_reports_spans_and_counters_over_stdin() {
         Some(20)
     );
 
-    // …and the profile verb dumps every recorded job's span tree.
+    // …and the profile verb dumps every recorded job's span tree, under the
+    // job id its reply carried.
     let profile = serve.request_ok(r#"{"op":"profile"}"#);
     let jobs = profile.get("jobs").and_then(Value::as_arr).expect("jobs");
     assert_eq!(jobs.len(), 20, "one span tree per burst job");
+    let mut profiled: Vec<u64> = jobs
+        .iter()
+        .map(|j| j.get("job").and_then(Value::as_u64).expect("job id"))
+        .collect();
+    profiled.sort_unstable();
+    assert_eq!(profiled, reply_jobs, "profile names the replies' job ids");
     let hello = serve.request_ok(r#"{"op":"hello","v":3}"#);
     assert_eq!(hello.get("profile").and_then(Value::as_bool), Some(true));
 }
@@ -447,18 +458,6 @@ fn hostile_input_stays_on_protocol_and_never_kills_the_loop() {
     let product = serve.request_ok(&format!(r#"{{"op":"multiply","a":"{id2}","b":"{id2}"}}"#));
     assert!(product.get("nnz_c").and_then(Value::as_u64).unwrap() > 0);
 
-    // A retired scheduling name is as unknown as any other: bad_request,
-    // and the session answers the next line.
-    let err = serve.request(&format!(
-        r#"{{"op":"multiply","a":"{id2}","b":"{id2}","scheduling":"binned"}}"#
-    ));
-    assert_eq!(error_code(&err), "bad_request");
-    let message = err.get("error").and_then(|e| e.get("message"));
-    assert_eq!(
-        message.and_then(Value::as_str),
-        Some("unknown scheduling"),
-        "{err}"
-    );
     serve.request_ok(r#"{"op":"hello"}"#);
 
     let bye = serve.request(r#"{"op":"shutdown"}"#);
@@ -592,10 +591,13 @@ fn budget_flag_still_bounds_memory_under_deferred_admission() {
         Some("out_of_memory")
     );
     let stats = serve.request_ok(r#"{"op":"stats"}"#);
-    // Nothing rejected, nothing shed: the job was admitted, ran, and the
-    // budget stopped it mid-flight.
-    assert_eq!(stats.get("rejected").and_then(Value::as_u64), Some(0));
-    assert_eq!(stats.get("shed").and_then(Value::as_u64), Some(0));
+    // Nothing refused up front: the job ran, and the budget stopped it
+    // mid-flight.
+    let serve_stats = stats.get("serve").expect("serve member");
+    assert_eq!(
+        serve_stats.get("dispatched").and_then(Value::as_u64),
+        Some(1)
+    );
     assert_eq!(stats.get("failed").and_then(Value::as_u64), Some(1));
     assert_eq!(
         stats.get("device_bytes_in_use").and_then(Value::as_u64),
