@@ -3,10 +3,7 @@
 //! `BENCH_pipeline.json` at the workspace root comparing pair reuse against
 //! the paper's recompute path on an R-MAT/power-law suite and the scalar
 //! step-3 kernels against the vector ones (medians of [`PIPELINE_RUNS`]
-//! runs, with their spread), and measuring the context-API (`SpGemm` +
-//! `NullRecorder`) overhead against the free function on the same matrices
-//! (the `"method":"ctx_overhead"` records, the median of
-//! [`OVERHEAD_PAIRS`] paired ratios that `overhead_check` gates on).
+//! runs, with their spread).
 //!
 //! ```text
 //! cargo bench -p tsg-bench --bench tile_pipeline
@@ -15,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use tilespgemm_core::step1::tile_structure_spgemm;
 use tilespgemm_core::{Config, SimdPolicy};
-use tsg_bench::{overhead_pct, pipeline_medians, PipelineMedians, OVERHEAD_PAIRS, PIPELINE_RUNS};
+use tsg_bench::{pipeline_medians, PipelineMedians, PIPELINE_RUNS};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::TileMatrix;
 use tsg_runtime::MemTracker;
@@ -69,22 +66,6 @@ impl Record {
             cores,
         )
     }
-}
-
-/// The context API's overhead over the free function on one matrix
-/// ([`overhead_pct`]). The context runs the default `NullRecorder`, so
-/// any gap is pure API plumbing (the virtual span calls); the acceptance
-/// bar is ≤2%, and `overhead_check` gates the same statistic at 5%.
-fn overhead_record(ta: &TileMatrix<f64>, matrix: &'static str) -> String {
-    let pct = overhead_pct(ta);
-    println!("  {matrix:<14} ctx vs free {pct:+.2}% (median of {OVERHEAD_PAIRS} pairs)");
-    format!(
-        concat!(
-            "{{\"matrix\":\"{}\",\"method\":\"ctx_overhead\",",
-            "\"overhead_pct\":{:.3},\"pairs\":{}}}"
-        ),
-        matrix, pct, OVERHEAD_PAIRS
-    )
 }
 
 /// One rung of the step-3 kernel ablation ladder (DESIGN.md §15):
@@ -169,9 +150,6 @@ fn emit_bench_json() {
         .iter()
         .map(|r| format!("  {}", r.to_json()))
         .collect();
-    for &(name, ref ta) in &mats {
-        body.push(format!("  {}", overhead_record(ta, name)));
-    }
     // Kernel ablation on the two power-law matrices, where step 3 dominates.
     for &(name, ref ta) in &mats {
         if name == "fem-500" {

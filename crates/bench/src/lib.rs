@@ -277,50 +277,6 @@ pub fn pipeline_medians(a: &tsg_matrix::TileMatrix<f64>, config: &Config) -> Pip
     }
 }
 
-/// Alternating timed pairs behind `overhead_check`'s gate and each
-/// `"method":"ctx_overhead"` row of `BENCH_pipeline.json`.
-pub const OVERHEAD_PAIRS: usize = 21;
-
-/// Median overhead, in percent, of `ctx.multiply` (the default
-/// `NullRecorder`) over the free function on `a·a`, across
-/// [`OVERHEAD_PAIRS`] back-to-back pairs that alternate which path runs
-/// first, after checking the two paths produce bitwise-identical
-/// products. A pair's two runs see the same host state, so the median of
-/// the paired ratios tells a few-millisecond regression from host noise.
-pub fn overhead_pct(a: &tsg_matrix::TileMatrix<f64>) -> f64 {
-    let cfg = Config::default();
-    let ctx = tilespgemm_core::SpGemm::new();
-    let free = tilespgemm_core::multiply(a, a, &cfg, &MemTracker::new()).expect("warmup");
-    let through_ctx = ctx.multiply(a, a).expect("warmup");
-    assert_eq!(
-        free.c, through_ctx.c,
-        "context path must be bitwise-identical to the free function"
-    );
-    let time_free = || {
-        let t = std::time::Instant::now();
-        tilespgemm_core::multiply(a, a, &cfg, &MemTracker::new()).expect("multiply");
-        ms(t.elapsed())
-    };
-    let time_ctx = || {
-        let t = std::time::Instant::now();
-        ctx.multiply(a, a).expect("multiply");
-        ms(t.elapsed())
-    };
-    let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS)
-        .map(|i| {
-            let (free, ctx) = if i % 2 == 0 {
-                let free = time_free();
-                (free, time_ctx())
-            } else {
-                let ctx = time_ctx();
-                (time_free(), ctx)
-            };
-            ctx / free
-        })
-        .collect();
-    (median(&mut ratios) - 1.0) * 100.0
-}
-
 /// Section banner for figure binaries.
 pub fn banner(title: &str) {
     println!();

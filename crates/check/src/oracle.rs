@@ -24,13 +24,13 @@
 //! product is right.
 
 use tilespgemm_core::{
-    multiply, multiply_csr, multiply_csr_with, multiply_masked, AccumulatorKind, Config,
+    multiply, multiply_csr, multiply_masked, multiply_with_pool, AccumulatorKind, Config,
     Scheduling, SimdPolicy,
 };
 use tsg_baselines::reference::reference_spgemm;
 use tsg_baselines::{run_method, MethodKind};
 use tsg_matrix::{ops, Coo, Csr, TileMatrix};
-use tsg_runtime::{CollectingRecorder, Counter, MemTracker, Recorder};
+use tsg_runtime::{CollectingRecorder, Counter, MemTracker, Recorder, ScratchPool};
 
 use crate::compare::{compare_csr, Mismatch, ValuePolicy};
 
@@ -202,10 +202,12 @@ pub fn check_configs(
     // intersection finds.
     {
         let variant = "tile[recorder=collecting]";
+        let (ta, tb) = (TileMatrix::from_csr(a), TileMatrix::from_csr(b));
         let recorded = |config: &Config| {
             let tracker = MemTracker::new();
             let recorder = CollectingRecorder::new();
-            let out = multiply_csr_with(a, b, config, &tracker, &recorder, 1)
+            let pool = ScratchPool::new();
+            let out = multiply_with_pool(&ta, &tb, None, config, &tracker, &recorder, 1, &pool)
                 .map_err(|e| run_detail(variant, e))?;
             balanced(variant, &tracker)?;
             Ok((out, recorder.snapshot()))

@@ -12,11 +12,11 @@
 //! `SparseAccPicks` / `DenseAccPicks` counters, so these tests pin *which
 //! kernel ran*, not just that the product came out right.
 
-use tilespgemm_core::{multiply_csr, multiply_csr_with, Config, Output};
+use tilespgemm_core::{multiply_csr, multiply_with_pool, Config, Output};
 use tsg_baselines::reference::reference_spgemm;
 use tsg_check::{compare_csr, corpus, ValuePolicy};
-use tsg_matrix::Csr;
-use tsg_runtime::{CollectingRecorder, Counter, MemTracker, Recorder};
+use tsg_matrix::{Csr, TileMatrix};
+use tsg_runtime::{CollectingRecorder, Counter, MemTracker, Recorder, ScratchPool};
 
 fn case(name: &str) -> (Csr<f64>, Csr<f64>) {
     corpus::build(name, 0).expect("corpus case exists")
@@ -28,7 +28,10 @@ fn case(name: &str) -> (Csr<f64>, Csr<f64>) {
 fn run_pinned(a: &Csr<f64>, b: &Csr<f64>, config: &Config) -> (Output<f64>, u64, u64) {
     let tracker = MemTracker::new();
     let recorder = CollectingRecorder::new();
-    let out = multiply_csr_with(a, b, config, &tracker, &recorder, 1).expect("multiply succeeds");
+    let (ta, tb) = (TileMatrix::from_csr(a), TileMatrix::from_csr(b));
+    let pool = ScratchPool::new();
+    let out = multiply_with_pool(&ta, &tb, None, config, &tracker, &recorder, 1, &pool)
+        .expect("multiply succeeds");
     assert_eq!(tracker.current_bytes(), 0, "pipeline tracker must balance");
     compare_csr(
         &out.to_csr(),

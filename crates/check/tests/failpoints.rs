@@ -356,12 +356,13 @@ fn simd_dispatch_failpoint_forces_scalar_and_stays_bitwise_identical() {
 
     let _x = failpoint::exclusive();
     let (a, b) = operands();
+    let (ta, tb) = (TileMatrix::from_csr(&a), TileMatrix::from_csr(&b));
     let run = || {
         let tracker = MemTracker::new();
         let recorder = CollectingRecorder::new();
-        let out =
-            tilespgemm_core::multiply_csr_with(&a, &b, &Config::default(), &tracker, &recorder, 1)
-                .expect("multiply succeeds");
+        let (config, pool) = (Config::default(), ScratchPool::new());
+        let out = multiply_with_pool(&ta, &tb, None, &config, &tracker, &recorder, 1, &pool)
+            .expect("multiply succeeds");
         assert_eq!(tracker.current_bytes(), 0);
         (out, recorder.snapshot())
     };

@@ -24,9 +24,10 @@
 //!
 //! One Rayon task plays the role of the paper's one warp per tile; all
 //! per-tile state lives in fixed-size stack buffers, preserving the paper's
-//! "no global intermediate space" property. [`pipeline::multiply`] wires the
-//! steps together with the per-step breakdown (Figure 10) and device-memory
-//! accounting (Figures 7/9) of the evaluation.
+//! "no global intermediate space" property. [`multiply_with_pool`] wires the
+//! steps together with the per-step breakdown (Figure 10), device-memory
+//! accounting (Figures 7/9) and an optional recorder; [`multiply`],
+//! [`multiply_masked`] and [`multiply_csr`] call it without recording.
 //!
 //! ```
 //! use tsg_matrix::{Csr, TileMatrix};
@@ -39,7 +40,6 @@
 //! ```
 
 pub mod add;
-pub mod context;
 pub mod convert;
 pub mod intersect;
 pub mod maskops;
@@ -52,12 +52,8 @@ pub mod step2;
 pub mod step3;
 
 pub use add::add;
-pub use context::{SpGemm, SpGemmBuilder};
 pub use convert::{timed_csr_to_tile, ConversionTiming};
-pub use pipeline::{
-    multiply, multiply_csr, multiply_csr_with, multiply_masked, multiply_with, multiply_with_pool,
-    recycle, Output,
-};
+pub use pipeline::{multiply, multiply_csr, multiply_masked, multiply_with_pool, recycle, Output};
 pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};
 pub use step3::AccumulatorKind;

@@ -142,43 +142,17 @@ fn row_pass_probes<T: Scalar>(a: &TileMatrix<T>, b: &TileMatrix<T>, pair_ptr: &[
 /// [`SpGemmError::OutOfMemory`] (the paper's Figure-7 `0.00` bars). Pass
 /// [`MemTracker::new()`] for unlimited memory.
 ///
-/// This is the original free-function surface, kept as a thin wrapper over
-/// [`multiply_with`] with recording disabled. New code should prefer the
-/// [`crate::SpGemm`] context, which owns the `(config, tracker, recorder)`
-/// triple and numbers jobs.
+/// Records nothing and takes worker scratch from a throwaway
+/// [`ScratchPool`]. Callers that profile, or that multiply repeatedly, call
+/// [`multiply_with_pool`] with their own recorder and pool.
 pub fn multiply<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
     config: &Config,
     tracker: &MemTracker,
 ) -> Result<Output<T>, SpGemmError> {
-    multiply_with(a, b, config, tracker, &NullRecorder, 0)
-}
-
-/// [`multiply`] with an explicit recorder and job id: phase spans nest under
-/// a `"job"` root span recorded for `job`, and the pipeline's counters
-/// ([`Counter::TilesVisited`], matched pairs, intersection probes,
-/// accumulator picks) flow into the recorder.
-///
-/// All per-tile instrumentation is derived outside the parallel hot loops
-/// from state the pipeline already computes, and is skipped entirely when
-/// [`Recorder::is_enabled`] is `false` — a [`NullRecorder`] run costs a few
-/// virtual calls per multiply, not per tile.
-///
-/// Worker scratch comes from a throwaway [`ScratchPool`]; long-lived
-/// callers (the [`crate::SpGemm`] context, the engine) should hold a pool
-/// and call [`multiply_with_pool`] so the arenas stay warm across
-/// multiplies.
-pub fn multiply_with<T: Scalar>(
-    a: &TileMatrix<T>,
-    b: &TileMatrix<T>,
-    config: &Config,
-    tracker: &MemTracker,
-    recorder: &dyn Recorder,
-    job: u64,
-) -> Result<Output<T>, SpGemmError> {
     let arena = ScratchPool::new();
-    multiply_with_pool(a, b, None, config, tracker, recorder, job, &arena)
+    multiply_with_pool(a, b, None, config, tracker, &NullRecorder, 0, &arena)
 }
 
 /// Computes `C⟨M⟩ = A·B`: the product restricted to the stored pattern of
@@ -188,8 +162,7 @@ pub fn multiply_with<T: Scalar>(
 /// inside a surviving tile, only positions present in `mask` are kept.
 /// Values of `mask` are ignored.
 ///
-/// A thin wrapper over [`multiply_with_pool`] with recording disabled, the
-/// way [`multiply`] wraps [`multiply_with`].
+/// Records nothing, like [`multiply`].
 pub fn multiply_masked<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
@@ -201,8 +174,20 @@ pub fn multiply_masked<T: Scalar>(
     multiply_with_pool(a, b, Some(mask), config, tracker, &NullRecorder, 0, &arena)
 }
 
-/// [`multiply_with`] against a caller-owned [`ScratchPool`], optionally
-/// under a structural `mask` (see [`multiply_masked`]).
+/// The pipeline every other entry point wraps: [`multiply`], optionally
+/// under a structural `mask` (see [`multiply_masked`]), recorded into
+/// `recorder` under `job`, with worker scratch from a caller-owned
+/// [`ScratchPool`] that stays warm across multiplies.
+///
+/// Phase spans nest under a `"job"` root span recorded for `job`, and the
+/// pipeline's counters ([`Counter::TilesVisited`], matched pairs,
+/// intersection probes, accumulator and SIMD kernel picks) flow into the
+/// recorder. All per-tile instrumentation is derived outside the parallel
+/// hot loops from state the pipeline already computes, and is skipped
+/// entirely when [`Recorder::is_enabled`] is `false`: a [`NullRecorder`]
+/// run costs a few virtual calls per multiply, not per tile. The byte
+/// counters come from `tracker`, and only when the recorder is attached
+/// to it ([`MemTracker::set_recorder`]).
 ///
 /// The multiply reserves one [`Scratch`] arena per worker from `arena`,
 /// and steps 2 and 3 check one out of that reservation once per task
@@ -743,34 +728,16 @@ pub fn recycle<T: Scalar>(c: TileMatrix<T>, pool: &ScratchPool) {
 /// Conversion time stays outside the breakdown, matching the paper's timing
 /// protocol (which assumes tiled inputs); use [`Output::to_csr`] to recover
 /// a CSR product.
-///
-/// Kept as a thin wrapper over [`multiply_csr_with`] with recording
-/// disabled; prefer [`crate::SpGemm::multiply_csr`] in new code.
 pub fn multiply_csr<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
     config: &Config,
     tracker: &MemTracker,
 ) -> Result<Output<T>, SpGemmError> {
-    multiply_csr_with(a, b, config, tracker, &NullRecorder, 0)
-}
-
-/// [`multiply_csr`] with an explicit recorder and job id. The conversions
-/// record under a `"convert"` span of the job, preceding the `"job"` span
-/// [`multiply_with`] opens.
-pub fn multiply_csr_with<T: Scalar>(
-    a: &Csr<T>,
-    b: &Csr<T>,
-    config: &Config,
-    tracker: &MemTracker,
-    recorder: &dyn Recorder,
-    job: u64,
-) -> Result<Output<T>, SpGemmError> {
-    let span = recorder.span_enter(job, "convert");
     let (ta, conv_a) = timed_csr_to_tile(a);
     let (tb, conv_b) = timed_csr_to_tile(b);
-    recorder.span_exit(span);
-    let mut out = multiply_with(&ta, &tb, config, tracker, recorder, job)?;
+    let arena = ScratchPool::new();
+    let mut out = multiply_with_pool(&ta, &tb, None, config, tracker, &NullRecorder, 0, &arena)?;
     out.conversion = Some(ConversionTiming {
         conversion: conv_a.conversion + conv_b.conversion,
         tiles: conv_a.tiles + conv_b.tiles,
@@ -1286,6 +1253,15 @@ mod tests {
             .unwrap()
             .to_csr();
         assert!(c2.approx_eq_ignoring_zeros(&a, 1e-12));
+    }
+
+    #[test]
+    fn csr_entry_point_reports_conversion() {
+        let a = Csr::<f64>::identity(64);
+        let out = multiply_csr(&a, &a, &Config::default(), &MemTracker::new()).unwrap();
+        let conv = out.conversion.expect("CSR entry point times conversion");
+        assert_eq!(conv.nnz, 128, "both operands' nonzeros are converted");
+        assert_eq!(out.to_csr(), a);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The engine predicts, before running a job, roughly how many flops the
 //! product costs and how many device bytes it will touch, in the same spirit
 //! as spECK's lightweight pre-analysis: cheap to compute, accurate enough to
-//! steer scheduling, and explicitly *not* an upper bound. Jobs
-//! whose prediction already exceeds the device budget are rejected up front;
-//! jobs the prediction lets through can still trip the [`MemTracker`] budget
+//! steer scheduling, and explicitly *not* an upper bound. Nothing is
+//! rejected on it: the `tsg-serve` scheduler admits a job once its estimate
+//! fits the memory currently free, and defers one whose estimate exceeds
+//! the whole budget until the device is idle, then runs it alone. The
+//! [`MemTracker`] budget is the backstop: a job can still trip it
 //! mid-flight (the estimate ignores most step-2 temporaries and assumes a
 //! modest output compression factor), which surfaces as an `out_of_memory`
 //! job failure — the engine analogue of the paper's Figure-7 "0.00" bars.

@@ -17,8 +17,6 @@
 //!   implementation in this workspace.
 //! * [`scan`] — serial and parallel exclusive prefix sums (the paper uses a
 //!   prefix-sum scan to turn per-tile-row mask popcounts into row pointers).
-//! * [`atomicf64`] — a CAS-loop atomic `f64`/`f32` add, the CPU analogue of
-//!   CUDA `atomicAdd` used by the paper's numeric phase.
 //! * [`split`] — safe splitting of one output buffer into disjoint mutable
 //!   per-tile windows, the CPU analogue of warps writing disjoint global
 //!   memory ranges.
@@ -40,7 +38,6 @@
 //!   are recycled through.
 
 pub mod arena;
-pub mod atomicf64;
 pub mod binning;
 pub mod device;
 #[cfg(feature = "failpoints")]
@@ -55,12 +52,11 @@ pub use arena::{
     BufferStats, PooledBuf, Scratch, ScratchGuard, ScratchPool, ScratchReservation, ScratchSizes,
     ALLOCATOR_MAPS_ABOVE,
 };
-pub use atomicf64::{AtomicF32, AtomicF64};
 pub use binning::{bin_rows_by, Bins};
 pub use device::{pool_for, run_on, Device};
 pub use observe::{
     est_error_bucket, null_recorder, CollectingRecorder, Counter, MetricsSnapshot, NullRecorder,
-    QueueGauge, Recorder, SpanId, SpanNode, WaitGauge,
+    Recorder, SpanId, SpanNode,
 };
 pub use scan::{
     exclusive_scan_in_place, exclusive_scan_to, par_exclusive_scan_in_place, par_exclusive_scan_to,

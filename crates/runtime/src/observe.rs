@@ -11,9 +11,8 @@
 //!   ([`Counter`]).
 //! * [`NullRecorder`] — the disabled fast path. [`Recorder::is_enabled`]
 //!   returns `false`, so instrumented hot loops skip their bookkeeping
-//!   entirely; the measured overhead against the uninstrumented seed
-//!   pipeline is within noise (see `DESIGN.md` §9 for the methodology and
-//!   the committed numbers in `BENCH_pipeline.json`).
+//!   entirely, leaving a few virtual span calls per multiply (`DESIGN.md`
+//!   §9).
 //! * [`CollectingRecorder`] — keeps everything: a lock-free sharded counter
 //!   array aggregated across rayon workers into a [`MetricsSnapshot`], and a
 //!   per-job span tree ([`SpanNode`]) for tests, benches, and the engine's
@@ -224,95 +223,6 @@ impl MetricsSnapshot {
             *t = self.totals[slot].saturating_sub(earlier.totals[slot]);
         }
         MetricsSnapshot { totals }
-    }
-}
-
-/// A queue-depth gauge: current depth plus its high-water mark. Unlike the
-/// monotonic [`Counter`]s this goes up *and* down, so it lives outside the
-/// [`Recorder`] snapshot; the serving layer keeps one per session and one
-/// global, and reports both through the `stats` verb.
-#[derive(Debug, Default)]
-pub struct QueueGauge {
-    depth: AtomicU64,
-    high_water: AtomicU64,
-}
-
-impl QueueGauge {
-    /// A gauge at depth zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` entries arriving; returns the new depth.
-    pub fn add(&self, n: u64) -> u64 {
-        let depth = self.depth.fetch_add(n, Ordering::Relaxed) + n;
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-        depth
-    }
-
-    /// Records `n` entries leaving (saturating at zero).
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.depth.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self
-                .depth
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The current depth.
-    pub fn depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// The deepest the queue has ever been.
-    pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
-    }
-}
-
-/// A wait-time gauge: accumulated wait and sample count, so a stats report
-/// can show the mean queue wait of a session without keeping per-job state.
-#[derive(Debug, Default)]
-pub struct WaitGauge {
-    total_micros: AtomicU64,
-    samples: AtomicU64,
-}
-
-impl WaitGauge {
-    /// A gauge with no samples.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one wait.
-    pub fn record(&self, wait: Duration) {
-        self.total_micros
-            .fetch_add(wait.as_micros() as u64, Ordering::Relaxed);
-        self.samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded wait.
-    pub fn total(&self) -> Duration {
-        Duration::from_micros(self.total_micros.load(Ordering::Relaxed))
-    }
-
-    /// Number of recorded waits.
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
-    /// Mean wait over the recorded samples (zero when empty).
-    pub fn mean(&self) -> Duration {
-        self.total_micros
-            .load(Ordering::Relaxed)
-            .checked_div(self.samples())
-            .map_or(Duration::ZERO, Duration::from_micros)
     }
 }
 
@@ -708,32 +618,6 @@ mod tests {
             est_error_bucket(4_506_576, 69_326_916),
             Counter::EstErrGeQuad
         );
-    }
-
-    #[test]
-    fn queue_gauge_tracks_depth_and_high_water() {
-        let g = QueueGauge::new();
-        assert_eq!(g.depth(), 0);
-        assert_eq!(g.add(3), 3);
-        assert_eq!(g.add(2), 5);
-        g.sub(4);
-        assert_eq!(g.depth(), 1);
-        assert_eq!(g.high_water(), 5);
-        // Saturates instead of underflowing.
-        g.sub(10);
-        assert_eq!(g.depth(), 0);
-        assert_eq!(g.high_water(), 5);
-    }
-
-    #[test]
-    fn wait_gauge_reports_the_mean() {
-        let g = WaitGauge::new();
-        assert_eq!(g.mean(), Duration::ZERO);
-        g.record(Duration::from_millis(10));
-        g.record(Duration::from_millis(30));
-        assert_eq!(g.samples(), 2);
-        assert_eq!(g.mean(), Duration::from_millis(20));
-        assert_eq!(g.total(), Duration::from_millis(40));
     }
 
     #[test]

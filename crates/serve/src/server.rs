@@ -178,11 +178,7 @@ fn install_sigint_handler() {}
 fn graceful_exit(scheduler: &Scheduler, drain: Duration) -> bool {
     let drained = scheduler.shutdown(drain);
     let s = scheduler.stats();
-    let (mut completed, mut failed) = (0u64, 0u64);
-    for row in &s.sessions {
-        completed += row.completed;
-        failed += row.failed;
-    }
+    let (completed, failed) = s.outcomes();
     let pool = scheduler.engine().stats().buffers;
     eprintln!(
         "tsg-serve: final stats: sessions={} dispatched={} completed={completed} \

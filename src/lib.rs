@@ -29,12 +29,33 @@
 //! let a = tilespgemm::gen::stencil::grid_2d_5pt(32, 32);
 //! // Convert once to the paper's tiled format...
 //! let tiled = TileMatrix::from_csr(&a);
-//! // ...and multiply through an execution context, which owns the
-//! // configuration, memory accounting, and (optional) profiling recorder.
-//! let ctx = SpGemm::new();
-//! let out = ctx.multiply(&tiled, &tiled).unwrap();
+//! // ...and multiply under the paper's configuration, with an unlimited
+//! // device-memory budget.
+//! let out = multiply(&tiled, &tiled, &Config::default(), &MemTracker::new()).unwrap();
 //! // A² of the 5-point stencil has the 13-point pattern.
 //! assert_eq!(out.c.to_csr().row_nnz(17 * 32 + 17), 13);
+//! ```
+//!
+//! To profile a product, call [`core::multiply_with_pool`] with a
+//! [`runtime::CollectingRecorder`], attached to the tracker as well so its
+//! byte counters reconcile with the memory accounting:
+//!
+//! ```
+//! use std::sync::Arc;
+//! use tilespgemm::prelude::*;
+//! use tilespgemm::runtime::ScratchPool;
+//!
+//! let a = TileMatrix::from_csr(&Csr::<f64>::identity(64));
+//! let recorder = Arc::new(CollectingRecorder::new());
+//! let tracker = MemTracker::new();
+//! tracker.set_recorder(Some(recorder.clone()));
+//! let config = Config::default();
+//! let pool = ScratchPool::new();
+//! let out = multiply_with_pool(&a, &a, None, &config, &tracker, &*recorder, 1, &pool).unwrap();
+//! let snap = recorder.snapshot();
+//! assert_eq!(snap.get(Counter::TilesVisited) as usize, out.c.tile_count());
+//! assert_eq!(snap.get(Counter::BytesAlloc), snap.get(Counter::BytesFreed));
+//! assert!(!recorder.span_tree(1).is_empty());
 //! ```
 
 pub use tilespgemm_core as core;
@@ -47,7 +68,7 @@ pub use tsg_serve as serve;
 
 /// The types most programs need.
 pub mod prelude {
-    pub use tilespgemm_core::{multiply, multiply_csr, Config, SpGemm, SpGemmError};
+    pub use tilespgemm_core::{multiply, multiply_csr, multiply_with_pool, Config, SpGemmError};
     pub use tsg_matrix::{Coo, Csr, Scalar, TileMatrix, TILE_DIM};
     pub use tsg_runtime::{
         CollectingRecorder, Counter, Device, MemTracker, MetricsSnapshot, NullRecorder, Recorder,

@@ -20,11 +20,13 @@ fn galerkin_triple_product_preserves_mass_and_symmetry() {
         coo.push(i as u32, (i / 4) as u32, 1.0);
     }
     let p = coo.to_csr();
-    // The triple product runs through one execution context: both products
-    // share its tracker and configuration.
-    let ctx = SpGemm::new();
-    let ap = ctx.multiply_csr(&a, &p).unwrap().to_csr();
-    let coarse = ctx.multiply_csr(&p.transpose(), &ap).unwrap().to_csr();
+    // Both products of the triple product share one tracker and
+    // configuration.
+    let (config, tracker) = (Config::default(), MemTracker::new());
+    let ap = multiply_csr(&a, &p, &config, &tracker).unwrap().to_csr();
+    let coarse = multiply_csr(&p.transpose(), &ap, &config, &tracker)
+        .unwrap()
+        .to_csr();
     assert_eq!(coarse.nrows, n.div_ceil(4));
     let fine_mass = ops::sum_all(&a);
     let coarse_mass = ops::sum_all(&coarse);

@@ -74,14 +74,3 @@ proptest! {
         }
     }
 }
-
-#[test]
-fn atomic_f64_parallel_sum_is_exact_for_dyadic_values() {
-    use rayon::prelude::*;
-    use tilespgemm::runtime::AtomicF64;
-    let acc = AtomicF64::new(0.0);
-    (0..4096).into_par_iter().for_each(|i| {
-        acc.fetch_add(if i % 2 == 0 { 0.25 } else { 0.75 });
-    });
-    assert_eq!(acc.load(), 2048.0);
-}
